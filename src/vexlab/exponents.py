@@ -377,10 +377,11 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
     diam = domain.diameter()
 
     xs, ys = [], []
+    kept = 0
     attempts = 0
-    while len(xs) < pairs and attempts < 200 * pairs:
+    while kept < pairs and attempts < 200 * pairs:
         attempts += 1
-        n = pairs - len(xs)
+        n = pairs - kept
         x = lo + span * rng.random((n, domain.dim))
         keep = domain.contains(x)
         x = x[keep]
@@ -394,10 +395,11 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
         keep = domain.contains(y)
         xs.append(x[keep])
         ys.append(y[keep])
+        kept += len(xs[-1])
+    if kept == 0:
+        raise ConfigError("log-Holder sampling produced no admissible pairs")
     x = np.vstack(xs)[:pairs]
     y = np.vstack(ys)[:pairs]
-    if len(x) == 0:
-        raise ConfigError("log-Holder sampling produced no admissible pairs")
 
     sep = np.linalg.norm(x - y, axis=1)
     vals = np.abs(p.value_at(x) - p.value_at(y)) * (-np.log(sep))

@@ -10,11 +10,13 @@ defect is reported rather than hidden.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.spatial import cKDTree
 
-from .domains import Domain, _point_segment_distance_many
+from .domains import _point_segment_distance_many
 from .errors import ConfigError, DegenerateCell, MeshFailure, NonFiniteIntegrand
 
 # Symmetric positive-weight quadrature rules on the reference triangle,
@@ -57,6 +59,11 @@ def _segment_rule(npoints):
     return np.column_stack([1.0 - t, t]), 0.5 * w
 
 
+def _rowdot(u, v):
+    """Row-wise dot products, rounded as np.dot rounds each row on its own."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _tri_rule(degree):
     for d in sorted(_TRI_RULES):
         if d >= degree:
@@ -86,6 +93,8 @@ class Mesh:
             raise MeshFailure("cells must be (ncells, dim+1) vertex indices")
         if len(self.cells) == 0:
             raise MeshFailure("mesh has no cells")
+        if self.cells.min() < 0 or self.cells.max() >= len(self.nodes):
+            raise MeshFailure(f"cells name nodes outside 0..{len(self.nodes) - 1}")
         self._setup()
         self._quad_cache = {}
         self._facet_quad_cache = {}
@@ -101,50 +110,33 @@ class Mesh:
             x1 = self.nodes[self.cells[:, 1], 0]
             lengths = x1 - x0
             self.cell_volumes = lengths
+            self._check_degenerate()
             inv = 1.0 / lengths
             self.basis_grads = np.stack([-inv[:, None], inv[:, None]], axis=1)
         else:
-            a = self.nodes[self.cells[:, 0]]
-            b = self.nodes[self.cells[:, 1]]
-            c = self.nodes[self.cells[:, 2]]
-            det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-                b[:, 1] - a[:, 1]
-            ) * (c[:, 0] - a[:, 0])
+            a, b, c = (self.nodes[self.cells[:, k]] for k in range(3))
+            e1, e2 = b - a, c - a
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
             flip = det < 0
             if np.any(flip):
-                self.cells[flip, 1], self.cells[flip, 2] = (
-                    self.cells[flip, 2].copy(),
-                    self.cells[flip, 1].copy(),
-                )
-                b = self.nodes[self.cells[:, 1]]
-                c = self.nodes[self.cells[:, 2]]
+                self.cells[flip] = self.cells[flip][:, [0, 2, 1]]
+                b, c = self.nodes[self.cells[:, 1]], self.nodes[self.cells[:, 2]]
+                e1, e2 = b - a, c - a
                 det = np.abs(det)
-            e1 = b - a
-            e2 = c - a
             self.cell_volumes = 0.5 * det
             self._check_degenerate()
             g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
             g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
             self.basis_grads = np.stack([-(g1 + g2), g1, g2], axis=1)
 
-        self._check_degenerate()
         self.volume = float(self.cell_volumes.sum())
         self._find_boundary()
 
         if self.dim == 1:
             self.h = float(self.cell_volumes.max())
         else:
-            a = self.nodes[self.cells[:, 0]]
-            b = self.nodes[self.cells[:, 1]]
-            c = self.nodes[self.cells[:, 2]]
-            ls = np.stack(
-                [
-                    np.linalg.norm(b - a, axis=1),
-                    np.linalg.norm(c - b, axis=1),
-                    np.linalg.norm(a - c, axis=1),
-                ]
-            )
-            self.h = float(ls.max())
+            edges = (b - a, c - b, a - c)
+            self.h = float(max(np.linalg.norm(e, axis=1).max() for e in edges))
 
     def _check_degenerate(self):
         vmax = float(self.cell_volumes.max())
@@ -161,49 +153,38 @@ class Mesh:
             if len(bnodes) != 2:
                 raise MeshFailure(f"1D mesh has {len(bnodes)} endpoints, expected 2")
             xs = self.nodes[bnodes, 0]
-            left, right = bnodes[np.argmin(xs)], bnodes[np.argmax(xs)]
-            self.boundary_facets = np.array([[left], [right]], dtype=np.int64)
+            ends = np.array([bnodes[np.argmin(xs)], bnodes[np.argmax(xs)]])
+            self.boundary_facets = ends[:, None]
             self.facet_normals = np.array([[-1.0], [1.0]])
             self.facet_measures = np.ones(2)
-            cell_of = {}
-            for ci, cell in enumerate(self.cells):
-                for v in cell:
-                    cell_of.setdefault(int(v), []).append(ci)
-            self.facet_cells = np.array(
-                [cell_of[int(left)][0], cell_of[int(right)][0]], dtype=np.int64
-            )
-            self.boundary_nodes = np.array(sorted([left, right]), dtype=np.int64)
+            holds = (self.cells[:, :, None] == ends).any(axis=1)
+            self.facet_cells = holds.argmax(axis=0)  # first cell holding each end
+            self.boundary_nodes = np.sort(ends)
         else:
-            edge_count = {}
-            for ci, cell in enumerate(self.cells):
-                for k in range(3):
-                    v0, v1 = int(cell[k]), int(cell[(k + 1) % 3])
-                    key = (min(v0, v1), max(v0, v1))
-                    edge_count.setdefault(key, []).append((ci, v0, v1))
-            facets, normals, measures, fcells = [], [], [], []
-            for key in sorted(edge_count):
-                owners = edge_count[key]
-                if len(owners) == 1:
-                    ci, v0, v1 = owners[0]
-                    a, b = self.nodes[v0], self.nodes[v1]
-                    t = b - a
-                    length = float(np.linalg.norm(t))
-                    n = np.array([t[1], -t[0]]) / length
-                    centroid = self.nodes[self.cells[ci]].mean(axis=0)
-                    if n @ (0.5 * (a + b) - centroid) < 0:
-                        n = -n
-                    facets.append([v0, v1])
-                    normals.append(n)
-                    measures.append(length)
-                    fcells.append(ci)
-                elif len(owners) > 2:
-                    raise MeshFailure(f"edge {key} shared by {len(owners)} cells")
-            if not facets:
+            # edge k of cell ci runs from cells[ci, k] to cells[ci, (k + 1) % 3];
+            # a boundary edge is one whose (min, max) key occurs once
+            v0 = self.cells.ravel()
+            v1 = np.roll(self.cells, -1, axis=1).ravel()
+            n = len(self.nodes)
+            keys = np.minimum(v0, v1) * n + np.maximum(v0, v1)
+            uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
+            if counts.max() > 2:
+                k = int(np.argmax(counts > 2))
+                key = divmod(int(uniq[k]), n)
+                raise MeshFailure(f"edge {key} shared by {counts[k]} cells")
+            once = first[counts == 1]
+            if len(once) == 0:
                 raise MeshFailure("2D mesh has no boundary edges")
-            self.boundary_facets = np.array(facets, dtype=np.int64)
-            self.facet_normals = np.array(normals)
-            self.facet_measures = np.array(measures)
-            self.facet_cells = np.array(fcells, dtype=np.int64)
+            a, b = self.nodes[v0[once]], self.nodes[v1[once]]
+            t = b - a
+            length = np.sqrt(_rowdot(t, t))
+            normals = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
+            centroid = self.nodes[self.cells[once // 3]].mean(axis=1)
+            normals[_rowdot(normals, 0.5 * (a + b) - centroid) < 0] *= -1.0
+            self.boundary_facets = np.column_stack([v0[once], v1[once]])
+            self.facet_normals = normals
+            self.facet_measures = length
+            self.facet_cells = once // 3
             self.boundary_nodes = np.unique(self.boundary_facets.ravel())
 
         mask = np.ones(len(self.nodes), dtype=bool)
@@ -259,12 +240,37 @@ class Mesh:
                 xb = self.nodes[self.boundary_nodes, 0]
                 self._bdist = np.minimum.reduce([np.abs(xs - x) for x in xb])
             else:
-                d = np.full(len(self.nodes), np.inf)
-                for f in self.boundary_facets:
-                    a, b = self.nodes[f[0]], self.nodes[f[1]]
-                    d = np.minimum(d, _point_segment_distance_many(self.nodes, a, b))
-                self._bdist = d
+                self._bdist = self._facet_distance()
         return self._bdist
+
+    def _facet_distance(self):
+        """Distance from each node to the nearest boundary facet (2D).
+
+        The distance d_v(x) to the nearest boundary vertex bounds the distance
+        to the boundary, so the nearest facet's midpoint lies within d_v(x) +
+        (its length) / 2 of x: each facet is measured only at such nodes.
+        """
+        ends = self.nodes[self.boundary_facets]
+        half = 0.5 * self.facet_measures.max()
+        slack = 1e-9 * (half + np.abs(self.nodes).max())
+        d_v = cKDTree(self.nodes[self.boundary_nodes]).query(self.nodes)[0]
+        near = cKDTree(ends.mean(axis=1)).query_ball_point(
+            self.nodes, d_v + half + slack, return_sorted=False
+        )
+        counts = [len(f) for f in near]
+        node = np.repeat(np.arange(len(self.nodes)), counts)
+        facet = np.fromiter(chain.from_iterable(near), np.int64, sum(counts))
+        order = np.argsort(facet, kind="stable")
+        node = node[order]
+        cut = np.searchsorted(facet[order], np.arange(len(ends) + 1))
+        d = np.full(len(self.nodes), np.inf)
+        # each facet reaches its own two endpoints, and numpy rounds a
+        # (1, 2) @ (2,) product unlike the same row of a longer array
+        for (a, b), lo, hi in zip(ends, cut[:-1], cut[1:]):
+            near_f = node[lo:hi]
+            dist = _point_segment_distance_many(self.nodes[near_f], a, b)
+            np.minimum.at(d, near_f, dist)
+        return d
 
     def divergence_check(self, degree=2):
         """Return (boundary integral of x.nu, dim * volume, relative error)."""
@@ -329,48 +335,34 @@ def _check_volume(mesh, exact):
 
 
 def _mesh_polygon(domain, h_target):
-    verts = domain.vertices
-    tris = _ear_clip(verts)
-    nodes = [tuple(v) for v in verts]
-    tris = [tuple(t) for t in tris]
-
-    def max_edge(nodes_arr, tris_list):
-        arr = np.asarray(nodes_arr)
-        m = 0.0
-        for a, b, c in tris_list:
-            m = max(
-                m,
-                float(np.linalg.norm(arr[a] - arr[b])),
-                float(np.linalg.norm(arr[b] - arr[c])),
-                float(np.linalg.norm(arr[c] - arr[a])),
-            )
-        return m
-
-    d0 = max_edge(nodes, tris)
+    nodes = np.asarray(domain.vertices, dtype=float)
+    tris = np.asarray(_ear_clip(nodes), dtype=np.int64)
+    corners = nodes[tris]
+    edges = (corners - np.roll(corners, -1, axis=1)).reshape(-1, 2)
+    d0 = float(np.sqrt(_rowdot(edges, edges)).max())
     levels = max(0, math.ceil(math.log2(d0 / h_target))) if d0 > h_target else 0
     for _ in range(levels):
         nodes, tris = _refine_red(nodes, tris)
-    return Mesh(np.asarray(nodes), np.asarray(tris), domain=domain)
+    return Mesh(nodes, tris, domain=domain)
 
 
 def _refine_red(nodes, tris):
-    nodes = list(nodes)
-    midpoint = {}
+    """Split each triangle (a, b, c) into four at its edge midpoints.
 
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            xi = nodes[i]
-            xj = nodes[j]
-            nodes.append(((xi[0] + xj[0]) / 2.0, (xi[1] + xj[1]) / 2.0))
-            midpoint[key] = len(nodes) - 1
-        return midpoint[key]
-
-    out = []
-    for a, b, c in tris:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return nodes, out
+    Midpoints are appended to the nodes in order of first appearance over
+    each triangle's edges ab, bc, ca.
+    """
+    a, b, c = tris.T
+    ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
+    keys = ends.min(axis=1) * len(nodes) + ends.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ab, bc, ca = (len(nodes) + rank[inverse]).reshape(-1, 3).T
+    new = ends[np.sort(first)]
+    nodes = np.vstack([nodes, (nodes[new[:, 0]] + nodes[new[:, 1]]) / 2.0])
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return nodes, out.reshape(-1, 3)
 
 
 def _ear_clip(verts):
@@ -451,21 +443,16 @@ def _mapped_square_disk(m, R, center, domain):
     V = Y * np.sqrt(1.0 - 0.5 * X**2)
     nodes = np.column_stack([U.ravel(), V.ravel()]) * R + center
 
-    def nid(i, j):
-        return i * (m + 1) + j
-
-    cells = []
-    for i in range(m):
-        for j in range(m):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            if (i < m // 2) == (j < m // 2):
-                cells.append([n00, n10, n11])
-                cells.append([n00, n11, n01])
-            else:
-                cells.append([n00, n10, n01])
-                cells.append([n10, n11, n01])
-    return Mesh(nodes, np.asarray(cells), domain=domain)
+    # two cells per grid square (i, j), squares in row-major order
+    i, j = np.divmod(np.arange(m * m), m)
+    n00 = i * (m + 1) + j
+    n10, n01, n11 = n00 + m + 1, n00 + 1, n00 + m + 2
+    cells = np.where(
+        ((i < m // 2) == (j < m // 2))[:, None],
+        np.column_stack([n00, n10, n11, n00, n11, n01]),
+        np.column_stack([n00, n10, n01, n10, n11, n01]),
+    )
+    return Mesh(nodes, cells.reshape(-1, 3), domain=domain)
 
 
 # -- plain-text mesh exchange format ---------------------------------------
@@ -475,47 +462,56 @@ def write_mesh(mesh, path):
     """Write the text format: header "N nodes cells facets", then node lines
     "id x [y]", cell lines "id n0 n1 [n2]", facet lines "id n0 [n1] nx [ny]".
     """
+    facets = map(list.__add__, mesh.boundary_facets.tolist(),
+                 mesh.facet_normals.tolist())
     lines = [
-        f"{mesh.dim} {mesh.nnodes} {mesh.ncells} {len(mesh.boundary_facets)}"
+        f"{mesh.dim} {mesh.nnodes} {mesh.ncells} {len(mesh.boundary_facets)}",
+        *_numbered(mesh.nodes.tolist()),
+        *_numbered(mesh.cells.tolist()),
+        *_numbered(facets),
     ]
-    for i, x in enumerate(mesh.nodes):
-        lines.append(f"{i} " + " ".join(repr(float(c)) for c in x))
-    for i, cell in enumerate(mesh.cells):
-        lines.append(f"{i} " + " ".join(str(int(v)) for v in cell))
-    for i, (f, n) in enumerate(zip(mesh.boundary_facets, mesh.facet_normals)):
-        ids = " ".join(str(int(v)) for v in f)
-        comps = " ".join(repr(float(c)) for c in n)
-        lines.append(f"{i} {ids} {comps}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _numbered(rows):
+    return [f"{i} " + " ".join(map(repr, row)) for i, row in enumerate(rows)]
 
 
 def read_mesh(path, domain=None):
     """Read the text format written by write_mesh and rebuild the mesh.
 
     Facet lines are validated against the boundary derived from the cells;
-    a mismatch raises MeshFailure.
+    a mismatch, or a malformed line, raises MeshFailure.
     """
     with open(path) as fh:
-        tokens = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
-    if not tokens:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
         raise MeshFailure(f"empty mesh file {path}")
     try:
-        dim, nn, nc, nf = (int(t) for t in tokens[0])
+        dim, nn, nc, nf = (int(t) for t in lines[0].split())
     except ValueError as exc:
         raise MeshFailure(f"bad mesh header in {path}") from exc
-    if len(tokens) != 1 + nn + nc + nf:
+    if dim not in (1, 2) or min(nn, nc, nf) < 1:
+        raise MeshFailure(f"bad mesh header in {path}")
+    if len(lines) != 1 + nn + nc + nf:
         raise MeshFailure(f"mesh file {path} has wrong line count")
-    nodes = np.array([[float(v) for v in t[1 : 1 + dim]] for t in tokens[1 : 1 + nn]])
-    cells = np.array(
-        [[int(v) for v in t[1 : 2 + dim]] for t in tokens[1 + nn : 1 + nn + nc]]
-    )
+    try:
+        nodes = _columns(lines[1 : 1 + nn], dim, float)
+        cells = _columns(lines[1 + nn : 1 + nn + nc], dim + 1, np.int64)
+        declared = _columns(lines[1 + nn + nc :], dim, np.int64)
+    except ValueError as exc:
+        raise MeshFailure(f"malformed line in {path}: {exc}") from exc
     mesh = Mesh(nodes, cells, domain=domain)
-    declared = set()
-    for t in tokens[1 + nn + nc :]:
-        ids = tuple(sorted(int(v) for v in t[1 : 1 + dim]))
-        declared.add(ids)
-    derived = {tuple(sorted(int(v) for v in f)) for f in mesh.boundary_facets}
-    if declared != derived:
+    if not np.array_equal(
+        np.unique(np.sort(declared, axis=1), axis=0),
+        np.unique(np.sort(mesh.boundary_facets, axis=1), axis=0),
+    ):
         raise MeshFailure(f"facets in {path} disagree with cell boundary")
     return mesh
+
+
+def _columns(lines, ncols, dtype):
+    """The ncols values after the leading id of each line, as an array."""
+    return np.loadtxt(lines, dtype=dtype, usecols=range(1, 1 + ncols), ndmin=2,
+                      comments=None)

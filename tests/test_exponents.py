@@ -146,6 +146,21 @@ def test_log_holder_affine(interval):
     assert abs(abs(x[0] - y[0]) - 1.0 / np.e) <= 0.1
 
 
+def test_log_holder_samples_few_points():
+    shape = vx.Domain.polygon(
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)])
+    tested = []
+    contains = shape.contains
+    shape.contains = lambda pts, *a, **k: (tested.append(len(pts)),
+                                           contains(pts, *a, **k))[1]
+    rep = vx.log_holder_estimate(vx.RadialExponent(1.6, 0.1, [0.5, 0.5]), shape,
+                                 pairs=500, seed=1)
+    assert rep.pairs_used == 500
+    # the L-shape fills 3/4 of its box, so a kept pair costs about 4/3 + 1
+    # points; the ball form adds one point per ball tried
+    assert sum(tested) <= 4 * 500
+
+
 def test_exponent_from_spec(interval, tmp_path):
     p = vx.exponent_from_spec({"kind": "constant", "value": 2.0})
     assert isinstance(p, vx.ConstantExponent)

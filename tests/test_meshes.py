@@ -1,11 +1,14 @@
 """Meshing, quadrature, boundary data, and the text file format."""
 
+import hashlib
 from math import factorial
 
 import numpy as np
 import pytest
 
 import vexlab as vx
+from vexlab import meshes
+from vexlab.domains import _point_segment_distance_many
 
 
 def ref_triangle_monomial(a, b):
@@ -134,6 +137,36 @@ def test_read_mesh_rejects_bad_header(tmp_path):
         vx.read_mesh(path)
 
 
+def _rewrite_line(path, index, edit):
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_read_mesh_rejects_non_numeric_coordinate(tmp_path, square_mesh):
+    path = tmp_path / "m.txt"
+    vx.write_mesh(square_mesh, path)
+    _rewrite_line(path, 1, lambda ln: "0 abc 0.0")
+    with pytest.raises(vx.MeshFailure):
+        vx.read_mesh(path)
+
+
+def test_read_mesh_rejects_short_node_line(tmp_path, square_mesh):
+    path = tmp_path / "m.txt"
+    vx.write_mesh(square_mesh, path)
+    _rewrite_line(path, 2, lambda ln: ln.rsplit(" ", 1)[0])
+    with pytest.raises(vx.MeshFailure):
+        vx.read_mesh(path)
+
+
+def test_read_mesh_rejects_unknown_node_in_cell(tmp_path, square_mesh):
+    path = tmp_path / "m.txt"
+    vx.write_mesh(square_mesh, path)
+    _rewrite_line(path, 1 + square_mesh.nnodes, lambda ln: "0 0 1 999")
+    with pytest.raises(vx.MeshFailure):
+        vx.read_mesh(path)
+
+
 def test_degenerate_cell_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(vx.DegenerateCell):
@@ -154,3 +187,146 @@ def test_nonconvex_polygon_meshes_cleanly():
     assert mesh.volume == pytest.approx(3.0, abs=1e-10)
     inside = mesh.nodes[mesh.ncells // 2]
     assert mesh.domain.contains(inside[None, :])[0]
+
+
+# -- oracles: the loop forms the array code replaced ------------------------
+
+ORACLE_DOMAINS = {
+    "square": (vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.1),
+    "l_shape": (vx.Domain.polygon(
+        [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]), 0.1),
+    "disk": (vx.Domain.disk((0.3, -0.2), 1.5), 0.15),
+    "skewed_triangle": (vx.Domain.polygon([(0.1, 0.2), (1.7, 0.5), (0.6, 1.9)]), 0.1),
+}
+
+
+def ref_refine_red(nodes, tris):
+    """Red refinement numbering midpoints through an edge dict."""
+    nodes = [tuple(x) for x in nodes]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            xi, xj = nodes[i], nodes[j]
+            nodes.append(((xi[0] + xj[0]) / 2.0, (xi[1] + xj[1]) / 2.0))
+            midpoint[key] = len(nodes) - 1
+        return midpoint[key]
+
+    out = []
+    for a, b, c in tris:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return np.array(nodes), np.array(out)
+
+
+def ref_boundary(mesh):
+    """Boundary facets, normals, lengths and cells from an edge-count dict."""
+    owners = {}
+    for ci, cell in enumerate(mesh.cells.tolist()):
+        for k in range(3):
+            v0, v1 = cell[k], cell[(k + 1) % 3]
+            owners.setdefault((min(v0, v1), max(v0, v1)), []).append((ci, v0, v1))
+    facets, normals, measures, fcells = [], [], [], []
+    for key in sorted(owners):
+        if len(owners[key]) == 1:
+            ci, v0, v1 = owners[key][0]
+            a, b = mesh.nodes[v0], mesh.nodes[v1]
+            t = b - a
+            length = float(np.linalg.norm(t))
+            n = np.array([t[1], -t[0]]) / length
+            if n @ (0.5 * (a + b) - mesh.nodes[mesh.cells[ci]].mean(axis=0)) < 0:
+                n = -n
+            facets.append([v0, v1])
+            normals.append(n)
+            measures.append(length)
+            fcells.append(ci)
+    return (np.array(facets), np.array(normals), np.array(measures),
+            np.array(fcells))
+
+
+def ref_boundary_distance(mesh):
+    """Distance to the boundary, measuring every facet at every node."""
+    d = np.full(mesh.nnodes, np.inf)
+    for f in mesh.boundary_facets:
+        d = np.minimum(d, _point_segment_distance_many(
+            mesh.nodes, mesh.nodes[f[0]], mesh.nodes[f[1]]))
+    return d
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_DOMAINS))
+def oracle_mesh(request):
+    domain, h = ORACLE_DOMAINS[request.param]
+    return vx.build_mesh(domain, h)
+
+
+@pytest.mark.parametrize("name", ["square", "l_shape", "skewed_triangle"])
+def test_refine_red_matches_edge_dict(name):
+    domain = ORACLE_DOMAINS[name][0]
+    nodes = np.asarray(domain.vertices, dtype=float)
+    tris = np.asarray(meshes._ear_clip(nodes), dtype=np.int64)
+    ref_nodes, ref_tris = nodes, tris
+    for _ in range(3):
+        nodes, tris = meshes._refine_red(nodes, tris)
+        ref_nodes, ref_tris = ref_refine_red(ref_nodes, ref_tris)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(tris, ref_tris)
+
+
+def test_boundary_matches_edge_dict(oracle_mesh):
+    facets, normals, measures, fcells = ref_boundary(oracle_mesh)
+    assert np.array_equal(oracle_mesh.boundary_facets, facets)
+    assert np.array_equal(oracle_mesh.facet_normals, normals)
+    assert np.array_equal(oracle_mesh.facet_measures, measures)
+    assert np.array_equal(oracle_mesh.facet_cells, fcells)
+    assert np.array_equal(oracle_mesh.boundary_nodes, np.unique(facets))
+
+
+def test_boundary_distance_matches_all_facets(oracle_mesh):
+    d = vx.Mesh(oracle_mesh.nodes, oracle_mesh.cells).boundary_distance()
+    assert np.array_equal(d, ref_boundary_distance(oracle_mesh))
+
+
+def test_clockwise_cells_reoriented(square_mesh):
+    again = vx.Mesh(square_mesh.nodes, square_mesh.cells[:, [0, 2, 1]])
+    assert np.array_equal(again.cells, square_mesh.cells)
+    assert np.array_equal(again.cell_volumes, square_mesh.cell_volumes)
+    assert np.array_equal(again.basis_grads, square_mesh.basis_grads)
+
+
+def test_edge_shared_by_three_cells_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(vx.MeshFailure, match="shared by 3 cells"):
+        vx.Mesh(nodes, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
+# sha256 of the unit-square h = 0.1 mesh's arrays and boundary distance.  The
+# solver benchmarks' stalled epsilon levels depend on these exact bytes, so a
+# change that renumbers nodes or cells, or rounds a normal differently, must
+# show here first.
+SQUARE_DIGESTS = {
+    "nodes":
+        "92bd99a208fda130dbc3ebf2e9f9ff7c21b6e7220415d481e1912e7ea8c6fd8a",
+    "cells":
+        "e5a1d898819f5b1c85e2941dadcc08cbc0e1d467e5d9bf95fdbc080aa86b2791",
+    "boundary_facets":
+        "7c651bd463c561452ae595ee6e5f8ff6a36f188a5cee7d3cbd367f2b9c79aaea",
+    "facet_normals":
+        "c4463eaa1ce2cdfe7e868d2cbd4162f2df7357553f9008470595d9398ad3dde2",
+    "facet_measures":
+        "e5b7e3f2f4a76fe96a891f4ee2f18288307487fa737181eee833d01e6b779dbe",
+    "facet_cells":
+        "a41bb14bd9b3ae84a65d4d6f6ae8ed06dadd01b53628be8ce41c907086359c4d",
+    "boundary_distance":
+        "463b7f8e290375f25b90e1b0328e9c66ce77b7fbd2115a93d24f5afc7566eecf",
+}
+
+
+def test_unit_square_mesh_bytes_pinned(unit_square):
+    mesh = vx.build_mesh(unit_square, 0.1)
+    arrays = {name: getattr(mesh, name) for name in SQUARE_DIGESTS
+              if name != "boundary_distance"}
+    arrays["boundary_distance"] = mesh.boundary_distance()
+    digests = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+               for name, a in arrays.items()}
+    assert digests == SQUARE_DIGESTS
