@@ -16,7 +16,6 @@ from .errors import (
     DegenerateCell,
     ExponentTooLarge,
     InsufficientRuns,
-    MaxItersExceeded,
     MeshFailure,
     NoScalingRoot,
     NonElliptic,

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,10 +39,10 @@ from .fem import DiscreteField
 from .meshes import build_mesh, write_mesh
 from .modular import holder_check, luxemburg_norm, verify_modular_relations
 from .pohozaev import (
-    boundary_term,
     nonexistence_verdict,
     pohozaev_terms,
     remainder_R,
+    remainder_table,
 )
 from .solvers import (
     SolveConfig,
@@ -100,9 +99,12 @@ def _csv_cell(v):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh), os.path.dirname(os.path.abspath(path))
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg, os.path.dirname(os.path.abspath(path))
 
 
 def _require(cfg, key, scenario):
@@ -111,9 +113,17 @@ def _require(cfg, key, scenario):
     return cfg[key]
 
 
+def _number(cfg, key, default, kind=float):
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be a number: {exc}") from exc
+
+
 def _solver_config(cfg, seed):
-    data = dict(cfg.get("solver", {}))
-    data.setdefault("seed", seed)
+    data = cfg.get("solver", {})
+    if isinstance(data, dict):
+        data = {"seed": seed, **data}
     return SolveConfig.from_dict(data)
 
 
@@ -142,7 +152,7 @@ def _build_field(spec, mesh, base_dir):
         return DiscreteField(mesh, float(spec.get("amplitude", 1.0)) * vals,
                              zero_trace=True)
     if kind == "nodal_file":
-        path = spec["file"]
+        path = _require(spec, "file", "nodal_file")
         if base_dir:
             path = os.path.join(base_dir, path)
         try:
@@ -161,7 +171,7 @@ def _setup(cfg, base_dir, need_mesh=True):
     domain = Domain.from_spec(_require(cfg, "domain", "any"))
     mesh = None
     if need_mesh:
-        h = float(cfg.get("h", 0.05))
+        h = _number(cfg, "h", 0.05)
         mesh = build_mesh(domain, h)
     p = exponent_from_spec(_require(cfg, "p", "any"), mesh, base_dir)
     q = exponent_from_spec(_require(cfg, "q", "any"), mesh, base_dir)
@@ -187,8 +197,8 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
 def _run_spaces_check(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     rng = np.random.default_rng(seed)
-    trials = int(cfg.get("trials", 50))
-    degree = int(cfg.get("quad_degree", 2))
+    trials = _number(cfg, "trials", 50, int)
+    degree = _number(cfg, "quad_degree", 2, int)
 
     rel_passed = 0
     worst_unit_gap = 0.0
@@ -222,7 +232,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     N = float(cfg.get("N", domain.dim))
     if p_plus < N:
         report["embedding_gap"] = embedding_gap(p, q, domain, N)
-    pairs = int(cfg.get("pairs", 500))
+    pairs = _number(cfg, "pairs", 500, int)
     lh = log_holder_estimate(p, domain, pairs=pairs, seed=seed)
     report["log_holder_c_hat"] = lh.c_hat
     report["log_holder_ball_form_max"] = lh.ball_form_max
@@ -254,33 +264,19 @@ def _run_solve(cfg, base_dir, out, seed):
     return 0 if res.converged else 3
 
 
-def _cascade_runs(cfg, base_dir, out, seed):
+def _series_rows(runs, p, origin):
+    series = [res.diagnostics["series"] for res in runs]
+    moduli = [m for s in series for m in zip(s["grad_modular"], s["q_modular"])]
+    return [(n, eps, gm, qm, bt) for (n, eps, bt), (gm, qm)
+            in zip(remainder_table(runs, p, origin), moduli)]
+
+
+def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, seed)
     u = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
-    return domain, mesh, p, q, scfg, u, origin, runs
-
-
-def _series_rows(runs, p, origin):
-    rows = []
-    for res in runs:
-        n = res.diagnostics["n"]
-        series = res.diagnostics["series"]
-        for k, eps in enumerate(series["epsilon"]):
-            bt = boundary_term(
-                res.diagnostics["eps_runs"][k].field, p, eps, origin
-            )
-            rows.append((n, eps, series["grad_modular"][k],
-                         series["q_modular"][k], bt))
-    return rows
-
-
-def _run_cascade(cfg, base_dir, out, seed):
-    domain, mesh, p, q, scfg, u, origin, runs = _cascade_runs(
-        cfg, base_dir, out, seed
-    )
     report = {
         "scenario": "cascade",
         "origin": origin,
@@ -324,11 +320,9 @@ def _run_pohozaev(cfg, base_dir, out, seed):
 def _run_verdict(cfg, base_dir, out, seed):
     domain, _, p, q = _setup(cfg, base_dir, need_mesh="h" in cfg)
     N = cfg.get("N", domain.dim)
-    origin = None
-    if "origin" in cfg:
-        origin = np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
+    origin = _origin_for(cfg, domain) if "origin" in cfg else None
     rep = nonexistence_verdict(domain, p, q, N=N, origin=origin,
-                               tol=float(cfg.get("tol", 1e-9)))
+                               tol=_number(cfg, "tol", 1e-9))
     payload = {"scenario": "verdict"}
     payload.update(rep.as_dict())
     _write_json(os.path.join(out, "verdict.json"), payload)
@@ -345,23 +339,18 @@ def _run_sweep(cfg, base_dir, out, seed):
         )
     domain = Domain.from_spec(_require(cfg, "domain", "sweep"))
     N = cfg.get("N", domain.dim)
-    tol = float(cfg.get("tol", 1e-9))
+    tol = _number(cfg, "tol", 1e-9)
     base_p = exponent_from_spec(_require(cfg, "p", "sweep"), None, base_dir)
     base_q = exponent_from_spec(_require(cfg, "q", "sweep"), None, base_dir)
 
-    def one(item):
-        k, val = item
-        run_seed = seed + k + 1
+    results = []
+    for k, val in enumerate(values):
         p = ConstantExponent(val) if param == "p" else base_p
         q = ConstantExponent(val) if param == "q" else base_q
-        rep = nonexistence_verdict(domain, p, q, N=N, tol=tol)
-        d = rep.as_dict()
+        d = nonexistence_verdict(domain, p, q, N=N, tol=tol).as_dict()
         d["value"] = float(val)
-        d["seed"] = run_seed
-        return d
-
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        results = list(pool.map(one, enumerate(values)))
+        d["seed"] = seed + k + 1
+        results.append(d)
 
     _write_csv(
         os.path.join(out, "sweep.csv"),
@@ -403,7 +392,7 @@ def main(argv=None):
 
     try:
         cfg, base_dir = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.scenario](cfg, base_dir, args.out, seed)
     except (ConfigError, NonElliptic, ExponentTooLarge, NotStarShaped) as exc:

@@ -164,11 +164,20 @@ class Domain:
             rmax = float(np.linalg.norm(self.vertices - c, axis=1).max())
             if bool(self.contains(c[None, :])[0]):
                 return 0.0, rmax
-            edges = _polygon_edges(self.vertices)
-            rmin = min(_point_segment_distance(c, a, b) for a, b in edges)
-            return float(rmin), rmax
+            return self.boundary_distance(c), rmax
         d = float(np.linalg.norm(c - self.center))
         return max(0.0, d - self.radius), d + self.radius
+
+    def boundary_distance(self, point):
+        """Distance from a point of the closed domain to the boundary (for
+        a polygon, from any point)."""
+        x = np.atleast_1d(np.asarray(point, dtype=float))
+        if self.kind == "interval":
+            return float(min(x[0] - self.a, self.b - x[0]))
+        if self.kind == "polygon":
+            return min(_point_segment_distance(x, a, b)
+                       for a, b in _polygon_edges(self.vertices))
+        return self.radius - float(np.linalg.norm(x - self.center))
 
     # -- star shape --------------------------------------------------------
 
@@ -186,12 +195,9 @@ class Domain:
         return self.radius - float(np.linalg.norm(o - self.center))
 
 
-def star_shape_report(domain, origin, boundary_samples=None, tol_geom=_GEOM_TOL):
-    """Check whether the domain is star-shaped with respect to origin.
-
-    boundary_samples is accepted for interface stability but unused: all
-    supported kinds admit an exact evaluation (per facet for polygons).
-    """
+def star_shape_report(domain, origin, tol_geom=_GEOM_TOL):
+    """Check whether the domain is star-shaped with respect to origin; every
+    kind admits an exact evaluation (per facet for polygons)."""
     o = np.atleast_1d(np.asarray(origin, dtype=float))
     if len(o) != domain.dim:
         raise ConfigError(f"origin has dim {len(o)}, domain has dim {domain.dim}")

@@ -33,11 +33,6 @@ class NonFiniteIntegrand(VexlabError):
     """An integrand evaluated to NaN or infinity at a quadrature point."""
 
 
-class MaxItersExceeded(VexlabError):
-    """Iteration budget exhausted (informational; solvers usually report
-    converged=False instead of raising)."""
-
-
 class CollapseToZero(VexlabError):
     """An iterate's gradient norm fell below the collapse tolerance;
     the candidate degenerated to the trivial solution."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domains import Domain, sample_points
+from .domains import sample_points
 from .errors import ConfigError, ExponentTooLarge, NonElliptic
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
@@ -25,7 +25,6 @@ class SamplingPlan:
     """Deterministic sampling resolution for bounds/gap estimates."""
 
     resolution: int = 64
-    seed: int = 0
 
 
 @dataclass
@@ -54,7 +53,7 @@ class ExponentField:
     def gradient_at(self, x):
         raise NotImplementedError
 
-    def bounds(self, domain=None, sampling=None):
+    def bounds(self, domain=None):
         raise NotImplementedError
 
     # fast paths used by the quadrature pipeline; default is generic
@@ -88,7 +87,7 @@ class ConstantExponent(ExponentField):
         pts = self._as_points(x)
         return np.zeros_like(pts)
 
-    def bounds(self, domain=None, sampling=None):
+    def bounds(self, domain=None):
         return _checked_bounds(self.value, self.value)
 
     def __repr__(self):
@@ -111,7 +110,7 @@ class AffineExponent(ExponentField):
         pts = self._as_points(x)
         return np.broadcast_to(self.b, pts.shape).copy()
 
-    def bounds(self, domain=None, sampling=None):
+    def bounds(self, domain=None):
         if domain is None:
             raise ConfigError("affine exponent bounds need a domain")
         lo, hi = domain.range_of_linear(self.b)
@@ -136,7 +135,7 @@ class RadialExponent(ExponentField):
         pts = self._as_points(x)
         return 2.0 * self.amp * (pts - self.center)
 
-    def bounds(self, domain=None, sampling=None):
+    def bounds(self, domain=None):
         if domain is None:
             raise ConfigError("radial exponent bounds need a domain")
         rmin, rmax = domain.range_of_radius(self.center)
@@ -230,7 +229,7 @@ class TabulatedExponent(ExponentField):
         pts = self._as_points(x)
         return self.cell_grads[self._locate(pts)]
 
-    def bounds(self, domain=None, sampling=None):
+    def bounds(self, domain=None):
         return _checked_bounds(float(self.values.min()), float(self.values.max()))
 
     def eval_on_quadrature(self, mesh, degree=2):
@@ -271,8 +270,8 @@ class TransformedExponent(ExponentField):
         pv = self._checked_base(x)
         return self.dfn(pv)[:, None] * self.base.gradient_at(x)
 
-    def bounds(self, domain=None, sampling=None):
-        lo, hi = self.base.bounds(domain, sampling)
+    def bounds(self, domain=None):
+        lo, hi = self.base.bounds(domain)
         if self.validator is not None:
             self.validator(np.array([lo, hi]))
         v1, v2 = float(self.fn(np.array([lo]))[0]), float(self.fn(np.array([hi]))[0])
@@ -303,9 +302,9 @@ def _checked_bounds(lo, hi):
 # -- derived fields --------------------------------------------------------
 
 
-def bounds(p, domain=None, sampling=None):
+def bounds(p, domain=None):
     """(p_minus, p_plus) over the domain; raises NonElliptic at p <= 1."""
-    return p.bounds(domain, sampling)
+    return p.bounds(domain)
 
 
 def sampled_bounds(p, domain, sampling=None):
@@ -427,7 +426,7 @@ def _ball_form_max(p, domain, rng, nballs=256, per_ball=24):
         c = lo + span * rng.random(N)
         if not domain.contains(c[None, :])[0]:
             continue
-        dist = _boundary_distance(domain, c)
+        dist = domain.boundary_distance(c)
         if dist <= 1e-12:
             continue
         rad = dist * rng.uniform(0.1, 0.95)
@@ -440,19 +439,6 @@ def _ball_form_max(p, domain, rng, nballs=256, per_ball=24):
         best = max(best, float(vol ** (pv.min() - pv.max())))
         made += 1
     return best
-
-
-def _boundary_distance(domain, point):
-    if domain.kind == "interval":
-        return min(point[0] - domain.a, domain.b - point[0])
-    if domain.kind == "polygon":
-        from .domains import _point_segment_distance, _polygon_edges
-
-        return min(
-            _point_segment_distance(point, a, b)
-            for a, b in _polygon_edges(domain.vertices)
-        )
-    return domain.radius - float(np.linalg.norm(point - domain.center))
 
 
 # -- config parsing --------------------------------------------------------

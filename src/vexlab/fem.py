@@ -180,17 +180,19 @@ def mollify(u, radius):
 # -- projection ------------------------------------------------------------
 
 
-def mass_matrix(mesh, degree=2):
-    """Consistent P1 mass matrix (CSR) at the given quadrature degree."""
-    _, w, bary = mesh.quadrature(degree)
-    elem = np.einsum("cq,qv,qw->cvw", w, bary, bary)
+def _assemble_matrix(mesh, elem):
+    """Sum per-cell (nv, nv) blocks into a CSR matrix over the mesh nodes."""
     nv = mesh.cells.shape[1]
     rows = np.repeat(mesh.cells, nv, axis=1).ravel()
     cols = np.tile(mesh.cells, (1, nv)).ravel()
-    mat = sparse.coo_matrix(
-        (elem.ravel(), (rows, cols)), shape=(mesh.nnodes, mesh.nnodes)
-    )
-    return mat.tocsr()
+    n = mesh.nnodes
+    return sparse.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def mass_matrix(mesh, degree=2):
+    """Consistent P1 mass matrix (CSR) at the given quadrature degree."""
+    _, w, bary = mesh.quadrature(degree)
+    return _assemble_matrix(mesh, np.einsum("cq,qv,qw->cvw", w, bary, bary))
 
 
 def l2_project(mesh, values_on_quadrature, degree=2):

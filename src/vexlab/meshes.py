@@ -118,8 +118,9 @@ class Mesh:
             e1, e2 = b - a, c - a
             det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
             flip = det < 0
-            if np.any(flip):
-                self.cells[flip] = self.cells[flip][:, [0, 2, 1]]
+            if np.any(flip):  # a new array: the caller's cells stay as given
+                self.cells = np.where(flip[:, None], self.cells[:, [0, 2, 1]],
+                                      self.cells)
                 b, c = self.nodes[self.cells[:, 1]], self.nodes[self.cells[:, 2]]
                 e1, e2 = b - a, c - a
                 det = np.abs(det)

@@ -51,19 +51,29 @@ class HolderReport:
     passed: bool
 
 
-def modular(u, p, degree=2):
-    """rho_p(u) = integral of |u(x)|^p(x)."""
+def _samples(u, p, degree):
+    """|u|, p and the weights at the cell quadrature points."""
     w = u.mesh.quadrature(degree)[1]
     vals = np.abs(field_on_quadrature(u, degree))
-    pq = p.eval_on_quadrature(u.mesh, degree)
+    return vals, p.eval_on_quadrature(u.mesh, degree), w
+
+
+def _gradient_samples(u, p, degree):
+    """|grad u|, p and the weights at the cell quadrature points."""
+    w = u.mesh.quadrature(degree)[1]
+    gmag = np.broadcast_to(gradient(u).magnitude()[:, None], w.shape)
+    return gmag, p.eval_on_quadrature(u.mesh, degree), w
+
+
+def modular(u, p, degree=2):
+    """rho_p(u) = integral of |u(x)|^p(x)."""
+    vals, pq, w = _samples(u, p, degree)
     return ModularResult(float(np.sum(w * vals**pq)), degree)
 
 
 def gradient_modular(u, p, degree=2):
     """rho_p(grad u) = integral of |grad u(x)|^p(x)."""
-    w = u.mesh.quadrature(degree)[1]
-    gmag = gradient(u).magnitude()[:, None]
-    pq = p.eval_on_quadrature(u.mesh, degree)
+    gmag, pq, w = _gradient_samples(u, p, degree)
     return ModularResult(float(np.sum(w * gmag**pq)), degree)
 
 
@@ -110,18 +120,12 @@ def _luxemburg_from_samples(vals, pq, w, tol):
 
 def luxemburg_norm(u, p, tol=1e-10, degree=2):
     """inf { mu > 0 : rho_p(u / mu) <= 1 }, by monotone bisection."""
-    w = u.mesh.quadrature(degree)[1]
-    vals = np.abs(field_on_quadrature(u, degree))
-    pq = p.eval_on_quadrature(u.mesh, degree)
-    return _luxemburg_from_samples(vals, pq, w, tol)
+    return _luxemburg_from_samples(*_samples(u, p, degree), tol)
 
 
 def gradient_luxemburg_norm(u, p, tol=1e-10, degree=2):
     """Luxemburg norm of |grad u| (the zero-trace Sobolev norm)."""
-    w = u.mesh.quadrature(degree)[1]
-    gmag = np.broadcast_to(gradient(u).magnitude()[:, None], w.shape)
-    pq = p.eval_on_quadrature(u.mesh, degree)
-    return _luxemburg_from_samples(gmag, pq, w, tol)
+    return _luxemburg_from_samples(*_gradient_samples(u, p, degree), tol)
 
 
 def verify_modular_relations(u, p, degree=2, tol=1e-8, norm_tol=1e-10):
@@ -130,9 +134,7 @@ def verify_modular_relations(u, p, degree=2, tol=1e-8, norm_tol=1e-10):
     Exponent bounds are taken from the quadrature samples, which is exactly
     the range governing the discrete modular.
     """
-    w = u.mesh.quadrature(degree)[1]
-    vals = np.abs(field_on_quadrature(u, degree))
-    pq = p.eval_on_quadrature(u.mesh, degree)
+    vals, pq, w = _samples(u, p, degree)
     p_minus, p_plus = float(pq.min()), float(pq.max())
 
     rho = float(np.sum(w * vals**pq))

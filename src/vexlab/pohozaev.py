@@ -18,7 +18,7 @@ from .domains import find_star_center, star_shape_report
 from .errors import ExponentTooLarge, InsufficientRuns, NonFiniteIntegrand, NotStarShaped
 from .exponents import bounds as exponent_bounds
 from .exponents import conjugate
-from .fem import DiscreteField, field_on_quadrature, gradient
+from .fem import field_on_quadrature, gradient
 from .modular import gradient_modular, modular
 
 _GUARD = 1e-300
@@ -88,19 +88,35 @@ class PohozaevReport:
         )
 
 
-def _quadrature_data(u, p, q, origin, degree):
-    mesh = u.mesh
-    pts, w, _ = mesh.quadrature(degree)
-    nc, nq, dim = pts.shape
-    o = np.atleast_1d(np.asarray(origin, dtype=float))
-    h = pts - o
-    pq = p.eval_on_quadrature(mesh, degree)
-    qq = q.eval_on_quadrature(mesh, degree)
-    gp = p.grad_on_quadrature(mesh, degree)
-    gq = q.grad_on_quadrature(mesh, degree)
+def _origin(origin):
+    return np.atleast_1d(np.asarray(origin, dtype=float))
+
+
+def _quadrature_data(u, origin, degree):
+    """Weights, h = x - origin, u and grad u at the cell quadrature points."""
+    pts, w, _ = u.mesh.quadrature(degree)
     uq = field_on_quadrature(u, degree)
-    gu = np.repeat(gradient(u).vectors[:, None, :], nq, axis=1)
-    return mesh, pts, w, h, pq, qq, gp, gq, uq, gu
+    gu = np.repeat(gradient(u).vectors[:, None, :], w.shape[1], axis=1)
+    return w, pts - _origin(origin), uq, gu
+
+
+def _exponent_data(p, mesh, h, degree):
+    """p and h . grad p at the cell quadrature points."""
+    grad = p.grad_on_quadrature(mesh, degree)
+    return p.eval_on_quadrature(mesh, degree), np.einsum("cqd,cqd->cq", h, grad)
+
+
+def _facet_data(u, p, origin, degree):
+    """At the boundary facet quadrature points: |grad u|^2 taken one-sidedly
+    from the facet's cell, p, (x - origin) . nu and the weights."""
+    mesh = u.mesh
+    gb = gradient(u).vectors[mesh.facet_cells]
+    g2 = np.sum(gb * gb, axis=1)[:, None]
+    pts, w = mesh.facet_quadrature(degree)
+    nf, nq, dim = pts.shape
+    pv = p.value_at(pts.reshape(-1, dim)).reshape(nf, nq)
+    xdotnu = np.einsum("fqd,fd->fq", pts - _origin(origin), mesh.facet_normals)
+    return g2, pv, xdotnu, w
 
 
 def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
@@ -112,14 +128,15 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
     of u with the p-modular of its gradient (zero for an exact
     critical point of the natural energy).
     """
-    mesh, _, w, h, pq, qq, gp, gq, uq, gu = _quadrature_data(u, p, q, origin, degree)
+    mesh = u.mesh
+    w, h, uq, gu = _quadrature_data(u, origin, degree)
+    pq, hdotgp = _exponent_data(p, mesh, h, degree)
+    qq, hdotgq = _exponent_data(q, mesh, h, degree)
     N = mesh.dim
     with np.errstate(over="ignore", invalid="ignore"):
         g2 = np.sum(gu * gu, axis=2)
         grad_p = g2 ** (pq / 2.0)
         absu_q = np.abs(uq) ** qq
-        hdotgp = np.einsum("cqd,cqd->cq", h, gp)
-        hdotgq = np.einsum("cqd,cqd->cq", h, gq)
 
         t1 = -float(np.sum(w * (N / qq) * absu_q))
         t2 = float(np.sum(w * ((N - pq) / pq) * grad_p))
@@ -153,7 +170,7 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
         class_p=class_p,
         identity_gap=float(identity_gap),
         p_dagger=float(min(2.0, float(pq.min()))),
-        origin=tuple(np.atleast_1d(np.asarray(origin, dtype=float)).tolist()),
+        origin=tuple(_origin(origin).tolist()),
     )
 
 
@@ -165,13 +182,15 @@ def class_e_integral(u, p, q, origin, degree=2):
 
     Used as an independent cross-check of the class_e decision.
     """
-    _, _, w, h, pq, qq, gp, gq, uq, gu = _quadrature_data(u, p, q, origin, degree)
+    w, h, uq, gu = _quadrature_data(u, origin, degree)
+    pq, hdotgp = _exponent_data(p, u.mesh, h, degree)
+    qq, hdotgq = _exponent_data(q, u.mesh, h, degree)
     g2 = np.sum(gu * gu, axis=2)
     with np.errstate(over="ignore"):
         s = g2 ** (pq / 2.0)
         t = np.abs(uq) ** qq
-    alpha = np.einsum("cqd,cqd->cq", h, gp) / pq**2 * s
-    beta = np.einsum("cqd,cqd->cq", h, gq) / qq**2 * t
+    alpha = hdotgp / pq**2 * s
+    beta = hdotgq / qq**2 * t
     with np.errstate(divide="ignore"):
         log_s = np.where(s >= _GUARD, np.log(np.maximum(s, _GUARD)) - 1.0, 0.0)
         log_t = np.where(t >= _GUARD, np.log(np.maximum(t, _GUARD)) - 1.0, 0.0)
@@ -184,16 +203,9 @@ def class_e_integral(u, p, q, origin, degree=2):
 def boundary_term(u, p, eps, origin, degree=2):
     """int over the boundary of (|grad u|^2 + eps)^(p/2) (x - origin).nu,
     with the gradient recovered one-sidedly from the facet's adjacent cell."""
-    mesh = u.mesh
-    o = np.atleast_1d(np.asarray(origin, dtype=float))
-    gb = gradient(u).vectors[mesh.facet_cells]
-    g2 = np.sum(gb * gb, axis=1)
-    pts, w = mesh.facet_quadrature(degree)
-    nf, nq, dim = pts.shape
-    pv = p.value_at(pts.reshape(-1, dim)).reshape(nf, nq)
-    xdotnu = np.einsum("fqd,fd->fq", pts - o, mesh.facet_normals)
+    g2, pv, xdotnu, w = _facet_data(u, p, origin, degree)
     with np.errstate(over="ignore"):
-        dens = (g2[:, None] + float(eps)) ** (pv / 2.0) * xdotnu
+        dens = (g2 + float(eps)) ** (pv / 2.0) * xdotnu
     if not np.all(np.isfinite(dens)):
         raise NonFiniteIntegrand("non-finite boundary density in remainder term")
     return float(np.sum(dens * w))
@@ -362,9 +374,11 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
     """
     if hasattr(w, "field"):
         w = w.field
-    mesh, _, wq, h, pq, qq, gp, gq, uq, gu = _quadrature_data(
-        w, p, q, origin, degree
-    )
+    mesh = w.mesh
+    wq, h, uq, gu = _quadrature_data(w, origin, degree)
+    pq, hdotgp = _exponent_data(p, mesh, h, degree)
+    qq, hdotgq = _exponent_data(q, mesh, h, degree)
+    _, _, vq, gv = _quadrature_data(v, origin, degree)
     N = mesh.dim
     eps = float(eps)
     a = float(a)
@@ -374,10 +388,6 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
         A_p2 = A ** (pq / 2.0)
         A_pm2 = np.where(A > _GUARD, A ** ((pq - 2.0) / 2.0), 0.0)
         absu_q = np.abs(uq) ** qq
-    vq = field_on_quadrature(v, degree)
-    gv = np.repeat(gradient(v).vectors[:, None, :], wq.shape[1], axis=1)
-    hdotgp = np.einsum("cqd,cqd->cq", h, gp)
-    hdotgq = np.einsum("cqd,cqd->cq", h, gq)
     hdotgv = np.einsum("cqd,cqd->cq", h, gv)
 
     v1 = N * float(np.sum(wq * (absu_q / qq + A_p2 / pq - vq * uq)))
@@ -389,14 +399,8 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
     v7 = -a * float(np.sum(wq * A_pm2 * g2))
     rhs = v1 + v2 + v3 + v4 + v5 + v6 + v7
 
-    o = np.atleast_1d(np.asarray(origin, dtype=float))
-    gb = gradient(w).vectors[mesh.facet_cells]
-    gb2 = np.sum(gb * gb, axis=1)[:, None]
+    gb2, pf, hdotnu, fw = _facet_data(w, p, origin, degree)
     Ab = gb2 + eps
-    fpts, fw = mesh.facet_quadrature(degree)
-    nf, nq, dim = fpts.shape
-    pf = p.value_at(fpts.reshape(-1, dim)).reshape(nf, nq)
-    hdotnu = np.einsum("fqd,fd->fq", fpts - o, mesh.facet_normals)
     with np.errstate(over="ignore", divide="ignore"):
         dens = (
             Ab ** (pf / 2.0) / pf
@@ -420,20 +424,13 @@ def radial_identity_sides(u, q, origin, degree=2):
             = -N int |u|^q / q + int (h . grad q) |u|^q / q^2 (1 - log|u|^q)
     """
     mesh = u.mesh
-    pts, w, _ = mesh.quadrature(degree)
-    nq = w.shape[1]
-    o = np.atleast_1d(np.asarray(origin, dtype=float))
-    h = pts - o
-    qq = q.eval_on_quadrature(mesh, degree)
-    gq = q.grad_on_quadrature(mesh, degree)
-    uq = field_on_quadrature(u, degree)
-    gu = np.repeat(gradient(u).vectors[:, None, :], nq, axis=1)
+    w, h, uq, gu = _quadrature_data(u, origin, degree)
+    qq, hdotgq = _exponent_data(q, mesh, h, degree)
     au = np.abs(uq)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = np.where(au > _GUARD, au ** (qq - 2.0) * uq, 0.0)
         absu_q = au**qq
     hdotgu = np.einsum("cqd,cqd->cq", h, gu)
-    hdotgq = np.einsum("cqd,cqd->cq", h, gq)
     lhs = float(np.sum(w * power * hdotgu))
     rhs = float(
         -np.sum(w * mesh.dim * absu_q / qq)

@@ -5,22 +5,22 @@ The discrete unknown is a zero-trace P1 field.  All problems minimize
     F(z) = int (|grad z|^2 + eps)^(p(x)/2) / p(x)
          + q_sign * int |z|^q(x) / q(x)  -  int (load) z
 
-which is strictly convex for q_sign = +1 and eps > 0.  A damped Newton
-iteration with Armijo backtracking is the default; plain gradient descent
-is available via cfg.method = "gd".
+which is strictly convex for q_sign = +1 and eps > 0.  The minimizer is a
+damped Newton iteration with Armijo backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral, Real
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import CollapseToZero, ConfigError, NoScalingRoot
 from .fem import (
     DiscreteField,
+    _assemble_matrix,
     cutoff,
     field_on_quadrature,
     gradient,
@@ -45,7 +45,6 @@ class SolveConfig:
     max_iters: int = 500
     n_schedule: tuple = (1, 2, 4, 8)
     seed: int = 42
-    method: str = "newton"
     armijo_c1: float = 1e-4
     armijo_shrink: float = 0.5
     collapse_tol: float = 1e-6
@@ -53,16 +52,23 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = set(cls.__dataclass_fields__)
-        bad = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError("solver config must be a JSON object")
+        types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
+        bad = set(data) - set(types)
         if bad:
             raise ConfigError(f"unknown solver config keys: {sorted(bad)}")
+        for key, value in data.items():
+            kind = {"float": Real, "int": Integral}.get(types[key])
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ConfigError(f"solver {key!r}: {value!r} is not {types[key]}")
         cfg = cls(**data)
-        cfg.n_schedule = tuple(int(n) for n in cfg.n_schedule)
+        try:
+            cfg.n_schedule = tuple(int(n) for n in cfg.n_schedule)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solver config 'n_schedule': {exc}") from exc
         if cfg.epsilon0 <= 0 or cfg.eps_min <= 0 or not 0 < cfg.eps_factor < 1:
             raise ConfigError("epsilon schedule parameters out of range")
-        if cfg.method not in ("newton", "gd"):
-            raise ConfigError(f"unknown method {cfg.method!r}")
         return cfg
 
     def eps_schedule(self):
@@ -86,12 +92,31 @@ class SolveResult:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
+def _phi(g, eps, pq, w):
+    """int (|g|^2 + eps)^(p/2) / p for per-cell gradients g, by quadrature."""
+    s = np.sum(g * g, axis=1)[:, None] + eps
+    with np.errstate(over="ignore"):
+        return float(np.sum(w * s ** (pq / 2.0) / pq))
+
+
+def _flux_action(mesh, g, eps, pq, w):
+    """Nodal entries <(|g|^2 + eps)^((p-2)/2) g, grad phi_i>, the first
+    variation of _phi."""
+    s = np.sum(g * g, axis=1)[:, None] + eps
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = np.sum(w * np.maximum(s, _TINY) ** ((pq - 2.0) / 2.0), axis=1)
+    flux = scale[:, None] * g
+    out = np.zeros(mesh.nnodes)
+    np.add.at(out, mesh.cells.ravel(),
+              np.einsum("cd,cvd->cv", flux, mesh.basis_grads).ravel())
+    return out
+
+
 class _EnergyProblem:
     """Precomputed quadrature data for one energy; evaluates F, F', F''."""
 
     def __init__(self, mesh, p, q, eps, load_q=None, q_sign=1.0, degree=2):
         self.mesh = mesh
-        self.degree = degree
         self.eps = float(eps)
         self.q_sign = float(q_sign)
         _, self.w, self.bary = mesh.quadrature(degree)
@@ -109,28 +134,16 @@ class _EnergyProblem:
 
     def energy(self, z):
         g, zq = self._at(z)
-        s = np.sum(g * g, axis=1)[:, None] + self.eps
+        e_phi = _phi(g, self.eps, self.pq, self.w)
         with np.errstate(over="ignore"):
-            e_phi = np.sum(self.w * s ** (self.pq / 2.0) / self.pq)
             e_q = self.q_sign * np.sum(self.w * np.abs(zq) ** self.qq / self.qq)
         e_load = 0.0 if self.load_q is None else np.sum(self.w * self.load_q * zq)
         return float(e_phi + e_q - e_load)
 
     def grad(self, z):
         g, zq = self._at(z)
-        s = np.sum(g * g, axis=1)[:, None] + self.eps
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
-                           axis=1)
-        flux = scale[:, None] * g
-        out = np.zeros(len(z))
-        np.add.at(out, self.cells.ravel(),
-                  np.einsum("cd,cvd->cv", flux, self.G).ravel())
-
-        az = np.abs(zq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power = np.where(az > _TINY, az ** (self.qq - 2.0) * zq, 0.0)
-        dens = self.q_sign * power
+        out = _flux_action(self.mesh, g, self.eps, self.pq, self.w)
+        dens = self.q_sign * _signed_power(zq, self.qq)
         if self.load_q is not None:
             dens = dens - self.load_q
         np.add.at(out, self.cells.ravel(),
@@ -158,23 +171,17 @@ class _EnergyProblem:
         with np.errstate(over="ignore"):
             m = self.w * self.q_sign * (self.qq - 1.0) * az ** (self.qq - 2.0)
         elem = elem + np.einsum("cq,qv,qw->cvw", m, self.bary, self.bary)
-
-        nv = self.cells.shape[1]
-        rows = np.repeat(self.cells, nv, axis=1).ravel()
-        cols = np.tile(self.cells, (1, nv)).ravel()
-        n = len(z)
-        return sparse.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return _assemble_matrix(self.mesh, elem)
 
 
 def _minimize(problem, z0, free, cfg):
-    """Damped Newton / gradient descent with Armijo backtracking.
+    """Damped Newton with Armijo backtracking.
 
     Accepted iterations never increase the energy (up to roundoff); the
     history is recorded for the monotonicity diagnostics.
     """
     z = np.array(z0, dtype=float)
     hist = [problem.energy(z)]
-    step_guess = 1.0
     converged = False
     iters = 0
     gn = np.inf
@@ -186,18 +193,14 @@ def _minimize(problem, z0, free, cfg):
             converged = True
             iters -= 1
             break
-        if cfg.method == "newton":
-            H = problem.hess(z)[free][:, free].tocsc()
-            try:
-                d = spsolve(H, -gf)
-            except Exception:
-                d = -gf
-            if not np.all(np.isfinite(d)) or float(d @ gf) >= 0.0:
-                d = -gf
-            s = 1.0
-        else:
+        H = problem.hess(z)[free][:, free].tocsc()
+        try:
+            d = spsolve(H, -gf)
+        except Exception:
             d = -gf
-            s = step_guess
+        if not np.all(np.isfinite(d)) or float(d @ gf) >= 0.0:
+            d = -gf
+        s = 1.0
         slope = float(d @ gf)
         F0 = hist[-1]
         accepted = False
@@ -223,7 +226,6 @@ def _minimize(problem, z0, free, cfg):
             break
         z = ztry
         hist.append(Ft)
-        step_guess = min(s * 4.0, 1e3)
     gn = float(np.linalg.norm(problem.grad(z)[free]))
     if gn <= cfg.grad_tol:
         converged = True
@@ -244,12 +246,8 @@ def phi_energy(z, p, eps, degree=2):
     """The bare gradient part int (|grad z|^2 + eps)^(p/2) / p; its first
     variation in zero-trace directions is operator_action."""
     mesh = z.mesh
-    pq = p.eval_on_quadrature(mesh, degree)
-    _, w, _ = mesh.quadrature(degree)
-    g = gradient(z).vectors
-    s = np.sum(g * g, axis=1)[:, None] + float(eps)
-    with np.errstate(over="ignore"):
-        return float(np.sum(w * s ** (pq / 2.0) / pq))
+    return _phi(gradient(z).vectors, float(eps), p.eval_on_quadrature(mesh, degree),
+                mesh.quadrature(degree)[1])
 
 
 def source_energy(z, source, p, q, degree=2):
@@ -277,16 +275,8 @@ def operator_action(z, p, eps, degree=2):
     entries <(|grad z|^2 + eps)^((p-2)/2) grad z, grad phi_i>, boundary
     entries zeroed."""
     mesh = z.mesh
-    pq = p.eval_on_quadrature(mesh, degree)
-    _, w, _ = mesh.quadrature(degree)
-    g = gradient(z).vectors
-    s = np.sum(g * g, axis=1)[:, None] + float(eps)
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = np.sum(w * np.maximum(s, _TINY) ** ((pq - 2.0) / 2.0), axis=1)
-    flux = scale[:, None] * g
-    out = np.zeros(mesh.nnodes)
-    np.add.at(out, mesh.cells.ravel(),
-              np.einsum("cd,cvd->cv", flux, mesh.basis_grads).ravel())
+    out = _flux_action(mesh, gradient(z).vectors, float(eps),
+                       p.eval_on_quadrature(mesh, degree), mesh.quadrature(degree)[1])
     return DiscreteField(mesh, out, zero_trace=True)
 
 
@@ -474,19 +464,16 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
             f"scaling projection needs q- > p+, got q- = {qq.min():.4g}, "
             f"p+ = {pq.max():.4g}"
         )
-    _, w, bary = mesh.quadrature(degree)
     eps_guard = 0.0 if float(pq.min()) >= 2.0 else 1e-14
     prob = _EnergyProblem(mesh, p, q, eps_guard, q_sign=-1.0, degree=degree)
     free = mesh.interior_nodes
 
     def project(zvals):
-        zc = zvals[mesh.cells]
-        g = np.einsum("cv,cvd->cd", zc, mesh.basis_grads)
+        g, zq = prob._at(zvals)
         gmag = np.linalg.norm(g, axis=1)[:, None]
         with np.errstate(divide="ignore"):
-            gp = np.where(gmag > _TINY, gmag**pq, 0.0) * w
-        zq = np.abs(np.einsum("qv,cv->cq", bary, zc))
-        t = _nehari_scale(gp, zq, w, pq, qq)
+            gp = np.where(gmag > _TINY, gmag**pq, 0.0) * prob.w
+        t = _nehari_scale(gp, np.abs(zq), prob.w, pq, qq)
         return t * zvals
 
     bump = mesh.boundary_distance()

@@ -227,6 +227,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {**solve_payload(), "rhs": {"kind": "nodal_file"}},
+    {**solve_payload(), "h": "abc"},
+    solve_payload({"max_iters": "x"}),
+    {**solve_payload(), "solver": 5},
+    [solve_payload()],
+], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
+        "solver_not_an_object", "config_not_an_object"])
+def test_malformed_config_exits_2(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     exe = shutil.which("vexlab")
     assert exe, "console script should be on PATH after installation"

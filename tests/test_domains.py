@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import vexlab as vx
+from vexlab.domains import _point_segment_distance, _point_segment_distance_many
 
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
 # A "C" with the channel cut in from the right; its kernel is empty because
@@ -91,6 +92,28 @@ def test_range_of_radius():
     rmin, rmax = sq.range_of_radius([2.0, 0.5])
     assert rmin == pytest.approx(1.0)
     assert rmax == pytest.approx(np.sqrt(4 + 0.25))
+
+    # Domain.boundary_distance, which the polygon branch above relies on,
+    # against the minimum over the boundary's edges
+    assert sq.boundary_distance([2.0, 0.5]) == rmin
+    interval = vx.Domain.interval(-1.0, 3.0)
+    for x in (-1.0, 0.25, 2.5, 3.0):
+        assert interval.boundary_distance([x]) == min(x + 1.0, 3.0 - x)
+    shape = vx.Domain.polygon(L_SHAPE)
+    edges = list(zip(shape.vertices, np.roll(shape.vertices, -1, axis=0)))
+    for x in vx.sample_points(shape, 8):
+        per_edge = [_point_segment_distance(x, a, b) for a, b in edges]
+        assert shape.boundary_distance(x) == min(per_edge)
+    # the disk against an inscribed 1024-gon, which lies within
+    # 1 - cos(pi / 1024) < 5e-6 of the circle
+    disk = vx.Domain.disk((0.5, -0.25), 1.0)
+    t = 2.0 * np.pi * np.arange(1024) / 1024
+    ring = disk.center + np.column_stack([np.cos(t), np.sin(t)])
+    pts = vx.sample_points(disk, 8)
+    per_edge = np.min([_point_segment_distance_many(pts, a, b)
+                       for a, b in zip(ring, np.roll(ring, -1, axis=0))], axis=0)
+    got = [disk.boundary_distance(x) for x in pts]
+    assert np.allclose(got, per_edge, rtol=0.0, atol=5e-6)
 
 
 def test_star_report_disk_and_square():

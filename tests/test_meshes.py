@@ -288,7 +288,10 @@ def test_boundary_distance_matches_all_facets(oracle_mesh):
 
 
 def test_clockwise_cells_reoriented(square_mesh):
-    again = vx.Mesh(square_mesh.nodes, square_mesh.cells[:, [0, 2, 1]])
+    clockwise = square_mesh.cells[:, [0, 2, 1]]
+    given = clockwise.copy()
+    again = vx.Mesh(square_mesh.nodes, clockwise)
+    assert np.array_equal(clockwise, given)  # the caller's array is left alone
     assert np.array_equal(again.cells, square_mesh.cells)
     assert np.array_equal(again.cell_volumes, square_mesh.cell_volumes)
     assert np.array_equal(again.basis_grads, square_mesh.basis_grads)

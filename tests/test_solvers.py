@@ -1,6 +1,8 @@
 """Energies, the regularized operator, the solver ladder, and the
 scaling-manifold candidate generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -309,3 +311,36 @@ def test_nehari_collapse_guard(interval_mesh):
     cfg = vx.SolveConfig(collapse_tol=1e3)
     with pytest.raises(vx.CollapseToZero):
         vx.nehari_candidate(P2, q4, interval_mesh, cfg=cfg)
+
+
+def sha256(values):
+    data = np.ascontiguousarray(values, dtype=float).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+# Which epsilon levels of a cascade stall at max_iters turns on the last bits
+# of the energy, gradient and Hessian, so a change that moves one bit of the
+# solver path must fail here, not silently change the solver benchmarks.
+SOLVER_DIGESTS = {
+    "solve_values":
+        "8c9ee8d1e5280bcd7316a0aafcda6212c709e61ef07f47473fb49c0df97cf706",
+    "solve_energy_history":
+        "69dd1f0a9ea0a02b498e80923f8f6ee6242dfd3b112aeb515365f5a95161064a",
+    "nehari_energy_history":
+        "4fad86c14493a5bb4966ca9da839059ccbcd442d7d607c64b18ab534b69af999",
+}
+
+
+def test_solver_path_bytes_pinned(unit_square, interval):
+    mesh = vx.build_mesh(unit_square, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3))
+    cand = vx.nehari_candidate(P2, vx.ConstantExponent(4.0),
+                               vx.build_mesh(interval, 0.05), vx.SolveConfig(seed=42))
+    assert res.iterations == 6
+    assert {
+        "solve_values": sha256(res.field.values),
+        "solve_energy_history": sha256(res.diagnostics["energy_history"]),
+        "nehari_energy_history": sha256(cand.diagnostics["energy_history"]),
+    } == SOLVER_DIGESTS
