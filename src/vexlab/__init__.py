@@ -29,7 +29,6 @@ from .exponents import (
     ExponentField,
     LogHolderReport,
     RadialExponent,
-    SamplingPlan,
     TabulatedExponent,
     bounds,
     conjugate,

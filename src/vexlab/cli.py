@@ -137,19 +137,19 @@ def _build_field(spec, mesh, base_dir):
     if kind == "zero":
         return DiscreteField.zeros(mesh)
     if kind == "constant":
-        vals = np.full(mesh.nnodes, float(spec.get("value", 1.0)))
+        vals = np.full(mesh.nnodes, _number(spec, "value", 1.0))
         return DiscreteField(mesh, vals)
     if kind == "bump":
         prof = mesh.boundary_distance()
         prof = prof / prof.max()
-        return DiscreteField(mesh, float(spec.get("amplitude", 1.0)) * prof,
+        return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * prof,
                              zero_trace=True)
     if kind == "product_sin":
         lo = mesh.nodes.min(axis=0)
         hi = mesh.nodes.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         vals = np.prod(np.sin(np.pi * (mesh.nodes - lo) / span), axis=1)
-        return DiscreteField(mesh, float(spec.get("amplitude", 1.0)) * vals,
+        return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * vals,
                              zero_trace=True)
     if kind == "nodal_file":
         path = _require(spec, "file", "nodal_file")
@@ -180,7 +180,10 @@ def _setup(cfg, base_dir, need_mesh=True):
 
 def _origin_for(cfg, domain):
     if "origin" in cfg:
-        return np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
+        try:
+            return np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key 'origin' must be numbers: {exc}") from exc
     return find_star_center(domain)
 
 
@@ -229,7 +232,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
         "p_plus": p_plus,
         "all_passed": rel_passed == trials and hold_passed == trials,
     }
-    N = float(cfg.get("N", domain.dim))
+    N = _number(cfg, "N", domain.dim)
     if p_plus < N:
         report["embedding_gap"] = embedding_gap(p, q, domain, N)
     pairs = _number(cfg, "pairs", 500, int)
@@ -271,19 +274,29 @@ def _series_rows(runs, p, origin):
             in zip(remainder_table(runs, p, origin), moduli)]
 
 
+def _failed_levels(runs):
+    """[n, epsilon] of every epsilon level, of every truncation level, that
+    did not converge."""
+    return [[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
+            for res in runs for lv in res.diagnostics["eps_runs"]
+            if not lv.converged]
+
+
 def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, seed)
     u = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
+    failed = _failed_levels(runs)
     report = {
         "scenario": "cascade",
         "origin": origin,
         "n_schedule": list(scfg.n_schedule),
         "gap_grad_modular": [r.diagnostics["gap_grad_modular"] for r in runs],
         "gap_q_modular": [r.diagnostics["gap_q_modular"] for r in runs],
-        "converged": all(r.converged for r in runs),
+        "converged": not failed,
+        "failed_levels": failed,
         "final_energy": runs[-1].energy,
         "final_el_residual": runs[-1].el_residual,
     }
@@ -302,24 +315,25 @@ def _run_pohozaev(cfg, base_dir, out, seed):
     u = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     report = pohozaev_terms(u, p, q, origin, degree=scfg.quad_degree)
-    code = 0
+    failed = None
     if cfg.get("with_remainder", False):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
-        if not all(r.converged for r in runs):
-            code = 3
+        failed = _failed_levels(runs)
     star = star_shape_report(domain, origin)
     payload = {"scenario": "pohozaev", "star_min_xdotnu": star.min_xdotnu}
+    if failed is not None:
+        payload["failed_levels"] = failed
     payload.update(report.as_dict())
     _write_json(os.path.join(out, "pohozaev.json"), payload)
     with open(os.path.join(out, "pohozaev.csv"), "w") as fh:
         fh.write(report.CSV_HEADER + "\n" + report.csv_row() + "\n")
-    return code
+    return 3 if failed else 0
 
 
 def _run_verdict(cfg, base_dir, out, seed):
     domain, _, p, q = _setup(cfg, base_dir, need_mesh="h" in cfg)
-    N = cfg.get("N", domain.dim)
+    N = _number(cfg, "N", domain.dim)
     origin = _origin_for(cfg, domain) if "origin" in cfg else None
     rep = nonexistence_verdict(domain, p, q, N=N, origin=origin,
                                tol=_number(cfg, "tol", 1e-9))
@@ -331,14 +345,19 @@ def _run_verdict(cfg, base_dir, out, seed):
 
 def _run_sweep(cfg, base_dir, out, seed):
     sw = _require(cfg, "sweep", "sweep")
+    sw = sw if isinstance(sw, dict) else {}
     param = sw.get("parameter")
     values = sw.get("values")
-    if param not in ("p", "q") or not values:
+    if param not in ("p", "q") or not isinstance(values, list) or not values:
         raise ConfigError(
             "sweep needs {'parameter': 'p'|'q', 'values': [..]}"
         )
+    try:
+        values = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     domain = Domain.from_spec(_require(cfg, "domain", "sweep"))
-    N = cfg.get("N", domain.dim)
+    N = _number(cfg, "N", domain.dim)
     tol = _number(cfg, "tol", 1e-9)
     base_p = exponent_from_spec(_require(cfg, "p", "sweep"), None, base_dir)
     base_q = exponent_from_spec(_require(cfg, "q", "sweep"), None, base_dir)
@@ -348,7 +367,7 @@ def _run_sweep(cfg, base_dir, out, seed):
         p = ConstantExponent(val) if param == "p" else base_p
         q = ConstantExponent(val) if param == "q" else base_q
         d = nonexistence_verdict(domain, p, q, N=N, tol=tol).as_dict()
-        d["value"] = float(val)
+        d["value"] = val
         d["seed"] = seed + k + 1
         results.append(d)
 

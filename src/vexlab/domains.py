@@ -98,7 +98,7 @@ class Domain:
             kind = "ball"
         try:
             return cls(kind, **spec)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad domain spec for kind {kind!r}: {exc}") from exc
 
     # -- basic geometry ----------------------------------------------------

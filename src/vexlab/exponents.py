@@ -21,13 +21,6 @@ _ELLIPTIC_EDGE = 1.0 + 1e-12
 
 
 @dataclass
-class SamplingPlan:
-    """Deterministic sampling resolution for bounds/gap estimates."""
-
-    resolution: int = 64
-
-
-@dataclass
 class LogHolderReport:
     """Sampled log-Holder modulus estimate.
 
@@ -307,10 +300,9 @@ def bounds(p, domain=None):
     return p.bounds(domain)
 
 
-def sampled_bounds(p, domain, sampling=None):
+def sampled_bounds(p, domain, resolution=64):
     """Grid-sampled bounds; monotone under doubling of the resolution."""
-    plan = sampling or SamplingPlan()
-    pts = sample_points(domain, plan.resolution)
+    pts = sample_points(domain, resolution)
     vals = p.value_at(pts)
     return float(vals.min()), float(vals.max())
 
@@ -351,11 +343,10 @@ def sobolev_conjugate(p, N):
     )
 
 
-def embedding_gap(p, q, domain, N=None, sampling=None):
+def embedding_gap(p, q, domain, N=None, resolution=64):
     """min over samples of (p*(x) - q(x)); positive means compact range."""
     N = float(N if N is not None else domain.dim)
-    plan = sampling or SamplingPlan()
-    pts = sample_points(domain, plan.resolution)
+    pts = sample_points(domain, resolution)
     if isinstance(p, TabulatedExponent):
         pts = np.vstack([pts, p.mesh.nodes])
     pstar = sobolev_conjugate(p, N).value_at(pts)
@@ -477,6 +468,6 @@ def exponent_from_spec(spec, mesh=None, base_dir=None):
             except OSError as exc:
                 raise ConfigError(f"cannot read tabulated values: {exc}") from exc
             return TabulatedExponent(mesh, values)
-    except KeyError as exc:
-        raise ConfigError(f"exponent spec for kind {kind!r} missing {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad exponent spec for kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown exponent kind {kind!r}")

@@ -5,8 +5,9 @@ The discrete unknown is a zero-trace P1 field.  All problems minimize
     F(z) = int (|grad z|^2 + eps)^(p(x)/2) / p(x)
          + q_sign * int |z|^q(x) / q(x)  -  int (load) z
 
-which is strictly convex for q_sign = +1 and eps > 0.  The minimizer is a
-damped Newton iteration with Armijo backtracking.
+which is strictly convex for q_sign = +1 and eps > 0.  Every solve, the
+Nehari polish (q_sign = -1, a saddle) included, runs the one damped Newton
+driver _minimize.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .fem import (
 from .modular import gradient_luxemburg_norm, gradient_modular, modular
 
 _TINY = 1e-300
+_EPS = np.finfo(float).eps
+_ARMIJO_C1 = 1e-4
+_ARMIJO_SHRINK = 0.5
+_BACKTRACKS = 60
 
 
 @dataclass
@@ -45,8 +50,6 @@ class SolveConfig:
     max_iters: int = 500
     n_schedule: tuple = (1, 2, 4, 8)
     seed: int = 42
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
     collapse_tol: float = 1e-6
     quad_degree: int = 2
 
@@ -174,62 +177,76 @@ class _EnergyProblem:
         return _assemble_matrix(self.mesh, elem)
 
 
-def _minimize(problem, z0, free, cfg):
-    """Damped Newton with Armijo backtracking.
+def _newton_step(problem, z, free, gf, gn, F0):
+    """One damped step along the Newton direction, or None.
 
-    Accepted iterations never increase the energy (up to roundoff); the
-    history is recorded for the monotonicity diagnostics.
+    The merit is the energy (Armijo) while the step's predicted decrease
+    s*slope is above the energy's roundoff eps*(1 + |F|), and the residual
+    norm (sufficient decrease) otherwise; the latter also covers a Newton
+    direction that ascends the energy, as at a saddle.  Returns the new
+    iterate with its energy and free gradient (None when not yet computed),
+    or None when neither merit accepts a step.
+    """
+    H = problem.hess(z)[free][:, free].tocsc()
+    try:
+        d = spsolve(H, -gf)
+    except Exception:
+        d = -gf
+    if not np.all(np.isfinite(d)):
+        d = -gf
+    slope = float(d @ gf)
+    floor = _EPS * (1.0 + abs(F0))
+    s = 1.0
+    for _ in range(_BACKTRACKS):
+        if s * slope >= -floor:
+            break
+        ztry = z.copy()
+        ztry[free] += s * d
+        Ft = problem.energy(ztry)
+        if Ft <= F0 + _ARMIJO_C1 * s * slope:
+            return ztry, Ft, None
+        s *= _ARMIJO_SHRINK
+    s = 1.0
+    for _ in range(_BACKTRACKS):
+        ztry = z.copy()
+        ztry[free] += s * d
+        gt = problem.grad(ztry)[free]
+        if float(np.linalg.norm(gt)) < (1.0 - _ARMIJO_C1 * s) * gn:
+            return ztry, problem.energy(ztry), gt
+        s *= _ARMIJO_SHRINK
+    return None
+
+
+def _minimize(problem, z0, free, cfg):
+    """Damped Newton on the free nodes until the residual norm reaches
+    cfg.grad_tol, no step passes either merit of _newton_step, or
+    cfg.max_iters steps are taken.
+
+    Returns (z, energy history, residual norm, steps, stop) with stop one of
+    "converged", "stalled" or "max_iters".
     """
     z = np.array(z0, dtype=float)
     hist = [problem.energy(z)]
-    converged = False
+    gf = problem.grad(z)[free]
+    gn = float(np.linalg.norm(gf))
     iters = 0
-    gn = np.inf
-    for iters in range(1, cfg.max_iters + 1):
-        gfull = problem.grad(z)
-        gf = gfull[free]
+    while gn > cfg.grad_tol and iters < cfg.max_iters:
+        step = _newton_step(problem, z, free, gf, gn, hist[-1])
+        if step is None:
+            break
+        z, F, gf = step
+        hist.append(F)
+        if gf is None:
+            gf = problem.grad(z)[free]
         gn = float(np.linalg.norm(gf))
-        if gn <= cfg.grad_tol:
-            converged = True
-            iters -= 1
-            break
-        H = problem.hess(z)[free][:, free].tocsc()
-        try:
-            d = spsolve(H, -gf)
-        except Exception:
-            d = -gf
-        if not np.all(np.isfinite(d)) or float(d @ gf) >= 0.0:
-            d = -gf
-        s = 1.0
-        slope = float(d @ gf)
-        F0 = hist[-1]
-        accepted = False
-        for _ in range(80):
-            ztry = z.copy()
-            ztry[free] += s * d
-            Ft = problem.energy(ztry)
-            if Ft <= F0 + cfg.armijo_c1 * s * slope:
-                accepted = True
-                break
-            s *= cfg.armijo_shrink
-        if not accepted:
-            # energy differences fell below roundoff; accept tiny monotone
-            # steps only if the residual still improves
-            ztry = z.copy()
-            ztry[free] += s * d
-            if problem.energy(ztry) <= F0 + 1e-13 * (1.0 + abs(F0)) and float(
-                np.linalg.norm(problem.grad(ztry)[free])
-            ) < gn:
-                z, Ft = ztry, problem.energy(ztry)
-                hist.append(Ft)
-                continue
-            break
-        z = ztry
-        hist.append(Ft)
-    gn = float(np.linalg.norm(problem.grad(z)[free]))
+        iters += 1
     if gn <= cfg.grad_tol:
-        converged = True
-    return z, hist, gn, iters, converged
+        stop = "converged"
+    elif iters == cfg.max_iters:
+        stop = "max_iters"
+    else:
+        stop = "stalled"
+    return z, hist, gn, iters, stop
 
 
 # -- public energies and actions -------------------------------------------
@@ -319,14 +336,14 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
         z0 = z0.values
     z0 = np.array(z0, dtype=float)
     z0[mesh.boundary_nodes] = 0.0
-    z, hist, gn, iters, converged = _minimize(prob, z0, mesh.interior_nodes, cfg)
+    z, hist, gn, iters, stop = _minimize(prob, z0, mesh.interior_nodes, cfg)
     return SolveResult(
         field=DiscreteField(mesh, z, zero_trace=True),
         energy=hist[-1],
         el_residual=gn,
         iterations=iters,
-        converged=converged,
-        diagnostics={"energy_history": hist, "epsilon": eps},
+        converged=stop == "converged",
+        diagnostics={"energy_history": hist, "epsilon": eps, "stop": stop},
     )
 
 
@@ -452,8 +469,8 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     optimality system.
 
     Requires q- > p+ on the mesh (monotone scaling projection); raises
-    NoScalingRoot otherwise, and CollapseToZero when the iterate's gradient
-    norm drops below cfg.collapse_tol.
+    NoScalingRoot otherwise, and CollapseToZero when the polished
+    candidate's gradient norm is below cfg.collapse_tol.
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -511,45 +528,11 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
         hist.append(Jt)
         step = min(s * 2.0, 1e3)
 
-    converged = False
-    iters2 = 0
-    for iters2 in range(1, 201):
-        r = prob.grad(u)
-        gn = float(np.linalg.norm(r[free]))
-        if gn <= cfg.grad_tol:
-            converged = True
-            iters2 -= 1
-            break
-        H = prob.hess(u)[free][:, free].tocsc()
-        try:
-            d = spsolve(H, -r[free])
-        except Exception:
-            d = -r[free]
-        if not np.all(np.isfinite(d)):
-            d = -r[free]
-        s = 1.0
-        best = None
-        for _ in range(50):
-            trial = u.copy()
-            trial[free] += s * d
-            gt = float(np.linalg.norm(prob.grad(trial)[free]))
-            if gt <= (1.0 - 1e-4 * s) * gn:
-                best = trial
-                break
-            s *= 0.5
-        if best is None:
-            break
-        u = best
-        ufield = DiscreteField(mesh, u, zero_trace=True)
-        if gradient_luxemburg_norm(ufield, p) < cfg.collapse_tol:
-            raise CollapseToZero(
-                "candidate collapsed toward zero during Newton polish"
-            )
+    u, _, gn, iters2, stop = _minimize(prob, u, free, cfg)
 
     ufield = DiscreteField(mesh, u, zero_trace=True)
     if gradient_luxemburg_norm(ufield, p) < cfg.collapse_tol:
         raise CollapseToZero("candidate collapsed toward the trivial solution")
-    gn = float(np.linalg.norm(prob.grad(u)[free]))
     identity_gap = abs(
         gradient_modular(ufield, p, degree).value - modular(ufield, q, degree).value
     )
@@ -558,8 +541,9 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
         energy=prob.energy(u),
         el_residual=gn,
         iterations=iters1 + iters2,
-        converged=converged and gn <= cfg.grad_tol,
+        converged=stop == "converged",
         diagnostics={
+            "stop": stop,
             "identity_gap": identity_gap,
             "energy_history": hist,
             "descent_iterations": iters1,

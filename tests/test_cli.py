@@ -1,5 +1,6 @@
 """The command-line front end: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -181,6 +182,40 @@ def test_pohozaev_scenario_with_remainder(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("scenario", ["cascade", "pohozaev"])
+def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
+    # Only the first epsilon level of the first truncation level gets no
+    # Newton step; every later level, the last one included, converges.
+    solve = vx.solvers.solve_regularized
+    calls = []
+
+    def first_level_capped(v, p, q, cfg=None, epsilon=None, z0=None):
+        if not calls:
+            cfg = dataclasses.replace(cfg, max_iters=0)
+        calls.append(epsilon)
+        return solve(v, p, q, cfg, epsilon=epsilon, z0=z0)
+
+    monkeypatch.setattr(vx.solvers, "solve_regularized", first_level_capped)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "domain": UNIT_INTERVAL,
+        "h": 0.05,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 2.0},
+        "candidate": {"kind": "product_sin", "amplitude": 1.0},
+        "origin": [0.5],
+        "with_remainder": True,
+        "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.125,
+                   "n_schedule": [1, 2]},
+    })
+    out = tmp_path / "out"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
+    assert len(calls) == 6
+    rep = load_report(out / f"{scenario}.json")
+    assert rep["failed_levels"] == [[1, 0.5]]
+    if scenario == "cascade":
+        assert rep["converged"] is False
+
+
 def test_spaces_check_scenario(tmp_path):
     base = {
         "domain": UNIT_INTERVAL,
@@ -227,17 +262,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("payload", [
-    {**solve_payload(), "rhs": {"kind": "nodal_file"}},
-    {**solve_payload(), "h": "abc"},
-    solve_payload({"max_iters": "x"}),
-    {**solve_payload(), "solver": 5},
-    [solve_payload()],
+VERDICT = {"domain": BALL, "p": {"kind": "constant", "value": 2.0},
+           "q": {"kind": "constant", "value": 7.0}}
+SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
+
+
+@pytest.mark.parametrize("scenario, payload", [
+    ("solve", {**solve_payload(), "rhs": {"kind": "nodal_file"}}),
+    ("solve", {**solve_payload(), "h": "abc"}),
+    ("solve", solve_payload({"max_iters": "x"})),
+    ("solve", {**solve_payload(), "solver": 5}),
+    ("solve", [solve_payload()]),
+    ("solve", {**solve_payload(), "p": {"kind": "affine", "a": "x", "b": [0.5]}}),
+    ("solve", {**solve_payload(), "domain": {"kind": "interval", "a": "x", "b": 1.0}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "product_sin", "amplitude": "x"}}),
+    ("verdict", {**VERDICT, "N": "abc"}),
+    ("verdict", {**VERDICT, "origin": "abc"}),
+    ("sweep", {**VERDICT, "sweep": 5}),
+    ("sweep", {**SWEEP, "sweep": {"parameter": "q", "values": [6.0, "a"]}}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
-        "solver_not_an_object", "config_not_an_object"])
-def test_malformed_config_exits_2(tmp_path, capsys, payload):
+        "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
+        "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
+        "origin_not_a_number", "sweep_not_an_object", "sweep_value_not_a_number"])
+def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -123,8 +123,8 @@ def test_tabulated_matches_nodal_field(square_mesh):
 
 def test_sampled_bounds_monotone_under_refinement(interval):
     p = vx.AffineExponent(2.0, [1.0])
-    plans = [vx.SamplingPlan(resolution=r) for r in (8, 16, 32)]
-    lows, highs = zip(*(vx.sampled_bounds(p, interval, pl) for pl in plans))
+    lows, highs = zip(*(vx.sampled_bounds(p, interval, resolution=r)
+                        for r in (8, 16, 32)))
     assert lows[0] >= lows[1] >= lows[2]
     assert highs[0] <= highs[1] <= highs[2]
 

@@ -44,6 +44,9 @@ def test_config_rejects_unknown_keys():
         vx.SolveConfig.from_dict({"eps_factor": 1.5})
     with pytest.raises(vx.ConfigError):
         vx.SolveConfig.from_dict({"method": "sorcery"})
+    for knob in ("armijo_c1", "armijo_shrink"):  # line-search constants
+        with pytest.raises(vx.ConfigError):
+            vx.SolveConfig.from_dict({knob: 0.5})
 
 
 def test_eps_schedule_terminates_at_floor():
@@ -226,6 +229,22 @@ def test_solve_reports_non_convergence(fine_interval_mesh, rng):
     res = vx.solve_regularized(v, P2, P2, cfg=cfg, epsilon=1e-3)
     assert not res.converged
     assert res.el_residual > cfg.grad_tol
+    assert res.diagnostics["stop"] == "max_iters"
+
+
+def test_solve_stalls_below_roundoff(unit_square):
+    # No residual reaches 1e-300: once Newton has reached the roundoff floor,
+    # neither the energy nor the residual norm can see a decrease, and the
+    # solve must say so instead of spending all max_iters.
+    mesh = vx.build_mesh(unit_square, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    cfg = vx.SolveConfig(epsilon=1e-3, grad_tol=1e-300)
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0), cfg)
+    assert res.diagnostics["stop"] == "stalled"
+    assert not res.converged
+    assert res.iterations <= 20 < cfg.max_iters
+    assert res.el_residual <= 1e-12
 
 
 # -- the truncated ladder --------------------------------------------------
@@ -257,6 +276,24 @@ def test_solve_truncated_flags_active_truncation(interval_mesh):
     res = vx.solve_truncated(u, P2, P2, n=1, cfg=cfg)
     assert res.diagnostics["truncation_active"]
     assert res.diagnostics["n"] == 1
+
+
+def test_cascade_levels_converge_without_stalling(fine_interval_mesh):
+    # At eps = 1 the residual is still ~1e-7 when the Newton slope falls
+    # below the energy's roundoff: a line search on the energy alone stalls
+    # there until max_iters.
+    mesh = fine_interval_mesh
+    u = vx.DiscreteField.interpolate(
+        mesh, lambda x: 3.5 * np.sin(np.pi * x[:, 0]) * (1 + 0.3 * x[:, 0]),
+        zero_trace=True)
+    cfg = vx.SolveConfig(epsilon0=1.0, eps_factor=0.5, eps_min=0.25,
+                         n_schedule=(8,))
+    runs = vx.cascade(u, vx.ConstantExponent(3.0), vx.ConstantExponent(4.0), cfg)
+    levels = runs[0].diagnostics["eps_runs"]
+    assert len(levels) == 3
+    for level in levels:
+        assert level.converged and level.diagnostics["stop"] == "converged"
+        assert level.iterations <= 15
 
 
 def test_cascade_zero_candidate(interval_mesh):
