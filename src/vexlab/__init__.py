@@ -10,7 +10,6 @@ from .domains import (
     star_shape_report,
 )
 from .errors import (
-    BracketFailure,
     CollapseToZero,
     ConfigError,
     DegenerateCell,

@@ -25,10 +25,6 @@ class NotStarShaped(VexlabError):
     """No admissible star center could be found for the domain."""
 
 
-class BracketFailure(VexlabError):
-    """A bracketing search failed to enclose a sign change."""
-
-
 class NonFiniteIntegrand(VexlabError):
     """An integrand evaluated to NaN or infinity at a quadrature point."""
 

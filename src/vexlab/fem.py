@@ -150,8 +150,8 @@ def mollify(u, radius):
     Each node gets the mass-weighted kernel average of its neighbors within
     `radius` (kernel (1 - r^2/radius^2)^3, normalized per node, so the
     output is a convex combination: sup norm never grows and nonnegativity
-    is preserved).  Nodes within radius + h of the boundary are re-zeroed,
-    so the result has zero trace.
+    is preserved).  Nodes within radius + h of the boundary are not averaged
+    and stay zero, so the result has zero trace.
     """
     if radius <= 0:
         raise ConfigError("mollifier radius must be positive")
@@ -162,18 +162,16 @@ def mollify(u, radius):
     np.add.at(lumped, mesh.cells.ravel(),
               np.repeat(mesh.cell_volumes / nv, nv))
 
-    out = np.empty(mesh.nnodes)
+    out = np.zeros(mesh.nnodes)
+    keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
     tree = cKDTree(nodes)
-    neighborhoods = tree.query_ball_point(nodes, radius)
+    neighborhoods = tree.query_ball_point(nodes[keep], radius)
     r2 = radius * radius
-    for i, nbrs in enumerate(neighborhoods):
+    for i, nbrs in zip(keep, neighborhoods):
         idx = np.asarray(nbrs, dtype=np.int64)
         d2 = np.sum((nodes[idx] - nodes[i]) ** 2, axis=1)
         wk = (1.0 - d2 / r2) ** 3 * lumped[idx]
         out[i] = float(wk @ u.values[idx]) / float(wk.sum())
-
-    layer = mesh.boundary_distance() <= radius + mesh.h + 1e-12
-    out[layer] = 0.0
     return DiscreteField(mesh, out, zero_trace=True)
 
 

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure
+from .errors import NonFiniteIntegrand
 from .exponents import conjugate
 from .fem import field_on_quadrature, gradient
 
 _UNIT_BAND = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -77,58 +78,74 @@ def gradient_modular(u, p, degree=2):
     return ModularResult(float(np.sum(w * gmag**pq)), degree)
 
 
-def _luxemburg_from_samples(vals, pq, w, tol):
-    sup = float(vals.max(initial=0.0))
-    if sup == 0.0:
-        return 0.0
-    volume = float(w.sum())
+def _log_sum_exp(l, e, s):
+    """log sum exp(l + e s), its derivative in s (the exp-weighted mean of
+    e) and |max| + log(sum), the magnitude that sets its roundoff."""
+    x = l + e * s
+    m = x.max()
+    wts = np.exp(x - m)
+    tot = wts.sum()
+    r = np.log(tot)
+    return m + r, float(wts @ e) / tot, abs(m) + r
 
-    def f(mu):
-        with np.errstate(over="ignore"):
-            return float(np.sum(w * (vals / mu) ** pq)) - 1.0
 
-    lo = sup * 1e-6
-    hi = sup * (1.0 + volume)
-    for _ in range(200):
-        if f(hi) <= 0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("Luxemburg bracket: modular stays above 1")
-    for _ in range(200):
-        if f(lo) >= 0:
-            break
-        lo *= 0.5
-    else:
-        raise BracketFailure("Luxemburg bracket: modular stays below 1")
+def _balance_root(la, pa, lb, qb):
+    """The s solving log sum exp(la + pa s) = log sum exp(lb + qb s).
 
-    mid = 0.5 * (lo + hi)
-    for _ in range(500):
-        fm = f(mid)
-        if abs(fm) <= tol:
-            break
-        if fm > 0:
-            lo = mid
+    Requires max pa < min qb.  The difference g of the two sides then has
+    slope at most -gap, gap = min qb - max pa, so it decreases strictly and
+    its root lies within |g(0)| / gap of 0.  Newton steps in s are kept
+    inside that bracket, padded to twice the bound, and a step leaving the
+    bracket bisects it instead.  The iteration stops once a Newton step is
+    below the roundoff of g.  For constant exponents g is linear, and the
+    first step lands on the root.
+    """
+    gap = float(qb.min() - pa.max())
+    s = 0.0
+    lo = hi = None
+    for _ in range(100):
+        A, dA, rA = _log_sum_exp(la, pa, s)
+        B, dB, rB = _log_sum_exp(lb, qb, s)
+        g = A - B
+        slope = min(dA - dB, -gap)
+        if lo is None:
+            lo, hi = -2.0 * abs(g) / gap, 2.0 * abs(g) / gap
+        if g > 0.0:
+            lo = s
+        elif g < 0.0:
+            hi = s
         else:
-            hi = mid
-        new = 0.5 * (lo + hi)
-        if new == mid:
-            break
-        mid = new
-    return mid
+            return s
+        step = -g / slope
+        if abs(step) <= 4.0 * _EPS * (rA + rB) / -slope:
+            return s + step
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    return s
 
 
-def luxemburg_norm(u, p, tol=1e-10, degree=2):
-    """inf { mu > 0 : rho_p(u / mu) <= 1 }, by monotone bisection."""
-    return _luxemburg_from_samples(*_samples(u, p, degree), tol)
+def _luxemburg_from_samples(vals, pq, w):
+    """The mu > 0 with sum w (vals / mu)^p = 1, as exp of a balance root."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteIntegrand("Luxemburg norm of a non-finite field")
+    if float(vals.max(initial=0.0)) == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        la = (np.log(w) + pq * np.log(vals)).ravel()
+    zero = np.zeros(1)
+    return float(np.exp(_balance_root(la, -pq.ravel(), zero, zero)))
 
 
-def gradient_luxemburg_norm(u, p, tol=1e-10, degree=2):
+def luxemburg_norm(u, p, degree=2):
+    """inf { mu > 0 : rho_p(u / mu) <= 1 }, the root of rho_p(u / mu) = 1."""
+    return _luxemburg_from_samples(*_samples(u, p, degree))
+
+
+def gradient_luxemburg_norm(u, p, degree=2):
     """Luxemburg norm of |grad u| (the zero-trace Sobolev norm)."""
-    return _luxemburg_from_samples(*_gradient_samples(u, p, degree), tol)
+    return _luxemburg_from_samples(*_gradient_samples(u, p, degree))
 
 
-def verify_modular_relations(u, p, degree=2, tol=1e-8, norm_tol=1e-10):
+def verify_modular_relations(u, p, degree=2, tol=1e-8):
     """Check the sign trichotomy and the p-/p+ sandwich inequalities.
 
     Exponent bounds are taken from the quadrature samples, which is exactly
@@ -138,7 +155,7 @@ def verify_modular_relations(u, p, degree=2, tol=1e-8, norm_tol=1e-10):
     p_minus, p_plus = float(pq.min()), float(pq.max())
 
     rho = float(np.sum(w * vals**pq))
-    norm = _luxemburg_from_samples(vals, pq, w, norm_tol)
+    norm = _luxemburg_from_samples(vals, pq, w)
 
     if norm == 0.0:
         return ModularRelationsReport(
@@ -195,8 +212,8 @@ def holder_check(u, v, p, degree=2, tol=1e-9):
     pq = p.eval_on_quadrature(mesh, degree)
     pc = conjugate(p)
     pcq = pc.eval_on_quadrature(mesh, degree)
-    norm_u = _luxemburg_from_samples(np.abs(uq), pq, w, tol=1e-11)
-    norm_v = _luxemburg_from_samples(np.abs(vq), pcq, w, tol=1e-11)
+    norm_u = _luxemburg_from_samples(np.abs(uq), pq, w)
+    norm_v = _luxemburg_from_samples(np.abs(vq), pcq, w)
 
     constant = 1.0 / float(pq.min()) + 1.0 / float(pcq.min())
     rhs = constant * norm_u * norm_v

@@ -29,7 +29,12 @@ from .fem import (
     mesh_l2,
     mollify,
 )
-from .modular import gradient_luxemburg_norm, gradient_modular, modular
+from .modular import (
+    _balance_root,
+    gradient_luxemburg_norm,
+    gradient_modular,
+    modular,
+)
 
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
@@ -426,41 +431,16 @@ def cascade(u, p, q, cfg=None):
 # -- Nehari-type candidate generator ---------------------------------------
 
 
-def _nehari_scale(gmag_pow_w, zq_abs, w, pq, qq):
-    """Root t of sum w t^p |grad u|^p = sum w t^q |u|^q by bisection."""
-
-    def balance(t):
-        with np.errstate(over="ignore"):
-            lhs = float(np.sum(gmag_pow_w * t**pq))
-            rhs = float(np.sum(w * zq_abs**qq * t**qq))
-        return lhs - rhs
-
-    if float(np.max(gmag_pow_w)) <= 0.0 or float(np.max(zq_abs)) <= 0.0:
+def _nehari_scale(gmag, zq_abs, logw, pq, qq):
+    """Root t of sum w t^p |grad u|^p = sum w t^q |u|^q, solved for log t."""
+    if not (np.all(np.isfinite(gmag)) and np.all(np.isfinite(zq_abs))):
+        raise NoScalingRoot("non-finite candidate")
+    if float(gmag.max()) <= 0.0 or float(zq_abs.max()) <= 0.0:
         raise NoScalingRoot("degenerate candidate: zero gradient or zero field")
-    t_lo = t_hi = 1.0
-    if balance(1.0) > 0.0:
-        for _ in range(200):
-            t_hi *= 2.0
-            if balance(t_hi) <= 0.0:
-                break
-        else:
-            raise NoScalingRoot("no sign change while expanding upward")
-    else:
-        for _ in range(200):
-            t_lo *= 0.5
-            if balance(t_lo) >= 0.0:
-                break
-        else:
-            raise NoScalingRoot("no sign change while expanding downward")
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if balance(mid) > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-14 * t_hi:
-            break
-    return 0.5 * (t_lo + t_hi)
+    with np.errstate(divide="ignore"):
+        la = (logw + pq * np.log(gmag)).ravel()
+        lb = (logw + qq * np.log(zq_abs)).ravel()
+    return float(np.exp(_balance_root(la, pq.ravel(), lb, qq.ravel())))
 
 
 def nehari_candidate(p, q, mesh, cfg=None, degree=2):
@@ -471,6 +451,9 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     Requires q- > p+ on the mesh (monotone scaling projection); raises
     NoScalingRoot otherwise, and CollapseToZero when the polished
     candidate's gradient norm is below cfg.collapse_tol.
+    diagnostics["descent_stop"] says why the descent ended: "tolerance"
+    (small gradient), "no_decrease" (60 step halvings found no lower
+    energy) or "max_iters" (its 400-step cap).
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -485,13 +468,12 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     prob = _EnergyProblem(mesh, p, q, eps_guard, q_sign=-1.0, degree=degree)
     free = mesh.interior_nodes
 
+    logw = np.log(prob.w)
+
     def project(zvals):
         g, zq = prob._at(zvals)
         gmag = np.linalg.norm(g, axis=1)[:, None]
-        with np.errstate(divide="ignore"):
-            gp = np.where(gmag > _TINY, gmag**pq, 0.0) * prob.w
-        t = _nehari_scale(gp, np.abs(zq), prob.w, pq, qq)
-        return t * zvals
+        return _nehari_scale(gmag, np.abs(zq), logw, pq, qq) * zvals
 
     bump = mesh.boundary_distance()
     bump = bump / bump.max()
@@ -500,12 +482,12 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     u = project(u)
 
     hist = [prob.energy(u)]
-    iters1 = 0
     step = 1.0
     for iters1 in range(1, 401):
         r = prob.grad(u)
         gn = float(np.linalg.norm(r[free]))
         if gn <= max(1e-3, 50.0 * cfg.grad_tol):
+            descent_stop = "tolerance"
             break
         accepted = False
         s = step
@@ -523,10 +505,13 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
                 break
             s *= 0.5
         if not accepted:
+            descent_stop = "no_decrease"
             break
         u = trial
         hist.append(Jt)
         step = min(s * 2.0, 1e3)
+    else:
+        descent_stop = "max_iters"
 
     u, _, gn, iters2, stop = _minimize(prob, u, free, cfg)
 
@@ -547,6 +532,7 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
             "identity_gap": identity_gap,
             "energy_history": hist,
             "descent_iterations": iters1,
+            "descent_stop": descent_stop,
             "newton_iterations": iters2,
             "seed": cfg.seed,
         },

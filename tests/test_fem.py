@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import vexlab as vx
 
@@ -126,6 +127,39 @@ def test_mollify_radius_halving_contracts(fine_interval_mesh):
         m = vx.mollify(u, radius)
         dists.append(vx.mesh_l2(m - u))
     assert dists[0] > dists[1] > dists[2] > dists[3]
+
+
+def mollify_every_node(u, radius):
+    """Loop-form oracle: average at every node, then zero the boundary
+    layer."""
+    mesh = u.mesh
+    nodes = mesh.nodes
+    nv = mesh.cells.shape[1]
+    lumped = np.zeros(mesh.nnodes)
+    np.add.at(lumped, mesh.cells.ravel(), np.repeat(mesh.cell_volumes / nv, nv))
+    out = np.empty(mesh.nnodes)
+    r2 = radius * radius
+    for i, nbrs in enumerate(cKDTree(nodes).query_ball_point(nodes, radius)):
+        idx = np.asarray(nbrs, dtype=np.int64)
+        d2 = np.sum((nodes[idx] - nodes[i]) ** 2, axis=1)
+        wk = (1.0 - d2 / r2) ** 3 * lumped[idx]
+        out[i] = float(wk @ u.values[idx]) / float(wk.sum())
+    out[mesh.boundary_distance() <= radius + mesh.h + 1e-12] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["disk", "interval"])
+def test_mollify_matches_every_node_oracle(kind, rng):
+    if kind == "disk":
+        mesh = vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.1)
+    else:
+        mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.01)
+    u = vx.DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
+    big = float(mesh.boundary_distance().max())  # the layer covers every node
+    for radius in (0.5 * mesh.h, 0.2 * big, big):
+        got = vx.mollify(u, radius).values
+        assert np.array_equal(got, mollify_every_node(u, radius))
+    assert not np.any(vx.mollify(u, big).values)
 
 
 def test_mollify_rejects_bad_radius(fine_interval_mesh):

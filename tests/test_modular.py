@@ -155,3 +155,73 @@ def test_holder_randomized(interval_mesh, rng):
         rep = vx.holder_check(u, v, p)
         assert rep.passed and rep.slack >= -1e-9 * (1 + rep.rhs)
     assert rep.constant == pytest.approx(7.0 / 6.0, abs=5e-3)
+
+
+def luxemburg_bisection(vals, pq, w):
+    """Bisection on sum w (vals / mu)^p = 1, run until the midpoint stops
+    moving: the oracle for the log-domain root."""
+    def excess(mu):
+        return float(np.sum(w * (vals / mu) ** pq)) - 1.0
+
+    lo = hi = float(vals.max())
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    while excess(lo) < 0.0:
+        lo *= 0.5
+    mid = 0.5 * (lo + hi)
+    while True:
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        new = 0.5 * (lo + hi)
+        if new == mid:
+            return mid
+        mid = new
+
+
+def quadrature_samples(u, p):
+    _, w, _ = u.mesh.quadrature(2)
+    return np.abs(vx.field_on_quadrature(u)), p.eval_on_quadrature(u.mesh), w
+
+
+def test_luxemburg_constant_exponent_exact(square_mesh, rng):
+    for pv in (1.3, 2.7):
+        p = vx.ConstantExponent(pv)
+        for _ in range(5):
+            u = random_field(square_mesh, rng, scale=10.0 ** rng.uniform(-3, 3))
+            vals, pq, w = quadrature_samples(u, p)
+            exact = float(np.sum(w * vals**pv)) ** (1.0 / pv)
+            assert vx.luxemburg_norm(u, p) == pytest.approx(exact, rel=1e-14)
+
+
+def test_luxemburg_matches_bisection(interval_mesh, square_mesh, rng):
+    for mesh, p in ((interval_mesh, affine_p()),
+                    (square_mesh, vx.RadialExponent(1.4, 0.8, [0.5, 0.5]))):
+        for _ in range(5):
+            u = random_field(mesh, rng, scale=10.0 ** rng.uniform(-3, 3))
+            oracle = luxemburg_bisection(*quadrature_samples(u, p))
+            assert vx.luxemburg_norm(u, p) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_luxemburg_extreme_scales(square_mesh, rng):
+    p = vx.AffineExponent(2.0, [1.0, 0.5])
+    u = random_field(square_mesh, rng)
+    base = vx.luxemburg_norm(u, p)
+    for c in (1e-150, 1e150):
+        got = vx.luxemburg_norm(c * u, p)
+        assert np.isfinite(got)
+        assert got == pytest.approx(c * base, rel=1e-13)
+
+
+def test_luxemburg_rejects_non_finite(interval_mesh, rng):
+    p = affine_p()
+    for bad in (np.nan, np.inf):
+        u = random_field(interval_mesh, rng)
+        u.values[len(u.values) // 2] = bad
+        with pytest.raises(vx.NonFiniteIntegrand):
+            vx.luxemburg_norm(u, p)
+        with pytest.raises(vx.NonFiniteIntegrand):
+            vx.gradient_luxemburg_norm(u, p)
+        with pytest.raises(vx.NonFiniteIntegrand):
+            vx.verify_modular_relations(u, p)

@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 import vexlab as vx
+from vexlab.solvers import _nehari_scale
 
 
 P2 = vx.ConstantExponent(2.0)
@@ -350,6 +351,103 @@ def test_nehari_collapse_guard(interval_mesh):
         vx.nehari_candidate(P2, q4, interval_mesh, cfg=cfg)
 
 
+def scale_samples(mesh, p, q, z):
+    """|grad z|, |z| at the quadrature points, log w, p and q there."""
+    _, w, bary = mesh.quadrature(2)
+    gmag = np.linalg.norm(vx.gradient(vx.DiscreteField(mesh, z)).vectors,
+                          axis=1)[:, None]
+    zq = np.einsum("qv,cv->cq", bary, z[mesh.cells])
+    return (gmag, np.abs(zq), np.log(w), p.eval_on_quadrature(mesh),
+            q.eval_on_quadrature(mesh))
+
+
+def nehari_bisection(gmag, zq_abs, logw, pq, qq):
+    """Bisection on sum w t^p |grad u|^p = sum w t^q |u|^q to relative
+    width 1e-14: the oracle for the log-domain root."""
+    w = np.exp(logw)
+
+    def balance(t):
+        return float(np.sum(w * gmag**pq * t**pq) - np.sum(w * zq_abs**qq * t**qq))
+
+    lo = hi = 1.0
+    while balance(hi) > 0.0:
+        hi *= 2.0
+    while balance(lo) < 0.0:
+        lo *= 0.5
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if balance(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_nehari_scale_constant_closed_form(square_mesh, rng):
+    for pv, qv in ((2.0, 4.0), (1.5, 3.0)):
+        p, q = vx.ConstantExponent(pv), vx.ConstantExponent(qv)
+        for _ in range(5):
+            z = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0, 1, square_mesh.nnodes)
+            gmag, zq_abs, logw, pq, qq = scale_samples(square_mesh, p, q, z)
+            w = np.exp(logw)
+            ratio = np.sum(w * gmag**pv) / np.sum(w * zq_abs**qv)
+            assert _nehari_scale(gmag, zq_abs, logw, pq, qq) == pytest.approx(
+                ratio ** (1.0 / (qv - pv)), rel=1e-14)
+
+
+def test_nehari_scale_matches_bisection(square_mesh, rng):
+    p = vx.AffineExponent(1.5, [0.2, 0.0])
+    for q in (vx.ConstantExponent(3.0), vx.RadialExponent(2.5, 1.0, [0.5, 0.5])):
+        for _ in range(5):
+            z = 10.0 ** rng.uniform(-2, 2) * rng.uniform(0, 1, square_mesh.nnodes)
+            samples = scale_samples(square_mesh, p, q, z)
+            assert _nehari_scale(*samples) == pytest.approx(
+                nehari_bisection(*samples), rel=1e-13)
+
+
+def test_nehari_scale_extreme(square_mesh, rng):
+    # t(c u) = t(u) / c for p = 2, q = 4; t ~ 1e150 overflows t**q.
+    z = rng.uniform(0, 1, square_mesh.nnodes)
+    base = _nehari_scale(*scale_samples(square_mesh, P2, vx.ConstantExponent(4.0), z))
+    for c in (1e-150, 1e150):
+        samples = scale_samples(square_mesh, P2, vx.ConstantExponent(4.0), c * z)
+        got = _nehari_scale(*samples)
+        assert np.isfinite(got)
+        assert got == pytest.approx(base / c, rel=1e-13)
+
+
+def test_nehari_scale_rejects_bad_fields(square_mesh, rng):
+    q4 = vx.ConstantExponent(4.0)
+    z = rng.uniform(0, 1, square_mesh.nnodes)
+    for bad in (np.nan, np.inf):
+        zb = z.copy()
+        zb[len(z) // 2] = bad
+        with pytest.raises(vx.NoScalingRoot):
+            _nehari_scale(*scale_samples(square_mesh, P2, q4, zb))
+    with pytest.raises(vx.NoScalingRoot):
+        _nehari_scale(*scale_samples(square_mesh, P2, q4, np.zeros_like(z)))
+
+
+def test_nehari_variable_exponent_square(unit_square):
+    res = vx.nehari_candidate(vx.AffineExponent(1.5, [0.2, 0.0]),
+                              vx.ConstantExponent(3.0),
+                              vx.build_mesh(unit_square, 0.1), vx.SolveConfig(seed=42))
+    assert res.energy == pytest.approx(27.6965679553, rel=1e-9)
+    assert res.diagnostics["stop"] == "converged"
+    assert res.el_residual <= 1e-8
+
+
+def test_nehari_descent_stop_reasons(interval, fine_interval_mesh):
+    q4 = vx.ConstantExponent(4.0)
+    capped = vx.nehari_candidate(P2, q4, fine_interval_mesh, vx.SolveConfig(seed=42))
+    assert capped.diagnostics["descent_stop"] == "max_iters"
+    assert capped.diagnostics["descent_iterations"] == 400
+    coarse = vx.nehari_candidate(P2, q4, vx.build_mesh(interval, 0.05),
+                                 vx.SolveConfig(seed=42))
+    assert coarse.diagnostics["descent_stop"] == "tolerance"
+    assert coarse.diagnostics["descent_iterations"] < 400
+
+
 def sha256(values):
     data = np.ascontiguousarray(values, dtype=float).tobytes()
     return hashlib.sha256(data).hexdigest()
@@ -364,7 +462,7 @@ SOLVER_DIGESTS = {
     "solve_energy_history":
         "69dd1f0a9ea0a02b498e80923f8f6ee6242dfd3b112aeb515365f5a95161064a",
     "nehari_energy_history":
-        "4fad86c14493a5bb4966ca9da839059ccbcd442d7d607c64b18ab534b69af999",
+        "e11da3c2dbac868a3a22516a4ecac75a2200d93b224c6dc7746d8a37e51d9c6e",
 }
 
 
