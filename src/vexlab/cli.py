@@ -3,8 +3,9 @@
 Usage: vexlab <scenario> --config cfg.json [--out DIR] [--seed S]
 
 Scenarios: spaces-check, solve, cascade, pohozaev, verdict, sweep.
-Exit codes: 0 success, 2 config error, 3 solver non-convergence (artifacts
-are still written, with converged = false).
+Exit codes: 0 success, 2 config error (an unknown top-level key included),
+3 solver non-convergence (artifacts are still written, with converged =
+false or a candidate_stop other than "converged").
 
 Outputs are deterministic for a fixed (config, seed); the timestamp lives
 in an isolated "meta" block so reports can be diffed modulo that block.
@@ -53,6 +54,16 @@ from .solvers import (
 
 SCENARIOS = ("spaces-check", "solve", "cascade", "pohozaev", "verdict", "sweep")
 
+# The top-level config keys each scenario reads ("seed" is read by all).
+# cascade and pohozaev share one set, so that one config drives both.
+_SETUP = {"seed", "domain", "h", "p", "q"}
+_CANDIDATE = _SETUP | {"solver", "candidate", "origin", "with_remainder"}
+_KEYS = {"spaces-check": _SETUP | {"trials", "N", "pairs"},
+         "solve": _SETUP | {"solver", "rhs"},
+         "cascade": _CANDIDATE, "pohozaev": _CANDIDATE,
+         "verdict": _SETUP | {"N", "origin", "tol"},
+         "sweep": {"seed", "domain", "p", "q", "sweep", "N", "tol"}}
+
 
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -96,7 +107,7 @@ def _csv_cell(v):
     return str(v)
 
 
-def _load_config(path):
+def _load_config(path, scenario):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -104,6 +115,9 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    unknown = set(cfg) - _KEYS[scenario]
+    if unknown:
+        raise ConfigError(f"unknown {scenario} config keys: {sorted(unknown)}")
     return cfg, os.path.dirname(os.path.abspath(path))
 
 
@@ -188,10 +202,13 @@ def _origin_for(cfg, domain):
 
 
 def _candidate(cfg, mesh, p, q, scfg, base_dir):
+    """(field, stop): stop is the Nehari candidate's diagnostics["stop"], or
+    None for a field given in the config."""
     spec = _require(cfg, "candidate", "cascade/pohozaev")
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
-        return nehari_candidate(p, q, mesh, scfg, degree=scfg.quad_degree).field
-    return _build_field(spec, mesh, base_dir)
+        res = nehari_candidate(p, q, mesh, scfg)
+        return res.field, res.diagnostics["stop"]
+    return _build_field(spec, mesh, base_dir), None
 
 
 # -- scenarios --------------------------------------------------------------
@@ -201,13 +218,12 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     rng = np.random.default_rng(seed)
     trials = _number(cfg, "trials", 50, int)
-    degree = _number(cfg, "quad_degree", 2, int)
 
     rel_passed = 0
     worst_unit_gap = 0.0
     for _ in range(trials):
         u = DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
-        rep = verify_modular_relations(u, p, degree=degree)
+        rep = verify_modular_relations(u, p)
         rel_passed += int(rep.passed)
         worst_unit_gap = max(worst_unit_gap, rep.unit_gap)
 
@@ -216,7 +232,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     for _ in range(trials):
         u = DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
         v = DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
-        hrep = holder_check(u, v, p, degree=degree)
+        hrep = holder_check(u, v, p)
         hold_passed += int(hrep.passed)
         worst_slack = min(worst_slack, hrep.slack)
 
@@ -285,12 +301,13 @@ def _failed_levels(runs):
 def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, seed)
-    u = _candidate(cfg, mesh, p, q, scfg, base_dir)
+    u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
     failed = _failed_levels(runs)
     report = {
         "scenario": "cascade",
+        "candidate_stop": candidate_stop,
         "origin": origin,
         "n_schedule": list(scfg.n_schedule),
         "gap_grad_modular": [r.diagnostics["gap_grad_modular"] for r in runs],
@@ -306,29 +323,30 @@ def _run_cascade(cfg, base_dir, out, seed):
         "n,epsilon,grad_modular,q_modular,boundary_term",
         _series_rows(runs, p, origin),
     )
-    return 0 if report["converged"] else 3
+    return 3 if failed or candidate_stop not in (None, "converged") else 0
 
 
 def _run_pohozaev(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, seed)
-    u = _candidate(cfg, mesh, p, q, scfg, base_dir)
+    u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
-    report = pohozaev_terms(u, p, q, origin, degree=scfg.quad_degree)
+    report = pohozaev_terms(u, p, q, origin)
     failed = None
     if cfg.get("with_remainder", False):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
         failed = _failed_levels(runs)
     star = star_shape_report(domain, origin)
-    payload = {"scenario": "pohozaev", "star_min_xdotnu": star.min_xdotnu}
+    payload = {"scenario": "pohozaev", "candidate_stop": candidate_stop,
+               "star_min_xdotnu": star.min_xdotnu}
     if failed is not None:
         payload["failed_levels"] = failed
     payload.update(report.as_dict())
     _write_json(os.path.join(out, "pohozaev.json"), payload)
     with open(os.path.join(out, "pohozaev.csv"), "w") as fh:
         fh.write(report.CSV_HEADER + "\n" + report.csv_row() + "\n")
-    return 3 if failed else 0
+    return 3 if failed or candidate_stop not in (None, "converged") else 0
 
 
 def _run_verdict(cfg, base_dir, out, seed):
@@ -410,7 +428,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg, base_dir = _load_config(args.config)
+        cfg, base_dir = _load_config(args.config, args.scenario)
         seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.scenario](cfg, base_dir, args.out, seed)

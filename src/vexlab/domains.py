@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, NotStarShaped
 
 _GEOM_TOL = 1e-10
+# Edge triples solved at once by find_star_center: a batch holds k 3x3
+# systems and the margins of their k vertices over all m edges, k (9 + m)
+# floats, so a fixed k bounds the memory however many edges a polygon has.
+_TRIPLE_CHUNK = 4096
 
 
 @dataclass
@@ -44,6 +48,7 @@ class Domain:
         self.kind = kind
         if kind == "interval":
             a, b = float(geom["a"]), float(geom["b"])
+            _check_finite("interval ends", [a, b])
             if not b > a:
                 raise ConfigError(f"interval needs b > a, got ({a}, {b})")
             self.a, self.b = a, b
@@ -52,6 +57,7 @@ class Domain:
             verts = np.asarray(geom["vertices"], dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
                 raise ConfigError("polygon needs >= 3 two-dimensional vertices")
+            _check_finite("polygon vertices", verts)
             if _shoelace(verts) < 0:
                 verts = verts[::-1].copy()
             if abs(_shoelace(verts)) < _GEOM_TOL:
@@ -61,6 +67,7 @@ class Domain:
         elif kind in ("disk", "ball"):
             self.center = np.atleast_1d(np.asarray(geom["center"], dtype=float))
             self.radius = float(geom["radius"])
+            _check_finite("center and radius", [*self.center, self.radius])
             if self.radius <= 0:
                 raise ConfigError("radius must be positive")
             self.dim = len(self.center)
@@ -210,41 +217,53 @@ def star_shape_report(domain, origin, tol_geom=_GEOM_TOL):
     )
 
 
-def find_star_center(domain, grid=16, tol_geom=_GEOM_TOL):
-    """Search for an origin maximizing min (x - origin) . nu.
+def find_star_center(domain, tol_geom=_GEOM_TOL):
+    """The origin maximizing min over the boundary of (x - origin) . nu.
 
-    Coarse grid over the bounding box followed by a Nelder-Mead polish;
-    the objective is concave (a min of affine functions of the origin),
-    so the polish is reliable.  Raises NotStarShaped when even the best
-    origin leaves min_xdotnu < 0.
+    For a polygon that is the linear program: maximize t subject to
+    nu_e . o + t <= a_e . nu_e for every edge e (a_e its first vertex, nu_e
+    its outward unit normal).  The optimum is attained at a vertex of the
+    feasible set, where three constraints hold with equality, so the 3x3
+    system of every non-singular edge triple is solved and its solution o
+    scored by its margin min_e (a_e - o) . nu_e.  When the optimum is not
+    unique, the mean of the vertices whose margin is within tol_geom of the
+    best one is returned; the optimal set is convex, so it holds that mean.
+    Raises NotStarShaped when even the best origin leaves min_xdotnu < 0.
     """
     if domain.kind in ("disk", "ball"):
         return domain.center.copy()
     if domain.kind == "interval":
         return np.array([0.5 * (domain.a + domain.b)])
 
-    lo, hi = domain.bounding_box()
-    axes = [lo[d] + (hi[d] - lo[d]) * np.arange(1, grid) / grid for d in range(2)]
-    gx, gy = np.meshgrid(*axes, indexing="ij")
-    cand = np.column_stack([gx.ravel(), gy.ravel()])
-    cand = cand[domain.contains(cand)]
-    cand = np.vstack([cand, domain.vertices.mean(axis=0)])
-    scores = np.array([domain._min_xdotnu(c) for c in cand])
-    best = cand[int(np.argmax(scores))]
-
-    res = minimize(
-        lambda o: -domain._min_xdotnu(o),
-        best,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 4000},
-    )
-    origin = res.x if -res.fun >= scores.max() else best
+    nu = np.array([_outward_normal(a, b) for a, b in _polygon_edges(domain.vertices)])
+    rhs = np.sum(domain.vertices * nu, axis=1)
+    best = max(m.max(initial=-np.inf) for _, m in _lp_vertices(nu, rhs))
+    total, count = np.zeros(2), 0
+    for o, m in _lp_vertices(nu, rhs):
+        near = m >= best - tol_geom
+        total += o[near].sum(axis=0)
+        count += int(near.sum())
+    origin = total / count
     if domain._min_xdotnu(origin) < -tol_geom:
         raise NotStarShaped(
             f"no admissible star center found (best min_xdotnu = "
             f"{domain._min_xdotnu(origin):.3e})"
         )
-    return np.asarray(origin, dtype=float)
+    return origin
+
+
+def _lp_vertices(nu, rhs):
+    """Yield (o, margin) for the non-singular edge triples, one batch of
+    _TRIPLE_CHUNK triples at a time: o solves nu_e . o + t = rhs_e on the
+    triple's edges, and margin is min_e (rhs_e - nu_e . o) over all edges."""
+    rows = np.column_stack([nu, np.ones(len(nu))])
+    triples = combinations(range(len(nu)), 3)
+    while batch := list(islice(triples, _TRIPLE_CHUNK)):
+        idx = np.array(batch)
+        A, b = rows[idx], rhs[idx]
+        ok = np.abs(np.linalg.det(A)) > 1e-12  # parallel edges meet nowhere
+        o = np.linalg.solve(A[ok], b[ok][:, :, None])[:, :2, 0]
+        yield o, (rhs - o @ nu.T).min(axis=1)
 
 
 def sample_points(domain, resolution=64):
@@ -263,6 +282,11 @@ def sample_points(domain, resolution=64):
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     return pts[domain.contains(pts)]
+
+
+def _check_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be finite")
 
 
 # -- polygon helpers -------------------------------------------------------

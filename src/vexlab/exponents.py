@@ -50,13 +50,13 @@ class ExponentField:
         raise NotImplementedError
 
     # fast paths used by the quadrature pipeline; default is generic
-    def eval_on_quadrature(self, mesh, degree=2):
-        pts, _, _ = mesh.quadrature(degree)
+    def eval_on_quadrature(self, mesh):
+        pts, _, _ = mesh.quadrature()
         nc, nq, dim = pts.shape
         return self.value_at(pts.reshape(-1, dim)).reshape(nc, nq)
 
-    def grad_on_quadrature(self, mesh, degree=2):
-        pts, _, _ = mesh.quadrature(degree)
+    def grad_on_quadrature(self, mesh):
+        pts, _, _ = mesh.quadrature()
         nc, nq, dim = pts.shape
         return self.gradient_at(pts.reshape(-1, dim)).reshape(nc, nq, dim)
 
@@ -225,18 +225,18 @@ class TabulatedExponent(ExponentField):
     def bounds(self, domain=None):
         return _checked_bounds(float(self.values.min()), float(self.values.max()))
 
-    def eval_on_quadrature(self, mesh, degree=2):
+    def eval_on_quadrature(self, mesh):
         if mesh is self.mesh:
-            _, _, bary = mesh.quadrature(degree)
+            _, _, bary = mesh.quadrature()
             return np.einsum("qv,cv->cq", bary, self.values[mesh.cells])
-        return super().eval_on_quadrature(mesh, degree)
+        return super().eval_on_quadrature(mesh)
 
-    def grad_on_quadrature(self, mesh, degree=2):
+    def grad_on_quadrature(self, mesh):
         if mesh is self.mesh:
-            _, w, _ = mesh.quadrature(degree)
+            _, w, _ = mesh.quadrature()
             nq = w.shape[1]
             return np.repeat(self.cell_grads[:, None, :], nq, axis=1)
-        return super().grad_on_quadrature(mesh, degree)
+        return super().grad_on_quadrature(mesh)
 
 
 class TransformedExponent(ExponentField):
@@ -270,17 +270,17 @@ class TransformedExponent(ExponentField):
         v1, v2 = float(self.fn(np.array([lo]))[0]), float(self.fn(np.array([hi]))[0])
         return _checked_bounds(min(v1, v2), max(v1, v2))
 
-    def eval_on_quadrature(self, mesh, degree=2):
-        pv = self.base.eval_on_quadrature(mesh, degree)
+    def eval_on_quadrature(self, mesh):
+        pv = self.base.eval_on_quadrature(mesh)
         if self.validator is not None:
             self.validator(pv)
         return self.fn(pv)
 
-    def grad_on_quadrature(self, mesh, degree=2):
-        pv = self.base.eval_on_quadrature(mesh, degree)
+    def grad_on_quadrature(self, mesh):
+        pv = self.base.eval_on_quadrature(mesh)
         if self.validator is not None:
             self.validator(pv)
-        return self.dfn(pv)[..., None] * self.base.grad_on_quadrature(mesh, degree)
+        return self.dfn(pv)[..., None] * self.base.grad_on_quadrature(mesh)
 
     def __repr__(self):
         return f"{self.name}({self.base!r})"

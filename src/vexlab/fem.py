@@ -85,31 +85,31 @@ def gradient(u):
     return GradientField(mesh=mesh, vectors=vec)
 
 
-def field_on_quadrature(u, degree=2):
+def field_on_quadrature(u):
     """Values of the P1 field at the cell quadrature points, (nc, nq)."""
-    _, _, bary = u.mesh.quadrature(degree)
+    _, _, bary = u.mesh.quadrature()
     return np.einsum("qv,cv->cq", bary, u.values[u.mesh.cells])
 
 
-def mesh_l2(u, degree=2):
+def mesh_l2(u):
     """Mesh-level L2 norm computed with the cell quadrature."""
-    _, w, _ = u.mesh.quadrature(degree)
-    vals = field_on_quadrature(u, degree)
+    _, w, _ = u.mesh.quadrature()
+    vals = field_on_quadrature(u)
     return float(np.sqrt(np.sum(w * vals**2)))
 
 
-def integrate(mesh, integrand, u=None, degree=2):
+def integrate(mesh, integrand, u=None):
     """Quadrature integral of integrand(x, u(x), grad u(x)) over the mesh.
 
     integrand receives x (npts, dim) and, when u is given, the interpolated
     values (npts,) and per-cell gradients (npts, dim); otherwise None for
     both.  Raises NonFiniteIntegrand at the first bad point.
     """
-    pts, w, _ = mesh.quadrature(degree)
+    pts, w, _ = mesh.quadrature()
     nc, nq, dim = pts.shape
     x = pts.reshape(-1, dim)
     if u is not None:
-        uq = field_on_quadrature(u, degree).reshape(-1)
+        uq = field_on_quadrature(u).reshape(-1)
         gq = np.repeat(gradient(u).vectors[:, None, :], nq, axis=1).reshape(-1, dim)
     else:
         uq = gq = None
@@ -187,24 +187,24 @@ def _assemble_matrix(mesh, elem):
     return sparse.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def mass_matrix(mesh, degree=2):
-    """Consistent P1 mass matrix (CSR) at the given quadrature degree."""
-    _, w, bary = mesh.quadrature(degree)
+def mass_matrix(mesh):
+    """Consistent P1 mass matrix (CSR) by the mesh quadrature."""
+    _, w, bary = mesh.quadrature()
     return _assemble_matrix(mesh, np.einsum("cq,qv,qw->cvw", w, bary, bary))
 
 
-def l2_project(mesh, values_on_quadrature, degree=2):
+def l2_project(mesh, values_on_quadrature):
     """L2-project quadrature-point samples (nc, nq) onto the P1 space.
 
     The projection satisfies <Pf, phi_i> = <f, phi_i> for the same
     quadrature, which is what keeps source terms consistent between the
     continuous expression and its nodal representation.
     """
-    _, w, bary = mesh.quadrature(degree)
+    _, w, bary = mesh.quadrature()
     vals = np.asarray(values_on_quadrature, dtype=float)
     if vals.shape != w.shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
     b = np.zeros(mesh.nnodes)
     np.add.at(b, mesh.cells.ravel(), np.einsum("cq,qv->cv", w * vals, bary).ravel())
-    coeffs = spsolve(mass_matrix(mesh, degree).tocsc(), b)
+    coeffs = spsolve(mass_matrix(mesh).tocsc(), b)
     return DiscreteField(mesh, coeffs, zero_trace=False)

@@ -19,56 +19,30 @@ from scipy.spatial import cKDTree
 from .domains import _point_segment_distance_many
 from .errors import ConfigError, DegenerateCell, MeshFailure, NonFiniteIntegrand
 
-# Symmetric positive-weight quadrature rules on the reference triangle,
-# barycentric coordinates and weights summing to one.
-_TRI_RULES = {}
-_TRI_RULES[1] = (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0]))
-_TRI_RULES[2] = (
+# Largest mesh build_mesh makes: 2^22 cells, 64 times the 65,536 cells of an
+# L-shape at h = 0.025.  Red refinement of a polygon at h = 1e-9 would ask
+# for about 4^31 cells.
+_MAX_CELLS = 2**22
+# Size ratios are capped here before rounding, so that one that overflows
+# (a tiny h) still gives a cell count, which _MAX_CELLS then rejects.
+_RATIO_CAP = 2.0**64
+
+# The one quadrature rule per cell shape, as barycentric points and weights
+# summing to one: the symmetric 3-point rule on triangles, exact for
+# polynomials of degree 2, and 3-point Gauss-Legendre on segments (1D cells
+# and 2D boundary facets), exact for degree 5.
+_TRI_RULE = (
     np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
     np.full(3, 1 / 3),
 )
-_a4, _b4 = 0.445948490915965, 0.091576213509771
-_wa4, _wb4 = 0.223381589678011, 0.109951743655322
-_TRI_RULES[4] = (
-    np.array(
-        [
-            [1 - 2 * _a4, _a4, _a4], [_a4, 1 - 2 * _a4, _a4], [_a4, _a4, 1 - 2 * _a4],
-            [1 - 2 * _b4, _b4, _b4], [_b4, 1 - 2 * _b4, _b4], [_b4, _b4, 1 - 2 * _b4],
-        ]
-    ),
-    np.array([_wa4] * 3 + [_wb4] * 3),
-)
-_a5, _b5 = 0.470142064105115, 0.101286507323456
-_wa5, _wb5 = 0.132394152788506, 0.125939180544827
-_TRI_RULES[5] = (
-    np.vstack(
-        [
-            [[1 / 3, 1 / 3, 1 / 3]],
-            [[1 - 2 * _a5, _a5, _a5], [_a5, 1 - 2 * _a5, _a5], [_a5, _a5, 1 - 2 * _a5]],
-            [[1 - 2 * _b5, _b5, _b5], [_b5, 1 - 2 * _b5, _b5], [_b5, _b5, 1 - 2 * _b5]],
-        ]
-    ),
-    np.array([0.225] + [_wa5] * 3 + [_wb5] * 3),
-)
-
-
-def _segment_rule(npoints):
-    """Gauss-Legendre on the reference segment, barycentric (1-t, t) form."""
-    xi, w = leggauss(npoints)
-    t = 0.5 * (xi + 1.0)
-    return np.column_stack([1.0 - t, t]), 0.5 * w
+_xi, _wi = leggauss(3)
+_ti = 0.5 * (_xi + 1.0)
+_SEGMENT_RULE = (np.column_stack([1.0 - _ti, _ti]), 0.5 * _wi)
 
 
 def _rowdot(u, v):
     """Row-wise dot products, rounded as np.dot rounds each row on its own."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _tri_rule(degree):
-    for d in sorted(_TRI_RULES):
-        if d >= degree:
-            return _TRI_RULES[d]
-    raise ConfigError(f"triangle quadrature degree {degree} not supported (max 5)")
 
 
 class Mesh:
@@ -96,8 +70,8 @@ class Mesh:
         if self.cells.min() < 0 or self.cells.max() >= len(self.nodes):
             raise MeshFailure(f"cells name nodes outside 0..{len(self.nodes) - 1}")
         self._setup()
-        self._quad_cache = {}
-        self._facet_quad_cache = {}
+        self._quad = None
+        self._facet_quad = None
         self._bdist = None
 
     # -- construction details ---------------------------------------------
@@ -202,36 +176,28 @@ class Mesh:
     def ncells(self):
         return len(self.cells)
 
-    def reference_rule(self, degree=2):
-        """Barycentric points and reference weights (summing to 1)."""
-        if self.dim == 1:
-            return _segment_rule(int(degree) + 1)
-        return _tri_rule(int(degree))
-
-    def quadrature(self, degree=2):
-        """(points (nc, nq, dim), weights (nc, nq), bary (nq, nverts))."""
-        degree = int(degree)
-        if degree not in self._quad_cache:
-            bary, wref = self.reference_rule(degree)
+    def quadrature(self):
+        """(points (nc, nq, dim), weights (nc, nq), bary (nq, nverts)), cached."""
+        if self._quad is None:
+            bary, wref = _SEGMENT_RULE if self.dim == 1 else _TRI_RULE
             pts = np.einsum("qv,cvd->cqd", bary, self.nodes[self.cells])
             w = self.cell_volumes[:, None] * wref[None, :]
-            self._quad_cache[degree] = (pts, w, bary)
-        return self._quad_cache[degree]
+            self._quad = (pts, w, bary)
+        return self._quad
 
-    def facet_quadrature(self, degree=2):
-        """(points (nf, nq, dim), weights (nf, nq)) on boundary facets."""
-        degree = int(degree)
-        if degree not in self._facet_quad_cache:
+    def facet_quadrature(self):
+        """(points (nf, nq, dim), weights (nf, nq)) on boundary facets, cached."""
+        if self._facet_quad is None:
             if self.dim == 1:
                 pts = self.nodes[self.boundary_facets[:, 0]][:, None, :]
                 w = np.ones((len(pts), 1))
             else:
-                bary, wref = _segment_rule(int(degree) + 1)
+                bary, wref = _SEGMENT_RULE
                 ends = self.nodes[self.boundary_facets]
                 pts = np.einsum("qv,fvd->fqd", bary, ends)
                 w = self.facet_measures[:, None] * wref[None, :]
-            self._facet_quad_cache[degree] = (pts, w)
-        return self._facet_quad_cache[degree]
+            self._facet_quad = (pts, w)
+        return self._facet_quad
 
     def boundary_distance(self):
         """Distance from each node to the boundary (cached)."""
@@ -273,20 +239,20 @@ class Mesh:
             np.minimum.at(d, near_f, dist)
         return d
 
-    def divergence_check(self, degree=2):
+    def divergence_check(self):
         """Return (boundary integral of x.nu, dim * volume, relative error)."""
-        lhs = boundary_integral(self, lambda x, nu: np.sum(x * nu, axis=1), degree)
+        lhs = boundary_integral(self, lambda x, nu: np.sum(x * nu, axis=1))
         rhs = self.dim * self.volume
         return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
 
-def boundary_integral(mesh, density, degree=2):
+def boundary_integral(mesh, density):
     """Integrate density(x, nu) over the mesh boundary.
 
     density is called with x (npts, dim) and the matching outward unit
     normals nu (npts, dim), and must return values (npts,).
     """
-    pts, w = mesh.facet_quadrature(degree)
+    pts, w = mesh.facet_quadrature()
     nf, nq, dim = pts.shape
     nu = np.repeat(mesh.facet_normals[:, None, :], nq, axis=1)
     vals = np.asarray(density(pts.reshape(-1, dim), nu.reshape(-1, dim)), dtype=float)
@@ -302,11 +268,16 @@ def boundary_integral(mesh, density, degree=2):
 
 
 def build_mesh(domain, h_target):
-    """Mesh a domain with target resolution h_target (post: h <= 2*h_target)."""
-    if h_target <= 0:
-        raise ConfigError("h_target must be positive")
+    """Mesh a domain with target resolution h_target (post: h <= 2*h_target).
+
+    The cell count is predicted before anything is allocated, and a mesh of
+    more than _MAX_CELLS cells raises MeshFailure.
+    """
+    if not (h_target > 0 and math.isfinite(h_target)):
+        raise ConfigError(f"h_target must be positive and finite, got {h_target}")
     if domain.kind == "interval":
-        n = max(1, math.ceil((domain.b - domain.a) / h_target))
+        n = max(1, math.ceil(min((domain.b - domain.a) / h_target, _RATIO_CAP)))
+        _check_cells(n)
         nodes = np.linspace(domain.a, domain.b, n + 1)[:, None]
         cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
         mesh = Mesh(nodes, cells, domain=domain)
@@ -328,6 +299,11 @@ def build_mesh(domain, h_target):
     return mesh
 
 
+def _check_cells(count):
+    if count > _MAX_CELLS:
+        raise MeshFailure(f"mesh would have {count} cells, more than {_MAX_CELLS}")
+
+
 def _check_volume(mesh, exact):
     if abs(mesh.volume - exact) > 1e-8 * abs(exact):
         raise MeshFailure(
@@ -341,7 +317,9 @@ def _mesh_polygon(domain, h_target):
     corners = nodes[tris]
     edges = (corners - np.roll(corners, -1, axis=1)).reshape(-1, 2)
     d0 = float(np.sqrt(_rowdot(edges, edges)).max())
-    levels = max(0, math.ceil(math.log2(d0 / h_target))) if d0 > h_target else 0
+    ratio = min(d0 / h_target, _RATIO_CAP)
+    levels = max(0, math.ceil(math.log2(ratio))) if d0 > h_target else 0
+    _check_cells(len(tris) * 4**levels)
     for _ in range(levels):
         nodes, tris = _refine_red(nodes, tris)
     return Mesh(nodes, tris, domain=domain)
@@ -427,8 +405,9 @@ def _in_triangle(pts, a, b, c, tol=1e-12):
 
 def _mesh_disk(domain, h_target):
     R, center = domain.radius, domain.center
-    m = max(2, math.ceil(2.5 * R / h_target))
+    m = max(2, math.ceil(min(2.5 * R / h_target, _RATIO_CAP)))
     for _ in range(8):
+        _check_cells(2 * m * m)
         mesh = _mapped_square_disk(m, R, center, domain)
         if mesh.h <= 2 * h_target:
             return mesh

@@ -17,7 +17,6 @@ _EPS = np.finfo(float).eps
 @dataclass
 class ModularResult:
     value: float
-    quadrature_order: int
 
 
 @dataclass
@@ -52,30 +51,30 @@ class HolderReport:
     passed: bool
 
 
-def _samples(u, p, degree):
+def _samples(u, p):
     """|u|, p and the weights at the cell quadrature points."""
-    w = u.mesh.quadrature(degree)[1]
-    vals = np.abs(field_on_quadrature(u, degree))
-    return vals, p.eval_on_quadrature(u.mesh, degree), w
+    w = u.mesh.quadrature()[1]
+    vals = np.abs(field_on_quadrature(u))
+    return vals, p.eval_on_quadrature(u.mesh), w
 
 
-def _gradient_samples(u, p, degree):
+def _gradient_samples(u, p):
     """|grad u|, p and the weights at the cell quadrature points."""
-    w = u.mesh.quadrature(degree)[1]
+    w = u.mesh.quadrature()[1]
     gmag = np.broadcast_to(gradient(u).magnitude()[:, None], w.shape)
-    return gmag, p.eval_on_quadrature(u.mesh, degree), w
+    return gmag, p.eval_on_quadrature(u.mesh), w
 
 
-def modular(u, p, degree=2):
+def modular(u, p):
     """rho_p(u) = integral of |u(x)|^p(x)."""
-    vals, pq, w = _samples(u, p, degree)
-    return ModularResult(float(np.sum(w * vals**pq)), degree)
+    vals, pq, w = _samples(u, p)
+    return ModularResult(float(np.sum(w * vals**pq)))
 
 
-def gradient_modular(u, p, degree=2):
+def gradient_modular(u, p):
     """rho_p(grad u) = integral of |grad u(x)|^p(x)."""
-    gmag, pq, w = _gradient_samples(u, p, degree)
-    return ModularResult(float(np.sum(w * gmag**pq)), degree)
+    gmag, pq, w = _gradient_samples(u, p)
+    return ModularResult(float(np.sum(w * gmag**pq)))
 
 
 def _log_sum_exp(l, e, s):
@@ -135,23 +134,23 @@ def _luxemburg_from_samples(vals, pq, w):
     return float(np.exp(_balance_root(la, -pq.ravel(), zero, zero)))
 
 
-def luxemburg_norm(u, p, degree=2):
+def luxemburg_norm(u, p):
     """inf { mu > 0 : rho_p(u / mu) <= 1 }, the root of rho_p(u / mu) = 1."""
-    return _luxemburg_from_samples(*_samples(u, p, degree))
+    return _luxemburg_from_samples(*_samples(u, p))
 
 
-def gradient_luxemburg_norm(u, p, degree=2):
+def gradient_luxemburg_norm(u, p):
     """Luxemburg norm of |grad u| (the zero-trace Sobolev norm)."""
-    return _luxemburg_from_samples(*_gradient_samples(u, p, degree))
+    return _luxemburg_from_samples(*_gradient_samples(u, p))
 
 
-def verify_modular_relations(u, p, degree=2, tol=1e-8):
+def verify_modular_relations(u, p, tol=1e-8):
     """Check the sign trichotomy and the p-/p+ sandwich inequalities.
 
     Exponent bounds are taken from the quadrature samples, which is exactly
     the range governing the discrete modular.
     """
-    vals, pq, w = _samples(u, p, degree)
+    vals, pq, w = _samples(u, p)
     p_minus, p_plus = float(pq.min()), float(pq.max())
 
     rho = float(np.sum(w * vals**pq))
@@ -196,7 +195,7 @@ def verify_modular_relations(u, p, degree=2, tol=1e-8):
     )
 
 
-def holder_check(u, v, p, degree=2, tol=1e-9):
+def holder_check(u, v, p, tol=1e-9):
     """Variable-exponent Holder inequality:
 
         |int u v| <= (1/p- + 1/p'-) ||u||_p(.) ||v||_p'(.)
@@ -204,14 +203,14 @@ def holder_check(u, v, p, degree=2, tol=1e-9):
     Returns lhs, rhs, and the slack rhs - lhs (nonnegative on pass).
     """
     mesh = u.mesh
-    w = mesh.quadrature(degree)[1]
-    uq = field_on_quadrature(u, degree)
-    vq = field_on_quadrature(v, degree)
+    w = mesh.quadrature()[1]
+    uq = field_on_quadrature(u)
+    vq = field_on_quadrature(v)
     lhs = abs(float(np.sum(w * uq * vq)))
 
-    pq = p.eval_on_quadrature(mesh, degree)
+    pq = p.eval_on_quadrature(mesh)
     pc = conjugate(p)
-    pcq = pc.eval_on_quadrature(mesh, degree)
+    pcq = pc.eval_on_quadrature(mesh)
     norm_u = _luxemburg_from_samples(np.abs(uq), pq, w)
     norm_v = _luxemburg_from_samples(np.abs(vq), pcq, w)
 

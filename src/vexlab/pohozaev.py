@@ -10,7 +10,7 @@ machine-readable nonexistence verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -66,19 +66,7 @@ class PohozaevReport:
         return replace(self, r_proxy=float(r_proxy), total=base + float(r_proxy))
 
     def as_dict(self):
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "t3": self.t3,
-            "t4": self.t4,
-            "r_proxy": self.r_proxy,
-            "total": self.total,
-            "class_e": self.class_e,
-            "class_p": self.class_p,
-            "identity_gap": self.identity_gap,
-            "p_dagger": self.p_dagger,
-            "origin": list(self.origin),
-        }
+        return {**asdict(self), "origin": list(self.origin)}
 
     def csv_row(self):
         return (
@@ -92,34 +80,34 @@ def _origin(origin):
     return np.atleast_1d(np.asarray(origin, dtype=float))
 
 
-def _quadrature_data(u, origin, degree):
+def _quadrature_data(u, origin):
     """Weights, h = x - origin, u and grad u at the cell quadrature points."""
-    pts, w, _ = u.mesh.quadrature(degree)
-    uq = field_on_quadrature(u, degree)
+    pts, w, _ = u.mesh.quadrature()
+    uq = field_on_quadrature(u)
     gu = np.repeat(gradient(u).vectors[:, None, :], w.shape[1], axis=1)
     return w, pts - _origin(origin), uq, gu
 
 
-def _exponent_data(p, mesh, h, degree):
+def _exponent_data(p, mesh, h):
     """p and h . grad p at the cell quadrature points."""
-    grad = p.grad_on_quadrature(mesh, degree)
-    return p.eval_on_quadrature(mesh, degree), np.einsum("cqd,cqd->cq", h, grad)
+    grad = p.grad_on_quadrature(mesh)
+    return p.eval_on_quadrature(mesh), np.einsum("cqd,cqd->cq", h, grad)
 
 
-def _facet_data(u, p, origin, degree):
+def _facet_data(u, p, origin):
     """At the boundary facet quadrature points: |grad u|^2 taken one-sidedly
     from the facet's cell, p, (x - origin) . nu and the weights."""
     mesh = u.mesh
     gb = gradient(u).vectors[mesh.facet_cells]
     g2 = np.sum(gb * gb, axis=1)[:, None]
-    pts, w = mesh.facet_quadrature(degree)
+    pts, w = mesh.facet_quadrature()
     nf, nq, dim = pts.shape
     pv = p.value_at(pts.reshape(-1, dim)).reshape(nf, nq)
     xdotnu = np.einsum("fqd,fd->fq", pts - _origin(origin), mesh.facet_normals)
     return g2, pv, xdotnu, w
 
 
-def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
+def pohozaev_terms(u, p, q, origin, tol=1e-9):
     """Evaluate the four volume terms for a zero-trace field (r_proxy = 0).
 
     class_e is the sign of t3 - t4 (>= -tol); class_p checks that each
@@ -129,9 +117,9 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
     critical point of the natural energy).
     """
     mesh = u.mesh
-    w, h, uq, gu = _quadrature_data(u, origin, degree)
-    pq, hdotgp = _exponent_data(p, mesh, h, degree)
-    qq, hdotgq = _exponent_data(q, mesh, h, degree)
+    w, h, uq, gu = _quadrature_data(u, origin)
+    pq, hdotgp = _exponent_data(p, mesh, h)
+    qq, hdotgq = _exponent_data(q, mesh, h)
     N = mesh.dim
     with np.errstate(over="ignore", invalid="ignore"):
         g2 = np.sum(gu * gu, axis=2)
@@ -146,7 +134,7 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
         if not np.isfinite(val):
             raise NonFiniteIntegrand(f"balance term {name} is not finite")
 
-    pprime_q = conjugate(p).eval_on_quadrature(mesh, degree)
+    pprime_q = conjugate(p).eval_on_quadrature(mesh)
     au = np.abs(uq)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = np.where(au > _GUARD, au ** (qq - 1.0), 0.0)
@@ -156,9 +144,7 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
         comp = float(np.sum(w * (xi * power) ** pprime_q))
         class_p = class_p and bool(np.isfinite(comp))
 
-    identity_gap = abs(
-        modular(u, q, degree).value - gradient_modular(u, p, degree).value
-    )
+    identity_gap = abs(modular(u, q).value - gradient_modular(u, p).value)
     return PohozaevReport(
         t1=t1,
         t2=t2,
@@ -174,7 +160,7 @@ def pohozaev_terms(u, p, q, origin, degree=2, tol=1e-9):
     )
 
 
-def class_e_integral(u, p, q, origin, degree=2):
+def class_e_integral(u, p, q, origin):
     """The t3 - t4 margin recomputed in one pass from the log-quotient form:
 
         int log( (|grad u|^p / e)^(h.grad p / p^2 |grad u|^p)
@@ -182,9 +168,9 @@ def class_e_integral(u, p, q, origin, degree=2):
 
     Used as an independent cross-check of the class_e decision.
     """
-    w, h, uq, gu = _quadrature_data(u, origin, degree)
-    pq, hdotgp = _exponent_data(p, u.mesh, h, degree)
-    qq, hdotgq = _exponent_data(q, u.mesh, h, degree)
+    w, h, uq, gu = _quadrature_data(u, origin)
+    pq, hdotgp = _exponent_data(p, u.mesh, h)
+    qq, hdotgq = _exponent_data(q, u.mesh, h)
     g2 = np.sum(gu * gu, axis=2)
     with np.errstate(over="ignore"):
         s = g2 ** (pq / 2.0)
@@ -200,10 +186,10 @@ def class_e_integral(u, p, q, origin, degree=2):
 # -- boundary remainder -----------------------------------------------------
 
 
-def boundary_term(u, p, eps, origin, degree=2):
+def boundary_term(u, p, eps, origin):
     """int over the boundary of (|grad u|^2 + eps)^(p/2) (x - origin).nu,
     with the gradient recovered one-sidedly from the facet's adjacent cell."""
-    g2, pv, xdotnu, w = _facet_data(u, p, origin, degree)
+    g2, pv, xdotnu, w = _facet_data(u, p, origin)
     with np.errstate(over="ignore"):
         dens = (g2 + float(eps)) ** (pv / 2.0) * xdotnu
     if not np.all(np.isfinite(dens)):
@@ -222,7 +208,7 @@ def _flatten_runs(runs):
     return flat
 
 
-def remainder_R(runs, p, mesh, origin, degree=2):
+def remainder_R(runs, p, mesh, origin):
     """Conservative stand-in for the vanishing-regularization limit of the
     boundary term: per truncation level, the max over the trailing half of
     the epsilon schedule; then the max over the trailing half of the
@@ -245,7 +231,7 @@ def remainder_R(runs, p, mesh, origin, degree=2):
         raise InsufficientRuns(
             f"need at least 2 truncation levels, got {len(by_n)}"
         )
-    pq = p.eval_on_quadrature(mesh, degree)
+    pq = p.eval_on_quadrature(mesh)
     p_dag = min(2.0, float(pq.min()))
     p_plus = float(pq.max())
 
@@ -256,7 +242,7 @@ def remainder_R(runs, p, mesh, origin, degree=2):
                 f"need at least 2 epsilon levels at n = {n}, got {len(pairs)}"
             )
         pairs.sort(key=lambda t: -t[0])
-        vals = [boundary_term(r.field, p, eps, origin, degree)
+        vals = [boundary_term(r.field, p, eps, origin)
                 for eps, r in pairs]
         per_n[n] = max(vals[len(vals) // 2:])
     ns = sorted(per_n)
@@ -264,13 +250,13 @@ def remainder_R(runs, p, mesh, origin, degree=2):
     return ((p_dag - 1.0) / p_plus) * proxy
 
 
-def remainder_table(runs, p, origin, degree=2):
+def remainder_table(runs, p, origin):
     """Per-(n, epsilon) rows: (n, epsilon, boundary_term), schedule order."""
     rows = []
     for r in _flatten_runs(runs):
         n = r.diagnostics.get("n")
         eps = r.diagnostics.get("epsilon")
-        rows.append((n, eps, boundary_term(r.field, p, eps, origin, degree)))
+        rows.append((n, eps, boundary_term(r.field, p, eps, origin)))
     return rows
 
 
@@ -300,19 +286,7 @@ class VerdictReport:
     tol: float
 
     def as_dict(self):
-        return {
-            "applies": self.applies,
-            "case": self.case,
-            "q_minus": self.q_minus,
-            "p_plus": self.p_plus,
-            "p_plus_star": self.p_plus_star,
-            "coefficient": self.coefficient,
-            "origin": list(self.origin),
-            "min_xdotnu": self.min_xdotnu,
-            "is_star": self.is_star,
-            "strict_rho": self.strict_rho,
-            "tol": self.tol,
-        }
+        return {**asdict(self), "origin": list(self.origin)}
 
 
 def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):
@@ -363,7 +337,7 @@ def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):
 # -- Pucci-Serrin identity check -------------------------------------------
 
 
-def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
+def verify_pucci_serrin(w, p, q, v, eps, a, origin):
     """Both sides of the variational identity for the regularized energy
     density F = (|grad w|^2 + eps)^(p/2)/p + |w|^q/q - v w, with the field
     h = x - origin and a constant multiplier a on the equation term.
@@ -375,10 +349,10 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
     if hasattr(w, "field"):
         w = w.field
     mesh = w.mesh
-    wq, h, uq, gu = _quadrature_data(w, origin, degree)
-    pq, hdotgp = _exponent_data(p, mesh, h, degree)
-    qq, hdotgq = _exponent_data(q, mesh, h, degree)
-    _, _, vq, gv = _quadrature_data(v, origin, degree)
+    wq, h, uq, gu = _quadrature_data(w, origin)
+    pq, hdotgp = _exponent_data(p, mesh, h)
+    qq, hdotgq = _exponent_data(q, mesh, h)
+    _, _, vq, gv = _quadrature_data(v, origin)
     N = mesh.dim
     eps = float(eps)
     a = float(a)
@@ -399,7 +373,7 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
     v7 = -a * float(np.sum(wq * A_pm2 * g2))
     rhs = v1 + v2 + v3 + v4 + v5 + v6 + v7
 
-    gb2, pf, hdotnu, fw = _facet_data(w, p, origin, degree)
+    gb2, pf, hdotnu, fw = _facet_data(w, p, origin)
     Ab = gb2 + eps
     with np.errstate(over="ignore", divide="ignore"):
         dens = (
@@ -417,15 +391,15 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin, degree=2):
 # -- radial source-term identity -------------------------------------------
 
 
-def radial_identity_sides(u, q, origin, degree=2):
+def radial_identity_sides(u, q, origin):
     """(lhs, rhs) of the integrated-by-parts radial source term:
 
         int |u|^(q-2) u (h . grad u)
             = -N int |u|^q / q + int (h . grad q) |u|^q / q^2 (1 - log|u|^q)
     """
     mesh = u.mesh
-    w, h, uq, gu = _quadrature_data(u, origin, degree)
-    qq, hdotgq = _exponent_data(q, mesh, h, degree)
+    w, h, uq, gu = _quadrature_data(u, origin)
+    qq, hdotgq = _exponent_data(q, mesh, h)
     au = np.abs(uq)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = np.where(au > _GUARD, au ** (qq - 2.0) * uq, 0.0)
@@ -439,8 +413,8 @@ def radial_identity_sides(u, q, origin, degree=2):
     return lhs, rhs
 
 
-def check_radial_identity(u, q, origin, degree=2):
+def check_radial_identity(u, q, origin):
     """Quadrature defect of the radial source-term identity (0 for u = 0,
     O(h^2) for smooth fields under refinement)."""
-    lhs, rhs = radial_identity_sides(u, q, origin, degree)
+    lhs, rhs = radial_identity_sides(u, q, origin)
     return abs(lhs - rhs)

@@ -56,7 +56,6 @@ class SolveConfig:
     n_schedule: tuple = (1, 2, 4, 8)
     seed: int = 42
     collapse_tol: float = 1e-6
-    quad_degree: int = 2
 
     @classmethod
     def from_dict(cls, data):
@@ -123,13 +122,13 @@ def _flux_action(mesh, g, eps, pq, w):
 class _EnergyProblem:
     """Precomputed quadrature data for one energy; evaluates F, F', F''."""
 
-    def __init__(self, mesh, p, q, eps, load_q=None, q_sign=1.0, degree=2):
+    def __init__(self, mesh, p, q, eps, load_q=None, q_sign=1.0):
         self.mesh = mesh
         self.eps = float(eps)
         self.q_sign = float(q_sign)
-        _, self.w, self.bary = mesh.quadrature(degree)
-        self.pq = p.eval_on_quadrature(mesh, degree)
-        self.qq = q.eval_on_quadrature(mesh, degree)
+        _, self.w, self.bary = mesh.quadrature()
+        self.pq = p.eval_on_quadrature(mesh)
+        self.qq = q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
         self.cells = mesh.cells
         self.G = mesh.basis_grads
@@ -257,31 +256,31 @@ def _minimize(problem, z0, free, cfg):
 # -- public energies and actions -------------------------------------------
 
 
-def regularized_energy(z, v, p, q, eps, degree=2):
+def regularized_energy(z, v, p, q, eps):
     """F_eps(z) with linear load v (a P1 field paired by quadrature)."""
-    load_q = None if v is None else field_on_quadrature(v, degree)
-    prob = _EnergyProblem(z.mesh, p, q, eps, load_q=load_q, degree=degree)
+    load_q = None if v is None else field_on_quadrature(v)
+    prob = _EnergyProblem(z.mesh, p, q, eps, load_q=load_q)
     return prob.energy(z.values)
 
 
-def phi_energy(z, p, eps, degree=2):
+def phi_energy(z, p, eps):
     """The bare gradient part int (|grad z|^2 + eps)^(p/2) / p; its first
     variation in zero-trace directions is operator_action."""
     mesh = z.mesh
-    return _phi(gradient(z).vectors, float(eps), p.eval_on_quadrature(mesh, degree),
-                mesh.quadrature(degree)[1])
+    return _phi(gradient(z).vectors, float(eps), p.eval_on_quadrature(mesh),
+                mesh.quadrature()[1])
 
 
-def source_energy(z, source, p, q, degree=2):
+def source_energy(z, source, p, q):
     """The eps = 0 energy with doubled power-type source:
 
         int |grad z|^p/p + int |z|^q/q - 2 int |source|^(q-2) source z
     """
     mesh = z.mesh
-    qq = q.eval_on_quadrature(mesh, degree)
-    sq = field_on_quadrature(source, degree)
+    qq = q.eval_on_quadrature(mesh)
+    sq = field_on_quadrature(source)
     load_q = 2.0 * _signed_power(sq, qq)
-    prob = _EnergyProblem(mesh, p, q, 0.0, load_q=load_q, degree=degree)
+    prob = _EnergyProblem(mesh, p, q, 0.0, load_q=load_q)
     return prob.energy(z.values)
 
 
@@ -292,17 +291,17 @@ def _signed_power(vals, qq):
         return np.where(av > _TINY, av ** (qq - 2.0) * vals, 0.0)
 
 
-def operator_action(z, p, eps, degree=2):
+def operator_action(z, p, eps):
     """Weak action of the regularized operator on the zero-trace basis:
     entries <(|grad z|^2 + eps)^((p-2)/2) grad z, grad phi_i>, boundary
     entries zeroed."""
     mesh = z.mesh
     out = _flux_action(mesh, gradient(z).vectors, float(eps),
-                       p.eval_on_quadrature(mesh, degree), mesh.quadrature(degree)[1])
+                       p.eval_on_quadrature(mesh), mesh.quadrature()[1])
     return DiscreteField(mesh, out, zero_trace=True)
 
 
-def power_source(u, q, factor=2.0, degree=2):
+def power_source(u, q, factor=2.0):
     """L2-projection of factor * |u|^(q-2) u onto P1.
 
     Projecting the quadrature-point composition (rather than interpolating
@@ -310,9 +309,9 @@ def power_source(u, q, factor=2.0, degree=2):
     the truncated problem reproduces the candidate once truncation is
     inactive.
     """
-    qq = q.eval_on_quadrature(u.mesh, degree)
-    sq = field_on_quadrature(u, degree)
-    return l2_project(u.mesh, factor * _signed_power(sq, qq), degree)
+    qq = q.eval_on_quadrature(u.mesh)
+    sq = field_on_quadrature(u)
+    return l2_project(u.mesh, factor * _signed_power(sq, qq))
 
 
 def mollifier_radius(eps, mesh):
@@ -332,9 +331,8 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
     if eps <= 0:
         raise ConfigError("epsilon must be positive")
     mesh = v.mesh
-    degree = cfg.quad_degree
-    load_q = field_on_quadrature(v, degree)
-    prob = _EnergyProblem(mesh, p, q, eps, load_q=load_q, degree=degree)
+    load_q = field_on_quadrature(v)
+    prob = _EnergyProblem(mesh, p, q, eps, load_q=load_q)
     if z0 is None:
         z0 = np.zeros(mesh.nnodes)
     elif isinstance(z0, DiscreteField):
@@ -362,18 +360,17 @@ def solve_truncated(u, p, q, n, cfg=None):
     The per-epsilon SolveResults are kept under diagnostics["eps_runs"].
     """
     cfg = cfg or SolveConfig()
-    degree = cfg.quad_degree
     mesh = u.mesh
     u_n = cutoff(u, n)
-    f_node = power_source(u_n, q, factor=2.0, degree=degree)
+    f_node = power_source(u_n, q, factor=2.0)
 
     runs = []
     series = {"epsilon": [], "grad_modular": [], "phi_modular": [],
               "q_modular": [], "l2_delta": [], "q_modular_delta": []}
     z = u_n.values.copy()
     prev = None
-    pq = p.eval_on_quadrature(mesh, degree)
-    _, w, _ = mesh.quadrature(degree)
+    pq = p.eval_on_quadrature(mesh)
+    _, w, _ = mesh.quadrature()
     for eps in cfg.eps_schedule():
         v_eps = mollify(f_node, mollifier_radius(eps, mesh))
         res = solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z)
@@ -381,16 +378,16 @@ def solve_truncated(u, p, q, n, cfg=None):
         z = wfield.values
         g2 = np.sum(gradient(wfield).vectors ** 2, axis=1)[:, None]
         series["epsilon"].append(eps)
-        series["grad_modular"].append(gradient_modular(wfield, p, degree).value)
+        series["grad_modular"].append(gradient_modular(wfield, p).value)
         series["phi_modular"].append(float(np.sum(w * (g2 + eps) ** (pq / 2.0))))
-        series["q_modular"].append(modular(wfield, q, degree).value)
+        series["q_modular"].append(modular(wfield, q).value)
         if prev is None:
             series["l2_delta"].append(np.nan)
             series["q_modular_delta"].append(np.nan)
         else:
             diff = wfield - prev
-            series["l2_delta"].append(mesh_l2(diff, degree))
-            series["q_modular_delta"].append(modular(diff, q, degree).value)
+            series["l2_delta"].append(mesh_l2(diff))
+            series["q_modular_delta"].append(modular(diff, q).value)
         prev = wfield
         res.diagnostics["n"] = n
         runs.append(res)
@@ -414,16 +411,14 @@ def cascade(u, p, q, cfg=None):
     modular.  Both shrink to zero once the truncation level clears max |u|.
     """
     cfg = cfg or SolveConfig()
-    degree = cfg.quad_degree
-    gm_u = gradient_modular(u, p, degree).value
-    qm_u = modular(u, q, degree).value
+    gm_u = gradient_modular(u, p).value
+    qm_u = modular(u, q).value
     out = []
     for n in cfg.n_schedule:
         res = solve_truncated(u, p, q, n, cfg)
-        gm_w = gradient_modular(res.field, p, degree).value
-        qm_w = modular(res.field, q, degree).value
-        res.diagnostics["gap_grad_modular"] = abs(gm_w - gm_u)
-        res.diagnostics["gap_q_modular"] = abs(qm_w - qm_u)
+        series = res.diagnostics["series"]  # the last entries are res.field's
+        res.diagnostics["gap_grad_modular"] = abs(series["grad_modular"][-1] - gm_u)
+        res.diagnostics["gap_q_modular"] = abs(series["q_modular"][-1] - qm_u)
         out.append(res)
     return out
 
@@ -443,7 +438,7 @@ def _nehari_scale(gmag, zq_abs, logw, pq, qq):
     return float(np.exp(_balance_root(la, pq.ravel(), lb, qq.ravel())))
 
 
-def nehari_candidate(p, q, mesh, cfg=None, degree=2):
+def nehari_candidate(p, q, mesh, cfg=None):
     """Generate a nontrivial critical-point candidate by projected descent
     on the scaling manifold, polished by a Newton iteration on the full
     optimality system.
@@ -457,15 +452,15 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
-    pq = p.eval_on_quadrature(mesh, degree)
-    qq = q.eval_on_quadrature(mesh, degree)
+    pq = p.eval_on_quadrature(mesh)
+    qq = q.eval_on_quadrature(mesh)
     if float(qq.min()) <= float(pq.max()) + 1e-12:
         raise NoScalingRoot(
             f"scaling projection needs q- > p+, got q- = {qq.min():.4g}, "
             f"p+ = {pq.max():.4g}"
         )
     eps_guard = 0.0 if float(pq.min()) >= 2.0 else 1e-14
-    prob = _EnergyProblem(mesh, p, q, eps_guard, q_sign=-1.0, degree=degree)
+    prob = _EnergyProblem(mesh, p, q, eps_guard, q_sign=-1.0)
     free = mesh.interior_nodes
 
     logw = np.log(prob.w)
@@ -518,9 +513,7 @@ def nehari_candidate(p, q, mesh, cfg=None, degree=2):
     ufield = DiscreteField(mesh, u, zero_trace=True)
     if gradient_luxemburg_norm(ufield, p) < cfg.collapse_tol:
         raise CollapseToZero("candidate collapsed toward the trivial solution")
-    identity_gap = abs(
-        gradient_modular(ufield, p, degree).value - modular(ufield, q, degree).value
-    )
+    identity_gap = abs(gradient_modular(ufield, p).value - modular(ufield, q).value)
     return SolveResult(
         field=ufield,
         energy=prob.energy(u),

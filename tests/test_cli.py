@@ -4,12 +4,13 @@ import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vexlab as vx
-from vexlab.cli import main
+from vexlab.cli import _load_config, main
 
 BALL = {"kind": "ball_analytic", "center": [0, 0, 0], "radius": 1.0}
 UNIT_INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
@@ -148,6 +149,7 @@ def test_cascade_scenario(tmp_path):
     out = tmp_path / "out"
     assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
     rep = load_report(out / "cascade.json")
+    assert rep["candidate_stop"] is None  # a field given in the config
     assert rep["n_schedule"] == [1, 2]
     assert len(rep["gap_grad_modular"]) == 2
     assert rep["converged"] is True
@@ -280,14 +282,65 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("verdict", {**VERDICT, "origin": "abc"}),
     ("sweep", {**VERDICT, "sweep": 5}),
     ("sweep", {**SWEEP, "sweep": {"parameter": "q", "values": [6.0, "a"]}}),
+    ("solve", {**solve_payload(), "h": float("nan")}),
+    ("solve", {**solve_payload(), "domain": {"kind": "disk", "center": [0, 0],
+                                             "radius": float("nan")}}),
+    ("solve", {**solve_payload(), "domain": {
+        "kind": "polygon", "vertices": [[0, 0], [1, float("nan")], [0, 1]]}}),
+    ("solve", {**solve_payload(), "domain": {"kind": "interval", "a": 0.0,
+                                             "b": float("inf")}}),
+    ("spaces-check", {**solve_payload(), "quad_degree": 2}),
+    ("solve", {**solve_payload(), "hh": 0.02}),
+    ("solve", solve_payload({"quad_degree": 2})),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
-        "origin_not_a_number", "sweep_not_an_object", "sweep_value_not_a_number"])
+        "origin_not_a_number", "sweep_not_an_object", "sweep_value_not_a_number",
+        "h_nan", "disk_radius_nan", "polygon_vertex_nan", "interval_b_infinity",
+        "unknown_key_quad_degree", "unknown_key_typo", "solver_quad_degree"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_unconverged_candidate_exits_3(tmp_path):
+    cfg = write_config(tmp_path, "pohozaev.json", {
+        "domain": UNIT_INTERVAL,
+        "h": 0.05,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0},
+        "candidate": {"kind": "nehari"},
+        "origin": [0.5],
+        "solver": {"max_iters": 0},
+    })
+    out = tmp_path / "out"
+    assert main(["pohozaev", "--config", cfg, "--out", str(out)]) == 3
+    assert load_report(out / "pohozaev.json")["candidate_stop"] == "max_iters"
+
+
+def test_nehari_candidate_stop_reported(tmp_path):
+    cfg = write_config(tmp_path, "cascade.json", {
+        "domain": UNIT_INTERVAL,
+        "h": 0.05,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0},
+        "candidate": {"kind": "nehari"},
+        "origin": [0.5],
+        "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.125,
+                   "n_schedule": [4, 8]},
+    })
+    out = tmp_path / "out"
+    assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
+    assert load_report(out / "cascade.json")["candidate_stop"] == "converged"
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_have_known_keys(path):
+    scenario = path.stem.rsplit("_", 1)[0].replace("_", "-")
+    cfg, _ = _load_config(str(path), scenario)
+    assert cfg
 
 
 def test_console_script_installed():

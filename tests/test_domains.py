@@ -1,5 +1,9 @@
 """Geometry kernel: volumes, membership queries, star-shape machinery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -164,7 +168,37 @@ def test_find_star_center_matches_lp(verts):
     achieved = vx.star_shape_report(dom, origin).min_xdotnu
     _, rho_star = lp_star_center(dom.vertices)
     assert achieved <= rho_star + 1e-9
-    assert achieved >= rho_star - 1e-5
+    assert achieved >= rho_star - 1e-12
+
+
+def test_find_star_center_exact_and_tie_break():
+    square = vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert vx.find_star_center(square).tolist() == [0.5, 0.5]
+    assert vx.find_star_center(vx.Domain.polygon(L_SHAPE)).tolist() == [0.5, 0.5]
+    # the optimal set of the 2x1 rectangle is the segment y = 1/2,
+    # 1/2 <= x <= 3/2; its two vertices are averaged
+    rect = vx.Domain.polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+    assert vx.find_star_center(rect).tolist() == [1.0, 0.5]
+
+
+def test_find_star_center_many_edges_matches_lp():
+    # 40 edges give 9,880 edge triples, so several batches are solved
+    ang = 2 * np.pi * np.arange(40) / 40
+    verts = np.column_stack([np.cos(ang) + 0.3 * np.cos(3 * ang), np.sin(ang)])
+    dom = vx.Domain.polygon(verts)
+    origin = vx.find_star_center(dom)
+    _, rho_star = lp_star_center(dom.vertices)
+    achieved = vx.star_shape_report(dom, origin).min_xdotnu
+    assert abs(achieved - rho_star) <= 1e-12
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(vx.__file__))
+    code = "import sys, vexlab; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_find_star_center_rejects_c_shape():
@@ -197,6 +231,19 @@ def test_from_spec():
         vx.Domain.from_spec({"kind": "interval", "a": 1, "b": 1})
     with pytest.raises(vx.ConfigError):
         vx.Domain.from_spec("not a dict")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "interval", "a": 0.0, "b": float("inf")},
+    {"kind": "interval", "a": float("-inf"), "b": 1.0},
+    {"kind": "polygon", "vertices": [(0, 0), (1, float("nan")), (0, 1)]},
+    {"kind": "disk", "center": [0.0, 0.0], "radius": float("nan")},
+    {"kind": "disk", "center": [float("inf"), 0.0], "radius": 1.0},
+    {"kind": "ball_analytic", "center": [0.0, float("nan"), 0.0], "radius": 1.0},
+])
+def test_non_finite_geometry_rejected(spec):
+    with pytest.raises(vx.ConfigError):
+        vx.Domain.from_spec(spec)
 
 
 def test_degenerate_polygon_rejected():

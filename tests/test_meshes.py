@@ -69,11 +69,12 @@ def test_boundary_integral_divergence_oracle():
     assert val == pytest.approx(8.0, abs=1e-12)  # 2 * area of [-1,1]^2
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 5])
+# the mesh's one triangle rule, the 3-point rule, is exact through degree 2
+@pytest.mark.parametrize("degree", [2])
 def test_triangle_rule_exactness(degree):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = vx.Mesh(nodes, np.array([[0, 1, 2]]))
-    pts, w, _ = mesh.quadrature(degree)
+    pts, w, _ = mesh.quadrature()
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             got = float(np.sum(w * pts[:, :, 0] ** a * pts[:, :, 1] ** b))
@@ -81,15 +82,15 @@ def test_triangle_rule_exactness(degree):
 
 
 def test_segment_rule_exactness(interval_mesh):
-    # degree-2 request gives a 3-point Gauss rule, exact through degree 5
-    pts, w, _ = interval_mesh.quadrature(2)
+    # the segment rule is 3-point Gauss, exact through degree 5
+    pts, w, _ = interval_mesh.quadrature()
     for k in range(6):
         got = float(np.sum(w * pts[:, :, 0] ** k))
         assert got == pytest.approx(1.0 / (k + 1), abs=1e-14)
 
 
 def test_quadrature_shapes_and_weights(square_mesh):
-    pts, w, bary = square_mesh.quadrature(2)
+    pts, w, bary = square_mesh.quadrature()
     assert pts.shape == (square_mesh.ncells, len(bary), 2)
     assert w.shape == pts.shape[:2]
     assert np.sum(w) == pytest.approx(square_mesh.volume, abs=1e-12)
@@ -174,10 +175,33 @@ def test_degenerate_cell_rejected():
 
 
 def test_build_mesh_argument_validation(interval):
-    with pytest.raises(vx.ConfigError):
-        vx.build_mesh(interval, 0.0)
+    for h in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(vx.ConfigError):
+            vx.build_mesh(interval, h)
     with pytest.raises(vx.MeshFailure):
         vx.build_mesh(vx.Domain.ball(np.zeros(3), 1.0), 0.1)
+
+
+@pytest.mark.parametrize("h", [1e-9, 5e-324])
+def test_mesh_size_bounded_before_allocation(unit_square, h):
+    # rejected on the predicted cell count, before any array is built
+    for domain in (vx.Domain.interval(0.0, 1.0), unit_square, vx.Domain.disk()):
+        with pytest.raises(vx.MeshFailure, match="cells"):
+            vx.build_mesh(domain, h)
+
+
+@pytest.mark.parametrize("domain, h", [
+    (vx.Domain.interval(0.0, 1.0), 0.01),
+    (vx.Domain.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]), 0.1),
+    (vx.Domain.disk(), 0.2),
+])
+def test_mesh_size_prediction_is_exact(monkeypatch, domain, h):
+    ncells = vx.build_mesh(domain, h).ncells
+    monkeypatch.setattr(meshes, "_MAX_CELLS", ncells)
+    assert vx.build_mesh(domain, h).ncells == ncells
+    monkeypatch.setattr(meshes, "_MAX_CELLS", ncells - 1)
+    with pytest.raises(vx.MeshFailure, match="cells"):
+        vx.build_mesh(domain, h)
 
 
 def test_nonconvex_polygon_meshes_cleanly():

@@ -181,7 +181,7 @@ def luxemburg_bisection(vals, pq, w):
 
 
 def quadrature_samples(u, p):
-    _, w, _ = u.mesh.quadrature(2)
+    _, w, _ = u.mesh.quadrature()
     return np.abs(vx.field_on_quadrature(u)), p.eval_on_quadrature(u.mesh), w
 
 

@@ -353,7 +353,7 @@ def test_nehari_collapse_guard(interval_mesh):
 
 def scale_samples(mesh, p, q, z):
     """|grad z|, |z| at the quadrature points, log w, p and q there."""
-    _, w, bary = mesh.quadrature(2)
+    _, w, bary = mesh.quadrature()
     gmag = np.linalg.norm(vx.gradient(vx.DiscreteField(mesh, z)).vectors,
                           axis=1)[:, None]
     zq = np.einsum("qv,cv->cq", bary, z[mesh.cells])
