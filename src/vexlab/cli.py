@@ -55,12 +55,11 @@ from .solvers import (
 SCENARIOS = ("spaces-check", "solve", "cascade", "pohozaev", "verdict", "sweep")
 
 # The top-level config keys each scenario reads ("seed" is read by all).
-# cascade and pohozaev share one set, so that one config drives both.
 _SETUP = {"seed", "domain", "h", "p", "q"}
-_CANDIDATE = _SETUP | {"solver", "candidate", "origin", "with_remainder"}
+_CANDIDATE = _SETUP | {"solver", "candidate", "origin"}
 _KEYS = {"spaces-check": _SETUP | {"trials", "N", "pairs"},
          "solve": _SETUP | {"solver", "rhs"},
-         "cascade": _CANDIDATE, "pohozaev": _CANDIDATE,
+         "cascade": _CANDIDATE, "pohozaev": _CANDIDATE | {"with_remainder"},
          "verdict": _SETUP | {"N", "origin", "tol"},
          "sweep": {"seed", "domain", "p", "q", "sweep", "N", "tol"}}
 

@@ -20,6 +20,9 @@ _GEOM_TOL = 1e-10
 # systems and the margins of their k vertices over all m edges, k (9 + m)
 # floats, so a fixed k bounds the memory however many edges a polygon has.
 _TRIPLE_CHUNK = 4096
+# find_star_center scores C(m, 3) vertices against m edges, O(m^4) work:
+# about 0.1 s at this many edges on one core, and 1 s at twice as many.
+_MAX_STAR_EDGES = 64
 
 
 @dataclass
@@ -55,9 +58,14 @@ class Domain:
             self.dim = 1
         elif kind == "polygon":
             verts = np.asarray(geom["vertices"], dtype=float)
-            if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-                raise ConfigError("polygon needs >= 3 two-dimensional vertices")
+            if verts.ndim != 2 or verts.shape[1] != 2:
+                raise ConfigError("polygon vertices must be two-dimensional")
             _check_finite("polygon vertices", verts)
+            # a repeated vertex (a closed ring's last one, say) is dropped:
+            # its zero-length edge has no normal
+            verts = verts[np.any(verts != np.roll(verts, -1, axis=0), axis=1)]
+            if len(verts) < 3:
+                raise ConfigError("polygon needs >= 3 distinct vertices")
             if _shoelace(verts) < 0:
                 verts = verts[::-1].copy()
             if abs(_shoelace(verts)) < _GEOM_TOL:
@@ -228,27 +236,29 @@ def find_star_center(domain, tol_geom=_GEOM_TOL):
     scored by its margin min_e (a_e - o) . nu_e.  When the optimum is not
     unique, the mean of the vertices whose margin is within tol_geom of the
     best one is returned; the optimal set is convex, so it holds that mean.
-    Raises NotStarShaped when even the best origin leaves min_xdotnu < 0.
+    Raises ConfigError above _MAX_STAR_EDGES edges, and NotStarShaped when
+    even the best origin leaves min_xdotnu < 0.
     """
     if domain.kind in ("disk", "ball"):
         return domain.center.copy()
     if domain.kind == "interval":
         return np.array([0.5 * (domain.a + domain.b)])
 
+    if len(domain.vertices) > _MAX_STAR_EDGES:
+        raise ConfigError(f"find_star_center takes polygons of at most "
+                          f"{_MAX_STAR_EDGES} edges, got {len(domain.vertices)}")
     nu = np.array([_outward_normal(a, b) for a, b in _polygon_edges(domain.vertices)])
     rhs = np.sum(domain.vertices * nu, axis=1)
-    best = max(m.max(initial=-np.inf) for _, m in _lp_vertices(nu, rhs))
-    total, count = np.zeros(2), 0
+    best, kept = -np.inf, []
     for o, m in _lp_vertices(nu, rhs):
-        near = m >= best - tol_geom
-        total += o[near].sum(axis=0)
-        count += int(near.sum())
-    origin = total / count
-    if domain._min_xdotnu(origin) < -tol_geom:
-        raise NotStarShaped(
-            f"no admissible star center found (best min_xdotnu = "
-            f"{domain._min_xdotnu(origin):.3e})"
-        )
+        best = max(best, m.max(initial=-np.inf))
+        kept.append((o[m >= best - tol_geom], m[m >= best - tol_geom]))
+    o, m = (np.concatenate(a) for a in zip(*kept))
+    origin = o[m >= best - tol_geom].mean(axis=0)
+    margin = domain._min_xdotnu(origin)
+    if not margin >= -tol_geom:  # NaN too
+        raise NotStarShaped(f"no admissible star center found (best "
+                            f"min_xdotnu = {margin:.3e})")
     return origin
 
 

@@ -184,6 +184,18 @@ def test_pohozaev_scenario_with_remainder(tmp_path):
     assert len(lines) == 2
 
 
+CASCADE = {
+    "domain": UNIT_INTERVAL,
+    "h": 0.05,
+    "p": {"kind": "constant", "value": 2.0},
+    "q": {"kind": "constant", "value": 2.0},
+    "candidate": {"kind": "product_sin", "amplitude": 1.0},
+    "origin": [0.5],
+    "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.125,
+               "n_schedule": [1, 2]},
+}
+
+
 @pytest.mark.parametrize("scenario", ["cascade", "pohozaev"])
 def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
     # Only the first epsilon level of the first truncation level gets no
@@ -198,17 +210,10 @@ def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
         return solve(v, p, q, cfg, epsilon=epsilon, z0=z0)
 
     monkeypatch.setattr(vx.solvers, "solve_regularized", first_level_capped)
-    cfg = write_config(tmp_path, "cfg.json", {
-        "domain": UNIT_INTERVAL,
-        "h": 0.05,
-        "p": {"kind": "constant", "value": 2.0},
-        "q": {"kind": "constant", "value": 2.0},
-        "candidate": {"kind": "product_sin", "amplitude": 1.0},
-        "origin": [0.5],
-        "with_remainder": True,
-        "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.125,
-                   "n_schedule": [1, 2]},
-    })
+    payload = dict(CASCADE)
+    if scenario == "pohozaev":
+        payload["with_remainder"] = True
+    cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
     assert len(calls) == 6
@@ -218,16 +223,18 @@ def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
         assert rep["converged"] is False
 
 
+SPACES = {
+    "domain": UNIT_INTERVAL,
+    "h": 0.05,
+    "p": {"kind": "affine", "a": 2.0, "b": [0.25]},
+    "q": {"kind": "constant", "value": 3.0},
+    "trials": 5,
+    "pairs": 50,
+}
+
+
 def test_spaces_check_scenario(tmp_path):
-    base = {
-        "domain": UNIT_INTERVAL,
-        "h": 0.05,
-        "p": {"kind": "affine", "a": 2.0, "b": [0.25]},
-        "q": {"kind": "constant", "value": 3.0},
-        "trials": 5,
-        "pairs": 50,
-    }
-    cfg = write_config(tmp_path, "spaces.json", base)
+    cfg = write_config(tmp_path, "spaces.json", SPACES)
     out = tmp_path / "out"
     assert main(["spaces-check", "--config", cfg, "--out", str(out)]) == 0
     rep = load_report(out / "spaces_check.json")
@@ -235,7 +242,7 @@ def test_spaces_check_scenario(tmp_path):
     assert rep["worst_unit_gap"] <= 1e-8
     assert "embedding_gap" not in rep  # p_plus >= N = 1 here
 
-    cfg2 = write_config(tmp_path, "spaces3.json", {**base, "N": 3})
+    cfg2 = write_config(tmp_path, "spaces3.json", {**SPACES, "N": 3})
     out2 = tmp_path / "out3"
     assert main(["spaces-check", "--config", cfg2, "--out", str(out2)]) == 0
     rep2 = load_report(out2 / "spaces_check.json")
@@ -289,15 +296,17 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "kind": "polygon", "vertices": [[0, 0], [1, float("nan")], [0, 1]]}}),
     ("solve", {**solve_payload(), "domain": {"kind": "interval", "a": 0.0,
                                              "b": float("inf")}}),
-    ("spaces-check", {**solve_payload(), "quad_degree": 2}),
+    ("spaces-check", {**SPACES, "quad_degree": 2}),
     ("solve", {**solve_payload(), "hh": 0.02}),
     ("solve", solve_payload({"quad_degree": 2})),
+    ("cascade", {**CASCADE, "with_remainder": True}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
         "origin_not_a_number", "sweep_not_an_object", "sweep_value_not_a_number",
         "h_nan", "disk_radius_nan", "polygon_vertex_nan", "interval_b_infinity",
-        "unknown_key_quad_degree", "unknown_key_typo", "solver_quad_degree"])
+        "unknown_key_quad_degree", "unknown_key_typo", "solver_quad_degree",
+        "cascade_with_remainder"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -192,6 +192,25 @@ def test_find_star_center_many_edges_matches_lp():
     assert abs(achieved - rho_star) <= 1e-12
 
 
+def test_closed_ring_polygon_drops_repeated_vertex():
+    ring = vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+    assert len(ring.vertices) == 4
+    assert vx.find_star_center(ring).tolist() == [0.5, 0.5]
+    with pytest.raises(vx.ConfigError):
+        vx.Domain.polygon([(0, 0), (1, 0), (1, 0), (0, 0)])
+
+
+def test_find_star_center_edge_limit():
+    def regular(m):
+        ang = 2 * np.pi * np.arange(m) / m
+        return vx.Domain.polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+
+    limit = vx.domains._MAX_STAR_EDGES
+    assert np.abs(vx.find_star_center(regular(limit))).max() <= 1e-12
+    with pytest.raises(vx.ConfigError, match=f"at most {limit} edges"):
+        vx.find_star_center(regular(limit + 1))
+
+
 def test_import_does_not_load_scipy_optimize():
     src = os.path.dirname(os.path.dirname(vx.__file__))
     code = "import sys, vexlab; print('scipy.optimize' in sys.modules)"
