@@ -39,7 +39,6 @@ from .exponents import (
 )
 from .fem import (
     DiscreteField,
-    GradientField,
     cutoff,
     cutoff_profile,
     field_on_quadrature,

@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 
 from .domains import sample_points
 from .errors import ConfigError, ExponentTooLarge, NonElliptic
+from .fem import DiscreteField, field_on_quadrature, gradient
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
 
@@ -153,9 +154,7 @@ class TabulatedExponent(ExponentField):
                 f"{mesh.nnodes} mesh nodes"
             )
         self.dim = mesh.dim
-        self.cell_grads = np.einsum(
-            "cv,cvd->cd", self.values[mesh.cells], mesh.basis_grads
-        )
+        self.cell_grads = gradient(DiscreteField(mesh, self.values))
         self._tree = None
         self._order = None
 
@@ -227,8 +226,7 @@ class TabulatedExponent(ExponentField):
 
     def eval_on_quadrature(self, mesh):
         if mesh is self.mesh:
-            _, _, bary = mesh.quadrature()
-            return np.einsum("qv,cv->cq", bary, self.values[mesh.cells])
+            return field_on_quadrature(DiscreteField(mesh, self.values))
         return super().eval_on_quadrature(mesh)
 
     def grad_on_quadrature(self, mesh):
@@ -242,7 +240,7 @@ class TabulatedExponent(ExponentField):
 class TransformedExponent(ExponentField):
     """f(p(x)) for a smooth monotone f, with chain-rule gradients."""
 
-    def __init__(self, base, fn, dfn, name, validator=None):
+    def __init__(self, base, fn, dfn, name, validator):
         self.base = base
         self.fn = fn
         self.dfn = dfn
@@ -252,8 +250,7 @@ class TransformedExponent(ExponentField):
 
     def _checked_base(self, x):
         pv = self.base.value_at(x)
-        if self.validator is not None:
-            self.validator(pv)
+        self.validator(pv)
         return pv
 
     def value_at(self, x):
@@ -265,21 +262,18 @@ class TransformedExponent(ExponentField):
 
     def bounds(self, domain=None):
         lo, hi = self.base.bounds(domain)
-        if self.validator is not None:
-            self.validator(np.array([lo, hi]))
+        self.validator(np.array([lo, hi]))
         v1, v2 = float(self.fn(np.array([lo]))[0]), float(self.fn(np.array([hi]))[0])
         return _checked_bounds(min(v1, v2), max(v1, v2))
 
     def eval_on_quadrature(self, mesh):
         pv = self.base.eval_on_quadrature(mesh)
-        if self.validator is not None:
-            self.validator(pv)
+        self.validator(pv)
         return self.fn(pv)
 
     def grad_on_quadrature(self, mesh):
         pv = self.base.eval_on_quadrature(mesh)
-        if self.validator is not None:
-            self.validator(pv)
+        self.validator(pv)
         return self.dfn(pv)[..., None] * self.base.grad_on_quadrature(mesh)
 
     def __repr__(self):

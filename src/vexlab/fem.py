@@ -1,8 +1,8 @@
-"""P1 fields on meshes: gradients, truncation, mollification, integration."""
+"""P1 fields on meshes: truncation, mollification, integration, and the
+one layer that turns nodal values into per-cell gradients and quadrature
+samples and sums per-cell terms back onto the nodes."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -67,28 +67,36 @@ class DiscreteField:
             raise ConfigError("fields live on different meshes")
 
 
-@dataclass
-class GradientField:
-    """Per-cell constant gradient of a P1 field."""
-
-    mesh: object
-    vectors: np.ndarray
-
-    def magnitude(self):
-        return np.linalg.norm(self.vectors, axis=1)
-
-
 def gradient(u):
-    """Exact per-cell gradient of a P1 field."""
+    """Exact per-cell gradient of a P1 field, (nc, dim)."""
     mesh = u.mesh
-    vec = np.einsum("cv,cvd->cd", u.values[mesh.cells], mesh.basis_grads)
-    return GradientField(mesh=mesh, vectors=vec)
+    return np.einsum("cv,cvd->cd", u.values[mesh.cells], mesh.basis_grads)
 
 
 def field_on_quadrature(u):
     """Values of the P1 field at the cell quadrature points, (nc, nq)."""
     _, _, bary = u.mesh.quadrature()
     return np.einsum("qv,cv->cq", bary, u.values[u.mesh.cells])
+
+
+def _scatter(mesh, cell_terms, out=None):
+    """Sum per-cell nodal terms (nc, nv) onto the nodes, into out if given."""
+    if out is None:
+        out = np.zeros(mesh.nnodes)
+    np.add.at(out, mesh.cells.ravel(), np.ravel(cell_terms))
+    return out
+
+
+def _load_vector(mesh, samples, out=None):
+    """Entries <f, phi_i> of quadrature samples f (nc, nq), into out if given."""
+    _, w, bary = mesh.quadrature()
+    return _scatter(mesh, np.einsum("cq,qv->cv", w * samples, bary), out)
+
+
+def _cell_mass(mesh, weights):
+    """Per-cell blocks sum_q weights[c, q] phi_v phi_w, (nc, nv, nv)."""
+    _, _, bary = mesh.quadrature()
+    return np.einsum("cq,qv,qw->cvw", weights, bary, bary)
 
 
 def mesh_l2(u):
@@ -110,7 +118,7 @@ def integrate(mesh, integrand, u=None):
     x = pts.reshape(-1, dim)
     if u is not None:
         uq = field_on_quadrature(u).reshape(-1)
-        gq = np.repeat(gradient(u).vectors[:, None, :], nq, axis=1).reshape(-1, dim)
+        gq = np.repeat(gradient(u)[:, None, :], nq, axis=1).reshape(-1, dim)
     else:
         uq = gq = None
     vals = np.asarray(integrand(x, uq, gq), dtype=float)
@@ -158,9 +166,7 @@ def mollify(u, radius):
     mesh = u.mesh
     nodes = mesh.nodes
     nv = mesh.cells.shape[1]
-    lumped = np.zeros(mesh.nnodes)
-    np.add.at(lumped, mesh.cells.ravel(),
-              np.repeat(mesh.cell_volumes / nv, nv))
+    lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
 
     out = np.zeros(mesh.nnodes)
     keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
@@ -189,8 +195,7 @@ def _assemble_matrix(mesh, elem):
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSR) by the mesh quadrature."""
-    _, w, bary = mesh.quadrature()
-    return _assemble_matrix(mesh, np.einsum("cq,qv,qw->cvw", w, bary, bary))
+    return _assemble_matrix(mesh, _cell_mass(mesh, mesh.quadrature()[1]))
 
 
 def l2_project(mesh, values_on_quadrature):
@@ -200,11 +205,8 @@ def l2_project(mesh, values_on_quadrature):
     quadrature, which is what keeps source terms consistent between the
     continuous expression and its nodal representation.
     """
-    _, w, bary = mesh.quadrature()
     vals = np.asarray(values_on_quadrature, dtype=float)
-    if vals.shape != w.shape:
+    if vals.shape != mesh.quadrature()[1].shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
-    b = np.zeros(mesh.nnodes)
-    np.add.at(b, mesh.cells.ravel(), np.einsum("cq,qv->cv", w * vals, bary).ravel())
-    coeffs = spsolve(mass_matrix(mesh).tocsc(), b)
+    coeffs = spsolve(mass_matrix(mesh).tocsc(), _load_vector(mesh, vals))
     return DiscreteField(mesh, coeffs, zero_trace=False)

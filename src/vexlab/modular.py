@@ -61,7 +61,7 @@ def _samples(u, p):
 def _gradient_samples(u, p):
     """|grad u|, p and the weights at the cell quadrature points."""
     w = u.mesh.quadrature()[1]
-    gmag = np.broadcast_to(gradient(u).magnitude()[:, None], w.shape)
+    gmag = np.broadcast_to(np.linalg.norm(gradient(u), axis=1)[:, None], w.shape)
     return gmag, p.eval_on_quadrature(u.mesh), w
 
 

@@ -20,6 +20,7 @@ from .exponents import bounds as exponent_bounds
 from .exponents import conjugate
 from .fem import field_on_quadrature, gradient
 from .modular import gradient_modular, modular
+from .solvers import _signed_power
 
 _GUARD = 1e-300
 
@@ -84,7 +85,7 @@ def _quadrature_data(u, origin):
     """Weights, h = x - origin, u and grad u at the cell quadrature points."""
     pts, w, _ = u.mesh.quadrature()
     uq = field_on_quadrature(u)
-    gu = np.repeat(gradient(u).vectors[:, None, :], w.shape[1], axis=1)
+    gu = np.repeat(gradient(u)[:, None, :], w.shape[1], axis=1)
     return w, pts - _origin(origin), uq, gu
 
 
@@ -98,7 +99,7 @@ def _facet_data(u, p, origin):
     """At the boundary facet quadrature points: |grad u|^2 taken one-sidedly
     from the facet's cell, p, (x - origin) . nu and the weights."""
     mesh = u.mesh
-    gb = gradient(u).vectors[mesh.facet_cells]
+    gb = gradient(u)[mesh.facet_cells]
     g2 = np.sum(gb * gb, axis=1)[:, None]
     pts, w = mesh.facet_quadrature()
     nf, nq, dim = pts.shape
@@ -400,10 +401,9 @@ def radial_identity_sides(u, q, origin):
     mesh = u.mesh
     w, h, uq, gu = _quadrature_data(u, origin)
     qq, hdotgq = _exponent_data(q, mesh, h)
-    au = np.abs(uq)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        power = np.where(au > _GUARD, au ** (qq - 2.0) * uq, 0.0)
-        absu_q = au**qq
+    power = _signed_power(uq, qq)
+    with np.errstate(over="ignore"):
+        absu_q = np.abs(uq) ** qq
     hdotgu = np.einsum("cqd,cqd->cq", h, gu)
     lhs = float(np.sum(w * power * hdotgu))
     rhs = float(

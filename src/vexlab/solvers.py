@@ -22,6 +22,9 @@ from .errors import CollapseToZero, ConfigError, NoScalingRoot
 from .fem import (
     DiscreteField,
     _assemble_matrix,
+    _cell_mass,
+    _load_vector,
+    _scatter,
     cutoff,
     field_on_quadrature,
     gradient,
@@ -113,10 +116,7 @@ def _flux_action(mesh, g, eps, pq, w):
     with np.errstate(over="ignore", divide="ignore"):
         scale = np.sum(w * np.maximum(s, _TINY) ** ((pq - 2.0) / 2.0), axis=1)
     flux = scale[:, None] * g
-    out = np.zeros(mesh.nnodes)
-    np.add.at(out, mesh.cells.ravel(),
-              np.einsum("cd,cvd->cv", flux, mesh.basis_grads).ravel())
-    return out
+    return _scatter(mesh, np.einsum("cd,cvd->cv", flux, mesh.basis_grads))
 
 
 class _EnergyProblem:
@@ -126,18 +126,14 @@ class _EnergyProblem:
         self.mesh = mesh
         self.eps = float(eps)
         self.q_sign = float(q_sign)
-        _, self.w, self.bary = mesh.quadrature()
+        self.w = mesh.quadrature()[1]
         self.pq = p.eval_on_quadrature(mesh)
         self.qq = q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
-        self.cells = mesh.cells
-        self.G = mesh.basis_grads
 
     def _at(self, z):
-        zc = z[self.cells]
-        g = np.einsum("cv,cvd->cd", zc, self.G)
-        zq = np.einsum("qv,cv->cq", self.bary, zc)
-        return g, zq
+        zf = DiscreteField(self.mesh, z)
+        return gradient(zf), field_on_quadrature(zf)
 
     def energy(self, z):
         g, zq = self._at(z)
@@ -153,9 +149,8 @@ class _EnergyProblem:
         dens = self.q_sign * _signed_power(zq, self.qq)
         if self.load_q is not None:
             dens = dens - self.load_q
-        np.add.at(out, self.cells.ravel(),
-                  np.einsum("cq,qv->cv", self.w * dens, self.bary).ravel())
-        return out
+        # onto the finished flux entries; summing per cell first moves roundoff
+        return _load_vector(self.mesh, dens, out)
 
     def hess(self, z):
         g, zq = self._at(z)
@@ -172,12 +167,13 @@ class _EnergyProblem:
         A = a1[:, None, None] * eye + a2[:, None, None] * np.einsum(
             "cd,ce->cde", g, g
         )
-        elem = np.einsum("cvd,cde,cwe->cvw", self.G, A, self.G)
+        G = self.mesh.basis_grads
+        elem = np.einsum("cvd,cde,cwe->cvw", G, A, G)
 
         az = np.maximum(np.abs(zq), 1e-14)
         with np.errstate(over="ignore"):
             m = self.w * self.q_sign * (self.qq - 1.0) * az ** (self.qq - 2.0)
-        elem = elem + np.einsum("cq,qv,qw->cvw", m, self.bary, self.bary)
+        elem = elem + _cell_mass(self.mesh, m)
         return _assemble_matrix(self.mesh, elem)
 
 
@@ -267,7 +263,7 @@ def phi_energy(z, p, eps):
     """The bare gradient part int (|grad z|^2 + eps)^(p/2) / p; its first
     variation in zero-trace directions is operator_action."""
     mesh = z.mesh
-    return _phi(gradient(z).vectors, float(eps), p.eval_on_quadrature(mesh),
+    return _phi(gradient(z), float(eps), p.eval_on_quadrature(mesh),
                 mesh.quadrature()[1])
 
 
@@ -296,7 +292,7 @@ def operator_action(z, p, eps):
     entries <(|grad z|^2 + eps)^((p-2)/2) grad z, grad phi_i>, boundary
     entries zeroed."""
     mesh = z.mesh
-    out = _flux_action(mesh, gradient(z).vectors, float(eps),
+    out = _flux_action(mesh, gradient(z), float(eps),
                        p.eval_on_quadrature(mesh), mesh.quadrature()[1])
     return DiscreteField(mesh, out, zero_trace=True)
 
@@ -376,7 +372,7 @@ def solve_truncated(u, p, q, n, cfg=None):
         res = solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z)
         wfield = res.field
         z = wfield.values
-        g2 = np.sum(gradient(wfield).vectors ** 2, axis=1)[:, None]
+        g2 = np.sum(gradient(wfield) ** 2, axis=1)[:, None]
         series["epsilon"].append(eps)
         series["grad_modular"].append(gradient_modular(wfield, p).value)
         series["phi_modular"].append(float(np.sum(w * (g2 + eps) ** (pq / 2.0))))
