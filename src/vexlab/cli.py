@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -28,6 +29,7 @@ from .errors import (
     NonElliptic,
     NotStarShaped,
     VexlabError,
+    reject_unknown_keys,
 )
 from .exponents import (
     ConstantExponent,
@@ -114,9 +116,7 @@ def _load_config(path, scenario):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - _KEYS[scenario]
-    if unknown:
-        raise ConfigError(f"unknown {scenario} config keys: {sorted(unknown)}")
+    reject_unknown_keys(cfg, _KEYS[scenario], f"{scenario} config")
     return cfg, os.path.dirname(os.path.abspath(path))
 
 
@@ -128,9 +128,12 @@ def _require(cfg, key, scenario):
 
 def _number(cfg, key, default, kind=float):
     try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+        value = kind(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be a number: {exc}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value}")
+    return value
 
 
 def _solver_config(cfg, seed):
@@ -148,16 +151,20 @@ def _build_field(spec, mesh, base_dir):
         raise ConfigError("field spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "zero":
+        reject_unknown_keys(spec, ("kind",), "zero field")
         return DiscreteField.zeros(mesh)
     if kind == "constant":
+        reject_unknown_keys(spec, ("kind", "value"), "constant field")
         vals = np.full(mesh.nnodes, _number(spec, "value", 1.0))
         return DiscreteField(mesh, vals)
     if kind == "bump":
+        reject_unknown_keys(spec, ("kind", "amplitude"), "bump field")
         prof = mesh.boundary_distance()
         prof = prof / prof.max()
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * prof,
                              zero_trace=True)
     if kind == "product_sin":
+        reject_unknown_keys(spec, ("kind", "amplitude"), "product_sin field")
         lo = mesh.nodes.min(axis=0)
         hi = mesh.nodes.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
@@ -165,6 +172,7 @@ def _build_field(spec, mesh, base_dir):
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * vals,
                              zero_trace=True)
     if kind == "nodal_file":
+        reject_unknown_keys(spec, ("kind", "file"), "nodal_file field")
         path = _require(spec, "file", "nodal_file")
         if base_dir:
             path = os.path.join(base_dir, path)
@@ -180,23 +188,38 @@ def _build_field(spec, mesh, base_dir):
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
+def _exponent(cfg, key, domain, mesh, base_dir):
+    """Exponent field from a spec, of the domain's dimension and with
+    bounds in (1, inf) (NonElliptic otherwise)."""
+    p = exponent_from_spec(_require(cfg, key, "any"), mesh, base_dir)
+    if p.dim not in (None, domain.dim):
+        raise ConfigError(f"exponent {key!r} is {p.dim}-dimensional on a "
+                          f"{domain.dim}-dimensional domain")
+    exponent_bounds(p, domain)
+    return p
+
+
 def _setup(cfg, base_dir, need_mesh=True):
     domain = Domain.from_spec(_require(cfg, "domain", "any"))
     mesh = None
     if need_mesh:
         h = _number(cfg, "h", 0.05)
         mesh = build_mesh(domain, h)
-    p = exponent_from_spec(_require(cfg, "p", "any"), mesh, base_dir)
-    q = exponent_from_spec(_require(cfg, "q", "any"), mesh, base_dir)
+    p = _exponent(cfg, "p", domain, mesh, base_dir)
+    q = _exponent(cfg, "q", domain, mesh, base_dir)
     return domain, mesh, p, q
 
 
 def _origin_for(cfg, domain):
     if "origin" in cfg:
         try:
-            return np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
+            origin = np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'origin' must be numbers: {exc}") from exc
+        if origin.shape != (domain.dim,) or not np.all(np.isfinite(origin)):
+            raise ConfigError(f"config key 'origin' must be {domain.dim} finite "
+                              f"numbers, got {cfg['origin']!r}")
+        return origin
     return find_star_center(domain)
 
 
@@ -205,6 +228,7 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
     None for a field given in the config."""
     spec = _require(cfg, "candidate", "cascade/pohozaev")
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
+        reject_unknown_keys(spec, ("kind",), "nehari candidate")
         res = nehari_candidate(p, q, mesh, scfg)
         return res.field, res.diagnostics["stop"]
     return _build_field(spec, mesh, base_dir), None
@@ -363,6 +387,7 @@ def _run_verdict(cfg, base_dir, out, seed):
 def _run_sweep(cfg, base_dir, out, seed):
     sw = _require(cfg, "sweep", "sweep")
     sw = sw if isinstance(sw, dict) else {}
+    reject_unknown_keys(sw, ("parameter", "values"), "sweep")
     param = sw.get("parameter")
     values = sw.get("values")
     if param not in ("p", "q") or not isinstance(values, list) or not values:
@@ -376,8 +401,8 @@ def _run_sweep(cfg, base_dir, out, seed):
     domain = Domain.from_spec(_require(cfg, "domain", "sweep"))
     N = _number(cfg, "N", domain.dim)
     tol = _number(cfg, "tol", 1e-9)
-    base_p = exponent_from_spec(_require(cfg, "p", "sweep"), None, base_dir)
-    base_q = exponent_from_spec(_require(cfg, "q", "sweep"), None, base_dir)
+    base_p = _exponent(cfg, "p", domain, None, base_dir)
+    base_q = _exponent(cfg, "q", domain, None, base_dir)
 
     results = []
     for k, val in enumerate(values):
@@ -429,6 +454,8 @@ def main(argv=None):
     try:
         cfg, base_dir = _load_config(args.config, args.scenario)
         seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.scenario](cfg, base_dir, args.out, seed)
     except (ConfigError, NonElliptic, ExponentTooLarge, NotStarShaped) as exc:

@@ -13,7 +13,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import ConfigError, NotStarShaped
+from .errors import ConfigError, NotStarShaped, reject_unknown_keys
 
 _GEOM_TOL = 1e-10
 # Edge triples solved at once by find_star_center: a batch holds k 3x3
@@ -50,6 +50,7 @@ class Domain:
     def __init__(self, kind, **geom):
         self.kind = kind
         if kind == "interval":
+            reject_unknown_keys(geom, ("a", "b"), "interval domain")
             a, b = float(geom["a"]), float(geom["b"])
             _check_finite("interval ends", [a, b])
             if not b > a:
@@ -57,6 +58,7 @@ class Domain:
             self.a, self.b = a, b
             self.dim = 1
         elif kind == "polygon":
+            reject_unknown_keys(geom, ("vertices",), "polygon domain")
             verts = np.asarray(geom["vertices"], dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2:
                 raise ConfigError("polygon vertices must be two-dimensional")
@@ -73,6 +75,7 @@ class Domain:
             self.vertices = verts
             self.dim = 2
         elif kind in ("disk", "ball"):
+            reject_unknown_keys(geom, ("center", "radius"), f"{kind} domain")
             self.center = np.atleast_1d(np.asarray(geom["center"], dtype=float))
             self.radius = float(geom["radius"])
             _check_finite("center and radius", [*self.center, self.radius])

@@ -1,4 +1,4 @@
-"""Exception types raised by vexlab operations."""
+"""Exception types raised by vexlab operations, and the config-key check."""
 
 
 class VexlabError(Exception):
@@ -44,3 +44,10 @@ class InsufficientRuns(VexlabError):
 
 class ConfigError(VexlabError):
     """Invalid or incomplete experiment configuration."""
+
+
+def reject_unknown_keys(spec, allowed, what):
+    """Raise ConfigError naming the keys of the dict spec not in allowed."""
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .domains import sample_points
-from .errors import ConfigError, ExponentTooLarge, NonElliptic
+from .errors import ConfigError, ExponentTooLarge, NonElliptic, reject_unknown_keys
 from .fem import DiscreteField, field_on_quadrature, gradient
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
@@ -93,7 +93,7 @@ class AffineExponent(ExponentField):
 
     def __init__(self, a, b):
         self.a = float(a)
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self.b = _vector("affine exponent b", b)
         self.dim = len(self.b)
 
     def value_at(self, x):
@@ -117,7 +117,7 @@ class RadialExponent(ExponentField):
     def __init__(self, base, amp, center):
         self.base = float(base)
         self.amp = float(amp)
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        self.center = _vector("radial exponent center", center)
         self.dim = len(self.center)
 
     def value_at(self, x):
@@ -278,6 +278,13 @@ class TransformedExponent(ExponentField):
 
     def __repr__(self):
         return f"{self.name}({self.base!r})"
+
+
+def _vector(name, v):
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ConfigError(f"{name} must be a nonempty list of numbers")
+    return arr
 
 
 def _checked_bounds(lo, hi):
@@ -444,12 +451,17 @@ def exponent_from_spec(spec, mesh=None, base_dir=None):
     kind = spec["kind"]
     try:
         if kind == "constant":
+            reject_unknown_keys(spec, ("kind", "value"), "constant exponent")
             return ConstantExponent(spec["value"])
         if kind == "affine":
+            reject_unknown_keys(spec, ("kind", "a", "b"), "affine exponent")
             return AffineExponent(spec["a"], spec["b"])
         if kind == "radial":
+            reject_unknown_keys(spec, ("kind", "base", "amp", "center"),
+                                "radial exponent")
             return RadialExponent(spec["base"], spec["amp"], spec["center"])
         if kind == "tabulated":
+            reject_unknown_keys(spec, ("kind", "file"), "tabulated exponent")
             if mesh is None:
                 raise ConfigError("tabulated exponent needs the scenario mesh")
             path = spec["file"]

@@ -12,13 +12,14 @@ driver _minimize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from .errors import CollapseToZero, ConfigError, NoScalingRoot
+from .errors import CollapseToZero, ConfigError, NoScalingRoot, reject_unknown_keys
 from .fem import (
     DiscreteField,
     _assemble_matrix,
@@ -44,6 +45,9 @@ _EPS = np.finfo(float).eps
 _ARMIJO_C1 = 1e-4
 _ARMIJO_SHRINK = 0.5
 _BACKTRACKS = 60
+# Longest epsilon schedule a config may ask for; each level is one Newton
+# solve per truncation level (the benchmark's longest schedule has 21).
+_MAX_EPS_LEVELS = 1000
 
 
 @dataclass
@@ -65,28 +69,39 @@ class SolveConfig:
         if not isinstance(data, dict):
             raise ConfigError("solver config must be a JSON object")
         types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
-        bad = set(data) - set(types)
-        if bad:
-            raise ConfigError(f"unknown solver config keys: {sorted(bad)}")
+        reject_unknown_keys(data, types, "solver config")
         for key, value in data.items():
             kind = {"float": Real, "int": Integral}.get(types[key])
             if kind and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ConfigError(f"solver {key!r}: {value!r} is not {types[key]}")
+            if kind is Real and not math.isfinite(value):
+                raise ConfigError(f"solver {key!r}: {value!r} is not finite")
         cfg = cls(**data)
-        try:
-            cfg.n_schedule = tuple(int(n) for n in cfg.n_schedule)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"solver config 'n_schedule': {exc}") from exc
+        levels = cfg.n_schedule
+        if (not isinstance(levels, (list, tuple)) or not levels
+                or any(isinstance(n, bool) or not isinstance(n, Integral) or n < 1
+                       for n in levels)):
+            raise ConfigError(f"solver 'n_schedule': {levels!r} is not a "
+                              "nonempty list of positive integers")
+        cfg.n_schedule = tuple(levels)
+        if cfg.seed < 0:
+            raise ConfigError(f"solver 'seed': {cfg.seed} is negative")
         if cfg.epsilon0 <= 0 or cfg.eps_min <= 0 or not 0 < cfg.eps_factor < 1:
             raise ConfigError("epsilon schedule parameters out of range")
+        cfg.eps_schedule()  # raises past _MAX_EPS_LEVELS levels
         return cfg
 
     def eps_schedule(self):
-        """Geometric schedule epsilon0, epsilon0*f, ... terminated at eps_min."""
+        """Geometric schedule epsilon0, epsilon0*f, ... terminated at eps_min.
+
+        Raises ConfigError once it passes _MAX_EPS_LEVELS levels."""
         out = []
         e = self.epsilon0
         while e > self.eps_min * (1 + 1e-12):
             out.append(e)
+            if len(out) == _MAX_EPS_LEVELS:
+                raise ConfigError(
+                    f"epsilon schedule has more than {_MAX_EPS_LEVELS} levels")
             e *= self.eps_factor
         out.append(self.eps_min)
         return out

@@ -4,10 +4,13 @@ import dataclasses
 import json
 import shutil
 import subprocess
+import tempfile
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vexlab as vx
 from vexlab.cli import _load_config, main
@@ -300,13 +303,38 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("solve", {**solve_payload(), "hh": 0.02}),
     ("solve", solve_payload({"quad_degree": 2})),
     ("cascade", {**CASCADE, "with_remainder": True}),
+    ("solve", {**solve_payload(), "domain": {**UNIT_INTERVAL, "radius": 3}}),
+    ("solve", {**solve_payload(), "p": {"kind": "constant", "value": 2.0,
+                                        "vlaue": 9}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "constant", "value": 1.0,
+                                          "amplitud": 5}}),
+    ("cascade", {**CASCADE, "candidate": {"kind": "nehari", "seed": 1}}),
+    ("sweep", {**SWEEP, "sweep": {**SWEEP["sweep"], "extra": 1}}),
+    ("solve", solve_payload({"epsilon0": inf})),
+    ("solve", solve_payload({"eps_min": nan})),
+    ("solve", solve_payload({"eps_factor": 1 - 1e-9})),
+    ("solve", solve_payload({"n_schedule": [1, 2.5]})),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "n_schedule": []}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "constant", "value": nan}}),
+    ("solve", {**solve_payload(), "p": {"kind": "affine", "a": 2.0,
+                                        "b": [0.5, 0.0]}}),
+    ("solve", {**solve_payload(), "p": {"kind": "constant", "value": 1.0}}),
+    ("solve", {**solve_payload(), "q": {"kind": "constant", "value": nan}}),
+    ("cascade", {**CASCADE, "origin": [0.5, 0.5]}),
+    ("spaces-check", {**SPACES, "seed": -1}),
+    ("spaces-check", {**SPACES, "seed": inf}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
         "origin_not_a_number", "sweep_not_an_object", "sweep_value_not_a_number",
         "h_nan", "disk_radius_nan", "polygon_vertex_nan", "interval_b_infinity",
         "unknown_key_quad_degree", "unknown_key_typo", "solver_quad_degree",
-        "cascade_with_remainder"])
+        "cascade_with_remainder", "domain_stray_key", "exponent_stray_key",
+        "field_stray_key", "candidate_stray_key", "sweep_stray_key",
+        "epsilon0_infinity", "eps_min_nan", "eps_factor_near_one",
+        "n_schedule_fraction", "n_schedule_empty", "field_value_nan",
+        "exponent_wrong_dimension", "exponent_not_elliptic", "exponent_nan",
+        "origin_wrong_dimension", "seed_negative", "seed_infinity"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -358,3 +386,74 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "spaces-check" in proc.stdout
+
+
+# -- fuzzing: one key of a small valid config replaced per example ----------
+
+FUZZ_BASES = {
+    "solve": {
+        "domain": UNIT_INTERVAL, "h": 0.1, "seed": 0,
+        "p": {"kind": "affine", "a": 2.0, "b": [0.5]},
+        "q": {"kind": "constant", "value": 3.0},
+        "rhs": {"kind": "product_sin", "amplitude": 4.0},
+        "solver": {"epsilon": 1e-3, "max_iters": 20},
+    },
+    "cascade": {
+        "domain": UNIT_INTERVAL, "h": 0.1, "seed": 0,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0},
+        "candidate": {"kind": "nehari"}, "origin": [0.5],
+        "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.25,
+                   "n_schedule": [1, 2], "max_iters": 20},
+    },
+}
+
+
+def _key_paths(node, prefix=()):
+    """Paths to every dict entry and list item of a config, nested ones too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, -1, nan, inf, -inf]),
+    st.sampled_from(["", "x", "kind", "nan", "inf", "-1", "1"]))
+# No arbitrary magnitudes: no example may mesh finer or run longer than its
+# base config.
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS,
+    st.lists(_FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "stray", "value"]), _FUZZ_SCALARS,
+                    max_size=2),
+)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    scenario = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    cfg = json.loads(json.dumps(FUZZ_BASES[scenario]))
+    path = draw(st.sampled_from(list(_key_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if isinstance(old, dict) and draw(st.booleans()):
+        parent[path[-1]] = {**old, "stray": draw(_FUZZ_SCALARS)}
+    else:
+        parent[path[-1]] = draw(_FUZZ_VALUES)
+    return scenario, cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzzed_configs())
+def test_fuzzed_config_exits_cleanly(case):
+    scenario, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "cfg.json", payload)
+        code = main([scenario, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

@@ -250,6 +250,13 @@ def test_from_spec():
         vx.Domain.from_spec({"kind": "interval", "a": 1, "b": 1})
     with pytest.raises(vx.ConfigError):
         vx.Domain.from_spec("not a dict")
+    for stray in ({"kind": "interval", "a": 0, "b": 1, "radius": 3},
+                  {"kind": "polygon", "vertices": [(0, 0), (1, 0), (0, 1)],
+                   "center": [0, 0]},
+                  {"kind": "disk", "center": [0, 0], "radius": 1, "a": 0},
+                  {"kind": "ball_analytic", "center": [0], "radius": 1, "b": 1}):
+        with pytest.raises(vx.ConfigError):
+            vx.Domain.from_spec(stray)
 
 
 @pytest.mark.parametrize("spec", [

@@ -176,8 +176,25 @@ def test_exponent_from_spec(interval, tmp_path):
     p = vx.exponent_from_spec({"kind": "tabulated", "file": path.name},
                               mesh=mesh, base_dir=tmp_path)
     assert isinstance(p, vx.TabulatedExponent)
+    with pytest.raises(vx.ConfigError):
+        vx.exponent_from_spec({"kind": "tabulated", "file": path.name, "mesh": 1},
+                              mesh=mesh, base_dir=tmp_path)
 
     with pytest.raises(vx.ConfigError):
         vx.exponent_from_spec({"kind": "mystery"})
     with pytest.raises(vx.ConfigError):
         vx.exponent_from_spec({"kind": "tabulated", "file": "x.txt"})  # no mesh
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "value": 2.0, "vlaue": 9},
+    {"kind": "affine", "a": 2.0, "b": [1.0], "c": 0},
+    {"kind": "radial", "base": 2.0, "amp": 0.5, "center": [0.0], "radius": 1},
+    {"kind": "affine", "a": 2.0, "b": []},
+    {"kind": "affine", "a": 2.0, "b": [[]]},
+    {"kind": "radial", "base": 2.0, "amp": 0.5, "center": [[0.0]]},
+], ids=["constant_stray_key", "affine_stray_key", "radial_stray_key",
+        "b_empty", "b_nested", "center_nested"])
+def test_exponent_spec_rejects_malformed(spec):
+    with pytest.raises(vx.ConfigError):
+        vx.exponent_from_spec(spec)

@@ -2,6 +2,7 @@
 scaling-manifold candidate generator."""
 
 import hashlib
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -48,6 +49,32 @@ def test_config_rejects_unknown_keys():
     for knob in ("armijo_c1", "armijo_shrink"):  # line-search constants
         with pytest.raises(vx.ConfigError):
             vx.SolveConfig.from_dict({knob: 0.5})
+
+
+@pytest.mark.parametrize("data", [
+    {"epsilon0": inf}, {"eps_min": nan}, {"epsilon": -inf}, {"grad_tol": nan},
+    {"n_schedule": []}, {"n_schedule": [1, 0]}, {"n_schedule": [1, 2.5]},
+    {"n_schedule": [True]}, {"n_schedule": "12"},
+    {"eps_factor": 1 - 1e-9}, {"seed": -1},
+], ids=["epsilon0_infinity", "eps_min_nan", "epsilon_minus_infinity",
+        "grad_tol_nan", "n_schedule_empty", "n_schedule_zero",
+        "n_schedule_fraction", "n_schedule_bool", "n_schedule_string",
+        "eps_factor_near_one", "seed_negative"])
+def test_config_rejects_unrunnable_schedules(data):
+    with pytest.raises(vx.ConfigError):
+        vx.SolveConfig.from_dict(data)
+
+
+def test_eps_schedule_level_cap():
+    cap = vx.solvers._MAX_EPS_LEVELS
+    at_cap = vx.SolveConfig.from_dict(
+        {"epsilon0": 1.0, "eps_factor": 0.5, "eps_min": 0.5 ** (cap - 1)})
+    assert len(at_cap.eps_schedule()) == cap
+    with pytest.raises(vx.ConfigError):
+        vx.SolveConfig.from_dict(
+            {"epsilon0": 1.0, "eps_factor": 0.5, "eps_min": 0.5 ** cap})
+    with pytest.raises(vx.ConfigError):  # built in code, not from a dict
+        vx.SolveConfig(epsilon0=inf).eps_schedule()
 
 
 def test_eps_schedule_terminates_at_floor():
