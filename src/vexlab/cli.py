@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -29,6 +28,7 @@ from .errors import (
     NonElliptic,
     NotStarShaped,
     VexlabError,
+    config_number,
     reject_unknown_keys,
 )
 from .exponents import (
@@ -64,6 +64,11 @@ _KEYS = {"spaces-check": _SETUP | {"trials", "N", "pairs"},
          "cascade": _CANDIDATE, "pohozaev": _CANDIDATE | {"with_remainder"},
          "verdict": _SETUP | {"N", "origin", "tol"},
          "sweep": {"seed", "domain", "p", "q", "sweep", "N", "tol"}}
+# The solver-block keys: solve runs at one fixed epsilon; cascade and
+# pohozaev walk the epsilon schedule for each truncation level.
+_SOLVE_SOLVER = {"epsilon", "grad_tol", "max_iters"}
+_CASCADE_SOLVER = {"epsilon0", "eps_factor", "eps_min", "n_schedule",
+                   "grad_tol", "max_iters", "collapse_tol"}
 
 
 def _jsonable(obj):
@@ -126,20 +131,16 @@ def _require(cfg, key, scenario):
     return cfg[key]
 
 
-def _number(cfg, key, default, kind=float):
-    try:
-        value = kind(cfg.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number: {exc}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value}")
-    return value
+def _number(cfg, key, default, integer=False):
+    return config_number(cfg.get(key, default), f"config key {key!r}", integer)
 
 
-def _solver_config(cfg, seed):
+def _solver_config(cfg, keys, seed):
+    """SolveConfig from the "solver" block, limited to keys, and the seed."""
     data = cfg.get("solver", {})
     if isinstance(data, dict):
-        data = {"seed": seed, **data}
+        reject_unknown_keys(data, keys, "solver")
+        data = {**data, "seed": seed}
     return SolveConfig.from_dict(data)
 
 
@@ -212,12 +213,9 @@ def _setup(cfg, base_dir, need_mesh=True):
 
 def _origin_for(cfg, domain):
     if "origin" in cfg:
-        try:
-            origin = np.atleast_1d(np.asarray(cfg["origin"], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key 'origin' must be numbers: {exc}") from exc
-        if origin.shape != (domain.dim,) or not np.all(np.isfinite(origin)):
-            raise ConfigError(f"config key 'origin' must be {domain.dim} finite "
+        origin = config_number(cfg["origin"], "config key 'origin'", ndim=1)
+        if origin.shape != (domain.dim,):
+            raise ConfigError(f"config key 'origin' must be {domain.dim} "
                               f"numbers, got {cfg['origin']!r}")
         return origin
     return find_star_center(domain)
@@ -240,7 +238,7 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
 def _run_spaces_check(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     rng = np.random.default_rng(seed)
-    trials = _number(cfg, "trials", 50, int)
+    trials = _number(cfg, "trials", 50, integer=True)
 
     rel_passed = 0
     worst_unit_gap = 0.0
@@ -274,7 +272,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     N = _number(cfg, "N", domain.dim)
     if p_plus < N:
         report["embedding_gap"] = embedding_gap(p, q, domain, N)
-    pairs = _number(cfg, "pairs", 500, int)
+    pairs = _number(cfg, "pairs", 500, integer=True)
     lh = log_holder_estimate(p, domain, pairs=pairs, seed=seed)
     report["log_holder_c_hat"] = lh.c_hat
     report["log_holder_ball_form_max"] = lh.ball_form_max
@@ -284,7 +282,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
 
 def _run_solve(cfg, base_dir, out, seed):
     _, mesh, p, q = _setup(cfg, base_dir)
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg, _SOLVE_SOLVER, seed)
     v = _build_field(_require(cfg, "rhs", "solve"), mesh, base_dir)
     res = solve_regularized(v, p, q, scfg)
     u = res.field
@@ -323,7 +321,7 @@ def _failed_levels(runs):
 
 def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
     u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
@@ -351,7 +349,7 @@ def _run_cascade(cfg, base_dir, out, seed):
 
 def _run_pohozaev(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
     u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     report = pohozaev_terms(u, p, q, origin)
@@ -367,8 +365,9 @@ def _run_pohozaev(cfg, base_dir, out, seed):
         payload["failed_levels"] = failed
     payload.update(report.as_dict())
     _write_json(os.path.join(out, "pohozaev.json"), payload)
-    with open(os.path.join(out, "pohozaev.csv"), "w") as fh:
-        fh.write(report.CSV_HEADER + "\n" + report.csv_row() + "\n")
+    row = report.as_dict()
+    del row["origin"]
+    _write_csv(os.path.join(out, "pohozaev.csv"), ",".join(row), [row.values()])
     return 3 if failed or candidate_stop not in (None, "converged") else 0
 
 
@@ -389,15 +388,9 @@ def _run_sweep(cfg, base_dir, out, seed):
     sw = sw if isinstance(sw, dict) else {}
     reject_unknown_keys(sw, ("parameter", "values"), "sweep")
     param = sw.get("parameter")
-    values = sw.get("values")
-    if param not in ("p", "q") or not isinstance(values, list) or not values:
-        raise ConfigError(
-            "sweep needs {'parameter': 'p'|'q', 'values': [..]}"
-        )
-    try:
-        values = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep values must be numbers: {exc}") from exc
+    if param not in ("p", "q"):
+        raise ConfigError("sweep needs {'parameter': 'p'|'q', 'values': [..]}")
+    values = config_number(sw.get("values"), "sweep values", ndim=1).tolist()
     domain = Domain.from_spec(_require(cfg, "domain", "sweep"))
     N = _number(cfg, "N", domain.dim)
     tol = _number(cfg, "tol", 1e-9)
@@ -453,7 +446,8 @@ def main(argv=None):
 
     try:
         cfg, base_dir = _load_config(args.config, args.scenario)
-        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+        config_seed = _number(cfg, "seed", 0, integer=True)
+        seed = config_seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         os.makedirs(args.out, exist_ok=True)

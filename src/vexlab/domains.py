@@ -13,9 +13,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import ConfigError, NotStarShaped, reject_unknown_keys
+from .errors import ConfigError, NotStarShaped, config_number, reject_unknown_keys
 
 _GEOM_TOL = 1e-10
+# Width of the band around the boundary that Domain.contains counts as inside.
+_CONTAINS_TOL = 1e-12
 # Edge triples solved at once by find_star_center: a batch holds k 3x3
 # systems and the margins of their k vertices over all m edges, k (9 + m)
 # floats, so a fixed k bounds the memory however many edges a polygon has.
@@ -51,18 +53,17 @@ class Domain:
         self.kind = kind
         if kind == "interval":
             reject_unknown_keys(geom, ("a", "b"), "interval domain")
-            a, b = float(geom["a"]), float(geom["b"])
-            _check_finite("interval ends", [a, b])
+            a = config_number(geom["a"], "interval end a")
+            b = config_number(geom["b"], "interval end b")
             if not b > a:
                 raise ConfigError(f"interval needs b > a, got ({a}, {b})")
             self.a, self.b = a, b
             self.dim = 1
         elif kind == "polygon":
             reject_unknown_keys(geom, ("vertices",), "polygon domain")
-            verts = np.asarray(geom["vertices"], dtype=float)
-            if verts.ndim != 2 or verts.shape[1] != 2:
+            verts = config_number(geom["vertices"], "polygon vertices", ndim=2)
+            if verts.shape[1] != 2:
                 raise ConfigError("polygon vertices must be two-dimensional")
-            _check_finite("polygon vertices", verts)
             # a repeated vertex (a closed ring's last one, say) is dropped:
             # its zero-length edge has no normal
             verts = verts[np.any(verts != np.roll(verts, -1, axis=0), axis=1)]
@@ -76,9 +77,8 @@ class Domain:
             self.dim = 2
         elif kind in ("disk", "ball"):
             reject_unknown_keys(geom, ("center", "radius"), f"{kind} domain")
-            self.center = np.atleast_1d(np.asarray(geom["center"], dtype=float))
-            self.radius = float(geom["radius"])
-            _check_finite("center and radius", [*self.center, self.radius])
+            self.center = config_number(geom["center"], f"{kind} center", ndim=1)
+            self.radius = config_number(geom["radius"], f"{kind} radius")
             if self.radius <= 0:
                 raise ConfigError("radius must be positive")
             self.dim = len(self.center)
@@ -146,15 +146,16 @@ class Domain:
             return float(np.linalg.norm(d, axis=2).max())
         return 2.0 * self.radius
 
-    def contains(self, points, tol=1e-12):
-        """Boolean mask: which points lie in the closed domain."""
+    def contains(self, points):
+        """Boolean mask: which points lie in the closed domain (or within
+        _CONTAINS_TOL of it)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "interval":
             x = pts[:, 0]
-            return (x >= self.a - tol) & (x <= self.b + tol)
+            return (x >= self.a - _CONTAINS_TOL) & (x <= self.b + _CONTAINS_TOL)
         if self.kind == "polygon":
-            return _points_in_polygon(pts, self.vertices, tol)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
+            return _points_in_polygon(pts, self.vertices)
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + _CONTAINS_TOL
 
     # -- closed-form ranges used for exponent bounds -----------------------
 
@@ -213,7 +214,7 @@ class Domain:
         return self.radius - float(np.linalg.norm(o - self.center))
 
 
-def star_shape_report(domain, origin, tol_geom=_GEOM_TOL):
+def star_shape_report(domain, origin):
     """Check whether the domain is star-shaped with respect to origin; every
     kind admits an exact evaluation (per facet for polygons)."""
     o = np.atleast_1d(np.asarray(origin, dtype=float))
@@ -223,12 +224,12 @@ def star_shape_report(domain, origin, tol_geom=_GEOM_TOL):
     return StarShapeReport(
         origin=o,
         min_xdotnu=float(m),
-        is_star=bool(m >= -tol_geom),
+        is_star=bool(m >= -_GEOM_TOL),
         strict_rho=float(max(m, 0.0)),
     )
 
 
-def find_star_center(domain, tol_geom=_GEOM_TOL):
+def find_star_center(domain):
     """The origin maximizing min over the boundary of (x - origin) . nu.
 
     For a polygon that is the linear program: maximize t subject to
@@ -237,7 +238,7 @@ def find_star_center(domain, tol_geom=_GEOM_TOL):
     feasible set, where three constraints hold with equality, so the 3x3
     system of every non-singular edge triple is solved and its solution o
     scored by its margin min_e (a_e - o) . nu_e.  When the optimum is not
-    unique, the mean of the vertices whose margin is within tol_geom of the
+    unique, the mean of the vertices whose margin is within _GEOM_TOL of the
     best one is returned; the optimal set is convex, so it holds that mean.
     Raises ConfigError above _MAX_STAR_EDGES edges, and NotStarShaped when
     even the best origin leaves min_xdotnu < 0.
@@ -255,11 +256,11 @@ def find_star_center(domain, tol_geom=_GEOM_TOL):
     best, kept = -np.inf, []
     for o, m in _lp_vertices(nu, rhs):
         best = max(best, m.max(initial=-np.inf))
-        kept.append((o[m >= best - tol_geom], m[m >= best - tol_geom]))
+        kept.append((o[m >= best - _GEOM_TOL], m[m >= best - _GEOM_TOL]))
     o, m = (np.concatenate(a) for a in zip(*kept))
-    origin = o[m >= best - tol_geom].mean(axis=0)
+    origin = o[m >= best - _GEOM_TOL].mean(axis=0)
     margin = domain._min_xdotnu(origin)
-    if not margin >= -tol_geom:  # NaN too
+    if not margin >= -_GEOM_TOL:  # NaN too
         raise NotStarShaped(f"no admissible star center found (best "
                             f"min_xdotnu = {margin:.3e})")
     return origin
@@ -297,11 +298,6 @@ def sample_points(domain, resolution=64):
     return pts[domain.contains(pts)]
 
 
-def _check_finite(name, values):
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{name} must be finite")
-
-
 # -- polygon helpers -------------------------------------------------------
 
 
@@ -321,8 +317,9 @@ def _outward_normal(a, b):
     return n / np.linalg.norm(n)
 
 
-def _points_in_polygon(pts, verts, tol=1e-12):
-    """Ray-casting inside test, with a tolerance band around the edges."""
+def _points_in_polygon(pts, verts):
+    """Ray-casting inside test, with a band of _CONTAINS_TOL around the
+    edges."""
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
     n = len(verts)
@@ -335,11 +332,8 @@ def _points_in_polygon(pts, verts, tol=1e-12):
             xcross = (xj - xi) * (y - yi) / (yj - yi) + xi
         inside ^= cond & (x < xcross)
         j = i
-    if tol > 0:
-        near = np.zeros(len(pts), dtype=bool)
-        for a, b in _polygon_edges(verts):
-            near |= _point_segment_distance_many(pts, a, b) <= tol
-        inside |= near
+    for a, b in _polygon_edges(verts):
+        inside |= _point_segment_distance_many(pts, a, b) <= _CONTAINS_TOL
     return inside
 
 

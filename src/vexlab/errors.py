@@ -1,4 +1,8 @@
-"""Exception types raised by vexlab operations, and the config-key check."""
+"""Exception types raised by vexlab operations, and the config checks."""
+
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class VexlabError(Exception):
@@ -51,3 +55,28 @@ def reject_unknown_keys(spec, allowed, what):
     unknown = set(spec) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def config_number(value, what, integer=False, ndim=0):
+    """A config number, or an ndim-deep nested list or array of numbers, as
+    a Python float (int for an integer key) or a float (int) array.
+
+    Raises ConfigError unless value nests exactly ndim deep, is not empty,
+    and every entry is a finite real number, an integer when integer is
+    set, and not a bool."""
+    entries = np.asarray(value, dtype=object)
+    kind = Integral if integer else Real
+    if (entries.ndim != ndim or entries.size == 0
+            or not all(isinstance(v, kind) and not isinstance(v, (bool, np.bool_))
+                       for v in entries.flat)):
+        noun = "integer" if integer else "number"
+        shape = (f"a finite {noun}" if ndim == 0 else
+                 f"a nonempty list of finite {noun}s, nested {ndim} deep")
+        raise ConfigError(f"{what} must be {shape}, got {value!r}")
+    try:
+        out = entries.astype(int if integer else float)
+    except OverflowError as exc:
+        raise ConfigError(f"{what} is out of range: {value!r}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out.item() if ndim == 0 else out

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .domains import sample_points
-from .errors import ConfigError, ExponentTooLarge, NonElliptic, reject_unknown_keys
+from .errors import (ConfigError, ExponentTooLarge, NonElliptic, config_number,
+                     reject_unknown_keys)
 from .fem import DiscreteField, field_on_quadrature, gradient
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
@@ -71,7 +72,7 @@ class ExponentField:
 
 class ConstantExponent(ExponentField):
     def __init__(self, value):
-        self.value = float(value)
+        self.value = config_number(value, "constant exponent value")
 
     def value_at(self, x):
         pts = self._as_points(x)
@@ -92,8 +93,8 @@ class AffineExponent(ExponentField):
     """p(x) = a + b . x"""
 
     def __init__(self, a, b):
-        self.a = float(a)
-        self.b = _vector("affine exponent b", b)
+        self.a = config_number(a, "affine exponent a")
+        self.b = config_number(b, "affine exponent b", ndim=1)
         self.dim = len(self.b)
 
     def value_at(self, x):
@@ -115,9 +116,9 @@ class RadialExponent(ExponentField):
     """p(x) = base + amp * |x - center|^2 (smooth through the center)."""
 
     def __init__(self, base, amp, center):
-        self.base = float(base)
-        self.amp = float(amp)
-        self.center = _vector("radial exponent center", center)
+        self.base = config_number(base, "radial exponent base")
+        self.amp = config_number(amp, "radial exponent amp")
+        self.center = config_number(center, "radial exponent center", ndim=1)
         self.dim = len(self.center)
 
     def value_at(self, x):
@@ -280,13 +281,6 @@ class TransformedExponent(ExponentField):
         return f"{self.name}({self.base!r})"
 
 
-def _vector(name, v):
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ConfigError(f"{name} must be a nonempty list of numbers")
-    return arr
-
-
 def _checked_bounds(lo, hi):
     if not (lo > 1.0 and math.isfinite(hi)):
         raise NonElliptic(f"exponent bounds ({lo:.6g}, {hi:.6g}) leave (1, inf)")
@@ -444,8 +438,6 @@ def exponent_from_spec(spec, mesh=None, base_dir=None):
            {"kind": "radial", "base": 2.0, "amp": 0.5, "center": [0, 0]}
            {"kind": "tabulated", "file": "values.txt"}   (one value per node)
     """
-    if isinstance(spec, (int, float)):
-        return ConstantExponent(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("exponent spec must be a dict with a 'kind' key")
     kind = spec["kind"]

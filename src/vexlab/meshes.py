@@ -54,13 +54,12 @@ class Mesh:
     interior_nodes / boundary_nodes index arrays.
     """
 
-    def __init__(self, nodes, cells, domain=None):
+    def __init__(self, nodes, cells):
         self.nodes = np.asarray(nodes, dtype=float)
         if self.nodes.ndim == 1:
             self.nodes = self.nodes[:, None]
         self.cells = np.asarray(cells, dtype=np.int64)
         self.dim = self.nodes.shape[1]
-        self.domain = domain
         if self.dim not in (1, 2):
             raise MeshFailure(f"only 1D/2D meshes supported, got dim {self.dim}")
         if self.cells.ndim != 2 or self.cells.shape[1] != self.dim + 1:
@@ -280,7 +279,7 @@ def build_mesh(domain, h_target):
         _check_cells(n)
         nodes = np.linspace(domain.a, domain.b, n + 1)[:, None]
         cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        mesh = Mesh(nodes, cells, domain=domain)
+        mesh = Mesh(nodes, cells)
         _check_volume(mesh, domain.volume())
     elif domain.kind == "polygon":
         mesh = _mesh_polygon(domain, h_target)
@@ -322,7 +321,7 @@ def _mesh_polygon(domain, h_target):
     _check_cells(len(tris) * 4**levels)
     for _ in range(levels):
         nodes, tris = _refine_red(nodes, tris)
-    return Mesh(nodes, tris, domain=domain)
+    return Mesh(nodes, tris)
 
 
 def _refine_red(nodes, tris):
@@ -408,14 +407,14 @@ def _mesh_disk(domain, h_target):
     m = max(2, math.ceil(min(2.5 * R / h_target, _RATIO_CAP)))
     for _ in range(8):
         _check_cells(2 * m * m)
-        mesh = _mapped_square_disk(m, R, center, domain)
+        mesh = _mapped_square_disk(m, R, center)
         if mesh.h <= 2 * h_target:
             return mesh
         m = math.ceil(1.3 * m) + 1
     raise MeshFailure("disk meshing failed to reach target resolution")
 
 
-def _mapped_square_disk(m, R, center, domain):
+def _mapped_square_disk(m, R, center):
     s = np.linspace(-1.0, 1.0, m + 1)
     X, Y = np.meshgrid(s, s, indexing="ij")
     # square -> disk map; the square boundary lands exactly on the circle
@@ -432,7 +431,7 @@ def _mapped_square_disk(m, R, center, domain):
         np.column_stack([n00, n10, n11, n00, n11, n01]),
         np.column_stack([n00, n10, n01, n10, n11, n01]),
     )
-    return Mesh(nodes, cells.reshape(-1, 3), domain=domain)
+    return Mesh(nodes, cells.reshape(-1, 3))
 
 
 # -- plain-text mesh exchange format ---------------------------------------
@@ -458,7 +457,7 @@ def _numbered(rows):
     return [f"{i} " + " ".join(map(repr, row)) for i, row in enumerate(rows)]
 
 
-def read_mesh(path, domain=None):
+def read_mesh(path):
     """Read the text format written by write_mesh and rebuild the mesh.
 
     Facet lines are validated against the boundary derived from the cells;
@@ -482,7 +481,7 @@ def read_mesh(path, domain=None):
         declared = _columns(lines[1 + nn + nc :], dim, np.int64)
     except ValueError as exc:
         raise MeshFailure(f"malformed line in {path}: {exc}") from exc
-    mesh = Mesh(nodes, cells, domain=domain)
+    mesh = Mesh(nodes, cells)
     if not np.array_equal(
         np.unique(np.sort(declared, axis=1), axis=0),
         np.unique(np.sort(mesh.boundary_facets, axis=1), axis=0),

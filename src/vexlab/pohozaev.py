@@ -58,23 +58,12 @@ class PohozaevReport:
     p_dagger: float
     origin: tuple
 
-    CSV_HEADER = (
-        "t1,t2,t3,t4,r_proxy,total,class_e,class_p,identity_gap,p_dagger"
-    )
-
     def with_remainder(self, r_proxy):
         base = self.t1 + self.t2 + self.t3 - self.t4
         return replace(self, r_proxy=float(r_proxy), total=base + float(r_proxy))
 
     def as_dict(self):
         return {**asdict(self), "origin": list(self.origin)}
-
-    def csv_row(self):
-        return (
-            f"{self.t1!r},{self.t2!r},{self.t3!r},{self.t4!r},"
-            f"{self.r_proxy!r},{self.total!r},{int(self.class_e)},"
-            f"{int(self.class_p)},{self.identity_gap!r},{self.p_dagger!r}"
-        )
 
 
 def _origin(origin):

@@ -12,14 +12,13 @@ driver _minimize.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
-from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from .errors import CollapseToZero, ConfigError, NoScalingRoot, reject_unknown_keys
+from .errors import (CollapseToZero, ConfigError, NoScalingRoot, config_number,
+                     reject_unknown_keys)
 from .fem import (
     DiscreteField,
     _assemble_matrix,
@@ -70,20 +69,14 @@ class SolveConfig:
             raise ConfigError("solver config must be a JSON object")
         types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
         reject_unknown_keys(data, types, "solver config")
-        for key, value in data.items():
-            kind = {"float": Real, "int": Integral}.get(types[key])
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ConfigError(f"solver {key!r}: {value!r} is not {types[key]}")
-            if kind is Real and not math.isfinite(value):
-                raise ConfigError(f"solver {key!r}: {value!r} is not finite")
-        cfg = cls(**data)
-        levels = cfg.n_schedule
-        if (not isinstance(levels, (list, tuple)) or not levels
-                or any(isinstance(n, bool) or not isinstance(n, Integral) or n < 1
-                       for n in levels)):
-            raise ConfigError(f"solver 'n_schedule': {levels!r} is not a "
-                              "nonempty list of positive integers")
-        cfg.n_schedule = tuple(levels)
+        cfg = cls(**{key: config_number(value, f"solver {key!r}",
+                                        integer=types[key] in ("int", "tuple"),
+                                        ndim=int(types[key] == "tuple"))
+                     for key, value in data.items()})
+        cfg.n_schedule = tuple(int(n) for n in cfg.n_schedule)
+        if min(cfg.n_schedule) < 1:
+            raise ConfigError(f"solver 'n_schedule': {cfg.n_schedule} has a "
+                              "level below 1")
         if cfg.seed < 0:
             raise ConfigError(f"solver 'seed': {cfg.seed} is negative")
         if cfg.epsilon0 <= 0 or cfg.eps_min <= 0 or not 0 < cfg.eps_factor < 1:
@@ -312,8 +305,8 @@ def operator_action(z, p, eps):
     return DiscreteField(mesh, out, zero_trace=True)
 
 
-def power_source(u, q, factor=2.0):
-    """L2-projection of factor * |u|^(q-2) u onto P1.
+def power_source(u, q):
+    """L2-projection of 2 |u|^(q-2) u onto P1.
 
     Projecting the quadrature-point composition (rather than interpolating
     nodal values) keeps <v, phi_i> exactly equal to the composed load, so
@@ -322,7 +315,7 @@ def power_source(u, q, factor=2.0):
     """
     qq = q.eval_on_quadrature(u.mesh)
     sq = field_on_quadrature(u)
-    return l2_project(u.mesh, factor * _signed_power(sq, qq))
+    return l2_project(u.mesh, 2.0 * _signed_power(sq, qq))
 
 
 def mollifier_radius(eps, mesh):
@@ -367,17 +360,17 @@ def solve_truncated(u, p, q, n, cfg=None):
     Builds u_n = cutoff(u, n) and the mollified doubled source, then runs
     solve_regularized along the schedule with warm starts.  Diagnostics
     carry the per-epsilon series: gradient modular, regularized modular,
-    q-modular, and successive-iterate distances in mesh-L2 and q-modular.
+    q-modular, and the mesh-L2 distance between successive iterates.
     The per-epsilon SolveResults are kept under diagnostics["eps_runs"].
     """
     cfg = cfg or SolveConfig()
     mesh = u.mesh
     u_n = cutoff(u, n)
-    f_node = power_source(u_n, q, factor=2.0)
+    f_node = power_source(u_n, q)
 
     runs = []
     series = {"epsilon": [], "grad_modular": [], "phi_modular": [],
-              "q_modular": [], "l2_delta": [], "q_modular_delta": []}
+              "q_modular": [], "l2_delta": []}
     z = u_n.values.copy()
     prev = None
     pq = p.eval_on_quadrature(mesh)
@@ -392,13 +385,7 @@ def solve_truncated(u, p, q, n, cfg=None):
         series["grad_modular"].append(gradient_modular(wfield, p).value)
         series["phi_modular"].append(float(np.sum(w * (g2 + eps) ** (pq / 2.0))))
         series["q_modular"].append(modular(wfield, q).value)
-        if prev is None:
-            series["l2_delta"].append(np.nan)
-            series["q_modular_delta"].append(np.nan)
-        else:
-            diff = wfield - prev
-            series["l2_delta"].append(mesh_l2(diff))
-            series["q_modular_delta"].append(modular(diff, q).value)
+        series["l2_delta"].append(np.nan if prev is None else mesh_l2(wfield - prev))
         prev = wfield
         res.diagnostics["n"] = n
         runs.append(res)

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vexlab as vx
 from vexlab.cli import _load_config, main
+from vexlab.errors import config_number
 
 BALL = {"kind": "ball_analytic", "center": [0, 0, 0], "radius": 1.0}
 UNIT_INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
@@ -183,8 +184,9 @@ def test_pohozaev_scenario_with_remainder(tmp_path):
     assert rep["r_proxy"] >= 0.0
 
     lines = (out / "pohozaev.csv").read_text().splitlines()
-    assert lines[0] == vx.PohozaevReport.CSV_HEADER
-    assert len(lines) == 2
+    assert lines[0] == ("t1,t2,t3,t4,r_proxy,total,class_e,class_p,"
+                        "identity_gap,p_dagger")
+    assert len(lines) == 2 and len(lines[1].split(",")) == 10
 
 
 CASCADE = {
@@ -310,10 +312,12 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
                                           "amplitud": 5}}),
     ("cascade", {**CASCADE, "candidate": {"kind": "nehari", "seed": 1}}),
     ("sweep", {**SWEEP, "sweep": {**SWEEP["sweep"], "extra": 1}}),
-    ("solve", solve_payload({"epsilon0": inf})),
-    ("solve", solve_payload({"eps_min": nan})),
-    ("solve", solve_payload({"eps_factor": 1 - 1e-9})),
-    ("solve", solve_payload({"n_schedule": [1, 2.5]})),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "epsilon0": inf}}),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "eps_min": nan}}),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"],
+                                       "eps_factor": 1 - 1e-9}}),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"],
+                                       "n_schedule": [1, 2.5]}}),
     ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "n_schedule": []}}),
     ("solve", {**solve_payload(), "rhs": {"kind": "constant", "value": nan}}),
     ("solve", {**solve_payload(), "p": {"kind": "affine", "a": 2.0,
@@ -323,6 +327,21 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("cascade", {**CASCADE, "origin": [0.5, 0.5]}),
     ("spaces-check", {**SPACES, "seed": -1}),
     ("spaces-check", {**SPACES, "seed": inf}),
+    ("spaces-check", {**SPACES, "trials": 2.5}),
+    ("spaces-check", {**SPACES, "seed": 1.5}),
+    ("solve", {**solve_payload(), "h": "0.05"}),
+    ("solve", {**solve_payload(), "h": True}),
+    ("verdict", {**VERDICT, "tol": "1e-3"}),
+    ("solve", {**solve_payload(), "domain": {**UNIT_INTERVAL, "a": False}}),
+    ("solve", {**solve_payload(), "domain": {**UNIT_INTERVAL, "b": "1"}}),
+    ("solve", {**solve_payload(), "q": {"kind": "constant", "value": "2.5"}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "constant", "value": True}}),
+    ("solve", {**solve_payload(), "p": 3}),
+    ("solve", solve_payload({"n_schedule": [1, 2]})),
+    ("solve", solve_payload({"epsilon0": 0.5})),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "epsilon": 1e-3}}),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "seed": 5}}),
+    ("solve", solve_payload({"seed": 5})),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -334,7 +353,12 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "epsilon0_infinity", "eps_min_nan", "eps_factor_near_one",
         "n_schedule_fraction", "n_schedule_empty", "field_value_nan",
         "exponent_wrong_dimension", "exponent_not_elliptic", "exponent_nan",
-        "origin_wrong_dimension", "seed_negative", "seed_infinity"])
+        "origin_wrong_dimension", "seed_negative", "seed_infinity",
+        "trials_fraction", "seed_fraction", "h_string", "h_bool", "tol_string",
+        "interval_a_bool", "interval_b_string", "exponent_value_string",
+        "field_value_bool", "exponent_bare_number", "solve_n_schedule",
+        "solve_epsilon0", "cascade_epsilon", "cascade_solver_seed",
+        "solve_solver_seed"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -370,6 +394,41 @@ def test_nehari_candidate_stop_reported(tmp_path):
     out = tmp_path / "out"
     assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
     assert load_report(out / "cascade.json")["candidate_stop"] == "converged"
+
+
+def test_seed_flag_replaces_the_config_seed(tmp_path):
+    # the seed reaches only the Nehari candidate's random start
+    def t1(config_seed, *flag):
+        cfg = write_config(tmp_path, "pohozaev.json", {
+            "domain": UNIT_INTERVAL, "h": 0.05, "seed": config_seed,
+            "p": {"kind": "constant", "value": 2.0},
+            "q": {"kind": "constant", "value": 4.0},
+            "candidate": {"kind": "nehari"}, "origin": [0.5],
+        })
+        out = tmp_path / "out"
+        assert main(["pohozaev", "--config", cfg, "--out", str(out), *flag]) == 0
+        return load_report(out / "pohozaev.json")["t1"]
+
+    assert t1(5, "--seed", "7") == t1(7) != t1(5)
+
+
+def test_config_number_reads_numbers_only():
+    assert config_number(3, "x", integer=True) == 3
+    value = config_number(np.float64(0.5), "x")
+    assert value == 0.5 and type(value) is float
+    assert type(config_number(2, "x")) is float
+    verts = config_number([(0, 0), (1.5, 0)], "x", ndim=2)
+    assert verts.dtype == float and verts.tolist() == [[0.0, 0.0], [1.5, 0.0]]
+    assert config_number(np.array([1.0, 2.0]), "x", ndim=1).tolist() == [1.0, 2.0]
+    assert config_number([1, 2], "x", integer=True, ndim=1).tolist() == [1, 2]
+    for bad, ndim in [(True, 0), (np.bool_(False), 0), ([1, True], 1), ("1", 0),
+                      (None, 0), ([], 1), ([[0, 0], [1]], 2), (nan, 0),
+                      (inf, 0), ([0.0, -inf], 1), ([1.0], 0), (1.0, 1)]:
+        with pytest.raises(vx.ConfigError):
+            config_number(bad, "x", ndim=ndim)
+    for fraction in (2.5, 2.0, np.float64(3.0)):
+        with pytest.raises(vx.ConfigError):
+            config_number(fraction, "x", integer=True)
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -444,7 +503,7 @@ def _fuzzed_configs(draw):
         parent[path[-1]] = {**old, "stray": draw(_FUZZ_SCALARS)}
     else:
         parent[path[-1]] = draw(_FUZZ_VALUES)
-    return scenario, cfg
+    return scenario, cfg, old, parent[path[-1]]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -452,8 +511,12 @@ def _fuzzed_configs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_fuzzed_configs())
 def test_fuzzed_config_exits_cleanly(case):
-    scenario, payload = case
+    scenario, payload, old, new = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "cfg.json", payload)
         code = main([scenario, "--config", cfg, "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
+    # every number of the base configs is read, and none is coerced
+    if (isinstance(old, (int, float)) and not isinstance(old, bool)
+            and (new is None or isinstance(new, (bool, str)))):
+        assert code == 2

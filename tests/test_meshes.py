@@ -205,12 +205,12 @@ def test_mesh_size_prediction_is_exact(monkeypatch, domain, h):
 
 
 def test_nonconvex_polygon_meshes_cleanly():
-    mesh = vx.build_mesh(vx.Domain.polygon(
-        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]),
-        0.25)
+    domain = vx.Domain.polygon(
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)])
+    mesh = vx.build_mesh(domain, 0.25)
     assert mesh.volume == pytest.approx(3.0, abs=1e-10)
     inside = mesh.nodes[mesh.ncells // 2]
-    assert mesh.domain.contains(inside[None, :])[0]
+    assert domain.contains(inside[None, :])[0]
 
 
 # -- oracles: the loop forms the array code replaced ------------------------

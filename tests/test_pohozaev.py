@@ -99,8 +99,6 @@ def test_report_with_remainder_and_csv(fine_interval_mesh):
     assert rep2.r_proxy == 0.125
     assert rep2.total == pytest.approx(
         rep.t1 + rep.t2 + rep.t3 - rep.t4 + 0.125, abs=1e-15)
-    assert len(rep2.csv_row().split(",")) == \
-        len(vx.PohozaevReport.CSV_HEADER.split(","))
     d = rep2.as_dict()
     assert d["origin"] == [0.5] and d["r_proxy"] == 0.125
 
