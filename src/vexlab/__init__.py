@@ -29,7 +29,6 @@ from .exponents import (
     LogHolderReport,
     RadialExponent,
     TabulatedExponent,
-    bounds,
     conjugate,
     embedding_gap,
     exponent_from_spec,

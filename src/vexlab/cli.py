@@ -29,11 +29,11 @@ from .errors import (
     NotStarShaped,
     VexlabError,
     config_number,
+    read_nodal_file,
     reject_unknown_keys,
 )
 from .exponents import (
     ConstantExponent,
-    bounds as exponent_bounds,
     embedding_gap,
     exponent_from_spec,
     log_holder_estimate,
@@ -173,19 +173,8 @@ def _build_field(spec, mesh, base_dir):
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * vals,
                              zero_trace=True)
     if kind == "nodal_file":
-        reject_unknown_keys(spec, ("kind", "file"), "nodal_file field")
-        path = _require(spec, "file", "nodal_file")
-        if base_dir:
-            path = os.path.join(base_dir, path)
-        try:
-            vals = np.loadtxt(path).ravel()
-        except OSError as exc:
-            raise ConfigError(f"cannot read nodal field: {exc}") from exc
-        if len(vals) != mesh.nnodes:
-            raise ConfigError(
-                f"nodal field has {len(vals)} values for {mesh.nnodes} nodes"
-            )
-        return DiscreteField(mesh, vals)
+        return DiscreteField(mesh, read_nodal_file(spec, base_dir, mesh.nnodes,
+                                                   "nodal_file field"))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -196,7 +185,7 @@ def _exponent(cfg, key, domain, mesh, base_dir):
     if p.dim not in (None, domain.dim):
         raise ConfigError(f"exponent {key!r} is {p.dim}-dimensional on a "
                           f"{domain.dim}-dimensional domain")
-    exponent_bounds(p, domain)
+    p.bounds(domain)
     return p
 
 
@@ -257,7 +246,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
         hold_passed += int(hrep.passed)
         worst_slack = min(worst_slack, hrep.slack)
 
-    p_minus, p_plus = exponent_bounds(p, domain)
+    p_minus, p_plus = p.bounds(domain)
     report = {
         "scenario": "spaces-check",
         "trials": trials,

@@ -1,5 +1,7 @@
 """Exception types raised by vexlab operations, and the config checks."""
 
+import os
+import warnings
 from numbers import Integral, Real
 
 import numpy as np
@@ -80,3 +82,28 @@ def config_number(value, what, integer=False, ndim=0):
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return out.item() if ndim == 0 else out
+
+
+def read_nodal_file(spec, base_dir, nnodes, what):
+    """The nnodes finite numbers in the file a {"kind", "file"} spec names,
+    relative to base_dir, as a float array; ConfigError naming the file,
+    not its values, for anything else."""
+    reject_unknown_keys(spec, ("kind", "file"), what)
+    name = spec.get("file")
+    if not isinstance(name, str):
+        raise ConfigError(f"{what} needs a 'file' string, got {name!r}")
+    path = os.path.join(base_dir or "", name)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on an empty file
+            values = np.loadtxt(path).ravel()
+        config_number(values, what, ndim=1)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except (ValueError, UserWarning, ConfigError) as exc:
+        raise ConfigError(f"{what} file {path} must hold finite numbers only"
+                          ) from exc
+    if len(values) != nnodes:
+        raise ConfigError(f"{what} file {path} has {len(values)} values for "
+                          f"{nnodes} mesh nodes")
+    return values

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .domains import sample_points
 from .errors import (ConfigError, ExponentTooLarge, NonElliptic, config_number,
-                     reject_unknown_keys)
+                     read_nodal_file, reject_unknown_keys)
 from .fem import DiscreteField, field_on_quadrature, gradient
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
@@ -143,97 +144,66 @@ class TabulatedExponent(ExponentField):
     """Nodal values on a mesh, interpolated piecewise-linearly.
 
     Gradients are the per-cell constants of the P1 interpolant.  Bounds are
-    the nodal extrema, which are exact for the interpolant.
+    the nodal extrema, which are exact for the interpolant.  One path in 1D
+    and 2D locates a point: the cell of the nearest centroid if it holds the
+    point, else the cell of the 12 nearest whose least barycentric
+    coordinate is largest (a nearby cell for a point outside the mesh).
     """
 
     def __init__(self, mesh, values):
         self.mesh = mesh
-        self.values = np.asarray(values, dtype=float).ravel()
-        if len(self.values) != mesh.nnodes:
-            raise ConfigError(
-                f"tabulated exponent has {len(self.values)} values for "
-                f"{mesh.nnodes} mesh nodes"
-            )
         self.dim = mesh.dim
-        self.cell_grads = gradient(DiscreteField(mesh, self.values))
-        self._tree = None
-        self._order = None
+        self._field = DiscreteField(mesh, values)  # ConfigError unless one per node
+        self.values = self._field.values
+        self.cell_grads = gradient(self._field)
 
-    def _locate(self, pts):
-        """Containing-cell index per point (nearest cell for outliers)."""
-        mesh = self.mesh
-        if mesh.dim == 1:
-            if self._order is None:
-                self._order = np.argsort(mesh.nodes[mesh.cells[:, 0], 0])
-                self._lefts = mesh.nodes[mesh.cells[self._order, 0], 0]
-            idx = np.searchsorted(self._lefts, pts[:, 0], side="right") - 1
-            idx = np.clip(idx, 0, mesh.ncells - 1)
-            return self._order[idx]
-        if self._tree is None:
-            centroids = mesh.nodes[mesh.cells].mean(axis=1)
-            self._tree = cKDTree(centroids)
-        k = min(12, mesh.ncells)
-        _, cand = self._tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
-        out = cand[:, 0].copy()
-        best = np.full(len(pts), -np.inf)
-        for col in range(cand.shape[1]):
-            cells = cand[:, col]
-            lam = self._barycentric(pts, cells)
-            score = lam.min(axis=1)
-            better = score > best
-            out[better] = cells[better]
-            best[better] = score[better]
-            if np.all(best >= -1e-12):
-                break
-        return out
+    @cached_property
+    def _tree(self):
+        return cKDTree(self.mesh.nodes[self.mesh.cells].mean(axis=1))
 
     def _barycentric(self, pts, cells):
+        """lambda(x) = e0 + basis_grads[c] . (x - x_c0), shape (n, dim + 1)."""
         mesh = self.mesh
-        a = mesh.nodes[mesh.cells[cells, 0]]
-        b = mesh.nodes[mesh.cells[cells, 1]]
-        c = mesh.nodes[mesh.cells[cells, 2]]
-        v0, v1, v2 = b - a, c - a, pts - a
-        d00 = np.sum(v0 * v0, axis=1)
-        d01 = np.sum(v0 * v1, axis=1)
-        d11 = np.sum(v1 * v1, axis=1)
-        d20 = np.sum(v2 * v0, axis=1)
-        d21 = np.sum(v2 * v1, axis=1)
-        denom = d00 * d11 - d01 * d01
-        lb = (d11 * d20 - d01 * d21) / denom
-        lc = (d00 * d21 - d01 * d20) / denom
-        return np.column_stack([1.0 - lb - lc, lb, lc])
+        lam = np.einsum("pvd,pd->pv", mesh.basis_grads[cells],
+                        pts - mesh.nodes[mesh.cells[cells, 0]])
+        lam[:, 0] += 1.0
+        return lam
+
+    def _locate(self, pts):
+        """(cells, barycentric coordinates) of the cell holding each point."""
+        _, cells = self._tree.query(pts)
+        lam = self._barycentric(pts, cells)
+        out = np.flatnonzero(lam.min(axis=1) < -1e-12)
+        if len(out):
+            k = min(12, self.mesh.ncells)
+            cand = self._tree.query(pts[out], k=k)[1].reshape(len(out), k)
+            lams = self._barycentric(np.repeat(pts[out], k, axis=0), cand.ravel())
+            lams = lams.reshape(len(out), k, -1)
+            best = lams.min(axis=2).argmax(axis=1)
+            cells[out] = cand[np.arange(len(out)), best]
+            lam[out] = lams[np.arange(len(out)), best]
+        return cells, lam
 
     def value_at(self, x):
-        pts = self._as_points(x)
-        cells = self._locate(pts)
-        if self.mesh.dim == 1:
-            n0 = self.mesh.cells[cells, 0]
-            n1 = self.mesh.cells[cells, 1]
-            x0 = self.mesh.nodes[n0, 0]
-            x1 = self.mesh.nodes[n1, 0]
-            t = np.clip((pts[:, 0] - x0) / (x1 - x0), 0.0, 1.0)
-            return (1 - t) * self.values[n0] + t * self.values[n1]
-        lam = np.clip(self._barycentric(pts, cells), 0.0, 1.0)
+        cells, lam = self._locate(self._as_points(x))
+        lam = np.clip(lam, 0.0, 1.0)
         lam /= lam.sum(axis=1, keepdims=True)
         return np.einsum("pv,pv->p", lam, self.values[self.mesh.cells[cells]])
 
     def gradient_at(self, x):
-        pts = self._as_points(x)
-        return self.cell_grads[self._locate(pts)]
+        return self.cell_grads[self._locate(self._as_points(x))[0]]
 
     def bounds(self, domain=None):
         return _checked_bounds(float(self.values.min()), float(self.values.max()))
 
     def eval_on_quadrature(self, mesh):
         if mesh is self.mesh:
-            return field_on_quadrature(DiscreteField(mesh, self.values))
+            return field_on_quadrature(self._field)
         return super().eval_on_quadrature(mesh)
 
     def grad_on_quadrature(self, mesh):
         if mesh is self.mesh:
-            _, w, _ = mesh.quadrature()
-            nq = w.shape[1]
+            nq = mesh.quadrature()[1].shape[1]
             return np.repeat(self.cell_grads[:, None, :], nq, axis=1)
         return super().grad_on_quadrature(mesh)
 
@@ -290,11 +260,6 @@ def _checked_bounds(lo, hi):
 # -- derived fields --------------------------------------------------------
 
 
-def bounds(p, domain=None):
-    """(p_minus, p_plus) over the domain; raises NonElliptic at p <= 1."""
-    return p.bounds(domain)
-
-
 def sampled_bounds(p, domain, resolution=64):
     """Grid-sampled bounds; monotone under doubling of the resolution."""
     pts = sample_points(domain, resolution)
@@ -338,10 +303,10 @@ def sobolev_conjugate(p, N):
     )
 
 
-def embedding_gap(p, q, domain, N=None, resolution=64):
+def embedding_gap(p, q, domain, N=None):
     """min over samples of (p*(x) - q(x)); positive means compact range."""
     N = float(N if N is not None else domain.dim)
-    pts = sample_points(domain, resolution)
+    pts = sample_points(domain)
     if isinstance(p, TabulatedExponent):
         pts = np.vstack([pts, p.mesh.nodes])
     pstar = sobolev_conjugate(p, N).value_at(pts)
@@ -399,7 +364,8 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
     )
 
 
-def _ball_form_max(p, domain, rng, nballs=256, per_ball=24):
+def _ball_form_max(p, domain, rng, nballs):
+    """Max of |B|^(pB- - pB+) over nballs interior balls, 24 points each."""
     lo, hi = domain.bounding_box()
     span = hi - lo
     N = domain.dim
@@ -416,9 +382,9 @@ def _ball_form_max(p, domain, rng, nballs=256, per_ball=24):
         if dist <= 1e-12:
             continue
         rad = dist * rng.uniform(0.1, 0.95)
-        direction = rng.standard_normal((per_ball, N))
+        direction = rng.standard_normal((24, N))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = rad * rng.random(per_ball) ** (1.0 / N)
+        radii = rad * rng.random(24) ** (1.0 / N)
         pts = c + radii[:, None] * direction
         pv = p.value_at(pts)
         vol = unit_vol * rad**N
@@ -428,6 +394,12 @@ def _ball_form_max(p, domain, rng, nballs=256, per_ball=24):
 
 
 # -- config parsing --------------------------------------------------------
+
+
+# The closed-form kinds: each constructor and the spec keys it takes, in order.
+_KINDS = {"constant": (ConstantExponent, ("value",)),
+          "affine": (AffineExponent, ("a", "b")),
+          "radial": (RadialExponent, ("base", "amp", "center"))}
 
 
 def exponent_from_spec(spec, mesh=None, base_dir=None):
@@ -441,31 +413,16 @@ def exponent_from_spec(spec, mesh=None, base_dir=None):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("exponent spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    try:
-        if kind == "constant":
-            reject_unknown_keys(spec, ("kind", "value"), "constant exponent")
-            return ConstantExponent(spec["value"])
-        if kind == "affine":
-            reject_unknown_keys(spec, ("kind", "a", "b"), "affine exponent")
-            return AffineExponent(spec["a"], spec["b"])
-        if kind == "radial":
-            reject_unknown_keys(spec, ("kind", "base", "amp", "center"),
-                                "radial exponent")
-            return RadialExponent(spec["base"], spec["amp"], spec["center"])
-        if kind == "tabulated":
-            reject_unknown_keys(spec, ("kind", "file"), "tabulated exponent")
-            if mesh is None:
-                raise ConfigError("tabulated exponent needs the scenario mesh")
-            path = spec["file"]
-            if base_dir is not None:
-                import os
-
-                path = os.path.join(base_dir, path)
-            try:
-                values = np.loadtxt(path).ravel()
-            except OSError as exc:
-                raise ConfigError(f"cannot read tabulated values: {exc}") from exc
-            return TabulatedExponent(mesh, values)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad exponent spec for kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown exponent kind {kind!r}")
+    if kind == "tabulated":
+        if mesh is None:
+            raise ConfigError("tabulated exponent needs the scenario mesh")
+        return TabulatedExponent(mesh, read_nodal_file(
+            spec, base_dir, mesh.nnodes, "tabulated exponent"))
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown exponent kind {kind!r}")
+    cls, keys = _KINDS[kind]
+    reject_unknown_keys(spec, ("kind", *keys), f"{kind} exponent")
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise ConfigError(f"{kind} exponent needs keys {missing}")
+    return cls(*(spec[key] for key in keys))

@@ -11,6 +11,9 @@ from .exponents import conjugate
 from .fem import field_on_quadrature, gradient
 
 _UNIT_BAND = 1e-12
+# Pass tolerances of verify_modular_relations and of holder_check's slack.
+_RELATIONS_TOL = 1e-8
+_HOLDER_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 
@@ -144,12 +147,13 @@ def gradient_luxemburg_norm(u, p):
     return _luxemburg_from_samples(*_gradient_samples(u, p))
 
 
-def verify_modular_relations(u, p, tol=1e-8):
+def verify_modular_relations(u, p):
     """Check the sign trichotomy and the p-/p+ sandwich inequalities.
 
     Exponent bounds are taken from the quadrature samples, which is exactly
     the range governing the discrete modular.
     """
+    tol = _RELATIONS_TOL
     vals, pq, w = _samples(u, p)
     p_minus, p_plus = float(pq.min()), float(pq.max())
 
@@ -195,7 +199,7 @@ def verify_modular_relations(u, p, tol=1e-8):
     )
 
 
-def holder_check(u, v, p, tol=1e-9):
+def holder_check(u, v, p):
     """Variable-exponent Holder inequality:
 
         |int u v| <= (1/p- + 1/p'-) ||u||_p(.) ||v||_p'(.)
@@ -220,5 +224,5 @@ def holder_check(u, v, p, tol=1e-9):
     return HolderReport(
         lhs=lhs, rhs=float(rhs), constant=float(constant),
         norm_u=float(norm_u), norm_v=float(norm_v), slack=float(slack),
-        passed=bool(slack >= -tol * (1.0 + rhs)),
+        passed=bool(slack >= -_HOLDER_TOL * (1.0 + rhs)),
     )

@@ -16,13 +16,13 @@ import numpy as np
 
 from .domains import find_star_center, star_shape_report
 from .errors import ExponentTooLarge, InsufficientRuns, NonFiniteIntegrand, NotStarShaped
-from .exponents import bounds as exponent_bounds
 from .exponents import conjugate
 from .fem import field_on_quadrature, gradient
 from .modular import gradient_modular, modular
 from .solvers import _signed_power
 
 _GUARD = 1e-300
+_CLASS_E_TOL = 1e-9
 
 
 def tloge(t):
@@ -97,13 +97,13 @@ def _facet_data(u, p, origin):
     return g2, pv, xdotnu, w
 
 
-def pohozaev_terms(u, p, q, origin, tol=1e-9):
+def pohozaev_terms(u, p, q, origin):
     """Evaluate the four volume terms for a zero-trace field (r_proxy = 0).
 
-    class_e is the sign of t3 - t4 (>= -tol); class_p checks that each
-    component integral of |x_i| |u|^(q-1) in the conjugate-exponent modular
-    is finite at quadrature precision; identity_gap compares the q-modular
-    of u with the p-modular of its gradient (zero for an exact
+    class_e is the sign of t3 - t4 (>= -_CLASS_E_TOL); class_p checks that
+    each component integral of |x_i| |u|^(q-1) in the conjugate-exponent
+    modular is finite at quadrature precision; identity_gap compares the
+    q-modular of u with the p-modular of its gradient (zero for an exact
     critical point of the natural energy).
     """
     mesh = u.mesh
@@ -142,7 +142,7 @@ def pohozaev_terms(u, p, q, origin, tol=1e-9):
         t4=t4,
         r_proxy=0.0,
         total=t1 + t2 + t3 - t4,
-        class_e=bool(t3 - t4 >= -tol),
+        class_e=bool(t3 - t4 >= -_CLASS_E_TOL),
         class_p=class_p,
         identity_gap=float(identity_gap),
         p_dagger=float(min(2.0, float(pq.min()))),
@@ -209,14 +209,8 @@ def remainder_R(runs, p, mesh, origin):
     the chosen origin star-shapes the domain.
     """
     by_n = {}
-    for r in _flatten_runs(runs):
-        n = r.diagnostics.get("n")
-        eps = r.diagnostics.get("epsilon")
-        if n is None or eps is None:
-            raise InsufficientRuns(
-                "every run must carry n and epsilon diagnostics"
-            )
-        by_n.setdefault(n, []).append((float(eps), r))
+    for n, eps, term in remainder_table(runs, p, origin):
+        by_n.setdefault(n, []).append((float(eps), term))
     if len(by_n) < 2:
         raise InsufficientRuns(
             f"need at least 2 truncation levels, got {len(by_n)}"
@@ -232,20 +226,21 @@ def remainder_R(runs, p, mesh, origin):
                 f"need at least 2 epsilon levels at n = {n}, got {len(pairs)}"
             )
         pairs.sort(key=lambda t: -t[0])
-        vals = [boundary_term(r.field, p, eps, origin)
-                for eps, r in pairs]
-        per_n[n] = max(vals[len(vals) // 2:])
+        per_n[n] = max(term for _, term in pairs[len(pairs) // 2:])
     ns = sorted(per_n)
     proxy = max(per_n[n] for n in ns[len(ns) // 2:])
     return ((p_dag - 1.0) / p_plus) * proxy
 
 
 def remainder_table(runs, p, origin):
-    """Per-(n, epsilon) rows: (n, epsilon, boundary_term), schedule order."""
+    """Per-(n, epsilon) rows: (n, epsilon, boundary_term), schedule order.
+    InsufficientRuns if a run lacks its n or epsilon diagnostic."""
     rows = []
     for r in _flatten_runs(runs):
         n = r.diagnostics.get("n")
         eps = r.diagnostics.get("epsilon")
+        if n is None or eps is None:
+            raise InsufficientRuns("every run must carry n and epsilon diagnostics")
         rows.append((n, eps, boundary_term(r.field, p, eps, origin)))
     return rows
 
@@ -289,8 +284,8 @@ def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):
     the solution to vanish.
     """
     N = float(N if N is not None else domain.dim)
-    p_minus, p_plus = exponent_bounds(p, domain)
-    q_minus, _ = exponent_bounds(q, domain)
+    p_minus, p_plus = p.bounds(domain)
+    q_minus, _ = q.bounds(domain)
     if p_plus >= N - 1e-12:
         raise ExponentTooLarge(f"p+ = {p_plus:.6g} >= N = {N:g}")
     p_star = N * p_plus / (N - p_plus)

@@ -56,7 +56,7 @@ def test_c01_norm_modular_relations(capsys):
                 scale = 10.0 ** rng.uniform(-3, 3)
                 u = vx.DiscreteField(mesh,
                                      scale * rng.standard_normal(mesh.nnodes))
-                rep = vx.verify_modular_relations(u, p, tol=1e-8)
+                rep = vx.verify_modular_relations(u, p)
                 all_passed = all_passed and rep.passed
                 worst_gap = max(worst_gap, rep.unit_gap)
 

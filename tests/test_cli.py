@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vexlab as vx
-from vexlab.cli import _load_config, main
+from vexlab.cli import _build_field, _load_config, main
 from vexlab.errors import config_number
 
 BALL = {"kind": "ball_analytic", "center": [0, 0, 0], "radius": 1.0}
@@ -342,6 +342,13 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "epsilon": 1e-3}}),
     ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "seed": 5}}),
     ("solve", solve_payload({"seed": 5})),
+    ("solve", {**solve_payload(), "rhs": {"kind": "nodal_file",
+                                          "file": "words.txt"}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "nodal_file", "file": 5}}),
+    ("solve", {**solve_payload(), "rhs": {"kind": "nodal_file",
+                                          "file": "nan.txt"}}),
+    ("solve", {**solve_payload(), "p": {"kind": "tabulated",
+                                        "file": "nan.txt"}}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -358,11 +365,62 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "interval_a_bool", "interval_b_string", "exponent_value_string",
         "field_value_bool", "exponent_bare_number", "solve_n_schedule",
         "solve_epsilon0", "cascade_epsilon", "cascade_solver_seed",
-        "solve_solver_seed"])
+        "solve_solver_seed", "nodal_file_text", "nodal_file_name_not_string",
+        "nodal_file_nan", "tabulated_nan"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
+    write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def write_bad_nodal_files(directory):
+    """51 values, one per node of solve_payload's mesh, one of them NaN; and
+    a file of words."""
+    (directory / "nan.txt").write_text("2.5\n" * 25 + "nan\n" + "2.5\n" * 25)
+    (directory / "words.txt").write_text("two\n" * 51)
+
+
+@pytest.mark.parametrize("key, spec", [
+    ("rhs", {"kind": "nodal_file", "file": "words.txt"}),
+    ("rhs", {"kind": "nodal_file", "file": "nan.txt"}),
+    ("p", {"kind": "tabulated", "file": "nan.txt"}),
+    ("rhs", {"kind": "nodal_file", "file": "missing.txt"}),
+], ids=["text", "nan", "tabulated_nan", "missing"])
+def test_nodal_file_error_names_the_file(tmp_path, capsys, key, spec):
+    write_bad_nodal_files(tmp_path)
+    cfg = write_config(tmp_path, "bad.json", {**solve_payload(), key: spec})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and spec["file"] in err
+    assert "2.5" not in err and "two" not in err
+
+
+def file_backed(payload):
+    """The payload with p and rhs read from nodal files, and the texts of
+    those files: the values of its analytic p and rhs at the mesh nodes."""
+    mesh = vx.build_mesh(vx.Domain.from_spec(payload["domain"]), payload["h"])
+    values = {"p.txt": vx.exponent_from_spec(payload["p"]).value_at(mesh.nodes),
+              "rhs.txt": _build_field(payload["rhs"], mesh, None).values}
+    texts = {name: "".join(f"{v!r}\n" for v in vals.tolist())
+             for name, vals in values.items()}
+    return ({**payload, "p": {"kind": "tabulated", "file": "p.txt"},
+             "rhs": {"kind": "nodal_file", "file": "rhs.txt"}}, texts)
+
+
+def test_file_backed_solve_matches_analytic(tmp_path):
+    shipped = Path(__file__).parents[1] / "configs" / "solve_interval.json"
+    analytic = json.loads(shipped.read_text())
+    payload, texts = file_backed(analytic)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    energies = []
+    for name, cfg in (("analytic", analytic), ("files", payload)):
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        out = tmp_path / name
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        energies.append(load_report(out / "solve.json")["energy"])
+    assert energies[1] == pytest.approx(energies[0], rel=1e-12, abs=0)
 
 
 def test_unconverged_candidate_exits_3(tmp_path):
@@ -449,23 +507,26 @@ def test_console_script_installed():
 
 # -- fuzzing: one key of a small valid config replaced per example ----------
 
-FUZZ_BASES = {
-    "solve": {
+FUZZ_BASES = [
+    ("solve", {
         "domain": UNIT_INTERVAL, "h": 0.1, "seed": 0,
         "p": {"kind": "affine", "a": 2.0, "b": [0.5]},
         "q": {"kind": "constant", "value": 3.0},
         "rhs": {"kind": "product_sin", "amplitude": 4.0},
         "solver": {"epsilon": 1e-3, "max_iters": 20},
-    },
-    "cascade": {
+    }),
+    ("cascade", {
         "domain": UNIT_INTERVAL, "h": 0.1, "seed": 0,
         "p": {"kind": "constant", "value": 2.0},
         "q": {"kind": "constant", "value": 4.0},
         "candidate": {"kind": "nehari"}, "origin": [0.5],
         "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.25,
                    "n_schedule": [1, 2], "max_iters": 20},
-    },
-}
+    }),
+]
+# The solve base with its p and rhs read from files written next to the config.
+_FILE_SOLVE, FUZZ_FILES = file_backed(FUZZ_BASES[0][1])
+FUZZ_BASES.append(("solve", _FILE_SOLVE))
 
 
 def _key_paths(node, prefix=()):
@@ -492,8 +553,8 @@ _FUZZ_VALUES = st.one_of(
 
 @st.composite
 def _fuzzed_configs(draw):
-    scenario = draw(st.sampled_from(sorted(FUZZ_BASES)))
-    cfg = json.loads(json.dumps(FUZZ_BASES[scenario]))
+    scenario, base = draw(st.sampled_from(FUZZ_BASES))
+    cfg = json.loads(json.dumps(base))
     path = draw(st.sampled_from(list(_key_paths(cfg))))
     parent = cfg
     for key in path[:-1]:
@@ -513,6 +574,8 @@ def _fuzzed_configs(draw):
 def test_fuzzed_config_exits_cleanly(case):
     scenario, payload, old, new = case
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FUZZ_FILES.items():
+            (Path(tmp) / name).write_text(text)
         cfg = write_config(Path(tmp), "cfg.json", payload)
         code = main([scenario, "--config", cfg, "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)

@@ -121,6 +121,26 @@ def test_tabulated_matches_nodal_field(square_mesh):
     assert np.max(np.abs(p.value_at(pts) - ref.value_at(pts))) <= 1e-12
 
 
+def test_tabulated_1d_matches_affine_off_nodes(interval, rng):
+    mesh = vx.build_mesh(interval, 0.05)
+    ref = vx.AffineExponent(2.0, [0.5])
+    p = vx.TabulatedExponent(mesh, ref.value_at(mesh.nodes))
+    mids = 0.5 * (mesh.nodes[mesh.cells[:, 0]] + mesh.nodes[mesh.cells[:, 1]])
+    pts = np.vstack([mids, rng.random((200, 1))])
+    assert np.max(np.abs(p.value_at(pts) - ref.value_at(pts))) <= 1e-14
+    # per-cell difference quotients of the rounded nodal values
+    assert np.allclose(p.gradient_at(pts), ref.gradient_at(pts), rtol=1e-12, atol=0)
+
+
+def test_tabulated_one_cell_triangle():
+    mesh = vx.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    p = vx.TabulatedExponent(mesh, [2.0, 2.5, 3.0])
+    pts = np.array([[0.2, 0.2], [0.5, 0.25], [2.0, 2.0], [-1.0, 0.5]])
+    # 2 + x/2 + y inside; outside, the barycentric weights clip to the cell
+    assert p.value_at(pts) == pytest.approx([2.3, 2.5, 2.75, 7 / 3], abs=1e-14)
+    assert p.gradient_at(pts).tolist() == [[0.5, 1.0]] * 4
+
+
 def test_sampled_bounds_monotone_under_refinement(interval):
     p = vx.AffineExponent(2.0, [1.0])
     lows, highs = zip(*(vx.sampled_bounds(p, interval, resolution=r)

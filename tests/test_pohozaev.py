@@ -155,6 +155,8 @@ def test_remainder_insufficient_runs(interval_mesh):
         el_residual=0.0, iterations=0, converged=True, diagnostics={})]
     with pytest.raises(vx.InsufficientRuns):
         vx.remainder_R(missing_tags, P2, interval_mesh, origin=[0.5])
+    with pytest.raises(vx.InsufficientRuns):
+        vx.remainder_table(missing_tags, P2, origin=[0.5])
 
 
 def test_remainder_table_rows(interval_mesh):
