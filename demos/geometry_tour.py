@@ -1,5 +1,8 @@
 # Star-shape diagnostics and mesh bookkeeping on a few planar domains.
 
+import os
+import tempfile
+
 import numpy as np
 
 import vexlab as vx
@@ -43,7 +46,9 @@ _, _, defect = mesh.divergence_check()
 print(f"divergence-theorem relative defect {defect:.2e}")
 
 # Meshes round-trip through a plain text format.
-vx.write_mesh(mesh, "/tmp/lshape_mesh.txt")
-back = vx.read_mesh("/tmp/lshape_mesh.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "lshape_mesh.txt")
+    vx.write_mesh(mesh, path)
+    back = vx.read_mesh(path)
 print(f"round trip: {back.nnodes} nodes, {back.ncells} cells, "
       f"nodes identical = {np.array_equal(back.nodes, mesh.nodes)}")

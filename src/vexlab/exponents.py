@@ -63,11 +63,15 @@ class ExponentField:
         nc, nq, dim = pts.shape
         return self.gradient_at(pts.reshape(-1, dim)).reshape(nc, nq, dim)
 
-    @staticmethod
-    def _as_points(x):
+    def _as_points(self, x):
+        """x as an (n, dim) array: a scalar or 1-D x is one point when dim > 1
+        and 1D points otherwise; ConfigError for points of another dim."""
         pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if pts.size > 1 else pts[None, :]
+        if pts.ndim < 2:
+            pts = pts.reshape(-1, 1) if self.dim in (None, 1) else pts.reshape(1, -1)
+        if pts.ndim != 2 or self.dim not in (None, pts.shape[1]):
+            raise ConfigError(f"points of shape {np.shape(x)} for a "
+                              f"{self.dim}-dimensional exponent")
         return pts
 
 

@@ -69,14 +69,27 @@ class DiscreteField:
 
 def gradient(u):
     """Exact per-cell gradient of a P1 field, (nc, dim)."""
-    mesh = u.mesh
-    return np.einsum("cv,cvd->cd", u.values[mesh.cells], mesh.basis_grads)
+    return _cell_gradients(u.mesh, u.values[u.mesh.cells])
 
 
 def field_on_quadrature(u):
     """Values of the P1 field at the cell quadrature points, (nc, nq)."""
-    _, _, bary = u.mesh.quadrature()
-    return np.einsum("qv,cv->cq", bary, u.values[u.mesh.cells])
+    return _cell_samples(u.mesh, u.values[u.mesh.cells])
+
+
+def sample(mesh, z):
+    """gradient and field_on_quadrature of the P1 field with nodal values z,
+    from one gather z[mesh.cells]."""
+    zc = z[mesh.cells]
+    return _cell_gradients(mesh, zc), _cell_samples(mesh, zc)
+
+
+def _cell_gradients(mesh, zc):
+    return np.einsum("cv,cvd->cd", zc, mesh.basis_grads)
+
+
+def _cell_samples(mesh, zc):
+    return np.einsum("qv,cv->cq", mesh.quadrature()[2], zc)
 
 
 def _scatter(mesh, cell_terms, out=None):
@@ -117,8 +130,8 @@ def integrate(mesh, integrand, u=None):
     nc, nq, dim = pts.shape
     x = pts.reshape(-1, dim)
     if u is not None:
-        uq = field_on_quadrature(u).reshape(-1)
-        gq = np.repeat(gradient(u)[:, None, :], nq, axis=1).reshape(-1, dim)
+        g, uq = sample(mesh, u.values)
+        uq, gq = uq.reshape(-1), np.repeat(g, nq, axis=0)
     else:
         uq = gq = None
     vals = np.asarray(integrand(x, uq, gq), dtype=float)
@@ -155,29 +168,29 @@ def cutoff(u, n):
 def mollify(u, radius):
     """Discrete mollification with a polynomial bump kernel.
 
-    Each node gets the mass-weighted kernel average of its neighbors within
-    `radius` (kernel (1 - r^2/radius^2)^3, normalized per node, so the
-    output is a convex combination: sup norm never grows and nonnegativity
-    is preserved).  Nodes within radius + h of the boundary are not averaged
-    and stay zero, so the result has zero trace.
+    One pass over the (node, neighbor) pairs within `radius` weighs each by
+    the kernel (1 - r^2/radius^2)^3 and the neighbor's lumped mass; a node
+    gets its weighted sum over its sum of weights, clipped to the range of u
+    against roundoff: sup norm never grows, nonnegativity and constants are
+    kept.  Nodes within radius + h of the boundary stay zero (zero trace).
     """
-    if radius <= 0:
-        raise ConfigError("mollifier radius must be positive")
+    if not (radius > 0 and radius * radius > 0):
+        raise ConfigError(f"mollifier radius {radius!r} is not positive or underflows")
     mesh = u.mesh
     nodes = mesh.nodes
     nv = mesh.cells.shape[1]
     lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
 
-    out = np.zeros(mesh.nnodes)
     keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
-    tree = cKDTree(nodes)
-    neighborhoods = tree.query_ball_point(nodes[keep], radius)
-    r2 = radius * radius
-    for i, nbrs in zip(keep, neighborhoods):
-        idx = np.asarray(nbrs, dtype=np.int64)
-        d2 = np.sum((nodes[idx] - nodes[i]) ** 2, axis=1)
-        wk = (1.0 - d2 / r2) ** 3 * lumped[idx]
-        out[i] = float(wk @ u.values[idx]) / float(wk.sum())
+    pairs = cKDTree(nodes[keep]).sparse_distance_matrix(
+        cKDTree(nodes), radius, output_type="ndarray")
+    row, col = pairs["i"], pairs["j"]
+    d2 = np.sum((nodes[col] - nodes[keep[row]]) ** 2, axis=1)
+    wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
+    f = u.values
+    avg = np.bincount(row, wk * f[col], len(keep)) / np.bincount(row, wk, len(keep))
+    out = np.zeros(mesh.nnodes)
+    out[keep] = np.clip(avg, f.min(), f.max())
     return DiscreteField(mesh, out, zero_trace=True)
 
 

@@ -31,6 +31,7 @@ from .fem import (
     l2_project,
     mesh_l2,
     mollify,
+    sample,
 )
 from .modular import (
     _balance_root,
@@ -139,12 +140,8 @@ class _EnergyProblem:
         self.qq = q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
 
-    def _at(self, z):
-        zf = DiscreteField(self.mesh, z)
-        return gradient(zf), field_on_quadrature(zf)
-
     def energy(self, z):
-        g, zq = self._at(z)
+        g, zq = sample(self.mesh, z)
         e_phi = _phi(g, self.eps, self.pq, self.w)
         with np.errstate(over="ignore"):
             e_q = self.q_sign * np.sum(self.w * np.abs(zq) ** self.qq / self.qq)
@@ -152,7 +149,7 @@ class _EnergyProblem:
         return float(e_phi + e_q - e_load)
 
     def grad(self, z):
-        g, zq = self._at(z)
+        g, zq = sample(self.mesh, z)
         out = _flux_action(self.mesh, g, self.eps, self.pq, self.w)
         dens = self.q_sign * _signed_power(zq, self.qq)
         if self.load_q is not None:
@@ -161,7 +158,7 @@ class _EnergyProblem:
         return _load_vector(self.mesh, dens, out)
 
     def hess(self, z):
-        g, zq = self._at(z)
+        g, zq = sample(self.mesh, z)
         g2 = np.sum(g * g, axis=1)
         s = g2[:, None] + self.eps
         s_safe = np.maximum(s, _TINY)
@@ -464,7 +461,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     logw = np.log(prob.w)
 
     def project(zvals):
-        g, zq = prob._at(zvals)
+        g, zq = sample(mesh, zvals)
         gmag = np.linalg.norm(g, axis=1)[:, None]
         return _nehari_scale(gmag, np.abs(zq), logw, pq, qq) * zvals
 

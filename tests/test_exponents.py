@@ -218,3 +218,40 @@ def test_exponent_from_spec(interval, tmp_path):
 def test_exponent_spec_rejects_malformed(spec):
     with pytest.raises(vx.ConfigError):
         vx.exponent_from_spec(spec)
+
+
+@pytest.mark.parametrize("kind", ["affine", "radial", "tabulated"])
+def test_points_take_their_shape_from_dim(kind, square_mesh):
+    field = {
+        "affine": vx.AffineExponent(2.0, [0.5, 0.25]),
+        "radial": vx.RadialExponent(2.0, 0.5, [0.0, 0.0]),
+        "tabulated": vx.TabulatedExponent(
+            square_mesh, 2.0 + 0.5 * square_mesh.nodes[:, 0]
+            + 0.25 * square_mesh.nodes[:, 1]),
+    }[kind]
+    point = [0.3, 0.7]  # one 2D point, not two 1D ones
+    expected = {"affine": 2.325, "radial": 2.29, "tabulated": 2.325}[kind]
+    assert field.value_at(point) == pytest.approx([expected], abs=1e-14)
+    assert np.array_equal(field.value_at(point), field.value_at([point]))
+    assert np.array_equal(field.gradient_at(point), field.gradient_at([point]))
+    for bad in (0.3, [0.3, 0.7, 0.1], [[0.3, 0.7, 0.1]], [[[0.3, 0.7]]]):
+        with pytest.raises(vx.ConfigError):
+            field.value_at(bad)
+        with pytest.raises(vx.ConfigError):
+            field.gradient_at(bad)
+
+
+def test_one_dimensional_and_constant_points():
+    # in 1D a flat input lists points; a constant field takes any dimension
+    assert vx.AffineExponent(2.0, [0.5]).value_at([0.2, 0.4]) == \
+        pytest.approx([2.1, 2.2], abs=1e-15)
+    assert vx.RadialExponent(2.0, 1.0, [0.0]).value_at(0.5) == pytest.approx([2.25])
+    p = vx.ConstantExponent(2.0)
+    assert np.array_equal(p.value_at(0.3), [2.0])
+    assert np.array_equal(p.value_at([0.2, 0.4]), [2.0, 2.0])
+    assert np.array_equal(p.value_at([[0.3, 0.7, 0.1]]), [2.0])
+    assert p.gradient_at([[0.3, 0.7]]).shape == (1, 2)
+    with pytest.raises(vx.ConfigError):
+        p.value_at(np.zeros((1, 1, 2)))
+    with pytest.raises(vx.ConfigError):
+        vx.AffineExponent(2.0, [0.5]).value_at([[0.2, 0.4]])

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 import vexlab as vx
+from vexlab.fem import sample
+
+EPS = np.finfo(float).eps
 
 
 def test_field_construction(interval_mesh):
@@ -33,6 +38,16 @@ def test_gradient_exact_for_linears(square_mesh):
     assert np.max(np.abs(g - np.array([3.0, -2.0]))) <= 1e-12
     assert np.linalg.norm(vx.gradient(u), axis=1) == pytest.approx(
         np.full(square_mesh.ncells, np.sqrt(13.0)), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_sample_gathers_once_for_both(kind, interval_mesh, square_mesh, rng):
+    mesh = interval_mesh if kind == "interval" else square_mesh
+    z = rng.standard_normal(mesh.nnodes)
+    g, zq = sample(mesh, z)
+    u = vx.DiscreteField(mesh, z)
+    assert np.array_equal(g, vx.gradient(u))
+    assert np.array_equal(zq, vx.field_on_quadrature(u))
 
 
 def test_mesh_l2(interval_mesh):
@@ -113,7 +128,8 @@ def test_mollify_preserves_interior_plateau(fine_interval_mesh):
     radius = 0.05
     m = vx.mollify(u, radius)
     safe = mesh.boundary_distance() > 2 * radius + 2 * mesh.h
-    assert np.max(np.abs(m.values[safe] - 1.0)) <= 1e-12
+    # the numerator and the denominator are the same sums, so exactly 1
+    assert np.all(m.values[safe] == 1.0)
     layer = mesh.boundary_distance() <= radius + mesh.h
     assert np.all(m.values[layer] == 0.0)
 
@@ -158,14 +174,46 @@ def test_mollify_matches_every_node_oracle(kind, rng):
     big = float(mesh.boundary_distance().max())  # the layer covers every node
     for radius in (0.5 * mesh.h, 0.2 * big, big):
         got = vx.mollify(u, radius).values
-        assert np.array_equal(got, mollify_every_node(u, radius))
+        ref = mollify_every_node(u, radius)
+        # mollify sums the pairs in another order than the oracle's dot
+        assert np.array_equal(got == 0, ref == 0)
+        assert np.max(np.abs(got - ref)) <= 4 * EPS * np.max(np.abs(u.values))
     assert not np.any(vx.mollify(u, big).values)
+
+
+@pytest.fixture(scope="module", params=["disk", "interval"])
+def mollify_mesh(request):
+    if request.param == "disk":
+        return vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.1)
+    return vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.01)
+
+
+FIELD_VALUES = st.floats(-1e100, 1e100)  # sums of weighted values cannot overflow
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_mollify_properties(mollify_mesh, data):
+    mesh = mollify_mesh
+    diam = float(np.ptp(mesh.nodes, axis=0).max())
+    radius = data.draw(st.floats(0.0, diam, exclude_min=True)
+                       .filter(lambda r: r * r > 0), label="radius")
+    f = data.draw(arrays(float, mesh.nnodes, elements=FIELD_VALUES), label="f")
+    out = vx.mollify(vx.DiscreteField(mesh, f), radius).values
+    kept = mesh.boundary_distance() > radius + mesh.h + 1e-12
+    assert np.all(out[~kept] == 0.0)
+    assert np.max(np.abs(out)) <= np.max(np.abs(f)) * (1 + 4 * EPS)
+    assert np.all(vx.mollify(vx.DiscreteField(mesh, np.abs(f)), radius).values >= 0)
+    c = data.draw(FIELD_VALUES, label="c")
+    flat = vx.mollify(vx.DiscreteField(mesh, np.full(mesh.nnodes, c)), radius)
+    assert np.all(flat.values[kept] == c)
 
 
 def test_mollify_rejects_bad_radius(fine_interval_mesh):
     u = vx.DiscreteField.zeros(fine_interval_mesh)
-    with pytest.raises(vx.ConfigError):
-        vx.mollify(u, -0.1)
+    for radius in (-0.1, 0.0, np.nan, 1e-170):  # 1e-170 squares to 0
+        with pytest.raises(vx.ConfigError):
+            vx.mollify(u, radius)
 
 
 def test_l2_project_reproduces_p1(square_mesh):
