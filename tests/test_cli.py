@@ -1,6 +1,7 @@
 """The command-line front end: artifacts, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import subprocess
@@ -349,6 +350,10 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
                                           "file": "nan.txt"}}),
     ("solve", {**solve_payload(), "p": {"kind": "tabulated",
                                         "file": "nan.txt"}}),
+    ("verdict", {**VERDICT, "tol": -1.0}),
+    ("sweep", {**SWEEP, "tol": -1.0}),
+    ("spaces-check", {**SPACES, "trials": 0}),
+    ("spaces-check", {**SPACES, "trials": -3}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -366,7 +371,8 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "field_value_bool", "exponent_bare_number", "solve_n_schedule",
         "solve_epsilon0", "cascade_epsilon", "cascade_solver_seed",
         "solve_solver_seed", "nodal_file_text", "nodal_file_name_not_string",
-        "nodal_file_nan", "tabulated_nan"])
+        "nodal_file_nan", "tabulated_nan", "verdict_tol_negative",
+        "sweep_tol_negative", "spaces_trials_zero", "spaces_trials_negative"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -495,6 +501,66 @@ def test_shipped_configs_have_known_keys(path):
     scenario = path.stem.rsplit("_", 1)[0].replace("_", "-")
     cfg, _ = _load_config(str(path), scenario)
     assert cfg
+
+
+# SHA-256 of every file each shipped config writes: JSON reports without
+# their "meta" block, dumped with sorted keys; CSV and text files as bytes.
+CONFIG_DIGESTS = {
+    "cascade_interval": {
+        "cascade.json":
+            "d35ab454657a1377bb90ce9ce61013d19bd6600469d77ad5c81c62385e6bf81c",
+        "cascade_series.csv":
+            "47f7ec1917f69852fff1a7ff21c981a9a89aa9ce83806249d43389b25da0a304",
+    },
+    "pohozaev_interval": {
+        "pohozaev.csv":
+            "fb7d725b08b5aceca0efadcbdb8002e4ed6256f57959370007dd2797a3a78454",
+        "pohozaev.json":
+            "b006cb3934b8e9f777c6afd9290f872bc5f0d0982dbcf51bd96ca1afe0ce28c3",
+    },
+    "solve_interval": {
+        "mesh.txt":
+            "7159966012ea677f07df523dcbf78286e96be6fd10da0f1f42d073f3e06892e0",
+        "solution.txt":
+            "329f972017ed366d3f762d1922f4d05c90a12d248fc9af3f8ca416c6ebc846e8",
+        "solve.json":
+            "b71f25193aa23f94cb1e0682977ff5d9f476163a1148b070a81f3dbd0cce3988",
+    },
+    "spaces_check_interval": {
+        "spaces_check.json":
+            "24b3c88ad42fa4a5d1f1ba2a2ba4c008f193bd396146639aee5216095bb21caa",
+    },
+    "sweep_ball": {
+        "sweep.csv":
+            "45d78e959a115ec741b7e703723be03399ba3fdb5d917206f6673d7724ae9026",
+        "sweep.json":
+            "a85f88048f0b3477767c1d6264c401e4fb2d8d11f1314b715326f2f43388b38c",
+    },
+    "verdict_ball": {
+        "verdict.json":
+            "1abe07f9894c7a4634b26babee1f367abc097df9642b2e3af4e8bddddc9938a5",
+    },
+}
+
+
+def report_digest(path):
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        del data["meta"]
+        body = json.dumps(data, sort_keys=True).encode()
+    else:
+        body = path.read_bytes()
+    return hashlib.sha256(body).hexdigest()
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_reports_pinned(tmp_path, path):
+    scenario = path.stem.rsplit("_", 1)[0].replace("_", "-")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(path), "--out", str(out)]) == 0
+    assert {f.name: report_digest(f) for f in sorted(out.iterdir())} \
+        == CONFIG_DIGESTS[path.stem]
 
 
 def test_console_script_installed():

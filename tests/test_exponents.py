@@ -85,6 +85,14 @@ def test_sobolev_conjugate_dominates_p(rng):
     assert np.all(ps.value_at(x) > p.value_at(x))
 
 
+def test_transformed_bounds_map_the_base_bounds(unit_square):
+    p = vx.AffineExponent(1.5, [0.2, 0.1])  # 1.5 .. 1.8 on the unit square
+    assert vx.conjugate(p).bounds(unit_square) == pytest.approx((2.25, 3.0),
+                                                                rel=1e-12)
+    assert vx.sobolev_conjugate(p, 2).bounds(unit_square) == pytest.approx(
+        (6.0, 18.0), rel=1e-12)
+
+
 def test_sobolev_conjugate_rejects_large_p():
     ps = vx.sobolev_conjugate(vx.ConstantExponent(3.0), 3)
     with pytest.raises(vx.ExponentTooLarge):

@@ -181,6 +181,21 @@ def test_mollify_matches_every_node_oracle(kind, rng):
     assert not np.any(vx.mollify(u, big).values)
 
 
+@pytest.mark.parametrize("kind", ["disk", "interval"])
+def test_mollify_slices_match_one_pass(kind, rng, monkeypatch):
+    if kind == "disk":
+        mesh = vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.05)
+    else:
+        mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.005)
+    u = vx.DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
+    radii = (0.02, 0.1, 0.3, 0.6)
+    one_pass = [vx.mollify(u, radius).values for radius in radii]
+    for nodes_per_slice in (1, 3, 50):
+        monkeypatch.setattr(vx.fem, "_MOLLIFY_PAIRS", nodes_per_slice * mesh.nnodes)
+        for radius, ref in zip(radii, one_pass):
+            assert np.array_equal(vx.mollify(u, radius).values, ref)
+
+
 @pytest.fixture(scope="module", params=["disk", "interval"])
 def mollify_mesh(request):
     if request.param == "disk":

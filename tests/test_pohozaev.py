@@ -22,6 +22,18 @@ def synthetic_run(mesh, values, n, eps):
                           diagnostics={"n": n, "epsilon": eps})
 
 
+def synthetic_cascade(mesh, values, ns, epss):
+    """Runs shaped as cascade returns them: per n, the last epsilon level,
+    holding every level of that n under eps_runs; values() gives each
+    level's nodal values, in schedule order."""
+    runs = []
+    for n in ns:
+        levels = [synthetic_run(mesh, values(), n, e) for e in epss]
+        levels[-1].diagnostics["eps_runs"] = levels
+        runs.append(levels[-1])
+    return runs
+
+
 # -- the guarded log factor -------------------------------------------------
 
 
@@ -85,6 +97,27 @@ def test_class_e_integral_cross_check(fine_interval_mesh):
     assert rep.class_e == (rep.t3 - rep.t4 >= -1e-9)
 
 
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_terms_tabulated_match_affine(kind, interval, unit_square):
+    # the tabulated exponents' values and per-cell gradients on quadrature
+    if kind == "interval":
+        mesh, origin = vx.build_mesh(interval, 0.01), [0.3]
+        p, q = vx.AffineExponent(1.8, [0.4]), vx.AffineExponent(3.0, [0.5])
+    else:
+        mesh, origin = vx.build_mesh(unit_square, 0.1), [0.4, 0.5]
+        p = vx.AffineExponent(1.5, [0.2, 0.1])
+        q = vx.AffineExponent(3.0, [0.5, -0.25])
+    u = 2.0 * vx.DiscreteField.interpolate(
+        mesh, lambda x: np.prod(np.sin(np.pi * x), axis=1), zero_trace=True)
+    ref = vx.pohozaev_terms(u, p, q, origin)
+    got = vx.pohozaev_terms(u, vx.TabulatedExponent(mesh, p.value_at(mesh.nodes)),
+                            vx.TabulatedExponent(mesh, q.value_at(mesh.nodes)),
+                            origin)
+    for term in ("t1", "t2", "t3", "t4"):
+        assert getattr(got, term) == pytest.approx(getattr(ref, term),
+                                                   rel=1e-12, abs=0)
+
+
 def test_terms_reject_overflow(interval_mesh):
     u = vx.DiscreteField.interpolate(
         interval_mesh, lambda x: np.full(len(x), 1e200), zero_trace=True)
@@ -122,32 +155,32 @@ def test_boundary_term_sin_oracle(fine_interval_mesh):
 
 
 def test_remainder_zero_fields_exact(interval_mesh):
-    runs = [synthetic_run(interval_mesh, np.zeros(interval_mesh.nnodes), n, e)
-            for n in (1, 2) for e in (0.5, 0.25)]
+    runs = synthetic_cascade(interval_mesh, lambda: np.zeros(interval_mesh.nnodes),
+                             (1, 2), (0.5, 0.25))
     r = vx.remainder_R(runs, P2, interval_mesh, origin=[0.5])
     # trailing-half max of the eps list is 0.25; coefficient (2-1)/2
     assert r == pytest.approx(0.125, abs=1e-14)
 
 
 def test_remainder_nonnegative_for_star_origin(interval_mesh, rng):
-    runs = [synthetic_run(interval_mesh,
-                          rng.standard_normal(interval_mesh.nnodes), n, e)
-            for n in (1, 2, 4) for e in (1.0, 0.5, 0.25)]
+    runs = synthetic_cascade(interval_mesh,
+                             lambda: rng.standard_normal(interval_mesh.nnodes),
+                             (1, 2, 4), (1.0, 0.5, 0.25))
     r = vx.remainder_R(runs, vx.AffineExponent(2.0, [0.5]), interval_mesh,
                        origin=[0.5])
     assert r >= 0.0
 
 
 def test_remainder_insufficient_runs(interval_mesh):
-    zeros = np.zeros(interval_mesh.nnodes)
+    def zeros():
+        return np.zeros(interval_mesh.nnodes)
+
     with pytest.raises(vx.InsufficientRuns):
         vx.remainder_R([], P2, interval_mesh, origin=[0.5])
-    only_one_n = [synthetic_run(interval_mesh, zeros, 1, e)
-                  for e in (0.5, 0.25)]
+    only_one_n = synthetic_cascade(interval_mesh, zeros, (1,), (0.5, 0.25))
     with pytest.raises(vx.InsufficientRuns):
         vx.remainder_R(only_one_n, P2, interval_mesh, origin=[0.5])
-    one_eps_each = [synthetic_run(interval_mesh, zeros, n, 0.5)
-                    for n in (1, 2)]
+    one_eps_each = synthetic_cascade(interval_mesh, zeros, (1, 2), (0.5,))
     with pytest.raises(vx.InsufficientRuns):
         vx.remainder_R(one_eps_each, P2, interval_mesh, origin=[0.5])
     missing_tags = [vx.SolveResult(
@@ -160,8 +193,8 @@ def test_remainder_insufficient_runs(interval_mesh):
 
 
 def test_remainder_table_rows(interval_mesh):
-    runs = [synthetic_run(interval_mesh, np.zeros(interval_mesh.nnodes), n, e)
-            for n in (1, 2) for e in (0.5, 0.25)]
+    runs = synthetic_cascade(interval_mesh, lambda: np.zeros(interval_mesh.nnodes),
+                             (1, 2), (0.5, 0.25))
     rows = vx.remainder_table(runs, P2, origin=[0.5])
     assert len(rows) == 4
     assert rows[0][:2] == (1, 0.5)
@@ -269,6 +302,16 @@ def test_verdict_rejects_p_at_least_n():
         vx.nonexistence_verdict(ball, vx.ConstantExponent(3.0), Q4)
     with pytest.raises(vx.ExponentTooLarge):
         vx.nonexistence_verdict(vx.Domain.interval(0, 1), P2, Q4)  # N = 1
+
+
+def test_verdict_rejects_negative_tol():
+    # with tol = -1 the subcritical q = 5.5 < p* = 6 would get case "i"
+    ball = vx.Domain.ball(np.zeros(3), 1.0)
+    q = vx.ConstantExponent(5.5)
+    assert vx.nonexistence_verdict(ball, P2, q, tol=0.0).case == "none"
+    for tol in (-1.0, -1e-12, np.nan):
+        with pytest.raises(vx.ConfigError):
+            vx.nonexistence_verdict(ball, P2, q, tol=tol)
 
 
 def test_verdict_non_star_domain_defaults_to_none():

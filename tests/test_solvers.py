@@ -290,12 +290,17 @@ def test_solve_truncated_linear_limit(fine_interval_mesh):
         zero_trace=True)
     assert vx.mesh_l2(res.field - exact) <= 2e-3
 
-    series = res.diagnostics["series"]
-    phi = np.asarray(series["phi_modular"])
+    # the regularized modular int (|grad z|^2 + eps)^(p/2) of each level
+    levels = res.diagnostics["eps_runs"]
+    pq, w = P2.eval_on_quadrature(mesh), mesh.quadrature()[1]
+    phi = np.array([np.sum(w * (np.sum(vx.gradient(lv.field) ** 2, axis=1)[:, None]
+                                + lv.diagnostics["epsilon"]) ** (pq / 2.0))
+                    for lv in levels])
     assert np.all(np.diff(phi) <= 1e-9 * (1 + np.abs(phi[:-1])))
-    assert phi[-1] == pytest.approx(series["grad_modular"][-1], rel=1e-4)
-    deltas = series["l2_delta"]
-    assert np.isnan(deltas[0]) and deltas[-1] < deltas[1]
+    assert phi[-1] == pytest.approx(vx.gradient_modular(res.field, P2).value,
+                                    rel=1e-4)
+    deltas = [vx.mesh_l2(b.field - a.field) for a, b in zip(levels, levels[1:])]
+    assert deltas[-1] < deltas[0]
 
 
 def test_solve_truncated_flags_active_truncation(interval_mesh):
