@@ -70,7 +70,7 @@ _KEYS = {"spaces-check": _SETUP | {"trials", "N", "pairs"},
 # pohozaev walk the epsilon schedule for each truncation level.
 _SOLVE_SOLVER = {"epsilon", "grad_tol", "max_iters"}
 _CASCADE_SOLVER = {"epsilon0", "eps_factor", "eps_min", "n_schedule",
-                   "grad_tol", "max_iters", "collapse_tol"}
+                   "grad_tol", "max_iters"}
 
 
 def _jsonable(obj):

@@ -172,19 +172,17 @@ def verify_modular_relations(u, p):
         relation = "above"
         lower_slack = rho - norm**p_minus
         upper_slack = norm**p_plus - rho
+        sign_consistent = rho > 1 - tol
     elif norm < 1.0 - _UNIT_BAND:
         relation = "below"
         lower_slack = rho - norm**p_plus
         upper_slack = norm**p_minus - rho
+        sign_consistent = rho < 1 + tol
     else:
         relation = "unit"
         lower_slack = upper_slack = tol - abs(rho - 1.0)
+        sign_consistent = abs(rho - 1) <= tol
 
-    sign_consistent = (
-        (norm > 1 + _UNIT_BAND and rho > 1 - tol)
-        or (norm < 1 - _UNIT_BAND and rho < 1 + tol)
-        or (abs(norm - 1) <= _UNIT_BAND and abs(rho - 1) <= tol)
-    )
     passed = bool(
         sign_consistent
         and lower_slack >= -tol

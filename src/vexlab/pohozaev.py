@@ -18,11 +18,11 @@ from .domains import find_star_center, star_shape_report
 from .errors import (ConfigError, ExponentTooLarge, InsufficientRuns,
                      NonFiniteIntegrand, NotStarShaped)
 from .exponents import conjugate
-from .fem import field_on_quadrature, gradient
+from .fem import gradient, sample
+from .meshes import boundary_integral
 from .modular import gradient_modular, modular
-from .solvers import _signed_power, cascade_levels
+from .solvers import _TINY, _signed_power, cascade_levels
 
-_GUARD = 1e-300
 _CLASS_E_TOL = 1e-9
 
 
@@ -34,7 +34,7 @@ def tloge(t):
     """
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
-    m = t >= _GUARD
+    m = t >= _TINY
     tm = t[m]
     out[m] = tm * (np.log(tm) - 1.0)
     return out
@@ -71,31 +71,68 @@ def _origin(origin):
     return np.atleast_1d(np.asarray(origin, dtype=float))
 
 
-def _quadrature_data(u, origin):
-    """Weights, h = x - origin, u and grad u at the cell quadrature points."""
-    pts, w, _ = u.mesh.quadrature()
-    uq = field_on_quadrature(u)
-    gu = np.repeat(gradient(u)[:, None, :], w.shape[1], axis=1)
-    return w, pts - _origin(origin), uq, gu
+def _p_dagger(pq):
+    """p-dagger = min(2, p-) over the exponent samples pq."""
+    return min(2.0, float(pq.min()))
 
 
-def _exponent_data(p, mesh, h):
-    """p and h . grad p at the cell quadrature points."""
-    grad = p.grad_on_quadrature(mesh)
-    return p.eval_on_quadrature(mesh), np.einsum("cqd,cqd->cq", h, grad)
+class _Balance:
+    """Everything the balance terms read at the cell quadrature points,
+    from one gather of u's nodal values: weights w, h = x - origin, u, grad u
+    (one row per cell, broadcast over the points), g2 = |grad u|^2,
+    A = g2 + eps, A^(p/2), |u|^q, p, q, h . grad p and h . grad q.
+    p=None skips the p samples.  Overflow is not reported here:
+    pohozaev_terms and verify_pucci_serrin raise NonFiniteIntegrand on a
+    non-finite result."""
+
+    def __init__(self, u, p, q, origin, eps=0.0):
+        mesh = u.mesh
+        self.dim = mesh.dim
+        pts, self.w, _ = mesh.quadrature()
+        grad, self.u = sample(mesh, u.values)
+        self.gu = grad[:, None, :]
+        self.h = pts - _origin(origin)
+        self.q, self.hdotgq = self._exponent(q, mesh)
+        with np.errstate(over="ignore"):
+            self.g2 = np.sum(grad * grad, axis=1)[:, None]
+            self.absu_q = np.abs(self.u) ** self.q
+            if p is not None:
+                self.p, self.hdotgp = self._exponent(p, mesh)
+                self.A = self.g2 + eps
+                self.A_p2 = self.A ** (self.p / 2.0)
+
+    def _exponent(self, p, mesh):
+        """p and h . grad p at the points."""
+        grad = p.grad_on_quadrature(mesh)
+        return p.eval_on_quadrature(mesh), np.einsum("cqd,cqd->cq", self.h, grad)
+
+    def t1(self):
+        return -float(np.sum(self.w * (self.dim / self.q) * self.absu_q))
+
+    def t2(self):
+        return float(np.sum(self.w * ((self.dim - self.p) / self.p) * self.A_p2))
+
+    def t3(self):
+        return float(np.sum(self.w * self.hdotgp * tloge(self.A_p2) / self.p**2))
+
+    def t4(self):
+        return float(np.sum(self.w * self.hdotgq * tloge(self.absu_q) / self.q**2))
 
 
-def _facet_data(u, p, origin):
-    """At the boundary facet quadrature points: |grad u|^2 taken one-sidedly
-    from the facet's cell, p, (x - origin) . nu and the weights."""
+def _boundary_moment(u, origin, density):
+    """int over the boundary of density(g2, x) (x - origin) . nu, where g2 is
+    |grad u|^2 taken one-sidedly from each facet's cell."""
     mesh = u.mesh
     gb = gradient(u)[mesh.facet_cells]
-    g2 = np.sum(gb * gb, axis=1)[:, None]
-    pts, w = mesh.facet_quadrature()
-    nf, nq, dim = pts.shape
-    pv = p.value_at(pts.reshape(-1, dim)).reshape(nf, nq)
-    xdotnu = np.einsum("fqd,fd->fq", pts - _origin(origin), mesh.facet_normals)
-    return g2, pv, xdotnu, w
+    nq = mesh.facet_quadrature()[1].shape[1]
+    g2 = np.broadcast_to(np.sum(gb * gb, axis=1)[:, None], (len(gb), nq)).ravel()
+    o = _origin(origin)
+
+    def integrand(x, nu):
+        with np.errstate(over="ignore", divide="ignore"):
+            return density(g2, x) * np.sum((x - o) * nu, axis=1)
+
+    return boundary_integral(mesh, integrand)
 
 
 def pohozaev_terms(u, p, q, origin):
@@ -107,33 +144,19 @@ def pohozaev_terms(u, p, q, origin):
     q-modular of u with the p-modular of its gradient (zero for an exact
     critical point of the natural energy).
     """
-    mesh = u.mesh
-    w, h, uq, gu = _quadrature_data(u, origin)
-    pq, hdotgp = _exponent_data(p, mesh, h)
-    qq, hdotgq = _exponent_data(q, mesh, h)
-    N = mesh.dim
+    b = _Balance(u, p, q, origin)
     with np.errstate(over="ignore", invalid="ignore"):
-        g2 = np.sum(gu * gu, axis=2)
-        grad_p = g2 ** (pq / 2.0)
-        absu_q = np.abs(uq) ** qq
-
-        t1 = -float(np.sum(w * (N / qq) * absu_q))
-        t2 = float(np.sum(w * ((N - pq) / pq) * grad_p))
-        t3 = float(np.sum(w * hdotgp * tloge(grad_p) / pq**2))
-        t4 = float(np.sum(w * hdotgq * tloge(absu_q) / qq**2))
+        t1, t2, t3, t4 = b.t1(), b.t2(), b.t3(), b.t4()
     for name, val in (("t1", t1), ("t2", t2), ("t3", t3), ("t4", t4)):
         if not np.isfinite(val):
             raise NonFiniteIntegrand(f"balance term {name} is not finite")
 
-    pprime_q = conjugate(p).eval_on_quadrature(mesh)
-    au = np.abs(uq)
+    pprime_q = conjugate(p).eval_on_quadrature(u.mesh)
+    au = np.abs(b.u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        power = np.where(au > _GUARD, au ** (qq - 1.0), 0.0)
-    class_p = True
-    for i in range(mesh.dim):
-        xi = np.abs(h[:, :, i])
-        comp = float(np.sum(w * (xi * power) ** pprime_q))
-        class_p = class_p and bool(np.isfinite(comp))
+        power = np.where(au > _TINY, au ** (b.q - 1.0), 0.0)
+    class_p = all(np.isfinite(np.sum(b.w * (np.abs(hi) * power) ** pprime_q))
+                  for hi in np.moveaxis(b.h, 2, 0))
 
     identity_gap = abs(modular(u, q).value - gradient_modular(u, p).value)
     return PohozaevReport(
@@ -146,7 +169,7 @@ def pohozaev_terms(u, p, q, origin):
         class_e=bool(t3 - t4 >= -_CLASS_E_TOL),
         class_p=class_p,
         identity_gap=float(identity_gap),
-        p_dagger=float(min(2.0, float(pq.min()))),
+        p_dagger=_p_dagger(b.p),
         origin=tuple(_origin(origin).tolist()),
     )
 
@@ -159,19 +182,14 @@ def class_e_integral(u, p, q, origin):
 
     Used as an independent cross-check of the class_e decision.
     """
-    w, h, uq, gu = _quadrature_data(u, origin)
-    pq, hdotgp = _exponent_data(p, u.mesh, h)
-    qq, hdotgq = _exponent_data(q, u.mesh, h)
-    g2 = np.sum(gu * gu, axis=2)
-    with np.errstate(over="ignore"):
-        s = g2 ** (pq / 2.0)
-        t = np.abs(uq) ** qq
-    alpha = hdotgp / pq**2 * s
-    beta = hdotgq / qq**2 * t
+    b = _Balance(u, p, q, origin)
+    s, t = b.A_p2, b.absu_q
+    alpha = b.hdotgp / b.p**2 * s
+    beta = b.hdotgq / b.q**2 * t
     with np.errstate(divide="ignore"):
-        log_s = np.where(s >= _GUARD, np.log(np.maximum(s, _GUARD)) - 1.0, 0.0)
-        log_t = np.where(t >= _GUARD, np.log(np.maximum(t, _GUARD)) - 1.0, 0.0)
-    return float(np.sum(w * (alpha * log_s - beta * log_t)))
+        log_s = np.where(s >= _TINY, np.log(np.maximum(s, _TINY)) - 1.0, 0.0)
+        log_t = np.where(t >= _TINY, np.log(np.maximum(t, _TINY)) - 1.0, 0.0)
+    return float(np.sum(b.w * (alpha * log_s - beta * log_t)))
 
 
 # -- boundary remainder -----------------------------------------------------
@@ -180,12 +198,9 @@ def class_e_integral(u, p, q, origin):
 def boundary_term(u, p, eps, origin):
     """int over the boundary of (|grad u|^2 + eps)^(p/2) (x - origin).nu,
     with the gradient recovered one-sidedly from the facet's adjacent cell."""
-    g2, pv, xdotnu, w = _facet_data(u, p, origin)
-    with np.errstate(over="ignore"):
-        dens = (g2 + float(eps)) ** (pv / 2.0) * xdotnu
-    if not np.all(np.isfinite(dens)):
-        raise NonFiniteIntegrand("non-finite boundary density in remainder term")
-    return float(np.sum(dens * w))
+    eps = float(eps)
+    return _boundary_moment(
+        u, origin, lambda g2, x: (g2 + eps) ** (p.value_at(x) / 2.0))
 
 
 def remainder_R(runs, p, mesh, origin):
@@ -206,7 +221,7 @@ def remainder_R(runs, p, mesh, origin):
             f"need at least 2 truncation levels, got {len(by_n)}"
         )
     pq = p.eval_on_quadrature(mesh)
-    p_dag = min(2.0, float(pq.min()))
+    p_dag = _p_dagger(pq)
     p_plus = float(pq.max())
 
     per_n = {}
@@ -322,39 +337,27 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin):
     if hasattr(w, "field"):
         w = w.field
     mesh = w.mesh
-    wq, h, uq, gu = _quadrature_data(w, origin)
-    pq, hdotgp = _exponent_data(p, mesh, h)
-    qq, hdotgq = _exponent_data(q, mesh, h)
-    _, _, vq, gv = _quadrature_data(v, origin)
-    N = mesh.dim
     eps = float(eps)
     a = float(a)
-    g2 = np.sum(gu * gu, axis=2)
-    A = g2 + eps
+    b = _Balance(w, p, q, origin, eps)
+    gv, vq = sample(mesh, v.values)
     with np.errstate(over="ignore", divide="ignore"):
-        A_p2 = A ** (pq / 2.0)
-        A_pm2 = np.where(A > _GUARD, A ** ((pq - 2.0) / 2.0), 0.0)
-        absu_q = np.abs(uq) ** qq
-    hdotgv = np.einsum("cqd,cqd->cq", h, gv)
+        A_pm2 = np.where(b.A > _TINY, b.A ** ((b.p - 2.0) / 2.0), 0.0)
+    flux = float(np.sum(b.w * A_pm2 * b.g2))
 
-    v1 = N * float(np.sum(wq * (absu_q / qq + A_p2 / pq - vq * uq)))
-    v2 = float(np.sum(wq * hdotgq * tloge(absu_q) / qq**2))
-    v3 = float(np.sum(wq * hdotgp * tloge(A_p2) / pq**2))
-    v4 = -float(np.sum(wq * uq * hdotgv))
-    v5 = -float(np.sum(wq * A_pm2 * g2))
-    v6 = a * float(np.sum(wq * (vq * uq - absu_q)))
-    v7 = -a * float(np.sum(wq * A_pm2 * g2))
-    rhs = v1 + v2 + v3 + v4 + v5 + v6 + v7
+    v1 = mesh.dim * float(np.sum(b.w * (b.absu_q / b.q + b.A_p2 / b.p - vq * b.u)))
+    v4 = -float(np.sum(b.w * b.u * np.einsum("cqd,cqd->cq", b.h, gv[:, None, :])))
+    v6 = a * float(np.sum(b.w * (vq * b.u - b.absu_q)))
+    # the log terms are the balance's t4 and t3, taken at this eps
+    rhs = v1 + b.t4() + b.t3() + v4 - flux + v6 - a * flux
 
-    gb2, pf, hdotnu, fw = _facet_data(w, p, origin)
-    Ab = gb2 + eps
-    with np.errstate(over="ignore", divide="ignore"):
-        dens = (
-            Ab ** (pf / 2.0) / pf
-            - np.where(Ab > _GUARD, Ab ** ((pf - 2.0) / 2.0), 0.0) * gb2
-        ) * hdotnu
-    lhs = float(np.sum(dens * fw))
+    def density(g2, x):
+        pf = p.value_at(x)
+        Ab = g2 + eps
+        return (Ab ** (pf / 2.0) / pf
+                - np.where(Ab > _TINY, Ab ** ((pf - 2.0) / 2.0), 0.0) * g2)
 
+    lhs = _boundary_moment(w, origin, density)
     for name, val in (("lhs", lhs), ("rhs", rhs)):
         if not np.isfinite(val):
             raise NonFiniteIntegrand(f"Pucci-Serrin {name} is not finite")
@@ -369,20 +372,13 @@ def radial_identity_sides(u, q, origin):
 
         int |u|^(q-2) u (h . grad u)
             = -N int |u|^q / q + int (h . grad q) |u|^q / q^2 (1 - log|u|^q)
+
+    The right-hand side is t1 - t4 of the balance.
     """
-    mesh = u.mesh
-    w, h, uq, gu = _quadrature_data(u, origin)
-    qq, hdotgq = _exponent_data(q, mesh, h)
-    power = _signed_power(uq, qq)
-    with np.errstate(over="ignore"):
-        absu_q = np.abs(uq) ** qq
-    hdotgu = np.einsum("cqd,cqd->cq", h, gu)
-    lhs = float(np.sum(w * power * hdotgu))
-    rhs = float(
-        -np.sum(w * mesh.dim * absu_q / qq)
-        - np.sum(w * hdotgq * tloge(absu_q) / qq**2)
-    )
-    return lhs, rhs
+    b = _Balance(u, None, q, origin)
+    hdotgu = np.einsum("cqd,cqd->cq", b.h, b.gu)
+    lhs = float(np.sum(b.w * _signed_power(b.u, b.q) * hdotgu))
+    return lhs, b.t1() - b.t4()
 
 
 def check_radial_identity(u, q, origin):

@@ -44,6 +44,9 @@ _EPS = np.finfo(float).eps
 _ARMIJO_C1 = 1e-4
 _ARMIJO_SHRINK = 0.5
 _BACKTRACKS = 60
+# A polished Nehari candidate whose gradient Luxemburg norm falls below
+# this has collapsed toward u = 0.
+_COLLAPSE_TOL = 1e-6
 # Longest epsilon schedule a config may ask for; each level is one Newton
 # solve per truncation level (the benchmark's longest schedule has 21).
 _MAX_EPS_LEVELS = 1000
@@ -61,7 +64,6 @@ class SolveConfig:
     max_iters: int = 500
     n_schedule: tuple = (1, 2, 4, 8)
     seed: int = 42
-    collapse_tol: float = 1e-6
 
     @classmethod
     def from_dict(cls, data):
@@ -427,7 +429,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
 
     Requires q- > p+ on the mesh (monotone scaling projection); raises
     NoScalingRoot otherwise, and CollapseToZero when the polished
-    candidate's gradient norm is below cfg.collapse_tol.
+    candidate's gradient norm is below _COLLAPSE_TOL.
     diagnostics["descent_stop"] says why the descent ended: "tolerance"
     (small gradient), "no_decrease" (60 step halvings found no lower
     energy) or "max_iters" (its 400-step cap).
@@ -493,7 +495,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u, _, gn, iters2, stop = _minimize(prob, u, free, cfg)
 
     ufield = DiscreteField(mesh, u, zero_trace=True)
-    if gradient_luxemburg_norm(ufield, p) < cfg.collapse_tol:
+    if gradient_luxemburg_norm(ufield, p) < _COLLAPSE_TOL:
         raise CollapseToZero("candidate collapsed toward the trivial solution")
     identity_gap = abs(gradient_modular(ufield, p).value - modular(ufield, q).value)
     return SolveResult(

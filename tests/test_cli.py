@@ -354,6 +354,7 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("sweep", {**SWEEP, "tol": -1.0}),
     ("spaces-check", {**SPACES, "trials": 0}),
     ("spaces-check", {**SPACES, "trials": -3}),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "collapse_tol": 1e3}}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -372,7 +373,8 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "solve_epsilon0", "cascade_epsilon", "cascade_solver_seed",
         "solve_solver_seed", "nodal_file_text", "nodal_file_name_not_string",
         "nodal_file_nan", "tabulated_nan", "verdict_tol_negative",
-        "sweep_tol_negative", "spaces_trials_zero", "spaces_trials_negative"])
+        "sweep_tol_negative", "spaces_trials_zero", "spaces_trials_negative",
+         "cascade_collapse_tol"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -113,6 +113,22 @@ def test_embedding_gap_examples(interval):
     assert vx.embedding_gap(p2, q, interval, N=3) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_embedding_gap_reads_tabulated_nodes():
+    # one interior node at 1.2 sits between the sample grid's points, so
+    # only the nodes themselves see p* = 3 there
+    disk = vx.Domain.disk()
+    mesh = vx.build_mesh(disk, 0.1)
+    vals = np.full(mesh.nnodes, 1.9)
+    interior = np.setdiff1d(np.arange(mesh.nnodes), mesh.boundary_nodes)
+    node = interior[np.argmin(np.sum((mesh.nodes[interior] - [0.3, 0.2]) ** 2,
+                                     axis=1))]
+    vals[node] = 1.2
+    gap = vx.embedding_gap(vx.TabulatedExponent(mesh, vals),
+                           vx.ConstantExponent(4.0), disk)
+    # the node is found by point location, so p there is 1.2 to roundoff
+    assert gap == pytest.approx(2.0 * 1.2 / (2.0 - 1.2) - 4.0, abs=1e-12)
+
+
 def test_tabulated_exponent_bounds(interval):
     mesh = vx.build_mesh(interval, 1e-4)
     vals = 2.0 + np.sin(np.pi * mesh.nodes[:, 0]) ** 2

@@ -132,6 +132,15 @@ def test_relations_zero_field(interval_mesh):
     assert rep.relation == "zero" and rep.passed
 
 
+def test_relations_unit_norm(interval, rng):
+    mesh = vx.build_mesh(interval, 0.05)
+    u = random_field(mesh, rng)
+    u = (1.0 / vx.luxemburg_norm(u, affine_p())) * u
+    rep = vx.verify_modular_relations(u, affine_p())
+    assert rep.relation == "unit" and rep.passed and rep.sign_consistent
+    assert rep.modular_value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_holder_zero_partner(interval_mesh, rng):
     u = random_field(interval_mesh, rng)
     rep = vx.holder_check(u, vx.DiscreteField.zeros(interval_mesh), affine_p())

@@ -268,6 +268,91 @@ def test_radial_identity_variable_q_refines(interval):
     assert gaps[1] <= 1e-5
 
 
+# -- pinned balance layer in 2D ----------------------------------------------
+
+# float.hex of every balance result on two 2D cases with variable exponents
+# (the config digests cover only 1D runs with constant p and q, where
+# t3 = t4 = 0 exactly).  Pinned before the balance layer was restructured;
+# a change here means a result moved by at least one ulp.
+BALANCE_PINS = {
+    "square": {
+        "t1": "-0x1.e811b224adcaap-1", "t2": "0x1.338896ecf6030p+1",
+        "t3": "0x1.596cd063c938cp-3", "t4": "0x1.9dd9d795df526p-9",
+        "identity_gap": "0x1.3fcbba7dd0b57p+3",
+        "boundary_term": "0x1.699cb4a7f40f8p+4",
+        "class_e_integral": "0x1.52f5690571bb9p-3",
+        "pucci_serrin": ("-0x1.20bcbe58170b7p+3", "-0x1.1249418b831a7p+1",
+                         "0x1.5f74972e58775p-1"),
+        "radial_sides": ("-0x1.e9b0800342482p-1", "-0x1.e9af8bfc43a9fp-1"),
+    },
+    "disk": {
+        "t1": "-0x1.d48163e7fdf60p+0", "t2": "0x1.8251175d8d908p+0",
+        "t3": "0x1.fed022cc3ad3dp-1", "t4": "-0x1.74dea64928913p-5",
+        "identity_gap": "0x1.3827824e570f6p+3",
+        "boundary_term": "0x1.7dced4a38d762p+5",
+        "class_e_integral": "0x1.0b0f069866ae8p+0",
+        "pucci_serrin": ("-0x1.62430a5a2f4efp+4", "-0x1.06828bfd1b4b3p+2",
+                         "0x1.8f20065b88d22p-1"),
+        "radial_sides": ("-0x1.c8dc1c447b3b6p+0", "-0x1.c8da6eb5b4b16p+0"),
+    },
+}
+
+
+def balance_case(kind, unit_square):
+    """(u, v, p, q, origin): the unit square at h = 0.1 with affine p and q,
+    or the unit disk at h = 0.1 with radial p and q."""
+    if kind == "square":
+        mesh, origin = vx.build_mesh(unit_square, 0.1), [0.4, 0.5]
+        p = vx.AffineExponent(1.5, [0.2, 0.1])
+        q = vx.AffineExponent(3.0, [0.5, -0.25])
+        u = 2.0 * vx.DiscreteField.interpolate(
+            mesh, lambda x: np.prod(np.sin(np.pi * x), axis=1), zero_trace=True)
+    else:
+        mesh, origin = vx.build_mesh(vx.Domain.disk(), 0.1), [0.1, -0.2]
+        p = vx.RadialExponent(1.6, 0.3, [0.2, 0.1])
+        q = vx.RadialExponent(3.0, 0.5, [-0.1, 0.0])
+        u = vx.DiscreteField.interpolate(
+            mesh, lambda x: 1.5 * (1 - np.sum(x * x, axis=1)) * (1 + 0.5 * x[:, 0]),
+            zero_trace=True)
+    v = vx.DiscreteField.interpolate(mesh, lambda x: np.cos(x[:, 0]) + x[:, 1])
+    return u, v, p, q, origin
+
+
+@pytest.mark.parametrize("kind", ["square", "disk"])
+def test_balance_layer_pinned(kind, unit_square):
+    u, v, p, q, origin = balance_case(kind, unit_square)
+    pins = BALANCE_PINS[kind]
+    rep = vx.pohozaev_terms(u, p, q, origin)
+    got = {t: getattr(rep, t) for t in ("t1", "t2", "t3", "t4", "identity_gap")}
+    got["boundary_term"] = vx.boundary_term(u, p, 1e-3, origin)
+    got["class_e_integral"] = vx.class_e_integral(u, p, q, origin)
+    got["pucci_serrin"] = vx.verify_pucci_serrin(u, p, q, v, eps=0.01, a=0.3,
+                                                 origin=origin)
+    for name, val in got.items():
+        want = pins[name]
+        if isinstance(want, tuple):
+            assert tuple(float.fromhex(x) for x in want) == val, name
+        else:
+            assert float.fromhex(want) == val, name
+    sides = vx.radial_identity_sides(u, q, origin)
+    for side, want in zip(sides, pins["radial_sides"]):
+        assert side == pytest.approx(float.fromhex(want), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_boundary_layer_rejects_overflow(kind, interval_mesh, square_mesh):
+    mesh, origin = ((interval_mesh, [0.5]) if kind == "interval"
+                    else (square_mesh, [0.5, 0.5]))
+    p = vx.ConstantExponent(1.5)
+    u = vx.DiscreteField.interpolate(
+        mesh, lambda x: np.full(len(x), 1e200), zero_trace=True)
+    v = vx.DiscreteField.zeros(mesh)
+    with pytest.raises(vx.NonFiniteIntegrand):
+        vx.boundary_term(u, p, 1e-3, origin)
+    with pytest.raises(vx.NonFiniteIntegrand):
+        vx.verify_pucci_serrin(u, p, Q4, v, eps=0.01, a=0.3, origin=origin)
+
+
 # -- nonexistence verdict ---------------------------------------------------
 
 

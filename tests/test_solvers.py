@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 import vexlab as vx
+from vexlab import solvers
 from vexlab.solvers import _nehari_scale
 
 
@@ -376,11 +377,11 @@ def test_nehari_rejects_subcritical_pairing(interval_mesh):
                             vx.AffineExponent(2.5, [1.0]), interval_mesh)
 
 
-def test_nehari_collapse_guard(interval_mesh):
+def test_nehari_collapse_guard(interval_mesh, monkeypatch):
     q4 = vx.ConstantExponent(4.0)
-    cfg = vx.SolveConfig(collapse_tol=1e3)
+    monkeypatch.setattr(solvers, "_COLLAPSE_TOL", 1e3)
     with pytest.raises(vx.CollapseToZero):
-        vx.nehari_candidate(P2, q4, interval_mesh, cfg=cfg)
+        vx.nehari_candidate(P2, q4, interval_mesh)
 
 
 def scale_samples(mesh, p, q, z):
