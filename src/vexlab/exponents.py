@@ -3,7 +3,7 @@
 Four concrete kinds (constant, affine, radial, tabulated-on-a-mesh) plus
 derived fields (pointwise conjugate, Sobolev conjugate) built by smooth
 monotone transforms.  Bounds are closed-form wherever the geometry allows;
-a deterministic sampled fallback exists and is monotone under refinement.
+sampled_bounds is a stand-alone grid estimate, monotone under refinement.
 """
 
 from __future__ import annotations
@@ -323,7 +323,6 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
     rng = np.random.default_rng(seed)
     lo, hi = domain.bounding_box()
     span = hi - lo
-    diam = domain.diameter()
 
     xs, ys = [], []
     kept = 0

@@ -81,9 +81,9 @@ class _Balance:
     from one gather of u's nodal values: weights w, h = x - origin, u, grad u
     (one row per cell, broadcast over the points), g2 = |grad u|^2,
     A = g2 + eps, A^(p/2), |u|^q, p, q, h . grad p and h . grad q.
-    p=None skips the p samples.  Overflow is not reported here:
-    pohozaev_terms and verify_pucci_serrin raise NonFiniteIntegrand on a
-    non-finite result."""
+    p=None skips the p samples.  Overflow is not reported here: every
+    public function that reads a _Balance runs its sums under np.errstate
+    and raises NonFiniteIntegrand (_check_finite) on a non-finite result."""
 
     def __init__(self, u, p, q, origin, eps=0.0):
         mesh = u.mesh
@@ -119,17 +119,25 @@ class _Balance:
         return float(np.sum(self.w * self.hdotgq * tloge(self.absu_q) / self.q**2))
 
 
+def _check_finite(what, **values):
+    """NonFiniteIntegrand naming the first non-finite value."""
+    for name, val in values.items():
+        if not np.isfinite(val):
+            raise NonFiniteIntegrand(f"{what} {name} is not finite")
+
+
 def _boundary_moment(u, origin, density):
     """int over the boundary of density(g2, x) (x - origin) . nu, where g2 is
     |grad u|^2 taken one-sidedly from each facet's cell."""
     mesh = u.mesh
     gb = gradient(u)[mesh.facet_cells]
     nq = mesh.facet_quadrature()[1].shape[1]
-    g2 = np.broadcast_to(np.sum(gb * gb, axis=1)[:, None], (len(gb), nq)).ravel()
+    with np.errstate(over="ignore"):
+        g2 = np.broadcast_to(np.sum(gb * gb, axis=1)[:, None], (len(gb), nq)).ravel()
     o = _origin(origin)
 
     def integrand(x, nu):
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return density(g2, x) * np.sum((x - o) * nu, axis=1)
 
     return boundary_integral(mesh, integrand)
@@ -147,9 +155,7 @@ def pohozaev_terms(u, p, q, origin):
     b = _Balance(u, p, q, origin)
     with np.errstate(over="ignore", invalid="ignore"):
         t1, t2, t3, t4 = b.t1(), b.t2(), b.t3(), b.t4()
-    for name, val in (("t1", t1), ("t2", t2), ("t3", t3), ("t4", t4)):
-        if not np.isfinite(val):
-            raise NonFiniteIntegrand(f"balance term {name} is not finite")
+    _check_finite("balance term", t1=t1, t2=t2, t3=t3, t4=t4)
 
     pprime_q = conjugate(p).eval_on_quadrature(u.mesh)
     au = np.abs(b.u)
@@ -181,15 +187,18 @@ def class_e_integral(u, p, q, origin):
                / (|u|^q / e)^(h.grad q / q^2 |u|^q) )
 
     Used as an independent cross-check of the class_e decision.
+    NonFiniteIntegrand when it overflows.
     """
     b = _Balance(u, p, q, origin)
     s, t = b.A_p2, b.absu_q
-    alpha = b.hdotgp / b.p**2 * s
-    beta = b.hdotgq / b.q**2 * t
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        alpha = b.hdotgp / b.p**2 * s
+        beta = b.hdotgq / b.q**2 * t
         log_s = np.where(s >= _TINY, np.log(np.maximum(s, _TINY)) - 1.0, 0.0)
         log_t = np.where(t >= _TINY, np.log(np.maximum(t, _TINY)) - 1.0, 0.0)
-    return float(np.sum(b.w * (alpha * log_s - beta * log_t)))
+        margin = float(np.sum(b.w * (alpha * log_s - beta * log_t)))
+    _check_finite("class-E", integral=margin)
+    return margin
 
 
 # -- boundary remainder -----------------------------------------------------
@@ -341,15 +350,14 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin):
     a = float(a)
     b = _Balance(w, p, q, origin, eps)
     gv, vq = sample(mesh, v.values)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A_pm2 = np.where(b.A > _TINY, b.A ** ((b.p - 2.0) / 2.0), 0.0)
-    flux = float(np.sum(b.w * A_pm2 * b.g2))
-
-    v1 = mesh.dim * float(np.sum(b.w * (b.absu_q / b.q + b.A_p2 / b.p - vq * b.u)))
-    v4 = -float(np.sum(b.w * b.u * np.einsum("cqd,cqd->cq", b.h, gv[:, None, :])))
-    v6 = a * float(np.sum(b.w * (vq * b.u - b.absu_q)))
-    # the log terms are the balance's t4 and t3, taken at this eps
-    rhs = v1 + b.t4() + b.t3() + v4 - flux + v6 - a * flux
+        flux = float(np.sum(b.w * A_pm2 * b.g2))
+        v1 = mesh.dim * float(np.sum(b.w * (b.absu_q / b.q + b.A_p2 / b.p - vq * b.u)))
+        v4 = -float(np.sum(b.w * b.u * np.einsum("cqd,cqd->cq", b.h, gv[:, None, :])))
+        v6 = a * float(np.sum(b.w * (vq * b.u - b.absu_q)))
+        # the log terms are the balance's t4 and t3, taken at this eps
+        rhs = v1 + b.t4() + b.t3() + v4 - flux + v6 - a * flux
 
     def density(g2, x):
         pf = p.value_at(x)
@@ -358,9 +366,7 @@ def verify_pucci_serrin(w, p, q, v, eps, a, origin):
                 - np.where(Ab > _TINY, Ab ** ((pf - 2.0) / 2.0), 0.0) * g2)
 
     lhs = _boundary_moment(w, origin, density)
-    for name, val in (("lhs", lhs), ("rhs", rhs)):
-        if not np.isfinite(val):
-            raise NonFiniteIntegrand(f"Pucci-Serrin {name} is not finite")
+    _check_finite("Pucci-Serrin", lhs=lhs, rhs=rhs)
     return lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -373,12 +379,16 @@ def radial_identity_sides(u, q, origin):
         int |u|^(q-2) u (h . grad u)
             = -N int |u|^q / q + int (h . grad q) |u|^q / q^2 (1 - log|u|^q)
 
-    The right-hand side is t1 - t4 of the balance.
+    The right-hand side is t1 - t4 of the balance.  NonFiniteIntegrand
+    when either side overflows.
     """
     b = _Balance(u, None, q, origin)
     hdotgu = np.einsum("cqd,cqd->cq", b.h, b.gu)
-    lhs = float(np.sum(b.w * _signed_power(b.u, b.q) * hdotgu))
-    return lhs, b.t1() - b.t4()
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(np.sum(b.w * _signed_power(b.u, b.q) * hdotgu))
+        rhs = b.t1() - b.t4()
+    _check_finite("radial identity", lhs=lhs, rhs=rhs)
+    return lhs, rhs
 
 
 def check_radial_identity(u, q, origin):

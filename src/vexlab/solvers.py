@@ -27,7 +27,6 @@ from .fem import (
     _scatter,
     cutoff,
     field_on_quadrature,
-    gradient,
     l2_project,
     mollify,
     sample,
@@ -112,25 +111,10 @@ class SolveResult:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
-def _phi(g, eps, pq, w):
-    """int (|g|^2 + eps)^(p/2) / p for per-cell gradients g, by quadrature."""
-    s = np.sum(g * g, axis=1)[:, None] + eps
-    with np.errstate(over="ignore"):
-        return float(np.sum(w * s ** (pq / 2.0) / pq))
-
-
-def _flux_action(mesh, g, eps, pq, w):
-    """Nodal entries <(|g|^2 + eps)^((p-2)/2) g, grad phi_i>, the first
-    variation of _phi."""
-    s = np.sum(g * g, axis=1)[:, None] + eps
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = np.sum(w * np.maximum(s, _TINY) ** ((pq - 2.0) / 2.0), axis=1)
-    flux = scale[:, None] * g
-    return _scatter(mesh, np.einsum("cd,cvd->cv", flux, mesh.basis_grads))
-
-
 class _EnergyProblem:
-    """Precomputed quadrature data for one energy; evaluates F, F', F''."""
+    """The one energy of this module: samples p and q at the quadrature
+    points once and evaluates F, F' and F''.  q=None drops the power term
+    (hess needs q)."""
 
     def __init__(self, mesh, p, q, eps, load_q=None, q_sign=1.0):
         self.mesh = mesh
@@ -138,21 +122,31 @@ class _EnergyProblem:
         self.q_sign = float(q_sign)
         self.w = mesh.quadrature()[1]
         self.pq = p.eval_on_quadrature(mesh)
-        self.qq = q.eval_on_quadrature(mesh)
+        self.qq = None if q is None else q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
 
     def energy(self, z):
         g, zq = sample(self.mesh, z)
-        e_phi = _phi(g, self.eps, self.pq, self.w)
+        s = np.sum(g * g, axis=1)[:, None] + self.eps
         with np.errstate(over="ignore"):
-            e_q = self.q_sign * np.sum(self.w * np.abs(zq) ** self.qq / self.qq)
-        e_load = 0.0 if self.load_q is None else np.sum(self.w * self.load_q * zq)
-        return float(e_phi + e_q - e_load)
+            e = np.sum(self.w * s ** (self.pq / 2.0) / self.pq)
+            if self.qq is not None:
+                e = e + self.q_sign * np.sum(self.w * np.abs(zq) ** self.qq / self.qq)
+        if self.load_q is not None:
+            e = e - np.sum(self.w * self.load_q * zq)
+        return float(e)
 
     def grad(self, z):
         g, zq = sample(self.mesh, z)
-        out = _flux_action(self.mesh, g, self.eps, self.pq, self.w)
-        dens = self.q_sign * _signed_power(zq, self.qq)
+        s = np.sum(g * g, axis=1)[:, None] + self.eps
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
+                           axis=1)
+        out = _scatter(self.mesh, np.einsum("cd,cvd->cv", scale[:, None] * g,
+                                            self.mesh.basis_grads))
+        if self.qq is None and self.load_q is None:
+            return out
+        dens = 0.0 if self.qq is None else self.q_sign * _signed_power(zq, self.qq)
         if self.load_q is not None:
             dens = dens - self.load_q
         # onto the finished flux entries; summing per cell first moves roundoff
@@ -261,16 +255,13 @@ def _minimize(problem, z0, free, cfg):
 def regularized_energy(z, v, p, q, eps):
     """F_eps(z) with linear load v (a P1 field paired by quadrature)."""
     load_q = None if v is None else field_on_quadrature(v)
-    prob = _EnergyProblem(z.mesh, p, q, eps, load_q=load_q)
-    return prob.energy(z.values)
+    return _EnergyProblem(z.mesh, p, q, eps, load_q=load_q).energy(z.values)
 
 
 def phi_energy(z, p, eps):
     """The bare gradient part int (|grad z|^2 + eps)^(p/2) / p; its first
     variation in zero-trace directions is operator_action."""
-    mesh = z.mesh
-    return _phi(gradient(z), float(eps), p.eval_on_quadrature(mesh),
-                mesh.quadrature()[1])
+    return _EnergyProblem(z.mesh, p, None, eps).energy(z.values)
 
 
 def source_energy(z, source, p, q):
@@ -278,12 +269,8 @@ def source_energy(z, source, p, q):
 
         int |grad z|^p/p + int |z|^q/q - 2 int |source|^(q-2) source z
     """
-    mesh = z.mesh
-    qq = q.eval_on_quadrature(mesh)
-    sq = field_on_quadrature(source)
-    load_q = 2.0 * _signed_power(sq, qq)
-    prob = _EnergyProblem(mesh, p, q, 0.0, load_q=load_q)
-    return prob.energy(z.values)
+    return _EnergyProblem(z.mesh, p, q, 0.0,
+                          load_q=_doubled_source(source, q)).energy(z.values)
 
 
 def _signed_power(vals, qq):
@@ -293,14 +280,17 @@ def _signed_power(vals, qq):
         return np.where(av > _TINY, av ** (qq - 2.0) * vals, 0.0)
 
 
+def _doubled_source(u, q):
+    """2 |u|^(q-2) u at the quadrature points, (nc, nq)."""
+    return 2.0 * _signed_power(field_on_quadrature(u), q.eval_on_quadrature(u.mesh))
+
+
 def operator_action(z, p, eps):
     """Weak action of the regularized operator on the zero-trace basis:
     entries <(|grad z|^2 + eps)^((p-2)/2) grad z, grad phi_i>, boundary
     entries zeroed."""
-    mesh = z.mesh
-    out = _flux_action(mesh, gradient(z), float(eps),
-                       p.eval_on_quadrature(mesh), mesh.quadrature()[1])
-    return DiscreteField(mesh, out, zero_trace=True)
+    return DiscreteField(z.mesh, _EnergyProblem(z.mesh, p, None, eps).grad(z.values),
+                         zero_trace=True)
 
 
 def power_source(u, q):
@@ -311,9 +301,7 @@ def power_source(u, q):
     the truncated problem reproduces the candidate once truncation is
     inactive.
     """
-    qq = q.eval_on_quadrature(u.mesh)
-    sq = field_on_quadrature(u)
-    return l2_project(u.mesh, 2.0 * _signed_power(sq, qq))
+    return l2_project(u.mesh, _doubled_source(u, q))
 
 
 def mollifier_radius(eps, mesh):
@@ -436,15 +424,14 @@ def nehari_candidate(p, q, mesh, cfg=None):
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
-    pq = p.eval_on_quadrature(mesh)
-    qq = q.eval_on_quadrature(mesh)
+    prob = _EnergyProblem(mesh, p, q, 0.0, q_sign=-1.0)
+    pq, qq = prob.pq, prob.qq
     if float(qq.min()) <= float(pq.max()) + 1e-12:
         raise NoScalingRoot(
             f"scaling projection needs q- > p+, got q- = {qq.min():.4g}, "
             f"p+ = {pq.max():.4g}"
         )
-    eps_guard = 0.0 if float(pq.min()) >= 2.0 else 1e-14
-    prob = _EnergyProblem(mesh, p, q, eps_guard, q_sign=-1.0)
+    prob.eps = 0.0 if float(pq.min()) >= 2.0 else 1e-14
     free = mesh.interior_nodes
 
     logw = np.log(prob.w)

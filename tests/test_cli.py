@@ -229,6 +229,42 @@ def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
         assert rep["converged"] is False
 
 
+@pytest.mark.parametrize("scenario, candidate", [
+    ("cascade", {"kind": "zero"}),
+    ("pohozaev", {"kind": "constant", "value": 2}),
+])
+def test_config_field_candidates(tmp_path, scenario, candidate):
+    cfg = write_config(tmp_path, "cfg.json", {**CASCADE, "candidate": candidate})
+    out = tmp_path / "out"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 0
+    assert load_report(out / f"{scenario}.json")["candidate_stop"] is None
+
+
+def test_pohozaev_origin_from_star_center(tmp_path):
+    cfg = write_config(tmp_path, "pohozaev.json", {
+        "domain": {"kind": "polygon",
+                   "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+        "h": 0.1,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0},
+        "candidate": {"kind": "bump", "amplitude": 1.0},
+    })
+    out = tmp_path / "out"
+    assert main(["pohozaev", "--config", cfg, "--out", str(out)]) == 0
+    rep = load_report(out / "pohozaev.json")
+    assert rep["origin"] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert rep["star_min_xdotnu"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_library_error_exits_3(tmp_path, capsys):
+    # p = q = 2 leaves the Nehari scaling projection without a root
+    cfg = write_config(tmp_path, "cascade.json",
+                       {**CASCADE, "candidate": {"kind": "nehari"}})
+    assert main(["cascade", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "vexlab: scaling projection needs q- > p+")
+
+
 SPACES = {
     "domain": UNIT_INTERVAL,
     "h": 0.05,

@@ -213,6 +213,18 @@ def test_nonconvex_polygon_meshes_cleanly():
     assert domain.contains(inside[None, :])[0]
 
 
+@pytest.mark.parametrize("vertices, area", [
+    ([(0.5, 0), (1, 0), (1, 1), (0, 1), (0, 0)], 1.0),
+    ([(1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1), (0, 0)], 3.0),
+])
+def test_collinear_vertices_mesh_exactly(vertices, area):
+    # the first corner is flat, so ear clipping must skip it, not clip it
+    mesh = vx.build_mesh(vx.Domain.polygon(vertices), 0.25)
+    assert mesh.volume == pytest.approx(area, abs=1e-12)
+    lhs, rhs, rel = mesh.divergence_check()
+    assert rel <= 1e-12, (lhs, rhs)
+
+
 # -- oracles: the loop forms the array code replaced ------------------------
 
 ORACLE_DOMAINS = {

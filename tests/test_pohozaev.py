@@ -1,5 +1,7 @@
 """Balance terms, boundary remainder, the identity checks, and the verdict."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,35 @@ def test_boundary_layer_rejects_overflow(kind, interval_mesh, square_mesh):
         vx.boundary_term(u, p, 1e-3, origin)
     with pytest.raises(vx.NonFiniteIntegrand):
         vx.verify_pucci_serrin(u, p, Q4, v, eps=0.01, a=0.3, origin=origin)
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_balance_functions_raise_on_overflow_without_warnings(
+        kind, interval_mesh, square_mesh):
+    # a zero-trace 1e200 field overflows |u|^q and |grad u|^2: every balance
+    # function must raise NonFiniteIntegrand, not return NaN, and let no
+    # RuntimeWarning escape on the way
+    mesh, origin = ((interval_mesh, [0.5]) if kind == "interval"
+                    else (square_mesh, [0.5, 0.5]))
+    p = vx.AffineExponent(1.5, [0.2] * mesh.dim)
+    q = vx.AffineExponent(3.0, [0.5] * mesh.dim)
+    u = vx.DiscreteField.interpolate(
+        mesh, lambda x: np.full(len(x), 1e200), zero_trace=True)
+    v = vx.DiscreteField.zeros(mesh)
+    calls = {
+        "pohozaev_terms": lambda: vx.pohozaev_terms(u, p, q, origin),
+        "class_e_integral": lambda: vx.class_e_integral(u, p, q, origin),
+        "radial_identity_sides": lambda: vx.radial_identity_sides(u, q, origin),
+        "check_radial_identity": lambda: vx.check_radial_identity(u, q, origin),
+        "boundary_term": lambda: vx.boundary_term(u, p, 1e-3, origin),
+        "verify_pucci_serrin": lambda: vx.verify_pucci_serrin(
+            u, p, q, v, eps=0.01, a=0.3, origin=origin),
+    }
+    for call in calls.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(vx.NonFiniteIntegrand):
+                call()
 
 
 # -- nonexistence verdict ---------------------------------------------------

@@ -261,6 +261,36 @@ def test_solve_reports_non_convergence(fine_interval_mesh, rng):
     assert res.diagnostics["stop"] == "max_iters"
 
 
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_newton_falls_back_to_steepest_descent(failure, interval, monkeypatch):
+    # a sparse solve that raises or returns NaNs leaves the damped step on
+    # -g, which still lowers the energy at every step
+    mesh = vx.build_mesh(interval, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 4.0))
+    q = vx.ConstantExponent(3.0)
+    rhs = []
+
+    def broken_spsolve(H, b):
+        rhs.append(b)
+        if failure == "raises":
+            raise RuntimeError("singular matrix")
+        return np.full(len(b), np.nan)
+
+    monkeypatch.setattr(solvers, "spsolve", broken_spsolve)
+    first = vx.solve_regularized(v, P2, q, vx.SolveConfig(epsilon=1e-3, max_iters=1))
+    step = first.field.values[mesh.interior_nodes]  # from z0 = 0
+    s = float(step @ rhs[0] / (rhs[0] @ rhs[0]))
+    assert s > 0 and np.array_equal(step, s * rhs[0])  # b = -g, s = 2^-k
+
+    rhs.clear()
+    res = vx.solve_regularized(v, P2, q, vx.SolveConfig(epsilon=1e-3, max_iters=5))
+    hist = np.asarray(res.diagnostics["energy_history"])
+    assert len(rhs) == res.iterations == 5
+    assert res.diagnostics["stop"] == "max_iters"
+    assert np.all(np.diff(hist) < 0)
+    assert res.energy == pytest.approx(-0.5432, abs=1e-4)
+
+
 def test_solve_stalls_below_roundoff(unit_square):
     # No residual reaches 1e-300: once Newton has reached the roundoff floor,
     # neither the energy nor the residual norm can see a decrease, and the
@@ -512,3 +542,94 @@ def test_solver_path_bytes_pinned(unit_square, interval):
         "solve_energy_history": sha256(res.diagnostics["energy_history"]),
         "nehari_energy_history": sha256(cand.diagnostics["energy_history"]),
     } == SOLVER_DIGESTS
+
+
+# float.hex of the energies and sha256 of the nodal actions and sources on
+# two 2D cases with variable exponents.  Pinned before the energy layer was
+# restructured; a change here means a result moved by at least one ulp.
+ENERGY_PINS = {
+    "square": {
+        "source_energy": "0x1.16ae903219d0ap+7",
+        "power_source":
+            "7729527966309c0765e61aee755fb9c82eb774804b79c77c67799e619d563946",
+        0.0: {
+            "phi_energy": "0x1.163ca918e28fdp+7",
+            "regularized_energy": "0x1.16e5fba1e7e9cp+7",
+            "regularized_energy_no_load": "0x1.168c255e4b9b1p+7",
+            "operator_action":
+                "dd8cde32a40c7b24f7420f97e7fe5f7bda957e092f5dd7f5c406009cb7431efe",
+            "operator_action_zero":
+                "35956830dc0e1c6938923d39e417eba774c6b059bb38a8a8de026da72f74da51",
+        },
+        1e-3: {
+            "phi_energy": "0x1.163cc43453234p+7",
+            "regularized_energy": "0x1.16e616bd587d3p+7",
+            "regularized_energy_no_load": "0x1.168c4079bc2e8p+7",
+            "operator_action":
+                "a95d4258c24cc5272e1ef60a41bfda4647c4b17905ef3c69ec28de6c0262e4d8",
+            "operator_action_zero":
+                "35956830dc0e1c6938923d39e417eba774c6b059bb38a8a8de026da72f74da51",
+        },
+    },
+    "disk": {
+        "source_energy": "0x1.ef978fe4f45efp+8",
+        "power_source":
+            "352daba102e7dcc0ba204109550a2e14f7a8ed4f1d291b5bd4204addfd28c1fa",
+        0.0: {
+            "phi_energy": "0x1.ef4c7a639aa4ap+8",
+            "regularized_energy": "0x1.f00ecb5a55bfep+8",
+            "regularized_energy_no_load": "0x1.efbfd3f754543p+8",
+            "operator_action":
+                "df8704dd7db970bbfd8bc2444fd0a787bba8fdec08b0b9f665bccf2288e3217d",
+            "operator_action_zero":
+                "87e73173911851df7ffc3c115b18ef03f5431aad77193fe47e6c14827fe8ac66",
+        },
+        1e-3: {
+            "phi_energy": "0x1.ef4cb2ed8f7eap+8",
+            "regularized_energy": "0x1.f00f03e44a99ep+8",
+            "regularized_energy_no_load": "0x1.efc00c81492e3p+8",
+            "operator_action":
+                "d63c51a132692318309d01192571a2fbf37f0f0baeb02cbfabb34a0d6668969d",
+            "operator_action_zero":
+                "87e73173911851df7ffc3c115b18ef03f5431aad77193fe47e6c14827fe8ac66",
+        },
+    },
+}
+
+
+def energy_case(kind, unit_square):
+    """(z, v, source, p, q): a seeded random zero-trace field, a load and a
+    sign-changing source on the unit square at h = 0.1 with affine p and q,
+    or on the unit disk at h = 0.1 with radial p and q."""
+    if kind == "square":
+        mesh = vx.build_mesh(unit_square, 0.1)
+        p = vx.AffineExponent(1.5, [0.2, 0.1])
+        q = vx.AffineExponent(3.0, [0.5, -0.25])
+    else:
+        mesh = vx.build_mesh(vx.Domain.disk(), 0.1)
+        p = vx.RadialExponent(1.6, 0.3, [0.2, 0.1])
+        q = vx.RadialExponent(3.0, 0.5, [-0.1, 0.0])
+    z = random_interior(mesh, np.random.default_rng(7))
+    v = vx.DiscreteField.interpolate(mesh, lambda x: np.cos(x[:, 0]) + x[:, 1])
+    source = vx.DiscreteField.interpolate(
+        mesh, lambda x: x[:, 0] - 0.3 + 0.5 * x[:, 1])
+    return z, v, source, p, q
+
+
+@pytest.mark.parametrize("kind", ["square", "disk"])
+def test_energy_helpers_pinned(kind, unit_square):
+    z, v, source, p, q = energy_case(kind, unit_square)
+    zero = vx.DiscreteField.zeros(z.mesh)
+    pins = ENERGY_PINS[kind]
+    assert vx.source_energy(z, source, p, q) == float.fromhex(pins["source_energy"])
+    assert sha256(vx.power_source(source, q).values) == pins["power_source"]
+    for eps in (0.0, 1e-3):
+        got = {
+            "phi_energy": vx.phi_energy(z, p, eps).hex(),
+            "regularized_energy": vx.regularized_energy(z, v, p, q, eps).hex(),
+            "regularized_energy_no_load":
+                vx.regularized_energy(z, None, p, q, eps).hex(),
+            "operator_action": sha256(vx.operator_action(z, p, eps).values),
+            "operator_action_zero": sha256(vx.operator_action(zero, p, eps).values),
+        }
+        assert got == pins[eps], eps
