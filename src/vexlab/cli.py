@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 config error (an unknown top-level key included),
 3 solver non-convergence (artifacts are still written, with converged =
 false or a candidate_stop other than "converged").
 
-Outputs are deterministic for a fixed (config, seed); the timestamp lives
-in an isolated "meta" block so reports can be diffed modulo that block.
+Outputs are deterministic for a fixed (config, seed); the timestamp (and,
+for a Nehari candidate, its descent counts) lives in an isolated "meta"
+block so reports can be diffed modulo that block.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, meta=()):
+    """Write payload with schema "1" and a "meta" block: the creation time
+    plus the items of meta."""
     body = {str(k): _jsonable(v) for k, v in payload.items()}
     body["schema"] = "1"
     body["meta"] = {
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds")
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **dict(meta),
     }
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -213,14 +217,17 @@ def _origin_for(cfg, domain):
 
 
 def _candidate(cfg, mesh, p, q, scfg, base_dir):
-    """(field, stop): stop is the Nehari candidate's diagnostics["stop"], or
-    None for a field given in the config."""
+    """(field, stop, meta): stop is the Nehari candidate's
+    diagnostics["stop"] and meta its descent counts for the report's meta
+    block, or None and {} for a field given in the config."""
     spec = _require(cfg, "candidate", "cascade/pohozaev")
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
         reject_unknown_keys(spec, ("kind",), "nehari candidate")
         res = nehari_candidate(p, q, mesh, scfg)
-        return res.field, res.diagnostics["stop"]
-    return _build_field(spec, mesh, base_dir), None
+        keys = ("descent_stop", "descent_iterations", "newton_iterations")
+        return (res.field, res.diagnostics["stop"],
+                {key: res.diagnostics[key] for key in keys})
+    return _build_field(spec, mesh, base_dir), None, {}
 
 
 # -- scenarios --------------------------------------------------------------
@@ -319,7 +326,7 @@ def _failed_levels(runs):
 def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
-    u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
+    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
     failed = _failed_levels(runs)
@@ -335,7 +342,7 @@ def _run_cascade(cfg, base_dir, out, seed):
         "final_energy": runs[-1].energy,
         "final_el_residual": runs[-1].el_residual,
     }
-    _write_json(os.path.join(out, "cascade.json"), report)
+    _write_json(os.path.join(out, "cascade.json"), report, meta)
     _write_csv(
         os.path.join(out, "cascade_series.csv"),
         "n,epsilon,grad_modular,q_modular,boundary_term",
@@ -347,7 +354,7 @@ def _run_cascade(cfg, base_dir, out, seed):
 def _run_pohozaev(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
-    u, candidate_stop = _candidate(cfg, mesh, p, q, scfg, base_dir)
+    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     report = pohozaev_terms(u, p, q, origin)
     failed = None
@@ -361,7 +368,7 @@ def _run_pohozaev(cfg, base_dir, out, seed):
     if failed is not None:
         payload["failed_levels"] = failed
     payload.update(report.as_dict())
-    _write_json(os.path.join(out, "pohozaev.json"), payload)
+    _write_json(os.path.join(out, "pohozaev.json"), payload, meta)
     row = report.as_dict()
     del row["origin"]
     _write_csv(os.path.join(out, "pohozaev.csv"), ",".join(row), [row.values()])

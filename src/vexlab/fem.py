@@ -221,6 +221,13 @@ def mass_matrix(mesh):
     return _assemble_matrix(mesh, _cell_mass(mesh, mesh.quadrature()[1]))
 
 
+def stiffness_matrix(mesh):
+    """P1 stiffness matrix (CSR): entries int grad phi_i . grad phi_j."""
+    G = mesh.basis_grads
+    return _assemble_matrix(
+        mesh, mesh.cell_volumes[:, None, None] * np.einsum("cvd,cwd->cvw", G, G))
+
+
 def l2_project(mesh, values_on_quadrature):
     """L2-project quadrature-point samples (nc, nq) onto the P1 space.
 

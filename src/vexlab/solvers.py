@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
                      config_number, reject_unknown_keys)
 from .fem import (
     DiscreteField,
     _assemble_matrix,
+    _cell_gradients,
     _cell_mass,
     _load_vector,
     _scatter,
@@ -30,6 +31,7 @@ from .fem import (
     l2_project,
     mollify,
     sample,
+    stiffness_matrix,
 )
 from .modular import (
     _balance_root,
@@ -49,6 +51,19 @@ _COLLAPSE_TOL = 1e-6
 # Longest epsilon schedule a config may ask for; each level is one Newton
 # solve per truncation level (the benchmark's longest schedule has 21).
 _MAX_EPS_LEVELS = 1000
+# The Nehari descent steps along the H^1_0 (Sobolev) gradient and hands
+# over to the Newton polish once its H^-1 residual falls to the first of
+# these fractions of its value at the seed (1e-2 let the polish reach a far
+# critical point on a variable-exponent disk); each resumed descent exits at
+# the next one.  All descents share one budget of _DESCENT_STEPS steps.
+_DESCENT_EXITS = (1e-3, 1e-4, 1e-5, 1e-6)
+_DESCENT_STEPS = 400
+# The polish may climb this fraction above the descent's last energy, and
+# never to zero or below, where no nontrivial critical point lies.  Polishes
+# that ended at the Nehari level rose at most 6% on the way (unit disk,
+# p = 1.5, q = 6, h = 0.1, seeds 1-8); those that walked to far critical
+# points jumped by a factor of 2.5 or more, or plunged below zero first.
+_NEHARI_SLACK = 0.1
 
 
 @dataclass
@@ -125,8 +140,15 @@ class _EnergyProblem:
         self.qq = None if q is None else q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
 
+    def _sample(self, z):
+        """Per-cell gradients of z and its quadrature samples, or None in
+        their place when neither the power term nor the load reads them."""
+        if self.qq is None and self.load_q is None:
+            return _cell_gradients(self.mesh, z[self.mesh.cells]), None
+        return sample(self.mesh, z)
+
     def energy(self, z):
-        g, zq = sample(self.mesh, z)
+        g, zq = self._sample(z)
         s = np.sum(g * g, axis=1)[:, None] + self.eps
         with np.errstate(over="ignore"):
             e = np.sum(self.w * s ** (self.pq / 2.0) / self.pq)
@@ -137,7 +159,7 @@ class _EnergyProblem:
         return float(e)
 
     def grad(self, z):
-        g, zq = sample(self.mesh, z)
+        g, zq = self._sample(z)
         s = np.sum(g * g, axis=1)[:, None] + self.eps
         with np.errstate(over="ignore", divide="ignore"):
             scale = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
@@ -217,22 +239,26 @@ def _newton_step(problem, z, free, gf, gn, F0):
     return None
 
 
-def _minimize(problem, z0, free, cfg):
+def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
     """Damped Newton on the free nodes until the residual norm reaches
-    cfg.grad_tol, no step passes either merit of _newton_step, or
-    cfg.max_iters steps are taken.
+    cfg.grad_tol, no step passes either merit of _newton_step, cfg.max_iters
+    steps are taken, or a step would take the energy out of the open-closed
+    interval bounds.
 
     Returns (z, energy history, residual norm, steps, stop) with stop one of
-    "converged", "stalled" or "max_iters".
+    "converged", "stalled", "max_iters" or "left_nehari" (the refused step
+    is not taken).
     """
     z = np.array(z0, dtype=float)
     hist = [problem.energy(z)]
     gf = problem.grad(z)[free]
     gn = float(np.linalg.norm(gf))
     iters = 0
+    stop = "max_iters"
     while gn > cfg.grad_tol and iters < cfg.max_iters:
         step = _newton_step(problem, z, free, gf, gn, hist[-1])
-        if step is None:
+        if step is None or not bounds[0] < step[1] <= bounds[1]:
+            stop = "stalled" if step is None else "left_nehari"
             break
         z, F, gf = step
         hist.append(F)
@@ -242,10 +268,6 @@ def _minimize(problem, z0, free, cfg):
         iters += 1
     if gn <= cfg.grad_tol:
         stop = "converged"
-    elif iters == cfg.max_iters:
-        stop = "max_iters"
-    else:
-        stop = "stalled"
     return z, hist, gn, iters, stop
 
 
@@ -269,8 +291,9 @@ def source_energy(z, source, p, q):
 
         int |grad z|^p/p + int |z|^q/q - 2 int |source|^(q-2) source z
     """
-    return _EnergyProblem(z.mesh, p, q, 0.0,
-                          load_q=_doubled_source(source, q)).energy(z.values)
+    prob = _EnergyProblem(z.mesh, p, q, 0.0)
+    prob.load_q = _doubled_source(source, prob.qq)
+    return prob.energy(z.values)
 
 
 def _signed_power(vals, qq):
@@ -280,9 +303,10 @@ def _signed_power(vals, qq):
         return np.where(av > _TINY, av ** (qq - 2.0) * vals, 0.0)
 
 
-def _doubled_source(u, q):
-    """2 |u|^(q-2) u at the quadrature points, (nc, nq)."""
-    return 2.0 * _signed_power(field_on_quadrature(u), q.eval_on_quadrature(u.mesh))
+def _doubled_source(u, qq):
+    """2 |u|^(q-2) u at the quadrature points, (nc, nq), from q sampled
+    there (qq)."""
+    return 2.0 * _signed_power(field_on_quadrature(u), qq)
 
 
 def operator_action(z, p, eps):
@@ -301,7 +325,7 @@ def power_source(u, q):
     the truncated problem reproduces the candidate once truncation is
     inactive.
     """
-    return l2_project(u.mesh, _doubled_source(u, q))
+    return l2_project(u.mesh, _doubled_source(u, q.eval_on_quadrature(u.mesh)))
 
 
 def mollifier_radius(eps, mesh):
@@ -410,17 +434,48 @@ def _nehari_scale(gmag, zq_abs, logw, pq, qq):
     return float(np.exp(_balance_root(la, pq.ravel(), lb, qq.ravel())))
 
 
+def _projected_step(prob, u, free, d, s, project, J0):
+    """Step from u along -d and project, halving s up to 60 times until the
+    energy falls below J0 by more than roundoff: (trial, energy, s), or None.
+    """
+    for _ in range(60):
+        trial = u.copy()
+        trial[free] -= s * d
+        try:
+            trial = project(trial)
+        except NoScalingRoot:
+            s *= 0.5
+            continue
+        J = prob.energy(trial)
+        if J < J0 - 1e-14 * (1.0 + abs(J0)):
+            return trial, J, s
+        s *= 0.5
+    return None
+
+
 def nehari_candidate(p, q, mesh, cfg=None):
     """Generate a nontrivial critical-point candidate by projected descent
     on the scaling manifold, polished by a Newton iteration on the full
     optimality system.
 
+    The descent steps along the H^1_0 gradient d = K^-1 r, with K the P1
+    stiffness matrix on the free nodes (factored once per call) and r the
+    energy gradient, so its step count does not grow as the mesh is refined.
+    It hands over to the polish once the H^-1 residual sqrt(r . d) falls to
+    _DESCENT_EXITS[0] of its value at the seed (or to 50 * cfg.grad_tol).
+    The polish must keep the energy in (0, (1 + _NEHARI_SLACK) * E], E the
+    descent's last energy; when it would leave, the descent resumes with the
+    next, tighter exit from where it stopped, within its one 400-step budget.
+
     Requires q- > p+ on the mesh (monotone scaling projection); raises
     NoScalingRoot otherwise, and CollapseToZero when the polished
     candidate's gradient norm is below _COLLAPSE_TOL.
-    diagnostics["descent_stop"] says why the descent ended: "tolerance"
-    (small gradient), "no_decrease" (60 step halvings found no lower
-    energy) or "max_iters" (its 400-step cap).
+    diagnostics["stop"] is the polish's stop reason (see _minimize);
+    "left_nehari" means its last attempt would have left that energy band,
+    and the field is its last iterate inside it.
+    diagnostics["descent_stop"] says why the last descent ended: "tolerance"
+    (its exit residual), "no_decrease" (60 step halvings found no lower
+    energy) or "max_iters" (the 400-step budget).
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -447,39 +502,35 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u[mesh.boundary_nodes] = 0.0
     u = project(u)
 
+    K = splu(stiffness_matrix(mesh)[free][:, free].tocsc())
     hist = [prob.energy(u)]
     step = 1.0
-    for iters1 in range(1, 401):
-        r = prob.grad(u)
-        gn = float(np.linalg.norm(r[free]))
-        if gn <= max(1e-3, 50.0 * cfg.grad_tol):
-            descent_stop = "tolerance"
-            break
-        accepted = False
-        s = step
-        for _ in range(60):
-            trial = u.copy()
-            trial[free] -= s * r[free]
-            try:
-                trial = project(trial)
-            except NoScalingRoot:
-                s *= 0.5
-                continue
-            Jt = prob.energy(trial)
-            if Jt < hist[-1] - 1e-14 * (1.0 + abs(hist[-1])):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            descent_stop = "no_decrease"
-            break
-        u = trial
-        hist.append(Jt)
-        step = min(s * 2.0, 1e3)
-    else:
+    iters1 = iters2 = 0
+    res0 = None
+    for fraction in _DESCENT_EXITS:
         descent_stop = "max_iters"
-
-    u, _, gn, iters2, stop = _minimize(prob, u, free, cfg)
+        while iters1 < _DESCENT_STEPS:
+            r = prob.grad(u)[free]
+            d = K.solve(r)
+            res = float(np.sqrt(abs(r @ d)))
+            res0 = res if res0 is None else res0
+            if res <= max(fraction * res0, 50.0 * cfg.grad_tol):
+                descent_stop = "tolerance"
+                break
+            iters1 += 1
+            found = _projected_step(prob, u, free, d, step, project, hist[-1])
+            if found is None:
+                descent_stop = "no_decrease"
+                break
+            u, J, s = found
+            hist.append(J)
+            step = min(s * 2.0, 1e3)
+        z, _, gn, n, stop = _minimize(prob, u, free, cfg, bounds=(
+            0.0, hist[-1] * (1.0 + _NEHARI_SLACK)))
+        iters2 += n
+        if stop != "left_nehari" or descent_stop != "tolerance":
+            break
+    u = z
 
     ufield = DiscreteField(mesh, u, zero_trace=True)
     if gradient_luxemburg_norm(ufield, p) < _COLLAPSE_TOL:

@@ -498,6 +498,35 @@ def test_nehari_candidate_stop_reported(tmp_path):
     assert load_report(out / "cascade.json")["candidate_stop"] == "converged"
 
 
+@pytest.mark.parametrize("scenario", ["cascade", "pohozaev"])
+def test_candidate_descent_in_meta(tmp_path, scenario):
+    nehari = {"domain": UNIT_INTERVAL, "h": 0.05,
+              "p": {"kind": "constant", "value": 2.0},
+              "q": {"kind": "constant", "value": 4.0},
+              "candidate": {"kind": "nehari"}, "origin": [0.5],
+              "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.125,
+                         "n_schedule": [4, 8]}}
+    cfg = write_config(tmp_path, "cfg.json", nehari)
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"out{run}"
+        assert main([scenario, "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / f"{scenario}.json").read_text())
+        meta = data.pop("meta")
+        assert meta.pop("created")
+        assert meta == {"descent_stop": "tolerance", "descent_iterations": 49,
+                        "newton_iterations": 2}
+        reports.append(data)
+    assert reports[0] == reports[1]
+
+    given = dict(nehari, candidate={"kind": "bump", "amplitude": 1.0})
+    out = tmp_path / "given"
+    assert main([scenario, "--config", write_config(tmp_path, "given.json", given),
+                 "--out", str(out)]) == 0
+    assert set(json.loads((out / f"{scenario}.json").read_text())["meta"]) \
+        == {"created"}
+
+
 def test_seed_flag_replaces_the_config_seed(tmp_path):
     # the seed reaches only the Nehari candidate's random start
     def t1(config_seed, *flag):
@@ -546,15 +575,15 @@ def test_shipped_configs_have_known_keys(path):
 CONFIG_DIGESTS = {
     "cascade_interval": {
         "cascade.json":
-            "d35ab454657a1377bb90ce9ce61013d19bd6600469d77ad5c81c62385e6bf81c",
+            "55d92cd712d83fca02846a0bbc2e5b5a517a52d37363074e847cc4a04ed6dc74",
         "cascade_series.csv":
-            "47f7ec1917f69852fff1a7ff21c981a9a89aa9ce83806249d43389b25da0a304",
+            "4a5aae15f81fb100c67fd7047c5983e41014db98af373c7ea9a9dd53305daa2d",
     },
     "pohozaev_interval": {
         "pohozaev.csv":
-            "fb7d725b08b5aceca0efadcbdb8002e4ed6256f57959370007dd2797a3a78454",
+            "b3b273b26a64ba3d982bda0ca55c4b3f1875192f800b25c5e569986b6c81649b",
         "pohozaev.json":
-            "b006cb3934b8e9f777c6afd9290f872bc5f0d0982dbcf51bd96ca1afe0ce28c3",
+            "fc5aac41ccde81a8a90b9120f86e5f385ef26d16bc44074264f510528b2fe1be",
     },
     "solve_interval": {
         "mesh.txt":

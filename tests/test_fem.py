@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 import vexlab as vx
-from vexlab.fem import sample
+from vexlab.fem import sample, stiffness_matrix
 
 EPS = np.finfo(float).eps
 
@@ -262,3 +262,14 @@ def test_mass_matrix_row_sums(square_mesh):
     ones = np.ones(square_mesh.nnodes)
     lumped = M @ ones
     assert np.all(lumped > 0)
+
+
+def test_stiffness_matrix_dirichlet_energy(interval_mesh, square_mesh):
+    # symmetric, constants in its kernel, u.K.u = int |grad u|^2 for linear u
+    for mesh, slope in ((interval_mesh, [3.0]), (square_mesh, [1.0, 2.0])):
+        K = stiffness_matrix(mesh)
+        assert abs(K - K.T).max() == 0.0
+        assert np.max(np.abs(K @ np.ones(mesh.nnodes))) <= 1e-12
+        u = mesh.nodes @ np.array(slope)
+        assert u @ (K @ u) == pytest.approx(np.dot(slope, slope) * mesh.volume,
+                                            rel=1e-12)

@@ -500,15 +500,99 @@ def test_nehari_variable_exponent_square(unit_square):
     assert res.el_residual <= 1e-8
 
 
-def test_nehari_descent_stop_reasons(interval, fine_interval_mesh):
+def test_nehari_descent_stop_reasons(interval, fine_interval_mesh, monkeypatch):
+    # every descent_stop the nehari_candidate docstring lists
     q4 = vx.ConstantExponent(4.0)
-    capped = vx.nehari_candidate(P2, q4, fine_interval_mesh, vx.SolveConfig(seed=42))
-    assert capped.diagnostics["descent_stop"] == "max_iters"
-    assert capped.diagnostics["descent_iterations"] == 400
-    coarse = vx.nehari_candidate(P2, q4, vx.build_mesh(interval, 0.05),
-                                 vx.SolveConfig(seed=42))
+    fine = vx.nehari_candidate(P2, q4, fine_interval_mesh, vx.SolveConfig(seed=42))
+    assert fine.diagnostics["descent_stop"] == "tolerance"
+    assert fine.diagnostics["descent_iterations"] == 1
+    coarse_mesh = vx.build_mesh(interval, 0.05)
+    coarse = vx.nehari_candidate(P2, q4, coarse_mesh, vx.SolveConfig(seed=42))
     assert coarse.diagnostics["descent_stop"] == "tolerance"
-    assert coarse.diagnostics["descent_iterations"] < 400
+    assert coarse.diagnostics["descent_iterations"] == 70
+
+    monkeypatch.setattr(solvers, "_DESCENT_STEPS", 5)
+    capped = vx.nehari_candidate(P2, q4, coarse_mesh, vx.SolveConfig(seed=42))
+    assert capped.diagnostics["descent_stop"] == "max_iters"
+    assert capped.diagnostics["descent_iterations"] == 5
+    assert capped.diagnostics["stop"] == "converged"
+
+    # no exit residual and no floor: the descent runs into roundoff
+    monkeypatch.setattr(solvers, "_DESCENT_STEPS", 400)
+    monkeypatch.setattr(solvers, "_DESCENT_EXITS", (0.0,))
+    floor = vx.nehari_candidate(P2, q4, vx.build_mesh(interval, 0.25),
+                                vx.SolveConfig(seed=42, grad_tol=0.0))
+    assert floor.diagnostics["descent_stop"] == "no_decrease"
+    assert floor.diagnostics["descent_iterations"] < 400
+
+
+@pytest.mark.parametrize("h, energy", [(0.2, 9.979304049), (0.1, 9.862052956),
+                                       (0.05, 9.826277088)])
+def test_nehari_descent_steps_do_not_grow_with_refinement(h, energy):
+    # unit disk, p = 1.5, q = 3: the Euclidean descent ran 297, 400 and 400
+    # steps here, the H^1_0 descent 16, 21 and 15
+    res = vx.nehari_candidate(vx.ConstantExponent(1.5), vx.ConstantExponent(3.0),
+                              vx.build_mesh(vx.Domain.disk(), h), vx.SolveConfig(seed=42))
+    assert res.diagnostics["descent_stop"] == "tolerance"
+    assert res.diagnostics["descent_iterations"] <= 25
+    assert res.diagnostics["stop"] == "converged"
+    assert res.energy == pytest.approx(energy, rel=1e-9)
+
+
+def test_nehari_critical_disk_converges():
+    # p = 1.5, q = 6 = p*: the Euclidean descent's polish walked to E 4,918
+    res = vx.nehari_candidate(vx.ConstantExponent(1.5), vx.ConstantExponent(6.0),
+                              vx.build_mesh(vx.Domain.disk(), 0.1), vx.SolveConfig(seed=42))
+    assert res.diagnostics["stop"] == "converged"
+    assert res.energy == pytest.approx(3.613397227, rel=1e-9)
+    assert res.el_residual <= 1e-8
+
+
+# p = 1.4 + 0.1|x|^2 and q = 5.5 + |x|^2 on the unit disk: q > p* everywhere
+VARIABLE_DISK = (vx.RadialExponent(1.4, 0.1, [0.0, 0.0]),
+                 vx.RadialExponent(5.5, 1.0, [0.0, 0.0]))
+
+
+def test_nehari_variable_disk_keeps_its_energy():
+    res = vx.nehari_candidate(*VARIABLE_DISK, vx.build_mesh(vx.Domain.disk(), 0.2),
+                              vx.SolveConfig(seed=42))
+    assert res.diagnostics["stop"] == "converged"
+    assert res.energy == pytest.approx(3.773139762, rel=1e-9)
+
+
+def test_nehari_guard_ends_a_wandering_polish():
+    # At h = 0.1 the polish walks off the Nehari level (to E 2,866 at
+    # max_iters after the Euclidean descent); the guard ends it instead.
+    cfg = vx.SolveConfig(seed=42)
+    res = vx.nehari_candidate(*VARIABLE_DISK, vx.build_mesh(vx.Domain.disk(), 0.1), cfg)
+    diag = res.diagnostics
+    level = diag["energy_history"][-1]
+    assert diag["descent_iterations"] <= 400
+    assert diag["newton_iterations"] < cfg.max_iters
+    assert diag["stop"] in ("converged", "left_nehari")
+    if diag["stop"] == "converged":
+        assert res.energy <= level
+    else:
+        assert 0.0 < res.energy <= (1.0 + solvers._NEHARI_SLACK) * level
+    assert diag["stop"] == "left_nehari"  # at this seed
+    assert not res.converged
+
+
+def test_minimize_refuses_a_step_out_of_bounds(interval):
+    # interval h = 0.1, p = 2, q = 3, constant load 4, eps 1e-3: every step
+    # lowers the energy from 0, so a floor at 0 refuses the first one
+    mesh = vx.build_mesh(interval, 0.1)
+    load = vx.DiscreteField(mesh, np.full(mesh.nnodes, 4.0))
+    prob = solvers._EnergyProblem(mesh, P2, vx.ConstantExponent(3.0), 1e-3,
+                                  load_q=vx.field_on_quadrature(load))
+    z0 = np.zeros(mesh.nnodes)
+    free = mesh.interior_nodes
+    z, hist, _, iters, stop = solvers._minimize(prob, z0, free, vx.SolveConfig(),
+                                                bounds=(0.0, np.inf))
+    assert (stop, iters, hist) == ("left_nehari", 0, [prob.energy(z0)])
+    assert np.array_equal(z, z0)
+    free_run = solvers._minimize(prob, z0, free, vx.SolveConfig())
+    assert free_run[4] == "converged"
 
 
 def sha256(values):
@@ -525,7 +609,7 @@ SOLVER_DIGESTS = {
     "solve_energy_history":
         "69dd1f0a9ea0a02b498e80923f8f6ee6242dfd3b112aeb515365f5a95161064a",
     "nehari_energy_history":
-        "e11da3c2dbac868a3a22516a4ecac75a2200d93b224c6dc7746d8a37e51d9c6e",
+        "9bd65e47700e0896fddffb580e13775e8a9d1c64a4c406700d7d690d9b3c6feb",
 }
 
 
