@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 config error (an unknown top-level key included),
 3 solver non-convergence (artifacts are still written, with converged =
 false or a candidate_stop other than "converged").
 
-Outputs are deterministic for a fixed (config, seed); the timestamp (and,
-for a Nehari candidate, its descent counts) lives in an isolated "meta"
-block so reports can be diffed modulo that block.
+Outputs are deterministic for a fixed (config, seed); the timestamp, a Nehari
+candidate's descent counts and a cascade's Newton fallbacks to -g live in an
+isolated "meta" block so reports can be diffed modulo that block.
 """
 
 from __future__ import annotations
@@ -316,11 +316,13 @@ def _series_rows(runs, p, q, origin):
     return rows
 
 
-def _failed_levels(runs):
-    """[n, epsilon] of every epsilon level, of every truncation level, that
-    did not converge."""
-    return [[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
-            for lv in cascade_levels(runs) if not lv.converged]
+def _cascade_outcome(runs):
+    """([n, epsilon] of every epsilon level, of every truncation level, that
+    did not converge, the Newton steps of all levels that fell back to -g)."""
+    levels = cascade_levels(runs)
+    return ([[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
+             for lv in levels if not lv.converged],
+            sum(lv.diagnostics["newton_fallbacks"] for lv in levels))
 
 
 def _run_cascade(cfg, base_dir, out, seed):
@@ -329,7 +331,7 @@ def _run_cascade(cfg, base_dir, out, seed):
     u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
-    failed = _failed_levels(runs)
+    failed, meta["newton_fallbacks"] = _cascade_outcome(runs)
     report = {
         "scenario": "cascade",
         "candidate_stop": candidate_stop,
@@ -361,7 +363,7 @@ def _run_pohozaev(cfg, base_dir, out, seed):
     if cfg.get("with_remainder", False):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
-        failed = _failed_levels(runs)
+        failed, meta["newton_fallbacks"] = _cascade_outcome(runs)
     star = star_shape_report(domain, origin)
     payload = {"scenario": "pohozaev", "candidate_stop": candidate_stop,
                "star_min_xdotnu": star.min_xdotnu}

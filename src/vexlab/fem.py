@@ -207,13 +207,44 @@ def mollify(u, radius):
 # -- projection ------------------------------------------------------------
 
 
+def _block_entries(mesh):
+    """Row and column node of each entry of the raveled (nc, nv, nv) blocks."""
+    c, nv = mesh.cells, mesh.cells.shape[1]
+    return np.repeat(c, nv, axis=1).ravel(), np.tile(c, (1, nv)).ravel()
+
+
 def _assemble_matrix(mesh, elem):
     """Sum per-cell (nv, nv) blocks into a CSR matrix over the mesh nodes."""
-    nv = mesh.cells.shape[1]
-    rows = np.repeat(mesh.cells, nv, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nv)).ravel()
     n = mesh.nnodes
-    return sparse.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sparse.coo_matrix((elem.ravel(), _block_entries(mesh)), shape=(n, n)).tocsr()
+
+
+def _assemble_free(mesh, elem):
+    """_assemble_matrix(mesh, elem)[free][:, free].tocsc(), free the interior
+    nodes, bit for bit, by one bincount onto a pattern cached on the mesh: slot
+    lists the free-free terms in the order COO -> CSR sums them (stable by row,
+    then sort_indices' unstable sort of each row), target their CSC entries."""
+    if mesh._free_pattern is None:
+        rows, cols = _block_entries(mesh)
+        n, free = mesh.nnodes, mesh.interior_nodes
+        order = np.argsort(rows, kind="stable")
+        ptr = np.searchsorted(rows[order], np.arange(n + 1))
+        csr = sparse.csr_matrix((order, cols[order], ptr), shape=(n, n))
+        csr.sort_indices()
+        slot = csr.data[np.isin(rows[csr.data], free) & np.isin(csr.indices, free)]
+        r, c = np.searchsorted(free, rows[slot]), np.searchsorted(free, cols[slot])
+        csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (len(free),) * 2).tocsc()
+        target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
+        mesh._free_pattern = (slot, target, csc.indices, csc.indptr)
+    slot, target, indices, indptr = mesh._free_pattern
+    data = np.bincount(target, elem.ravel()[slot], len(indices))
+    return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2, float)
+
+
+def _cell_stiffness(mesh):
+    """Per-cell blocks |cell| grad phi_v . grad phi_w, (nc, nv, nv)."""
+    G = mesh.basis_grads
+    return mesh.cell_volumes[:, None, None] * np.einsum("cvd,cwd->cvw", G, G)
 
 
 def mass_matrix(mesh):
@@ -223,9 +254,7 @@ def mass_matrix(mesh):
 
 def stiffness_matrix(mesh):
     """P1 stiffness matrix (CSR): entries int grad phi_i . grad phi_j."""
-    G = mesh.basis_grads
-    return _assemble_matrix(
-        mesh, mesh.cell_volumes[:, None, None] * np.einsum("cvd,cwd->cvw", G, G))
+    return _assemble_matrix(mesh, _cell_stiffness(mesh))
 
 
 def l2_project(mesh, values_on_quadrature):

@@ -51,7 +51,9 @@ class Mesh:
     Attributes of note: cell_volumes, basis_grads (per-cell gradients of the
     barycentric basis, shape (ncells, dim+1, dim)), boundary_facets with unit
     outward facet_normals / facet_measures / adjacent facet_cells, and
-    interior_nodes / boundary_nodes index arrays.
+    interior_nodes / boundary_nodes index arrays.  Built on first use and
+    cached: quadrature, facet quadrature, boundary distance and the free-node
+    CSC pattern of fem._assemble_free.
     """
 
     def __init__(self, nodes, cells):
@@ -72,6 +74,7 @@ class Mesh:
         self._quad = None
         self._facet_quad = None
         self._bdist = None
+        self._free_pattern = None
 
     # -- construction details ---------------------------------------------
 

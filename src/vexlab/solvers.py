@@ -21,9 +21,10 @@ from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoo
                      config_number, reject_unknown_keys)
 from .fem import (
     DiscreteField,
-    _assemble_matrix,
+    _assemble_free,
     _cell_gradients,
     _cell_mass,
+    _cell_stiffness,
     _load_vector,
     _scatter,
     cutoff,
@@ -31,7 +32,6 @@ from .fem import (
     l2_project,
     mollify,
     sample,
-    stiffness_matrix,
 )
 from .modular import (
     _balance_root,
@@ -139,6 +139,7 @@ class _EnergyProblem:
         self.pq = p.eval_on_quadrature(mesh)
         self.qq = None if q is None else q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
+        self.fallbacks = 0  # Newton steps that fell back to -g
 
     def _sample(self, z):
         """Per-cell gradients of z and its quadrature samples, or None in
@@ -175,20 +176,17 @@ class _EnergyProblem:
         return _load_vector(self.mesh, dens, out)
 
     def hess(self, z):
+        """F''(z) on the interior nodes, as CSC on the mesh's cached pattern."""
         g, zq = sample(self.mesh, z)
         g2 = np.sum(g * g, axis=1)
-        s = g2[:, None] + self.eps
-        s_safe = np.maximum(s, _TINY)
+        s_safe = np.maximum(g2[:, None] + self.eps, _TINY)
         with np.errstate(over="ignore", divide="ignore"):
             a1 = np.sum(self.w * s_safe ** ((self.pq - 2.0) / 2.0), axis=1)
             a2 = np.sum(self.w * (self.pq - 2.0) * s_safe ** ((self.pq - 4.0) / 2.0),
                         axis=1)
         a2 = np.where(g2 > _TINY, a2, 0.0)
-        dim = self.mesh.dim
-        eye = np.eye(dim)
-        A = a1[:, None, None] * eye + a2[:, None, None] * np.einsum(
-            "cd,ce->cde", g, g
-        )
+        A = (a1[:, None, None] * np.eye(self.mesh.dim)
+             + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
         G = self.mesh.basis_grads
         elem = np.einsum("cvd,cde,cwe->cvw", G, A, G)
 
@@ -196,11 +194,12 @@ class _EnergyProblem:
         with np.errstate(over="ignore"):
             m = self.w * self.q_sign * (self.qq - 1.0) * az ** (self.qq - 2.0)
         elem = elem + _cell_mass(self.mesh, m)
-        return _assemble_matrix(self.mesh, elem)
+        return _assemble_free(self.mesh, elem)
 
 
 def _newton_step(problem, z, free, gf, gn, F0):
-    """One damped step along the Newton direction, or None.
+    """One damped step along the Newton direction, or None.  When the sparse
+    solve fails, the direction is -g and problem.fallbacks counts the step.
 
     The merit is the energy (Armijo) while the step's predicted decrease
     s*slope is above the energy's roundoff eps*(1 + |F|), and the residual
@@ -209,12 +208,12 @@ def _newton_step(problem, z, free, gf, gn, F0):
     iterate with its energy and free gradient (None when not yet computed),
     or None when neither merit accepts a step.
     """
-    H = problem.hess(z)[free][:, free].tocsc()
     try:
-        d = spsolve(H, -gf)
-    except Exception:
-        d = -gf
-    if not np.all(np.isfinite(d)):
+        d = spsolve(problem.hess(z), -gf)
+    except RuntimeError:  # what SuperLU raises on a singular factor
+        d = None
+    if d is None or not np.all(np.isfinite(d)):
+        problem.fallbacks += 1
         d = -gf
     slope = float(d @ gf)
     floor = _EPS * (1.0 + abs(F0))
@@ -360,7 +359,8 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
         el_residual=gn,
         iterations=iters,
         converged=stop == "converged",
-        diagnostics={"energy_history": hist, "epsilon": eps, "stop": stop},
+        diagnostics={"energy_history": hist, "epsilon": eps, "stop": stop,
+                     "newton_fallbacks": prob.fallbacks},
     )
 
 
@@ -502,7 +502,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u[mesh.boundary_nodes] = 0.0
     u = project(u)
 
-    K = splu(stiffness_matrix(mesh)[free][:, free].tocsc())
+    K = splu(_assemble_free(mesh, _cell_stiffness(mesh)))
     hist = [prob.energy(u)]
     step = 1.0
     iters1 = iters2 = 0
@@ -549,6 +549,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
             "descent_iterations": iters1,
             "descent_stop": descent_stop,
             "newton_iterations": iters2,
+            "newton_fallbacks": prob.fallbacks,
             "seed": cfg.seed,
         },
     )

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 import vexlab as vx
-from vexlab import solvers
+from vexlab import fem, solvers
 from vexlab.solvers import _nehari_scale
 
 
@@ -268,6 +268,8 @@ def test_newton_falls_back_to_steepest_descent(failure, interval, monkeypatch):
     mesh = vx.build_mesh(interval, 0.1)
     v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 4.0))
     q = vx.ConstantExponent(3.0)
+    plain = vx.solve_regularized(v, P2, q, vx.SolveConfig(epsilon=1e-3, max_iters=5))
+    assert plain.diagnostics["newton_fallbacks"] == 0
     rhs = []
 
     def broken_spsolve(H, b):
@@ -281,14 +283,101 @@ def test_newton_falls_back_to_steepest_descent(failure, interval, monkeypatch):
     step = first.field.values[mesh.interior_nodes]  # from z0 = 0
     s = float(step @ rhs[0] / (rhs[0] @ rhs[0]))
     assert s > 0 and np.array_equal(step, s * rhs[0])  # b = -g, s = 2^-k
+    assert first.diagnostics["newton_fallbacks"] == 1
 
     rhs.clear()
     res = vx.solve_regularized(v, P2, q, vx.SolveConfig(epsilon=1e-3, max_iters=5))
     hist = np.asarray(res.diagnostics["energy_history"])
-    assert len(rhs) == res.iterations == 5
+    assert len(rhs) == res.iterations == res.diagnostics["newton_fallbacks"] == 5
     assert res.diagnostics["stop"] == "max_iters"
     assert np.all(np.diff(hist) < 0)
     assert res.energy == pytest.approx(-0.5432, abs=1e-4)
+
+
+def test_newton_lets_other_solver_errors_through(interval, monkeypatch):
+    # only SuperLU's RuntimeError means "no Newton direction"; anything else
+    # the solve raises is a fault and must not turn into a -g step
+    mesh = vx.build_mesh(interval, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 4.0))
+
+    def broken_spsolve(H, b):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(solvers, "spsolve", broken_spsolve)
+    with pytest.raises(MemoryError):
+        vx.solve_regularized(v, P2, vx.ConstantExponent(3.0),
+                             vx.SolveConfig(epsilon=1e-3))
+
+
+UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def half_clockwise_square():
+    # every other cell given clockwise, so that Mesh._setup reorders it
+    mesh = vx.build_mesh(vx.Domain.polygon(UNIT_SQUARE), 0.1)
+    cells = mesh.cells.copy()
+    cells[::2] = cells[::2, ::-1]
+    return vx.Mesh(mesh.nodes, cells)
+
+
+HESS_MESHES = {
+    "interval-0.005": lambda: vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.005),
+    "square-0.1": lambda: vx.build_mesh(vx.Domain.polygon(UNIT_SQUARE), 0.1),
+    "disk-0.1": lambda: vx.build_mesh(vx.Domain.disk(), 0.1),
+    "square-half-clockwise": half_clockwise_square,
+    "one-interior-node": lambda: vx.Mesh(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]],
+        [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+    "no-interior-node": lambda: vx.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                        [[0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch):
+    # the cached free-node pattern must add each entry's cell terms in the
+    # order COO -> CSR adds them: one ulp off moves pinned digests
+    mesh = HESS_MESHES[name]()
+    elems = []
+
+    def spy(mesh, elem):
+        elems.append(elem)
+        return fem._assemble_free(mesh, elem)
+
+    monkeypatch.setattr(solvers, "_assemble_free", spy)
+    p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
+    prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3,
+                                  q_sign=q_sign)
+    free = mesh.interior_nodes
+    z = np.zeros(mesh.nnodes)
+    z[free] = np.random.default_rng(7).standard_normal(len(free))
+    H = prob.hess(z)
+    ref = fem._assemble_matrix(mesh, elems[0])[free][:, free].tocsc()
+    assert H.format == "csc" and H.dtype == float
+    assert H.shape == (len(free), len(free))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(H, attr), getattr(ref, attr))
+
+    pattern = mesh._free_pattern
+    again = prob.hess(z)
+    assert mesh._free_pattern is pattern
+    assert np.array_equal(again.data, H.data)
+
+
+def test_newton_and_descent_never_assemble_through_coo(unit_square, monkeypatch):
+    # the Newton Hessians and the descent's stiffness factor fill the mesh's
+    # cached free-node pattern; neither path goes back to COO assembly
+    def no_coo(mesh, elem):
+        raise AssertionError("COO assembly on a Newton or descent path")
+
+    monkeypatch.setattr(fem, "_assemble_matrix", no_coo)
+    assert not hasattr(solvers, "_assemble_matrix")
+    mesh = vx.build_mesh(unit_square, 0.1)
+    p, q = vx.AffineExponent(1.5, [0.2, 0.0]), vx.ConstantExponent(3.0)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    assert vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3)).converged
+    assert vx.nehari_candidate(p, q, mesh).converged
 
 
 def test_solve_stalls_below_roundoff(unit_square):
