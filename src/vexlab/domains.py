@@ -346,4 +346,4 @@ def _point_segment_distance_many(pts, a, b):
     denom = float(ab @ ab)
     t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1)
+    return np.sqrt(sum((x - y) ** 2 for x, y in zip(pts.T, proj.T)))

@@ -54,9 +54,15 @@ class ExponentField:
 
     # fast paths used by the quadrature pipeline; default is generic
     def eval_on_quadrature(self, mesh):
-        pts, _, _ = mesh.quadrature()
-        nc, nq, dim = pts.shape
-        return self.value_at(pts.reshape(-1, dim)).reshape(nc, nq)
+        """Samples (nc, nq), read-only, cached on the mesh while self lives."""
+        pq = mesh._exponent_samples.get(self)
+        if pq is None:
+            pts, _, _ = mesh.quadrature()
+            nc, nq, dim = pts.shape
+            pq = self.value_at(pts.reshape(-1, dim)).reshape(nc, nq)
+            pq.flags.writeable = False
+            mesh._exponent_samples[self] = pq
+        return pq
 
     def grad_on_quadrature(self, mesh):
         pts, _, _ = mesh.quadrature()
@@ -128,7 +134,7 @@ class RadialExponent(ExponentField):
 
     def value_at(self, x):
         pts = self._as_points(x)
-        r2 = np.sum((pts - self.center) ** 2, axis=1)
+        r2 = sum((col - c) ** 2 for col, c in zip(pts.T, self.center))
         return self.base + self.amp * r2
 
     def gradient_at(self, x):

@@ -197,7 +197,7 @@ def mollify(u, radius):
         pairs = cKDTree(nodes[part]).sparse_distance_matrix(
             tree, radius, output_type="ndarray")
         row, col = pairs["i"], pairs["j"]
-        d2 = np.sum((nodes[col] - nodes[part[row]]) ** 2, axis=1)
+        d2 = sum((x[col] - x[part[row]]) ** 2 for x in nodes.T)
         wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
         avg = np.bincount(row, wk * f[col], len(part)) / np.bincount(row, wk, len(part))
         out[part] = np.clip(avg, lo, hi)

@@ -10,6 +10,7 @@ defect is reported rather than hidden.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -52,8 +53,8 @@ class Mesh:
     barycentric basis, shape (ncells, dim+1, dim)), boundary_facets with unit
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
-    cached: quadrature, facet quadrature, boundary distance and the free-node
-    CSC pattern of fem._assemble_free.
+    cached: quadrature, facet quadrature, boundary distance, the free-node
+    CSC pattern of fem._assemble_free and live exponents' quadrature samples.
     """
 
     def __init__(self, nodes, cells):
@@ -75,6 +76,7 @@ class Mesh:
         self._facet_quad = None
         self._bdist = None
         self._free_pattern = None
+        self._exponent_samples = weakref.WeakKeyDictionary()
 
     # -- construction details ---------------------------------------------
 
@@ -437,20 +439,20 @@ def write_mesh(mesh, path):
     """Write the text format: header "N nodes cells facets", then node lines
     "id x [y]", cell lines "id n0 n1 [n2]", facet lines "id n0 [n1] nx [ny]".
     """
-    facets = map(list.__add__, mesh.boundary_facets.tolist(),
-                 mesh.facet_normals.tolist())
     lines = [
         f"{mesh.dim} {mesh.nnodes} {mesh.ncells} {len(mesh.boundary_facets)}",
-        *_numbered(mesh.nodes.tolist()),
-        *_numbered(mesh.cells.tolist()),
-        *_numbered(facets),
+        *_numbered(mesh.nodes),
+        *_numbered(mesh.cells),
+        *_numbered(mesh.boundary_facets, mesh.facet_normals),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numbered(rows):
-    return [f"{i} " + " ".join(map(repr, row)) for i, row in enumerate(rows)]
+def _numbered(*blocks):
+    """Lines "i v0 v1 ..." of the blocks' columns, formatted column by column."""
+    cols = [map(repr, col.tolist()) for block in blocks for col in block.T]
+    return map(" ".join, zip(map(str, range(len(blocks[0]))), *cols))
 
 
 def read_mesh(path):

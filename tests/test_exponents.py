@@ -1,5 +1,7 @@
 """Exponent fields: bounds, conjugates, embedding gaps, log-Holder modulus."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,37 @@ def test_embedding_gap_reads_tabulated_nodes():
                            vx.ConstantExponent(4.0), disk)
     # the node is found by point location, so p there is 1.2 to roundoff
     assert gap == pytest.approx(2.0 * 1.2 / (2.0 - 1.2) - 4.0, abs=1e-12)
+
+
+def test_quadrature_samples_cached_per_mesh(unit_square):
+    mesh = vx.build_mesh(unit_square, 0.25)
+    p = vx.RadialExponent(1.6, 0.1, [0.5, 0.5])
+    pq = p.eval_on_quadrature(mesh)
+    assert p.eval_on_quadrature(mesh) is pq
+    pts = mesh.quadrature()[0]
+    assert np.array_equal(pq, p.value_at(pts.reshape(-1, 2)).reshape(pq.shape))
+    with pytest.raises(ValueError):
+        pq[0, 0] = 2.0
+    for _ in range(3):  # derived fields read their base's samples, uncached
+        pc = vx.conjugate(p).eval_on_quadrature(mesh)
+        vx.sobolev_conjugate(p, 2).eval_on_quadrature(mesh)
+    assert np.array_equal(pc, pq / (pq - 1.0))
+    assert list(mesh._exponent_samples.keys()) == [p]
+    del p
+    gc.collect()
+    assert len(mesh._exponent_samples) == 0
+
+
+def test_derived_exponent_validates_every_call(unit_square):
+    mesh = vx.build_mesh(unit_square, 0.25)
+    pc = vx.conjugate(vx.ConstantExponent(1.0))
+    ps = vx.sobolev_conjugate(vx.ConstantExponent(2.5), 2)
+    for _ in range(2):  # the second call reads the cached base samples
+        with pytest.raises(vx.NonElliptic):
+            pc.eval_on_quadrature(mesh)
+        with pytest.raises(vx.ExponentTooLarge):
+            ps.eval_on_quadrature(mesh)
+    assert len(mesh._exponent_samples) == 2
 
 
 def test_tabulated_exponent_bounds(interval):

@@ -1,5 +1,7 @@
 """P1 fields: gradients, integration, truncation, mollification, projection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +183,24 @@ def test_mollify_matches_every_node_oracle(kind, rng):
     assert not np.any(vx.mollify(u, big).values)
 
 
+# sha256 of the one-pass mollify below at each radius, pinned before its
+# squared distances became column sums; a change here moved at least one ulp.
+MOLLIFY_DIGESTS = {
+    "disk": [
+        "9185d3ecf38d3b43796a9e0b123b54c25f2e3196b5bf09936633ded86307a0ba",
+        "29ad7fa3f88216e2badc951c64c391be64755840e6033716e3787f502357f702",
+        "39443a3926f8993188ce9484a41f9dd098bf0b241fd74f4a82bde6be95533295",
+        "2e1dbbe1dfc1743117be7872f72f952e57eb87c61ef449675b19133d10120b50",
+    ],
+    "interval": [
+        "ae658c997bad38ec429c180c49a448a1aec1cf899a19511470bec4b7512d3412",
+        "bda93ecc5d7a4e65fbfd466dae22687c2200d2ca838f685141e87ac1316e7598",
+        "94da0df548b37c0e391842708d37150a907b3064713ade9c4dbe0d24db66d5c7",
+        "5560728cd337269adfd6161f2c48cdffaaeff9eca07f5fd09956967cf4c87e2f",
+    ],
+}
+
+
 @pytest.mark.parametrize("kind", ["disk", "interval"])
 def test_mollify_slices_match_one_pass(kind, rng, monkeypatch):
     if kind == "disk":
@@ -190,6 +210,8 @@ def test_mollify_slices_match_one_pass(kind, rng, monkeypatch):
     u = vx.DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
     radii = (0.02, 0.1, 0.3, 0.6)
     one_pass = [vx.mollify(u, radius).values for radius in radii]
+    assert [hashlib.sha256(v.tobytes()).hexdigest()
+            for v in one_pass] == MOLLIFY_DIGESTS[kind]
     for nodes_per_slice in (1, 3, 50):
         monkeypatch.setattr(vx.fem, "_MOLLIFY_PAIRS", nodes_per_slice * mesh.nnodes)
         for radius, ref in zip(radii, one_pass):

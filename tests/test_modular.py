@@ -1,5 +1,7 @@
 """Modulars, Luxemburg norms, and the norm-modular consistency checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,38 @@ def test_luxemburg_rejects_non_finite(interval_mesh, rng):
             vx.gradient_luxemburg_norm(u, p)
         with pytest.raises(vx.NonFiniteIntegrand):
             vx.verify_modular_relations(u, p)
+
+
+# float.hex of the modular and Holder reports on the L-shape at h = 0.1 with
+# radial p and seeded fields, pinned before p's samples were cached on the
+# mesh; a change here means a result moved by at least one ulp.  The sums
+# absorb a 1-ulp change of p at a point, so p's samples are pinned too.
+FIELDS_PINS = {
+    "samples":
+        "b9c58b30bbe194ef891c2e270f623a9b8950fffa6b7ced86861d23266e356baa",
+    "relations": {
+        "norm": "0x1.4a15e7a50eafbp+0", "modular_value": "0x1.88d5602de6dabp+0",
+        "lower_slack": "0x1.0bbc7ed835e40p-5",
+        "upper_slack": "0x1.0a3d39962de20p-4",
+        "unit_gap": "0x1.0000000000000p-52",
+    },
+    "holder": {
+        "lhs": "0x1.6eb2930c35ccap-5", "rhs": "0x1.a68893a9b5b01p+0",
+        "slack": "0x1.9b12ff115401bp+0",
+    },
+}
+
+
+def test_fields_layer_pinned():
+    shape = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
+    mesh = vx.build_mesh(vx.Domain.polygon(shape), 0.1)
+    p = vx.RadialExponent(1.6, 0.1, [0.5, 0.5])
+    rng = np.random.default_rng(17)
+    u, v, w = (random_field(mesh, rng) for _ in range(3))
+    got = {"relations": vx.verify_modular_relations(u, p),
+           "holder": vx.holder_check(v, w, p)}
+    samples = p.eval_on_quadrature(mesh).tobytes()
+    assert hashlib.sha256(samples).hexdigest() == FIELDS_PINS["samples"]
+    for name, report in got.items():
+        pins = FIELDS_PINS[name]
+        assert {key: float.hex(getattr(report, key)) for key in pins} == pins, name
