@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 config error (an unknown top-level key included),
 3 solver non-convergence (artifacts are still written, with converged =
 false or a candidate_stop other than "converged").
 
-Outputs are deterministic for a fixed (config, seed); the timestamp, a Nehari
-candidate's descent counts and a cascade's Newton fallbacks to -g live in an
-isolated "meta" block so reports can be diffed modulo that block.
+Outputs are deterministic for a fixed (config, seed); the timestamp and the
+counts of a Nehari candidate's descent and of a cascade's Newton fallbacks and
+reused levels live in an isolated "meta" block, so reports diff modulo it.
 """
 
 from __future__ import annotations
@@ -316,13 +316,15 @@ def _series_rows(runs, p, q, origin):
     return rows
 
 
-def _cascade_outcome(runs):
-    """([n, epsilon] of every epsilon level, of every truncation level, that
-    did not converge, the Newton steps of all levels that fell back to -g)."""
+def _cascade_outcome(runs, meta):
+    """[n, epsilon] of every epsilon level, of every truncation level, that
+    did not converge.  Puts in meta the Newton steps of all levels that fell
+    back to -g and the levels copied from an equal truncation level."""
     levels = cascade_levels(runs)
-    return ([[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
-             for lv in levels if not lv.converged],
-            sum(lv.diagnostics["newton_fallbacks"] for lv in levels))
+    meta["newton_fallbacks"] = sum(lv.diagnostics["newton_fallbacks"] for lv in levels)
+    meta["reused_levels"] = sum("reused_from_n" in lv.diagnostics for lv in levels)
+    return [[lv.diagnostics["n"], lv.diagnostics["epsilon"]]
+            for lv in levels if not lv.converged]
 
 
 def _run_cascade(cfg, base_dir, out, seed):
@@ -331,7 +333,7 @@ def _run_cascade(cfg, base_dir, out, seed):
     u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     runs = cascade(u, p, q, scfg)
-    failed, meta["newton_fallbacks"] = _cascade_outcome(runs)
+    failed = _cascade_outcome(runs, meta)
     report = {
         "scenario": "cascade",
         "candidate_stop": candidate_stop,
@@ -363,7 +365,7 @@ def _run_pohozaev(cfg, base_dir, out, seed):
     if cfg.get("with_remainder", False):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
-        failed, meta["newton_fallbacks"] = _cascade_outcome(runs)
+        failed = _cascade_outcome(runs, meta)
     star = star_shape_report(domain, origin)
     payload = {"scenario": "pohozaev", "candidate_stop": candidate_stop,
                "star_min_xdotnu": star.min_xdotnu}

@@ -178,30 +178,42 @@ def mollify(u, radius):
     against roundoff: sup norm never grows, nonnegativity and constants are
     kept.  Nodes within radius + h of the boundary stay zero (zero trace).
     The kept nodes go in slices of _MOLLIFY_PAIRS // nnodes, so at most
-    _MOLLIFY_PAIRS pairs are held at once.
+    _MOLLIFY_PAIRS pairs are held at once.  While solvers.cascade runs,
+    mesh._mollifiers keeps each kernel of one slice by radius for reuse.
     """
     if not (radius > 0 and radius * radius > 0):
         raise ConfigError(f"mollifier radius {radius!r} is not positive or underflows")
     mesh = u.mesh
-    nodes = mesh.nodes
-    nv = mesh.cells.shape[1]
-    lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
-
-    keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
-    tree = cKDTree(nodes)
     f = u.values
     lo, hi = f.min(), f.max()
     out = np.zeros(mesh.nnodes)
+    kept = (mesh._mollifiers or {}).get(radius)
+    for part, row, col, wk, den in kept or _mollifier_slices(mesh, radius):
+        out[part] = np.clip(np.bincount(row, wk * f[col], len(part)) / den, lo, hi)
+    return DiscreteField(mesh, out, zero_trace=True)
+
+
+def _mollifier_slices(mesh, radius):
+    """Yield mollify's kernel slices (part, row, col, wk, den): kept nodes
+    part, pairs (part[row], col) of weights wk, each node's sum of weights
+    den.  Stores a kernel of one slice in mesh._mollifiers, if that is set."""
+    nodes = mesh.nodes
+    nv = mesh.cells.shape[1]
+    lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
+    keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
+    tree = cKDTree(nodes)
     step = max(1, _MOLLIFY_PAIRS // mesh.nnodes)
-    for part in np.split(keep, range(step, len(keep), step)):
+    parts = np.split(keep, range(step, len(keep), step))
+    for part in parts:
         pairs = cKDTree(nodes[part]).sparse_distance_matrix(
             tree, radius, output_type="ndarray")
         row, col = pairs["i"], pairs["j"]
         d2 = sum((x[col] - x[part[row]]) ** 2 for x in nodes.T)
         wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
-        avg = np.bincount(row, wk * f[col], len(part)) / np.bincount(row, wk, len(part))
-        out[part] = np.clip(avg, lo, hi)
-    return DiscreteField(mesh, out, zero_trace=True)
+        piece = (part, row, col, wk, np.bincount(row, wk, len(part)))
+        if len(parts) == 1 and mesh._mollifiers is not None:
+            mesh._mollifiers[radius] = [piece]
+        yield piece
 
 
 # -- projection ------------------------------------------------------------

@@ -77,6 +77,7 @@ class Mesh:
         self._bdist = None
         self._free_pattern = None
         self._exponent_samples = weakref.WeakKeyDictionary()
+        self._mollifiers = None  # fem.mollify's kernels by radius, in a cascade
 
     # -- construction details ---------------------------------------------
 

@@ -12,7 +12,7 @@ driver _minimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.sparse.linalg import splu, spsolve
@@ -188,7 +188,9 @@ class _EnergyProblem:
         A = (a1[:, None, None] * np.eye(self.mesh.dim)
              + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
         G = self.mesh.basis_grads
-        elem = np.einsum("cvd,cde,cwe->cvw", G, A, G)
+        # G A G^T term by term, d outer and e inner: einsum's sums, bit for bit
+        elem = sum((G[:, :, None, d] * A[:, None, None, d, e]) * G[:, None, :, e]
+                   for d in range(self.mesh.dim) for e in range(self.mesh.dim))
 
         az = np.maximum(np.abs(zq), 1e-14)
         with np.errstate(over="ignore"):
@@ -395,19 +397,41 @@ def cascade(u, p, q, cfg=None):
     the difference in gradient modular between the truncated solution and
     the candidate u, and gap_q_modular, the same difference for the source
     modular.  Both shrink to zero once the truncation level clears max |u|.
+    A level whose cutoff(u, n) is byte-equal to an earlier level's poses the
+    same problem, so its epsilon levels are copies of that level's, each
+    tagged with diagnostics reused_from_n.  fem.mollify keeps its kernels on
+    the mesh for the length of this call only.
     cascade_levels walks the epsilon levels of the returned runs.
     """
     cfg = cfg or SolveConfig()
     gm_u = gradient_modular(u, p).value
     qm_u = modular(u, q).value
     out = []
-    for n in cfg.n_schedule:
-        res = solve_truncated(u, p, q, n, cfg)
-        res.diagnostics["gap_grad_modular"] = abs(
-            gradient_modular(res.field, p).value - gm_u)
-        res.diagnostics["gap_q_modular"] = abs(modular(res.field, q).value - qm_u)
-        out.append(res)
+    solved = {}  # cutoff(u, n) bytes -> (n, run) of the level that solved it
+    u.mesh._mollifiers = {}
+    try:
+        for n in cfg.n_schedule:
+            key = cutoff(u, n).values.tobytes()
+            res = (_reused(u, n, *solved[key]) if key in solved
+                   else solve_truncated(u, p, q, n, cfg))
+            solved.setdefault(key, (n, res))
+            res.diagnostics["gap_grad_modular"] = abs(
+                gradient_modular(res.field, p).value - gm_u)
+            res.diagnostics["gap_q_modular"] = abs(modular(res.field, q).value - qm_u)
+            out.append(res)
+    finally:
+        u.mesh._mollifiers = None
     return out
+
+
+def _reused(u, n, n0, res):
+    """cascade's run for level n, a copy of the run res of level n0."""
+    runs = [replace(lv, field=lv.field.copy(), diagnostics={
+        **lv.diagnostics, "energy_history": list(lv.diagnostics["energy_history"]),
+        "n": n, "reused_from_n": n0}) for lv in res.diagnostics["eps_runs"]]
+    runs[-1].diagnostics.update(
+        eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)))
+    return runs[-1]
 
 
 def cascade_levels(runs):

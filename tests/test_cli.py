@@ -202,8 +202,16 @@ CASCADE = {
 }
 
 
-@pytest.mark.parametrize("scenario", ["cascade", "pohozaev"])
-def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
+@pytest.mark.parametrize("scenario, amplitude, solves, reused, failed", [
+    pytest.param("cascade", 1.5, 6, 0, [[1, 0.5]], id="cascade"),
+    pytest.param("pohozaev", 1.5, 6, 0, [[1, 0.5]], id="pohozaev"),
+    # max |u| = 1: n = 2 poses n = 1's problem and copies its failed level
+    pytest.param("cascade", 1.0, 3, 3, [[1, 0.5], [2, 0.5]], id="cascade-untruncated"),
+    pytest.param("pohozaev", 1.0, 3, 3, [[1, 0.5], [2, 0.5]],
+                 id="pohozaev-untruncated"),
+])
+def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario,
+                                             amplitude, solves, reused, failed):
     # Only the first epsilon level of the first truncation level gets no
     # Newton step; every later level, the last one included, converges.
     solve = vx.solvers.solve_regularized
@@ -216,15 +224,17 @@ def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario):
         return solve(v, p, q, cfg, epsilon=epsilon, z0=z0)
 
     monkeypatch.setattr(vx.solvers, "solve_regularized", first_level_capped)
-    payload = dict(CASCADE)
+    payload = dict(CASCADE, candidate={"kind": "product_sin", "amplitude": amplitude})
     if scenario == "pohozaev":
         payload["with_remainder"] = True
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
-    assert len(calls) == 6
+    assert len(calls) == solves
+    assert json.loads((out / f"{scenario}.json").read_text())["meta"][
+        "reused_levels"] == reused
     rep = load_report(out / f"{scenario}.json")
-    assert rep["failed_levels"] == [[1, 0.5]]
+    assert rep["failed_levels"] == failed
     if scenario == "cascade":
         assert rep["converged"] is False
 
@@ -514,9 +524,11 @@ def test_candidate_descent_in_meta(tmp_path, scenario):
         data = json.loads((out / f"{scenario}.json").read_text())
         meta = data.pop("meta")
         assert meta.pop("created")
-        fallbacks = {"newton_fallbacks": 0} if scenario == "cascade" else {}
+        # max |u| < 4: the n = 8 levels copy the three n = 4 levels
+        cascade_meta = ({"newton_fallbacks": 0, "reused_levels": 3}
+                        if scenario == "cascade" else {})
         assert meta == {"descent_stop": "tolerance", "descent_iterations": 49,
-                        "newton_iterations": 2, **fallbacks}
+                        "newton_iterations": 2, **cascade_meta}
         reports.append(data)
     assert reports[0] == reports[1]
 
@@ -525,7 +537,7 @@ def test_candidate_descent_in_meta(tmp_path, scenario):
     assert main([scenario, "--config", write_config(tmp_path, "given.json", given),
                  "--out", str(out)]) == 0
     assert set(json.loads((out / f"{scenario}.json").read_text())["meta"]) \
-        == {"created", *fallbacks}
+        == {"created", *cascade_meta}
 
 
 def test_seed_flag_replaces_the_config_seed(tmp_path):

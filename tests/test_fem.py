@@ -218,6 +218,33 @@ def test_mollify_slices_match_one_pass(kind, rng, monkeypatch):
             assert np.array_equal(vx.mollify(u, radius).values, ref)
 
 
+@pytest.mark.parametrize("nodes_per_slice", [None, 50])
+@pytest.mark.parametrize("kind", ["disk", "interval"])
+def test_mollify_kernel_cache_is_bit_for_bit(kind, nodes_per_slice, rng, monkeypatch):
+    # what solvers.cascade sets up: kernels kept by radius and reused
+    if kind == "disk":
+        mesh = vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.05)
+    else:
+        mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.005)
+    if nodes_per_slice:
+        monkeypatch.setattr(vx.fem, "_MOLLIFY_PAIRS", nodes_per_slice * mesh.nnodes)
+    fields = [vx.DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
+              for _ in range(3)]
+    radii = (0.02, 0.1, 0.3, 0.6)
+    plain = [[vx.mollify(u, r).values for r in radii] for u in fields]
+    assert mesh._mollifiers is None  # nothing kept outside a cascade
+    assert [hashlib.sha256(v.tobytes()).hexdigest()
+            for v in plain[0]] == MOLLIFY_DIGESTS[kind]
+    mesh._mollifiers = {}
+    cached = [[vx.mollify(u, r).values for r in radii] for u in fields]
+    kept = mesh._mollifiers
+    # only a kernel of one slice is kept: at most _MOLLIFY_PAIRS pairs each
+    assert all(len(kernel) == 1 for kernel in kept.values())
+    assert (set(kept) == set(radii)) == (nodes_per_slice is None)
+    for got, ref in zip(cached, plain):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 @pytest.fixture(scope="module", params=["disk", "interval"])
 def mollify_mesh(request):
     if request.param == "disk":

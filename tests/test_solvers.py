@@ -1,6 +1,7 @@
 """Energies, the regularized operator, the solver ladder, and the
 scaling-manifold candidate generator."""
 
+import dataclasses
 import hashlib
 from math import inf, nan
 
@@ -365,6 +366,45 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch):
     assert np.array_equal(again.data, H.data)
 
 
+def einsum_blocks(prob, z):
+    """The Hessian's element blocks with G A G^T by einsum, the reference for
+    hess's term-by-term product."""
+    mesh = prob.mesh
+    g, zq = fem.sample(mesh, z)
+    g2 = np.sum(g * g, axis=1)
+    s = np.maximum(g2[:, None] + prob.eps, solvers._TINY)
+    a1 = np.sum(prob.w * s ** ((prob.pq - 2.0) / 2.0), axis=1)
+    a2 = np.sum(prob.w * (prob.pq - 2.0) * s ** ((prob.pq - 4.0) / 2.0), axis=1)
+    a2 = np.where(g2 > solvers._TINY, a2, 0.0)
+    A = (a1[:, None, None] * np.eye(mesh.dim)
+         + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
+    G = mesh.basis_grads
+    m = prob.w * prob.q_sign * (prob.qq - 1.0) * np.maximum(np.abs(zq), 1e-14) ** (
+        prob.qq - 2.0)
+    return np.einsum("cvd,cde,cwe->cvw", G, A, G) + fem._cell_mass(mesh, m)
+
+
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatch):
+    mesh = HESS_MESHES[name]()
+    elems = []
+
+    def spy(mesh, elem):
+        elems.append(elem)
+        return fem._assemble_free(mesh, elem)
+
+    monkeypatch.setattr(solvers, "_assemble_free", spy)
+    p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
+    prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3,
+                                  q_sign=q_sign)
+    z = np.zeros(mesh.nnodes)
+    z[mesh.interior_nodes] = np.random.default_rng(7).standard_normal(
+        len(mesh.interior_nodes))
+    prob.hess(z)
+    assert np.array_equal(elems[0], einsum_blocks(prob, z))
+
+
 def test_newton_and_descent_never_assemble_through_coo(unit_square, monkeypatch):
     # the Newton Hessians and the descent's stiffness factor fill the mesh's
     # cached free-node pattern; neither path goes back to COO assembly
@@ -447,6 +487,80 @@ def test_cascade_levels_converge_without_stalling(fine_interval_mesh):
     for level in levels:
         assert level.converged and level.diagnostics["stop"] == "converged"
         assert level.iterations <= 15
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its args to the returned
+    list."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_cascade_reuses_an_equal_truncation_level(interval_mesh, monkeypatch):
+    # max |u| = 3 < 4: cutoff(u, 4) = cutoff(u, 8) = u, one problem
+    u = 3.0 * sin_field(interval_mesh)
+    q4 = vx.ConstantExponent(4.0)
+    cfg = vx.SolveConfig(epsilon0=0.5, eps_factor=0.5, eps_min=0.125,
+                         n_schedule=(4, 8))
+    fresh = vx.cascade(u, P2, q4, dataclasses.replace(cfg, n_schedule=(8,)))[0]
+    solves = counting(monkeypatch, solvers, "solve_regularized")
+    runs = vx.cascade(u, P2, q4, cfg)
+    assert len(solves) == 3
+    first, second = (res.diagnostics["eps_runs"] for res in runs)
+    assert second[-1] is runs[1] and len(vx.cascade_levels(runs)) == 6
+    for a, b, ref in zip(first, second, fresh.diagnostics["eps_runs"]):
+        for lv in (a, ref):
+            assert b.field.values.tobytes() == lv.field.values.tobytes()
+            assert (b.energy, b.el_residual, b.iterations, b.converged) \
+                == (lv.energy, lv.el_residual, lv.iterations, lv.converged)
+            assert b.diagnostics["energy_history"] == lv.diagnostics["energy_history"]
+        assert b.diagnostics["n"] == 8 and a.diagnostics["n"] == 4
+        assert b.diagnostics["reused_from_n"] == 4
+        assert "reused_from_n" not in a.diagnostics
+        assert b.diagnostics["epsilon"] == a.diagnostics["epsilon"]
+        assert b.field is not a.field and b.diagnostics is not a.diagnostics
+    for key in ("gap_grad_modular", "gap_q_modular", "truncation_active"):
+        assert runs[1].diagnostics[key] == runs[0].diagnostics[key] \
+            == fresh.diagnostics[key]
+    assert first is not second  # each run has its own eps_runs list
+
+    kept = first[0].field.values.copy()
+    second[0].field.values[:] = 7.0
+    second[0].diagnostics["energy_history"].append(0.0)
+    assert np.array_equal(first[0].field.values, kept)
+    assert first[0].diagnostics["energy_history"] \
+        == fresh.diagnostics["eps_runs"][0].diagnostics["energy_history"]
+
+
+def test_cascade_builds_each_mollifier_kernel_once(interval_mesh, monkeypatch):
+    # both levels truncate, so both are solved, at the same three radii
+    u = 3.0 * sin_field(interval_mesh)
+    cfg = vx.SolveConfig(epsilon0=0.5, eps_factor=0.5, eps_min=0.125,
+                         n_schedule=(1, 2))
+    mollified = counting(monkeypatch, solvers, "mollify")
+    kernels = counting(monkeypatch, fem, "_mollifier_slices")
+    runs = vx.cascade(u, P2, P2, cfg)
+    assert len(mollified) == 6 and len(kernels) == 3
+    assert not any("reused_from_n" in lv.diagnostics
+                   for lv in vx.cascade_levels(runs))
+    assert interval_mesh._mollifiers is None
+
+
+def test_cascade_drops_its_kernels_when_a_level_raises(interval_mesh, monkeypatch):
+    def fails(*args, **kwargs):
+        assert interval_mesh._mollifiers  # the level's kernel is kept
+        raise vx.NoScalingRoot("injected")
+
+    monkeypatch.setattr(solvers, "solve_regularized", fails)
+    with pytest.raises(vx.NoScalingRoot, match="injected"):
+        vx.cascade(sin_field(interval_mesh), P2, P2, vx.SolveConfig())
+    assert interval_mesh._mollifiers is None
 
 
 def test_cascade_zero_candidate(interval_mesh):
