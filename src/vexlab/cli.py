@@ -57,16 +57,6 @@ from .solvers import (
     solve_regularized,
 )
 
-SCENARIOS = ("spaces-check", "solve", "cascade", "pohozaev", "verdict", "sweep")
-
-# The top-level config keys each scenario reads ("seed" is read by all).
-_SETUP = {"seed", "domain", "h", "p", "q"}
-_CANDIDATE = _SETUP | {"solver", "candidate", "origin"}
-_KEYS = {"spaces-check": _SETUP | {"trials", "N", "pairs"},
-         "solve": _SETUP | {"solver", "rhs"},
-         "cascade": _CANDIDATE, "pohozaev": _CANDIDATE | {"with_remainder"},
-         "verdict": _SETUP | {"N", "origin", "tol"},
-         "sweep": {"seed", "domain", "p", "q", "sweep", "N", "tol"}}
 # The solver-block keys: solve runs at one fixed epsilon; cascade and
 # pohozaev walk the epsilon schedule for each truncation level.
 _SOLVE_SOLVER = {"epsilon", "grad_tol", "max_iters"}
@@ -127,18 +117,21 @@ def _load_config(path, scenario):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    reject_unknown_keys(cfg, _KEYS[scenario], f"{scenario} config")
+    reject_unknown_keys(cfg, SCENARIOS[scenario][1], f"{scenario} config")
     return cfg, os.path.dirname(os.path.abspath(path))
 
 
-def _require(cfg, key, scenario):
+def _require(cfg, key):
     if key not in cfg:
-        raise ConfigError(f"scenario {scenario!r} needs config key {key!r}")
+        raise ConfigError(f"missing config key {key!r}")
     return cfg[key]
 
 
-def _number(cfg, key, default, integer=False):
-    return config_number(cfg.get(key, default), f"config key {key!r}", integer)
+def _number(cfg, key, default, integer=False, least=None):
+    x = config_number(cfg.get(key, default), f"config key {key!r}", integer)
+    if least is not None and x < least:
+        raise ConfigError(f"config key {key!r} must be at least {least}, got {x}")
+    return x
 
 
 def _solver_config(cfg, keys, seed):
@@ -187,7 +180,7 @@ def _build_field(spec, mesh, base_dir):
 def _exponent(cfg, key, domain, mesh, base_dir):
     """Exponent field from a spec, of the domain's dimension and with
     bounds in (1, inf) (NonElliptic otherwise)."""
-    p = exponent_from_spec(_require(cfg, key, "any"), mesh, base_dir)
+    p = exponent_from_spec(_require(cfg, key), mesh, base_dir)
     if p.dim not in (None, domain.dim):
         raise ConfigError(f"exponent {key!r} is {p.dim}-dimensional on a "
                           f"{domain.dim}-dimensional domain")
@@ -196,7 +189,7 @@ def _exponent(cfg, key, domain, mesh, base_dir):
 
 
 def _setup(cfg, base_dir, need_mesh=True):
-    domain = Domain.from_spec(_require(cfg, "domain", "any"))
+    domain = Domain.from_spec(_require(cfg, "domain"))
     mesh = None
     if need_mesh:
         h = _number(cfg, "h", 0.05)
@@ -220,7 +213,7 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
     """(field, stop, meta): stop is the Nehari candidate's
     diagnostics["stop"] and meta its descent counts for the report's meta
     block, or None and {} for a field given in the config."""
-    spec = _require(cfg, "candidate", "cascade/pohozaev")
+    spec = _require(cfg, "candidate")
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
         reject_unknown_keys(spec, ("kind",), "nehari candidate")
         res = nehari_candidate(p, q, mesh, scfg)
@@ -236,9 +229,8 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
 def _run_spaces_check(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     rng = np.random.default_rng(seed)
-    trials = _number(cfg, "trials", 50, integer=True)
-    if trials < 1:
-        raise ConfigError(f"config key 'trials' must be at least 1, got {trials}")
+    trials = _number(cfg, "trials", 50, integer=True, least=1)
+    pairs = _number(cfg, "pairs", 500, integer=True, least=1)
 
     rel_passed = 0
     worst_unit_gap = 0.0
@@ -272,7 +264,6 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     N = _number(cfg, "N", domain.dim)
     if p_plus < N:
         report["embedding_gap"] = embedding_gap(p, q, domain, N)
-    pairs = _number(cfg, "pairs", 500, integer=True)
     lh = log_holder_estimate(p, domain, pairs=pairs, seed=seed)
     report["log_holder_c_hat"] = lh.c_hat
     report["log_holder_ball_form_max"] = lh.ball_form_max
@@ -283,7 +274,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
 def _run_solve(cfg, base_dir, out, seed):
     _, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _SOLVE_SOLVER, seed)
-    v = _build_field(_require(cfg, "rhs", "solve"), mesh, base_dir)
+    v = _build_field(_require(cfg, "rhs"), mesh, base_dir)
     res = solve_regularized(v, p, q, scfg)
     u = res.field
     report = {
@@ -356,13 +347,17 @@ def _run_cascade(cfg, base_dir, out, seed):
 
 
 def _run_pohozaev(cfg, base_dir, out, seed):
+    with_remainder = cfg.get("with_remainder", False)
+    if not isinstance(with_remainder, bool):
+        raise ConfigError("config key 'with_remainder' must be true or false, "
+                          f"got {with_remainder!r}")
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
     u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
     report = pohozaev_terms(u, p, q, origin)
     failed = None
-    if cfg.get("with_remainder", False):
+    if with_remainder:
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
         failed = _cascade_outcome(runs, meta)
@@ -392,18 +387,16 @@ def _run_verdict(cfg, base_dir, out, seed):
 
 
 def _run_sweep(cfg, base_dir, out, seed):
-    sw = _require(cfg, "sweep", "sweep")
+    sw = _require(cfg, "sweep")
     sw = sw if isinstance(sw, dict) else {}
     reject_unknown_keys(sw, ("parameter", "values"), "sweep")
     param = sw.get("parameter")
     if param not in ("p", "q"):
         raise ConfigError("sweep needs {'parameter': 'p'|'q', 'values': [..]}")
     values = config_number(sw.get("values"), "sweep values", ndim=1).tolist()
-    domain = Domain.from_spec(_require(cfg, "domain", "sweep"))
+    domain, _, base_p, base_q = _setup(cfg, base_dir, need_mesh=False)
     N = _number(cfg, "N", domain.dim)
     tol = _number(cfg, "tol", 1e-9)
-    base_p = _exponent(cfg, "p", domain, None, base_dir)
-    base_q = _exponent(cfg, "q", domain, None, base_dir)
 
     results = []
     for k, val in enumerate(values):
@@ -414,29 +407,25 @@ def _run_sweep(cfg, base_dir, out, seed):
         d["seed"] = seed + k + 1
         results.append(d)
 
-    _write_csv(
-        os.path.join(out, "sweep.csv"),
-        "value,case,applies,q_minus,p_plus,p_plus_star,coefficient",
-        [
-            (d["value"], d["case"], d["applies"], d["q_minus"], d["p_plus"],
-             d["p_plus_star"], d["coefficient"])
-            for d in results
-        ],
-    )
-    _write_json(
-        os.path.join(out, "sweep.json"),
-        {"scenario": "sweep", "parameter": param, "results": results},
-    )
+    cols = "value case applies q_minus p_plus p_plus_star coefficient".split()
+    _write_csv(os.path.join(out, "sweep.csv"), ",".join(cols),
+               [[d[c] for c in cols] for d in results])
+    _write_json(os.path.join(out, "sweep.json"),
+                {"scenario": "sweep", "parameter": param, "results": results})
     return 0
 
 
-_RUNNERS = {
-    "spaces-check": _run_spaces_check,
-    "solve": _run_solve,
-    "cascade": _run_cascade,
-    "pohozaev": _run_pohozaev,
-    "verdict": _run_verdict,
-    "sweep": _run_sweep,
+_SETUP = {"seed", "domain", "h", "p", "q"}
+_CANDIDATE = _SETUP | {"solver", "candidate", "origin"}
+# Each scenario's runner and the top-level config keys it reads ("seed" is
+# read by all), in the order --help lists them.
+SCENARIOS = {
+    "spaces-check": (_run_spaces_check, _SETUP | {"trials", "N", "pairs"}),
+    "solve": (_run_solve, _SETUP | {"solver", "rhs"}),
+    "cascade": (_run_cascade, _CANDIDATE),
+    "pohozaev": (_run_pohozaev, _CANDIDATE | {"with_remainder"}),
+    "verdict": (_run_verdict, _SETUP | {"N", "origin", "tol"}),
+    "sweep": (_run_sweep, {"seed", "domain", "p", "q", "sweep", "N", "tol"}),
 }
 
 
@@ -459,7 +448,7 @@ def main(argv=None):
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
-        return _RUNNERS[args.scenario](cfg, base_dir, args.out, seed)
+        return SCENARIOS[args.scenario][0](cfg, base_dir, args.out, seed)
     except (ConfigError, NonElliptic, ExponentTooLarge, NotStarShaped) as exc:
         print(f"vexlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoo
 from .fem import (
     DiscreteField,
     _assemble_free,
-    _cell_gradients,
     _cell_mass,
     _cell_stiffness,
     _load_vector,
@@ -93,8 +92,11 @@ class SolveConfig:
         if min(cfg.n_schedule) < 1:
             raise ConfigError(f"solver 'n_schedule': {cfg.n_schedule} has a "
                               "level below 1")
-        if cfg.seed < 0:
-            raise ConfigError(f"solver 'seed': {cfg.seed} is negative")
+        for key in ("seed", "max_iters"):
+            if getattr(cfg, key) < 0:
+                raise ConfigError(f"solver {key!r}: {getattr(cfg, key)} is negative")
+        if cfg.grad_tol <= 0:  # no residual norm would reach it
+            raise ConfigError(f"solver 'grad_tol': {cfg.grad_tol} is not positive")
         if cfg.epsilon0 <= 0 or cfg.eps_min <= 0 or not 0 < cfg.eps_factor < 1:
             raise ConfigError("epsilon schedule parameters out of range")
         cfg.eps_schedule()  # raises past _MAX_EPS_LEVELS levels
@@ -141,15 +143,8 @@ class _EnergyProblem:
         self.load_q = load_q  # (nc, nq) or None
         self.fallbacks = 0  # Newton steps that fell back to -g
 
-    def _sample(self, z):
-        """Per-cell gradients of z and its quadrature samples, or None in
-        their place when neither the power term nor the load reads them."""
-        if self.qq is None and self.load_q is None:
-            return _cell_gradients(self.mesh, z[self.mesh.cells]), None
-        return sample(self.mesh, z)
-
     def energy(self, z):
-        g, zq = self._sample(z)
+        g, zq = sample(self.mesh, z)
         s = np.sum(g * g, axis=1)[:, None] + self.eps
         with np.errstate(over="ignore"):
             e = np.sum(self.w * s ** (self.pq / 2.0) / self.pq)
@@ -160,7 +155,7 @@ class _EnergyProblem:
         return float(e)
 
     def grad(self, z):
-        g, zq = self._sample(z)
+        g, zq = sample(self.mesh, z)
         s = np.sum(g * g, axis=1)[:, None] + self.eps
         with np.errstate(over="ignore", divide="ignore"):
             scale = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
@@ -207,8 +202,8 @@ def _newton_step(problem, z, free, gf, gn, F0):
     s*slope is above the energy's roundoff eps*(1 + |F|), and the residual
     norm (sufficient decrease) otherwise; the latter also covers a Newton
     direction that ascends the energy, as at a saddle.  Returns the new
-    iterate with its energy and free gradient (None when not yet computed),
-    or None when neither merit accepts a step.
+    iterate with its energy and free gradient, or None when neither merit
+    accepts a step.
     """
     try:
         d = spsolve(problem.hess(z), -gf)
@@ -227,7 +222,7 @@ def _newton_step(problem, z, free, gf, gn, F0):
         ztry[free] += s * d
         Ft = problem.energy(ztry)
         if Ft <= F0 + _ARMIJO_C1 * s * slope:
-            return ztry, Ft, None
+            return ztry, Ft, problem.grad(ztry)[free]
         s *= _ARMIJO_SHRINK
     s = 1.0
     for _ in range(_BACKTRACKS):
@@ -263,8 +258,6 @@ def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
             break
         z, F, gf = step
         hist.append(F)
-        if gf is None:
-            gf = problem.grad(z)[free]
         gn = float(np.linalg.norm(gf))
         iters += 1
     if gn <= cfg.grad_tol:
@@ -292,9 +285,8 @@ def source_energy(z, source, p, q):
 
         int |grad z|^p/p + int |z|^q/q - 2 int |source|^(q-2) source z
     """
-    prob = _EnergyProblem(z.mesh, p, q, 0.0)
-    prob.load_q = _doubled_source(source, prob.qq)
-    return prob.energy(z.values)
+    load_q = _doubled_source(source, q)
+    return _EnergyProblem(z.mesh, p, q, 0.0, load_q=load_q).energy(z.values)
 
 
 def _signed_power(vals, qq):
@@ -304,10 +296,9 @@ def _signed_power(vals, qq):
         return np.where(av > _TINY, av ** (qq - 2.0) * vals, 0.0)
 
 
-def _doubled_source(u, qq):
-    """2 |u|^(q-2) u at the quadrature points, (nc, nq), from q sampled
-    there (qq)."""
-    return 2.0 * _signed_power(field_on_quadrature(u), qq)
+def _doubled_source(u, q):
+    """2 |u|^(q-2) u at the quadrature points, (nc, nq)."""
+    return 2.0 * _signed_power(field_on_quadrature(u), q.eval_on_quadrature(u.mesh))
 
 
 def operator_action(z, p, eps):
@@ -326,7 +317,7 @@ def power_source(u, q):
     the truncated problem reproduces the candidate once truncation is
     inactive.
     """
-    return l2_project(u.mesh, _doubled_source(u, q.eval_on_quadrature(u.mesh)))
+    return l2_project(u.mesh, _doubled_source(u, q))
 
 
 def mollifier_radius(eps, mesh):
@@ -371,9 +362,7 @@ def solve_truncated(u, p, q, n, cfg=None):
 
     Builds u_n = cutoff(u, n) and the mollified doubled source, then runs
     solve_regularized along the schedule with warm starts.  Returns the
-    last epsilon level; every level carries diagnostics n and epsilon, and
-    the last one holds them all under diagnostics["eps_runs"] plus
-    truncation_active (whether max |u| exceeds n).
+    last epsilon level, recorded by _level.
     """
     cfg = cfg or SolveConfig()
     z = cutoff(u, n)  # u_n, also the first warm start
@@ -381,10 +370,20 @@ def solve_truncated(u, p, q, n, cfg=None):
     runs = []
     for eps in cfg.eps_schedule():
         v_eps = mollify(f_node, mollifier_radius(eps, u.mesh))
-        res = solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z)
-        z = res.field
-        res.diagnostics["n"] = n
-        runs.append(res)
+        runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
+        z = runs[-1].field
+    return _level(u, n, runs)
+
+
+def _level(u, n, runs, reused_from_n=None):
+    """The record of truncation level n: tags each epsilon level of runs with
+    diagnostics n (and reused_from_n, when runs are copies of that level's),
+    and returns the last, which holds them all under diagnostics["eps_runs"]
+    plus truncation_active (whether max |u| exceeds n)."""
+    for lv in runs:
+        lv.diagnostics["n"] = n
+        if reused_from_n is not None:
+            lv.diagnostics["reused_from_n"] = reused_from_n
     runs[-1].diagnostics.update(
         eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)))
     return runs[-1]
@@ -407,14 +406,22 @@ def cascade(u, p, q, cfg=None):
     gm_u = gradient_modular(u, p).value
     qm_u = modular(u, q).value
     out = []
-    solved = {}  # cutoff(u, n) bytes -> (n, run) of the level that solved it
+    solved = {}  # cutoff(u, n) bytes -> (n, epsilon levels) of the level solving it
     u.mesh._mollifiers = {}
     try:
         for n in cfg.n_schedule:
             key = cutoff(u, n).values.tobytes()
-            res = (_reused(u, n, *solved[key]) if key in solved
-                   else solve_truncated(u, p, q, n, cfg))
-            solved.setdefault(key, (n, res))
+            if key in solved:
+                n0, levels = solved[key]
+                copies = []
+                for lv in levels:  # each with its own field, dict and history
+                    diag = {**lv.diagnostics,
+                            "energy_history": list(lv.diagnostics["energy_history"])}
+                    copies.append(replace(lv, field=lv.field.copy(), diagnostics=diag))
+                res = _level(u, n, copies, n0)
+            else:
+                res = solve_truncated(u, p, q, n, cfg)
+                solved[key] = (n, res.diagnostics["eps_runs"])
             res.diagnostics["gap_grad_modular"] = abs(
                 gradient_modular(res.field, p).value - gm_u)
             res.diagnostics["gap_q_modular"] = abs(modular(res.field, q).value - qm_u)
@@ -422,16 +429,6 @@ def cascade(u, p, q, cfg=None):
     finally:
         u.mesh._mollifiers = None
     return out
-
-
-def _reused(u, n, n0, res):
-    """cascade's run for level n, a copy of the run res of level n0."""
-    runs = [replace(lv, field=lv.field.copy(), diagnostics={
-        **lv.diagnostics, "energy_history": list(lv.diagnostics["energy_history"]),
-        "n": n, "reused_from_n": n0}) for lv in res.diagnostics["eps_runs"]]
-    runs[-1].diagnostics.update(
-        eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)))
-    return runs[-1]
 
 
 def cascade_levels(runs):

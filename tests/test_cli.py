@@ -401,6 +401,15 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("spaces-check", {**SPACES, "trials": 0}),
     ("spaces-check", {**SPACES, "trials": -3}),
     ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "collapse_tol": 1e3}}),
+    ("pohozaev", {**CASCADE, "with_remainder": "false"}),
+    ("pohozaev", {**CASCADE, "with_remainder": 1}),
+    ("pohozaev", {**CASCADE, "with_remainder": None}),
+    ("solve", solve_payload({"grad_tol": 0.0})),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "grad_tol": -1e-8}}),
+    ("solve", solve_payload({"max_iters": -1})),
+    ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "max_iters": -1}}),
+    ("spaces-check", {**SPACES, "pairs": 0}),
+    ("spaces-check", {**SPACES, "pairs": -5}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -420,12 +429,38 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
         "solve_solver_seed", "nodal_file_text", "nodal_file_name_not_string",
         "nodal_file_nan", "tabulated_nan", "verdict_tol_negative",
         "sweep_tol_negative", "spaces_trials_zero", "spaces_trials_negative",
-         "cascade_collapse_tol"])
+         "cascade_collapse_tol", "with_remainder_string", "with_remainder_number",
+        "with_remainder_null", "solve_grad_tol_zero", "cascade_grad_tol_negative",
+        "solve_max_iters_negative", "cascade_max_iters_negative",
+        "spaces_pairs_zero", "spaces_pairs_negative"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, payload, key", [
+    ("verdict", {key: v for key, v in VERDICT.items() if key != "p"}, "p"),
+    ("spaces-check", {**SPACES, "pairs": 0}, "pairs"),
+    ("pohozaev", {**CASCADE, "with_remainder": "false"}, "with_remainder"),
+    ("solve", solve_payload({"grad_tol": 0.0}), "grad_tol"),
+    ("solve", solve_payload({"max_iters": -1}), "max_iters"),
+], ids=["verdict_without_p", "pairs_zero",
+        "with_remainder_string", "grad_tol_zero", "max_iters_negative"])
+def test_config_error_names_the_key(tmp_path, capsys, scenario, payload, key):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "any" not in err
+
+
+def test_help_lists_the_scenarios_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "{spaces-check,solve,cascade,pohozaev,verdict,sweep}" in usage
 
 
 def write_bad_nodal_files(directory):
@@ -669,6 +704,15 @@ FUZZ_BASES = [
         "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.25,
                    "n_schedule": [1, 2], "max_iters": 20},
     }),
+    ("pohozaev", {
+        "domain": UNIT_INTERVAL, "h": 0.1, "seed": 0,
+        "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0},
+        "candidate": {"kind": "bump", "amplitude": 2.0}, "origin": [0.5],
+        "with_remainder": True,
+        "solver": {"epsilon0": 0.5, "eps_factor": 0.5, "eps_min": 0.25,
+                   "n_schedule": [1, 2], "max_iters": 20},
+    }),
 ]
 # The solve base with its p and rhs read from files written next to the config.
 _FILE_SOLVE, FUZZ_FILES = file_backed(FUZZ_BASES[0][1])
@@ -725,7 +769,9 @@ def test_fuzzed_config_exits_cleanly(case):
         cfg = write_config(Path(tmp), "cfg.json", payload)
         code = main([scenario, "--config", cfg, "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
-    # every number of the base configs is read, and none is coerced
+    # every number and bool of the base configs is read, and none is coerced
     if (isinstance(old, (int, float)) and not isinstance(old, bool)
             and (new is None or isinstance(new, (bool, str)))):
+        assert code == 2
+    if isinstance(old, bool) and not isinstance(new, bool):
         assert code == 2
