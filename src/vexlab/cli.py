@@ -44,10 +44,10 @@ from .meshes import build_mesh, write_mesh
 from .modular import (gradient_modular, holder_check, luxemburg_norm, modular,
                       verify_modular_relations)
 from .pohozaev import (
-    boundary_term,
     nonexistence_verdict,
     pohozaev_terms,
     remainder_R,
+    remainder_table,
 )
 from .solvers import (
     SolveConfig,
@@ -298,13 +298,9 @@ def _run_solve(cfg, base_dir, out, seed):
 def _series_rows(runs, p, q, origin):
     """One CSV row per epsilon level: n, epsilon, and the gradient modular,
     q-modular and boundary term of the level's field."""
-    rows = []
-    for lv in cascade_levels(runs):
-        n, eps = lv.diagnostics["n"], lv.diagnostics["epsilon"]
-        rows.append((n, eps, gradient_modular(lv.field, p).value,
-                     modular(lv.field, q).value,
-                     boundary_term(lv.field, p, eps, origin)))
-    return rows
+    rows = zip(cascade_levels(runs), remainder_table(runs, p, origin))
+    return [(n, eps, gradient_modular(lv.field, p).value, modular(lv.field, q).value,
+             term) for lv, (n, eps, term) in rows]
 
 
 def _cascade_outcome(runs, meta):
@@ -321,8 +317,8 @@ def _cascade_outcome(runs, meta):
 def _run_cascade(cfg, base_dir, out, seed):
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
-    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
+    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     runs = cascade(u, p, q, scfg)
     failed = _cascade_outcome(runs, meta)
     report = {
@@ -353,8 +349,8 @@ def _run_pohozaev(cfg, base_dir, out, seed):
                           f"got {with_remainder!r}")
     domain, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _CASCADE_SOLVER, seed)
-    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     origin = _origin_for(cfg, domain)
+    u, candidate_stop, meta = _candidate(cfg, mesh, p, q, scfg, base_dir)
     report = pohozaev_terms(u, p, q, origin)
     failed = None
     if with_remainder:

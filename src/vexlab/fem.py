@@ -19,8 +19,8 @@ _MOLLIFY_PAIRS = 2**23
 class DiscreteField:
     """Nodal values of a piecewise-linear function on a mesh.
 
-    zero_trace=True zeroes the boundary nodes on construction and keeps
-    them zero, so the field lies in the discrete zero-trace space.
+    zero_trace=True zeroes the boundary nodes on construction, so the field
+    starts in the discrete zero-trace space; no flag is kept.
     """
 
     def __init__(self, mesh, values, zero_trace=False):
@@ -30,13 +30,12 @@ class DiscreteField:
             raise ConfigError(
                 f"field has {len(self.values)} values for {mesh.nnodes} nodes"
             )
-        self.zero_trace = bool(zero_trace)
-        if self.zero_trace:
+        if zero_trace:
             self.values[mesh.boundary_nodes] = 0.0
 
     @classmethod
-    def zeros(cls, mesh, zero_trace=True):
-        return cls(mesh, np.zeros(mesh.nnodes), zero_trace=zero_trace)
+    def zeros(cls, mesh):
+        return cls(mesh, np.zeros(mesh.nnodes))
 
     @classmethod
     def interpolate(cls, mesh, fn, zero_trace=False):
@@ -44,27 +43,23 @@ class DiscreteField:
         return cls(mesh, np.asarray(fn(mesh.nodes), dtype=float), zero_trace)
 
     def copy(self):
-        return DiscreteField(self.mesh, self.values.copy(), self.zero_trace)
+        return DiscreteField(self.mesh, self.values.copy())
 
     def __add__(self, other):
         self._compat(other)
-        return DiscreteField(
-            self.mesh, self.values + other.values, self.zero_trace and other.zero_trace
-        )
+        return DiscreteField(self.mesh, self.values + other.values)
 
     def __sub__(self, other):
         self._compat(other)
-        return DiscreteField(
-            self.mesh, self.values - other.values, self.zero_trace and other.zero_trace
-        )
+        return DiscreteField(self.mesh, self.values - other.values)
 
     def __mul__(self, scalar):
-        return DiscreteField(self.mesh, self.values * float(scalar), self.zero_trace)
+        return DiscreteField(self.mesh, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return DiscreteField(self.mesh, -self.values, self.zero_trace)
+        return DiscreteField(self.mesh, -self.values)
 
     def _compat(self, other):
         if other.mesh is not self.mesh:
@@ -163,7 +158,7 @@ def cutoff(u, n):
     """Apply the nodal truncation g_n to a field."""
     if n <= 0:
         raise ConfigError("cutoff level n must be positive")
-    return DiscreteField(u.mesh, cutoff_profile(u.values, n), u.zero_trace)
+    return DiscreteField(u.mesh, cutoff_profile(u.values, n))
 
 
 # -- mollification ---------------------------------------------------------
@@ -219,26 +214,18 @@ def _mollifier_slices(mesh, radius):
 # -- projection ------------------------------------------------------------
 
 
-def _block_entries(mesh):
-    """Row and column node of each entry of the raveled (nc, nv, nv) blocks."""
-    c, nv = mesh.cells, mesh.cells.shape[1]
-    return np.repeat(c, nv, axis=1).ravel(), np.tile(c, (1, nv)).ravel()
-
-
-def _assemble_matrix(mesh, elem):
-    """Sum per-cell (nv, nv) blocks into a CSR matrix over the mesh nodes."""
-    n = mesh.nnodes
-    return sparse.coo_matrix((elem.ravel(), _block_entries(mesh)), shape=(n, n)).tocsr()
-
-
-def _assemble_free(mesh, elem):
-    """_assemble_matrix(mesh, elem)[free][:, free].tocsc(), free the interior
-    nodes, bit for bit, by one bincount onto a pattern cached on the mesh: slot
-    lists the free-free terms in the order COO -> CSR sums them (stable by row,
-    then sort_indices' unstable sort of each row), target their CSC entries."""
-    if mesh._free_pattern is None:
-        rows, cols = _block_entries(mesh)
-        n, free = mesh.nnodes, mesh.interior_nodes
+def _assemble(mesh, elem, free):
+    """Sum per-cell (nv, nv) blocks elem into a CSC matrix over the sorted
+    nodes free, bit for bit the COO -> CSR sum sliced to free and turned to
+    CSC.  One bincount fills the pattern cached on the mesh for that node set:
+    slot lists the free-free terms in the order COO -> CSR sums them (stable
+    by row, then sort_indices' unstable sort of each row), target their CSC
+    entries."""
+    key = free.tobytes()
+    if key not in mesh._patterns:
+        cells, n, nv = mesh.cells, mesh.nnodes, mesh.cells.shape[1]
+        rows = np.repeat(cells, nv, axis=1).ravel()
+        cols = np.tile(cells, (1, nv)).ravel()
         order = np.argsort(rows, kind="stable")
         ptr = np.searchsorted(rows[order], np.arange(n + 1))
         csr = sparse.csr_matrix((order, cols[order], ptr), shape=(n, n))
@@ -247,8 +234,8 @@ def _assemble_free(mesh, elem):
         r, c = np.searchsorted(free, rows[slot]), np.searchsorted(free, cols[slot])
         csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (len(free),) * 2).tocsc()
         target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
-        mesh._free_pattern = (slot, target, csc.indices, csc.indptr)
-    slot, target, indices, indptr = mesh._free_pattern
+        mesh._patterns[key] = (slot, target, csc.indices, csc.indptr)
+    slot, target, indices, indptr = mesh._patterns[key]
     data = np.bincount(target, elem.ravel()[slot], len(indices))
     return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2, float)
 
@@ -260,13 +247,14 @@ def _cell_stiffness(mesh):
 
 
 def mass_matrix(mesh):
-    """Consistent P1 mass matrix (CSR) by the mesh quadrature."""
-    return _assemble_matrix(mesh, _cell_mass(mesh, mesh.quadrature()[1]))
+    """Consistent P1 mass matrix (CSC) by the mesh quadrature."""
+    return _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                     np.arange(mesh.nnodes))
 
 
 def stiffness_matrix(mesh):
-    """P1 stiffness matrix (CSR): entries int grad phi_i . grad phi_j."""
-    return _assemble_matrix(mesh, _cell_stiffness(mesh))
+    """P1 stiffness matrix (CSC): entries int grad phi_i . grad phi_j."""
+    return _assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes))
 
 
 def l2_project(mesh, values_on_quadrature):
@@ -279,5 +267,5 @@ def l2_project(mesh, values_on_quadrature):
     vals = np.asarray(values_on_quadrature, dtype=float)
     if vals.shape != mesh.quadrature()[1].shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
-    coeffs = spsolve(mass_matrix(mesh).tocsc(), _load_vector(mesh, vals))
-    return DiscreteField(mesh, coeffs, zero_trace=False)
+    coeffs = spsolve(mass_matrix(mesh), _load_vector(mesh, vals))
+    return DiscreteField(mesh, coeffs)

@@ -28,22 +28,32 @@ _MAX_CELLS = 2**22
 # (a tiny h) still gives a cell count, which _MAX_CELLS then rejects.
 _RATIO_CAP = 2.0**64
 
-# The one quadrature rule per cell shape, as barycentric points and weights
-# summing to one: the symmetric 3-point rule on triangles, exact for
-# polynomials of degree 2, and 3-point Gauss-Legendre on segments (1D cells
-# and 2D boundary facets), exact for degree 5.
-_TRI_RULE = (
-    np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-    np.full(3, 1 / 3),
-)
+# The one quadrature rule per simplex, by its vertex count, as barycentric
+# points and weights summing to one: the point itself (1D boundary facets),
+# 3-point Gauss-Legendre on segments (1D cells and 2D boundary facets), exact
+# for degree 5, and the symmetric 3-point rule on triangles, exact for
+# polynomials of degree 2.
 _xi, _wi = leggauss(3)
 _ti = 0.5 * (_xi + 1.0)
-_SEGMENT_RULE = (np.column_stack([1.0 - _ti, _ti]), 0.5 * _wi)
+_RULES = {
+    1: (np.ones((1, 1)), np.ones(1)),
+    2: (np.column_stack([1.0 - _ti, _ti]), 0.5 * _wi),
+    3: (np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
+        np.full(3, 1 / 3)),
+}
 
 
 def _rowdot(u, v):
     """Row-wise dot products, rounded as np.dot rounds each row on its own."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _simplex_rule(nodes, simplices, measures):
+    """_RULES mapped onto simplices of the given measures: points (ns, nq,
+    dim), weights (ns, nq) and the rule's barycentric points (nq, nverts)."""
+    bary, wref = _RULES[simplices.shape[1]]
+    pts = np.einsum("qv,svd->sqd", bary, nodes[simplices])
+    return pts, measures[:, None] * wref[None, :], bary
 
 
 class Mesh:
@@ -53,8 +63,8 @@ class Mesh:
     barycentric basis, shape (ncells, dim+1, dim)), boundary_facets with unit
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
-    cached: quadrature, facet quadrature, boundary distance, the free-node
-    CSC pattern of fem._assemble_free and live exponents' quadrature samples.
+    cached: quadrature, facet quadrature, boundary distance, fem._assemble's
+    CSC pattern per node set and live exponents' quadrature samples.
     """
 
     def __init__(self, nodes, cells):
@@ -75,7 +85,7 @@ class Mesh:
         self._quad = None
         self._facet_quad = None
         self._bdist = None
-        self._free_pattern = None
+        self._patterns = {}  # fem._assemble's CSC pattern by node set
         self._exponent_samples = weakref.WeakKeyDictionary()
         self._mollifiers = None  # fem.mollify's kernels by radius, in a cascade
 
@@ -184,24 +194,14 @@ class Mesh:
     def quadrature(self):
         """(points (nc, nq, dim), weights (nc, nq), bary (nq, nverts)), cached."""
         if self._quad is None:
-            bary, wref = _SEGMENT_RULE if self.dim == 1 else _TRI_RULE
-            pts = np.einsum("qv,cvd->cqd", bary, self.nodes[self.cells])
-            w = self.cell_volumes[:, None] * wref[None, :]
-            self._quad = (pts, w, bary)
+            self._quad = _simplex_rule(self.nodes, self.cells, self.cell_volumes)
         return self._quad
 
     def facet_quadrature(self):
         """(points (nf, nq, dim), weights (nf, nq)) on boundary facets, cached."""
         if self._facet_quad is None:
-            if self.dim == 1:
-                pts = self.nodes[self.boundary_facets[:, 0]][:, None, :]
-                w = np.ones((len(pts), 1))
-            else:
-                bary, wref = _SEGMENT_RULE
-                ends = self.nodes[self.boundary_facets]
-                pts = np.einsum("qv,fvd->fqd", bary, ends)
-                w = self.facet_measures[:, None] * wref[None, :]
-            self._facet_quad = (pts, w)
+            self._facet_quad = _simplex_rule(self.nodes, self.boundary_facets,
+                                             self.facet_measures)[:2]
         return self._facet_quad
 
     def boundary_distance(self):

@@ -21,7 +21,7 @@ from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoo
                      config_number, reject_unknown_keys)
 from .fem import (
     DiscreteField,
-    _assemble_free,
+    _assemble,
     _cell_mass,
     _cell_stiffness,
     _load_vector,
@@ -191,7 +191,7 @@ class _EnergyProblem:
         with np.errstate(over="ignore"):
             m = self.w * self.q_sign * (self.qq - 1.0) * az ** (self.qq - 2.0)
         elem = elem + _cell_mass(self.mesh, m)
-        return _assemble_free(self.mesh, elem)
+        return _assemble(self.mesh, elem, self.mesh.interior_nodes)
 
 
 def _newton_step(problem, z, free, gf, gn, F0):
@@ -456,21 +456,22 @@ def _nehari_scale(gmag, zq_abs, logw, pq, qq):
 
 
 def _projected_step(prob, u, free, d, s, project, J0):
-    """Step from u along -d and project, halving s up to 60 times until the
-    energy falls below J0 by more than roundoff: (trial, energy, s), or None.
+    """Step from u along -d and project, shrinking s by _ARMIJO_SHRINK up to
+    _BACKTRACKS times until the energy falls below J0 by more than roundoff:
+    (trial, energy, s), or None.
     """
-    for _ in range(60):
+    for _ in range(_BACKTRACKS):
         trial = u.copy()
         trial[free] -= s * d
         try:
             trial = project(trial)
         except NoScalingRoot:
-            s *= 0.5
+            s *= _ARMIJO_SHRINK
             continue
         J = prob.energy(trial)
         if J < J0 - 1e-14 * (1.0 + abs(J0)):
             return trial, J, s
-        s *= 0.5
+        s *= _ARMIJO_SHRINK
     return None
 
 
@@ -495,8 +496,8 @@ def nehari_candidate(p, q, mesh, cfg=None):
     "left_nehari" means its last attempt would have left that energy band,
     and the field is its last iterate inside it.
     diagnostics["descent_stop"] says why the last descent ended: "tolerance"
-    (its exit residual), "no_decrease" (60 step halvings found no lower
-    energy) or "max_iters" (the 400-step budget).
+    (its exit residual), "no_decrease" (_BACKTRACKS step halvings found no
+    lower energy) or "max_iters" (the 400-step budget).
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -523,7 +524,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u[mesh.boundary_nodes] = 0.0
     u = project(u)
 
-    K = splu(_assemble_free(mesh, _cell_stiffness(mesh)))
+    K = splu(_assemble(mesh, _cell_stiffness(mesh), free))
     hist = [prob.energy(u)]
     step = 1.0
     iters1 = iters2 = 0

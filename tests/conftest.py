@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import vexlab as vx
 
@@ -32,3 +33,19 @@ def square_mesh(unit_square):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def coo_assembly():
+    """The reference fem._assemble must match bit for bit: per-cell (nv, nv)
+    blocks summed COO -> CSR over all nodes, sliced to the sorted nodes free
+    and turned to CSC."""
+    def assemble(mesh, elem, free):
+        nv = mesh.cells.shape[1]
+        rows = np.repeat(mesh.cells, nv, axis=1).ravel()
+        cols = np.tile(mesh.cells, (1, nv)).ravel()
+        n = mesh.nnodes
+        full = sparse.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return full[free][:, free].tocsc()
+
+    return assemble

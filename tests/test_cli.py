@@ -266,6 +266,32 @@ def test_pohozaev_origin_from_star_center(tmp_path):
     assert rep["star_min_xdotnu"] == pytest.approx(0.5, abs=1e-12)
 
 
+C_SHAPE = [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [1.0, 1.0], [1.0, 2.0],
+           [3.0, 2.0], [3.0, 3.0], [0.0, 3.0]]  # no point sees all of it
+
+
+@pytest.mark.parametrize("scenario", ["cascade", "pohozaev"])
+@pytest.mark.parametrize("domain, origin", [
+    ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, [0.0]),
+    ({"kind": "polygon", "vertices": C_SHAPE}, None),
+], ids=["origin_wrong_dimension", "not_star_shaped"])
+def test_bad_origin_exits_2_before_the_candidate(tmp_path, capsys, monkeypatch,
+                                                 scenario, domain, origin):
+    def no_candidate(*args, **kwargs):
+        raise AssertionError("the Nehari candidate was built")
+
+    monkeypatch.setattr(vx.cli, "nehari_candidate", no_candidate)
+    payload = {"domain": domain, "h": 0.5,
+               "p": {"kind": "constant", "value": 2.0},
+               "q": {"kind": "constant", "value": 4.0},
+               "candidate": {"kind": "nehari"}}
+    if origin is not None:
+        payload["origin"] = origin
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_library_error_exits_3(tmp_path, capsys):
     # p = q = 2 leaves the Nehari scaling projection without a root
     cfg = write_config(tmp_path, "cascade.json",

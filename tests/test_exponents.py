@@ -189,6 +189,23 @@ def test_tabulated_1d_matches_affine_off_nodes(interval, rng):
     assert np.allclose(p.gradient_at(pts), ref.gradient_at(pts), rtol=1e-12, atol=0)
 
 
+def test_tabulated_on_another_mesh_samples_its_quadrature_points(unit_square):
+    # a mesh other than the table's own falls through to the generic sampling
+    # at that mesh's quadrature points, cached on that mesh
+    own = vx.build_mesh(unit_square, 0.2)
+    other = vx.build_mesh(vx.Domain.disk((0.5, 0.5), 0.4), 0.1)
+    p = vx.TabulatedExponent(own, 2.0 + own.nodes[:, 0] * own.nodes[:, 1])
+    pts = other.quadrature()[0].reshape(-1, 2)
+    nc, nq = other.quadrature()[1].shape
+    pq = p.eval_on_quadrature(other)
+    assert np.array_equal(pq, p.value_at(pts).reshape(nc, nq))
+    assert other._exponent_samples[p] is pq
+    assert p.eval_on_quadrature(other) is pq
+    assert p not in own._exponent_samples
+    gq = p.grad_on_quadrature(other)
+    assert np.array_equal(gq, p.gradient_at(pts).reshape(nc, nq, 2))
+
+
 def test_tabulated_one_cell_triangle():
     mesh = vx.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     p = vx.TabulatedExponent(mesh, [2.0, 2.5, 3.0])

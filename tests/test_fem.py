@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 import vexlab as vx
+from vexlab import fem
 from vexlab.fem import sample, stiffness_matrix
 
 EPS = np.finfo(float).eps
@@ -18,6 +19,7 @@ def test_field_construction(interval_mesh):
     u = vx.DiscreteField.interpolate(interval_mesh, lambda x: x[:, 0],
                                      zero_trace=True)
     assert np.all(u.values[interval_mesh.boundary_nodes] == 0.0)
+    assert not hasattr(u, "zero_trace")  # a construction step, not a flag
     with pytest.raises(vx.ConfigError):
         vx.DiscreteField(interval_mesh, np.zeros(3))
 
@@ -311,6 +313,32 @@ def test_mass_matrix_row_sums(square_mesh):
     ones = np.ones(square_mesh.nnodes)
     lumped = M @ ones
     assert np.all(lumped > 0)
+
+
+ASSEMBLY_MESHES = {
+    "interval": lambda: vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.02),
+    "square": lambda: vx.build_mesh(vx.Domain.polygon(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]), 0.15),
+    "disk": lambda: vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.1),
+    "l-shape": lambda: vx.build_mesh(vx.Domain.polygon(
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]),
+        0.2),
+}
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_MESHES)
+def test_mass_and_stiffness_are_the_coo_assembly_bit_for_bit(name, coo_assembly):
+    # the full-node pattern sums each entry's cell terms as COO -> CSR does
+    mesh = ASSEMBLY_MESHES[name]()
+    every = np.arange(mesh.nnodes)
+    for matrix, elem in ((vx.mass_matrix, fem._cell_mass(mesh, mesh.quadrature()[1])),
+                         (stiffness_matrix, fem._cell_stiffness(mesh))):
+        M = matrix(mesh)
+        ref = coo_assembly(mesh, elem, every)
+        assert M.format == "csc" and M.shape == (mesh.nnodes,) * 2
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(M, attr), getattr(ref, attr))
+    assert list(mesh._patterns) == [every.tobytes()]
 
 
 def test_stiffness_matrix_dirichlet_energy(interval_mesh, square_mesh):

@@ -62,6 +62,19 @@ def test_disk_area_and_perimeter_converge():
     assert defects_a[1] < 2e-2 and defects_p[1] < 5e-2
 
 
+def test_facet_rule_maps_onto_facet_measures(interval_mesh, square_mesh):
+    # one rule per facet shape: the end point itself in 1D, Gauss-Legendre on
+    # 2D edges; either way the weights add up to each facet's measure
+    pts, w = interval_mesh.facet_quadrature()
+    assert pts.shape == (2, 1, 1) and w.shape == (2, 1)
+    ends = interval_mesh.boundary_facets[:, 0]
+    assert np.array_equal(pts[:, 0], interval_mesh.nodes[ends])
+    assert np.array_equal(w[:, 0], interval_mesh.facet_measures)
+    pts, w = square_mesh.facet_quadrature()
+    assert pts.shape == (len(square_mesh.boundary_facets), 3, 2)
+    assert np.allclose(w.sum(axis=1), square_mesh.facet_measures, rtol=1e-15)
+
+
 def test_boundary_integral_divergence_oracle():
     sq = vx.Domain.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
     mesh = vx.build_mesh(sq, 0.5)

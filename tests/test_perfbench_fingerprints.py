@@ -1,11 +1,12 @@
-"""The benchmark's solver workloads still give their pinned outputs.
+"""The benchmark's workloads still give their pinned outputs.
 
 A change made for speed must leave every result bit for bit as it was.
 perfbench/workloads.py's fingerprint holds a workload's exact energies and
-iteration counts; this test runs the two solver workloads at seed 42 the
-way perfbench/run.py does, without timing them, and pins a SHA-256 of each
-fingerprint.  A changed digest means a changed result: find the key that
-moved before re-pinning.
+iteration counts (for fields_geometry: mesh sizes, norms, slacks, the
+balance total, the log-Holder estimate and the mollified sums); this test
+runs each workload at seed 42 the way perfbench/run.py does, without timing
+it, and pins a SHA-256 of each fingerprint.  A changed digest means a
+changed result: find the key that moved before re-pinning.
 """
 
 import hashlib
@@ -25,6 +26,8 @@ FINGERPRINT_DIGESTS = {
         "e866e288ee48b43e4b3bbf4ccacee2c699fa4703afeb8f84c2a11bca3d37b8e6",
     "square_cascade":
         "314b50f22128aecf623d88502f704144442173b9092e1c52043b87ab81e1fc84",
+    "fields_geometry":
+        "54fa1c9037f0ea19543852d8913a45733267b3cce8d099b938fad7029bad3d87",
 }
 
 

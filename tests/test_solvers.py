@@ -336,17 +336,18 @@ HESS_MESHES = {
 
 @pytest.mark.parametrize("q_sign", [1.0, -1.0])
 @pytest.mark.parametrize("name", HESS_MESHES)
-def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch):
+def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
+                                                     coo_assembly):
     # the cached free-node pattern must add each entry's cell terms in the
     # order COO -> CSR adds them: one ulp off moves pinned digests
     mesh = HESS_MESHES[name]()
     elems = []
 
-    def spy(mesh, elem):
+    def spy(mesh, elem, free):
         elems.append(elem)
-        return fem._assemble_free(mesh, elem)
+        return fem._assemble(mesh, elem, free)
 
-    monkeypatch.setattr(solvers, "_assemble_free", spy)
+    monkeypatch.setattr(solvers, "_assemble", spy)
     p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
     prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3,
                                   q_sign=q_sign)
@@ -354,15 +355,16 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch):
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
     H = prob.hess(z)
-    ref = fem._assemble_matrix(mesh, elems[0])[free][:, free].tocsc()
+    ref = coo_assembly(mesh, elems[0], free)
     assert H.format == "csc" and H.dtype == float
     assert H.shape == (len(free), len(free))
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(H, attr), getattr(ref, attr))
 
-    pattern = mesh._free_pattern
+    pattern = mesh._patterns[free.tobytes()]
     again = prob.hess(z)
-    assert mesh._free_pattern is pattern
+    assert list(mesh._patterns) == [free.tobytes()]
+    assert mesh._patterns[free.tobytes()] is pattern
     assert np.array_equal(again.data, H.data)
 
 
@@ -390,11 +392,11 @@ def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatc
     mesh = HESS_MESHES[name]()
     elems = []
 
-    def spy(mesh, elem):
+    def spy(mesh, elem, free):
         elems.append(elem)
-        return fem._assemble_free(mesh, elem)
+        return fem._assemble(mesh, elem, free)
 
-    monkeypatch.setattr(solvers, "_assemble_free", spy)
+    monkeypatch.setattr(solvers, "_assemble", spy)
     p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
     prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3,
                                   q_sign=q_sign)
@@ -405,16 +407,19 @@ def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatc
     assert np.array_equal(elems[0], einsum_blocks(prob, z))
 
 
-def test_newton_and_descent_never_assemble_through_coo(unit_square, monkeypatch):
-    # the Newton Hessians and the descent's stiffness factor fill the mesh's
-    # cached free-node pattern; neither path goes back to COO assembly
-    def no_coo(mesh, elem):
-        raise AssertionError("COO assembly on a Newton or descent path")
+class _FrozenPatterns(dict):
+    def __setitem__(self, key, value):
+        raise AssertionError("a Newton or descent path rebuilt a CSC pattern")
 
-    monkeypatch.setattr(fem, "_assemble_matrix", no_coo)
-    assert not hasattr(solvers, "_assemble_matrix")
+
+def test_newton_and_descent_never_assemble_through_coo(unit_square):
+    # the Newton Hessians and the descent's stiffness factor fill the pattern
+    # one Hessian primes; neither path builds a pattern, the only COO step
     mesh = vx.build_mesh(unit_square, 0.1)
     p, q = vx.AffineExponent(1.5, [0.2, 0.0]), vx.ConstantExponent(3.0)
+    solvers._EnergyProblem(mesh, p, q, 1e-3).hess(np.zeros(mesh.nnodes))
+    assert list(mesh._patterns) == [mesh.interior_nodes.tobytes()]
+    mesh._patterns = _FrozenPatterns(mesh._patterns)
     v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
     assert vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3)).converged
     assert vx.nehari_candidate(p, q, mesh).converged
