@@ -44,9 +44,9 @@ class StarShapeReport:
 class Domain:
     """A bounded domain of one of four kinds.
 
-    kinds: "interval" (a, b); "polygon" (simple, vertices CCW);
-    "disk" (center, radius, dim 2); "ball" (center, radius, any dim,
-    analytic only, not meshable).
+    kinds: "interval" (a, b); "polygon" (simple: no two non-adjacent edges
+    meet; vertices CCW); "disk" (center, radius, dim 2); "ball" (center,
+    radius, any dim, analytic only, not meshable).
     """
 
     def __init__(self, kind, **geom):
@@ -64,8 +64,8 @@ class Domain:
             verts = config_number(geom["vertices"], "polygon vertices", ndim=2)
             if verts.shape[1] != 2:
                 raise ConfigError("polygon vertices must be two-dimensional")
-            # a repeated vertex (a closed ring's last one, say) is dropped:
-            # its zero-length edge has no normal
+            # a vertex equal to the next one (a closed ring's last one, say)
+            # is dropped: its zero-length edge has no normal
             verts = verts[np.any(verts != np.roll(verts, -1, axis=0), axis=1)]
             if len(verts) < 3:
                 raise ConfigError("polygon needs >= 3 distinct vertices")
@@ -73,6 +73,7 @@ class Domain:
                 verts = verts[::-1].copy()
             if abs(_shoelace(verts)) < _GEOM_TOL:
                 raise ConfigError("polygon has (numerically) zero area")
+            _check_simple(verts)
             self.vertices = verts
             self.dim = 2
         elif kind in ("disk", "ball"):
@@ -304,6 +305,29 @@ def sample_points(domain, resolution=64):
 def _shoelace(verts):
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _check_simple(verts):
+    """Raise ConfigError if two non-adjacent edges cross (their ends on strict
+    opposite sides) or touch (an end of orientation sign exactly 0 in the
+    other's bounding box), one edge against the later ones at a time."""
+    edges = np.stack([verts, np.roll(verts, -1, axis=0)])  # (2, m, 2): the ends
+    for i in range(len(verts) - 2):
+        # edge i against the later edges not adjacent to it
+        e, f = edges[:, i:i + 1], edges[:, i + 2:len(verts) - (i == 0)]
+        se, sf = _orient(f[0], f[1], e), _orient(e[0], e[1], f)
+        on_f = (se == 0) & np.all((f.min(0) <= e) & (e <= f.max(0)), axis=-1)
+        on_e = (sf == 0) & np.all((e.min(0) <= f) & (f <= e.max(0)), axis=-1)
+        meet = (se.prod(0) < 0) & (sf.prod(0) < 0) | on_f.any(0) | on_e.any(0)
+        if meet.any():
+            raise ConfigError(f"polygon is not simple: edges {i} and "
+                              f"{i + 2 + meet.argmax()} touch or cross")
+
+
+def _orient(p, q, r):
+    """Sign of the cross product (q - p) x (r - p), broadcast over rows."""
+    u, v = q - p, r - p
+    return np.sign(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
 def _polygon_edges(verts):

@@ -27,6 +27,7 @@ _MAX_CELLS = 2**22
 # Size ratios are capped here before rounding, so that one that overflows
 # (a tiny h) still gives a cell count, which _MAX_CELLS then rejects.
 _RATIO_CAP = 2.0**64
+_EAR_TOL = 1e-12  # a vertex this close to an ear's triangle blocks the ear
 
 # The one quadrature rule per simplex, by its vertex count, as barycentric
 # points and weights summing to one: the point itself (1D boundary facets),
@@ -81,6 +82,8 @@ class Mesh:
             raise MeshFailure("mesh has no cells")
         if self.cells.min() < 0 or self.cells.max() >= len(self.nodes):
             raise MeshFailure(f"cells name nodes outside 0..{len(self.nodes) - 1}")
+        if not np.all(np.isfinite(self.nodes)):
+            raise MeshFailure("mesh node coordinates must be finite")
         self._setup()
         self._quad = None
         self._facet_quad = None
@@ -350,62 +353,35 @@ def _refine_red(nodes, tris):
 
 
 def _ear_clip(verts):
-    """Triangulate a simple CCW polygon into vertex-index triples."""
-    n = len(verts)
-    remaining = list(range(n))
+    """Triangulate a simple CCW polygon, which always has an ear, into triples."""
+    remaining = list(range(len(verts)))
     tris = []
-    guard = 0
     while len(remaining) > 3:
-        guard += 1
-        if guard > 10 * n * n:
-            raise MeshFailure("ear clipping failed; is the polygon simple?")
-        clipped = False
         m = len(remaining)
         for k in range(m):
-            i_prev, i_cur, i_next = (
-                remaining[(k - 1) % m],
-                remaining[k],
-                remaining[(k + 1) % m],
-            )
-            a, b, c = verts[i_prev], verts[i_cur], verts[i_next]
+            corner = remaining[k - 1], remaining[k], remaining[(k + 1) % m]
+            a, b, c = verts[list(corner)]
             cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             if cross <= 1e-14:
                 continue
-            others = [j for j in remaining if j not in (i_prev, i_cur, i_next)]
-            if others and np.any(_in_triangle(verts[others], a, b, c)):
+            others = [j for j in remaining if j not in corner]
+            if np.any(_in_triangle(verts[others], a, b, c)):
                 continue
-            tris.append((i_prev, i_cur, i_next))
+            tris.append(corner)
             remaining.pop(k)
-            clipped = True
             break
-        if not clipped:
-            # only collinear corners left to clip; drop the flattest one
-            flattest, best = None, np.inf
-            for k in range(m):
-                a = verts[remaining[(k - 1) % m]]
-                b = verts[remaining[k]]
-                c = verts[remaining[(k + 1) % m]]
-                cr = abs(
-                    (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                )
-                if cr < best:
-                    best, flattest = cr, k
-            if best > 1e-12:
-                raise MeshFailure("ear clipping stalled; is the polygon simple?")
-            remaining.pop(flattest)
-    if len(remaining) == 3:
-        tris.append(tuple(remaining))
+        else:
+            raise MeshFailure("ear clipping found no ear; is the polygon simple?")
+    tris.append(tuple(remaining))
     return tris
 
 
-def _in_triangle(pts, a, b, c, tol=1e-12):
-    pts = np.atleast_2d(pts)
-
+def _in_triangle(pts, a, b, c):
     def side(p, q):
         return (q[0] - p[0]) * (pts[:, 1] - p[1]) - (q[1] - p[1]) * (pts[:, 0] - p[0])
 
     s1, s2, s3 = side(a, b), side(b, c), side(c, a)
-    return (s1 > -tol) & (s2 > -tol) & (s3 > -tol)
+    return (s1 > -_EAR_TOL) & (s2 > -_EAR_TOL) & (s3 > -_EAR_TOL)
 
 
 def _mesh_disk(domain, h_target):

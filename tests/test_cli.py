@@ -354,6 +354,13 @@ VERDICT = {"domain": BALL, "p": {"kind": "constant", "value": 2.0},
 SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
 
 
+def polygon_solve(vertices):
+    """A 2D solve payload on the polygon with these vertices."""
+    return {**solve_payload(), "domain": {"kind": "polygon", "vertices": vertices},
+            "h": 0.5, "p": {"kind": "constant", "value": 2.0},
+            "q": {"kind": "constant", "value": 2.5}}
+
+
 @pytest.mark.parametrize("scenario, payload", [
     ("solve", {**solve_payload(), "rhs": {"kind": "nodal_file"}}),
     ("solve", {**solve_payload(), "h": "abc"}),
@@ -436,6 +443,11 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
     ("cascade", {**CASCADE, "solver": {**CASCADE["solver"], "max_iters": -1}}),
     ("spaces-check", {**SPACES, "pairs": 0}),
     ("spaces-check", {**SPACES, "pairs": -5}),
+    ("solve", polygon_solve([[3, 3], [3, 0], [0, 3], [1, 1], [3, 0]])),
+    ("solve", polygon_solve([[0, 0], [2, 2], [2, 0], [0, 1]])),
+    ("solve", polygon_solve([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1]])),
+    ("solve", polygon_solve([[0, 0], [2, 0], [2, 2], [1, 2], [1, 3], [1, 1],
+                             [0, 1]])),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -458,7 +470,8 @@ SWEEP = {**VERDICT, "sweep": {"parameter": "q", "values": [6.0, 7.0]}}
          "cascade_collapse_tol", "with_remainder_string", "with_remainder_number",
         "with_remainder_null", "solve_grad_tol_zero", "cascade_grad_tol_negative",
         "solve_max_iters_negative", "cascade_max_iters_negative",
-        "spaces_pairs_zero", "spaces_pairs_negative"])
+        "spaces_pairs_zero", "spaces_pairs_negative", "polygon_self_touching",
+        "polygon_bow_tie", "polygon_repeated_vertex", "polygon_spike"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)

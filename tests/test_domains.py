@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +200,82 @@ def test_closed_ring_polygon_drops_repeated_vertex():
     assert vx.find_star_center(ring).tolist() == [0.5, 0.5]
     with pytest.raises(vx.ConfigError):
         vx.Domain.polygon([(0, 0), (1, 0), (1, 0), (0, 0)])
+
+
+def segments_meet(p, q, r, s):
+    """Whether the closed segments pq and rs of integer points share a
+    point, in exact arithmetic: the crossing parameters of their lines, or,
+    for segments on one line, the overlap of their projections on an axis
+    the line is not perpendicular to."""
+    d, e = (q[0] - p[0], q[1] - p[1]), (s[0] - r[0], s[1] - r[1])
+    w = (r[0] - p[0], r[1] - p[1])
+    den = d[0] * e[1] - d[1] * e[0]
+    if den:
+        t = Fraction(w[0] * e[1] - w[1] * e[0], den)
+        u = Fraction(w[0] * d[1] - w[1] * d[0], den)
+        return 0 <= t <= 1 and 0 <= u <= 1
+    if w[0] * d[1] - w[1] * d[0]:  # parallel lines, apart
+        return False
+    k = 0 if d[0] else 1
+    return (max(min(p[k], q[k]), min(r[k], s[k]))
+            <= min(max(p[k], q[k]), max(r[k], s[k])))
+
+
+def is_simple(verts):
+    """Loop-form oracle: after dropping each vertex equal to the next, at
+    least three vertices, a triangle of nonzero area, and no two
+    non-adjacent edges that meet."""
+    verts = [v for i, v in enumerate(verts) if v != verts[(i + 1) % len(verts)]]
+    m = len(verts)
+    if m < 3:
+        return False
+    if m == 3:
+        (ax, ay), (bx, by), (cx, cy) = verts
+        return (bx - ax) * (cy - ay) != (by - ay) * (cx - ax)
+    edges = [(verts[i], verts[(i + 1) % m]) for i in range(m)]
+    return not any(segments_meet(*edges[i], *edges[j])
+                   for i in range(m) for j in range(i + 2, m) if (i, j) != (0, m - 1))
+
+
+def grid_polygons(count=3000, seed=0):
+    """Random polygons of 3 to 8 vertices on the 4 x 4 integer grid, every
+    other one sorted by angle about its centroid."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        pts = rng.integers(0, 4, size=(rng.integers(3, 9), 2))
+        if k % 2:
+            c = pts.mean(axis=0)
+            pts = pts[np.argsort(np.arctan2(*(pts - c).T[::-1]), kind="stable")]
+        yield pts.tolist()
+
+
+def test_polygon_refused_exactly_when_not_simple():
+    counts = {True: 0, False: 0}
+    for verts in grid_polygons():
+        simple = is_simple(verts)
+        counts[simple] += 1
+        if not simple:
+            with pytest.raises(vx.ConfigError):
+                vx.Domain.polygon(verts)
+            continue
+        mesh = vx.build_mesh(vx.Domain.polygon(verts), 10.0)
+        x, y = np.array(verts, dtype=float).T
+        area = abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2
+        assert mesh.volume == pytest.approx(area, rel=1e-12)
+        assert np.array_equal(np.unique(mesh.cells), np.arange(mesh.nnodes))
+    assert min(counts.values()) > 1000, counts
+
+
+def test_simplicity_check_memory_is_linear():
+    ang = 2 * np.pi * np.arange(1000) / 1000
+    verts = np.column_stack([np.cos(ang), np.sin(ang)])
+    tracemalloc.start()
+    try:
+        vx.Domain.polygon(verts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_find_star_center_edge_limit():

@@ -178,10 +178,15 @@ def _rewrite_line(path, index, edit):
 
 def test_read_mesh_rejects_non_numeric_coordinate(tmp_path, square_mesh):
     path = tmp_path / "m.txt"
-    vx.write_mesh(square_mesh, path)
-    _rewrite_line(path, 1, lambda ln: "0 abc 0.0")
-    with pytest.raises(vx.MeshFailure):
-        vx.read_mesh(path)
+    for value in ("abc", "nan", "inf"):
+        vx.write_mesh(square_mesh, path)
+        _rewrite_line(path, 1, lambda ln: f"0 {value} 0.0")
+        with pytest.raises(vx.MeshFailure):
+            vx.read_mesh(path)
+    nodes = square_mesh.nodes.copy()
+    nodes[0, 0] = np.nan
+    with pytest.raises(vx.MeshFailure, match="finite"):
+        vx.Mesh(nodes, square_mesh.cells)
 
 
 def test_read_mesh_rejects_short_node_line(tmp_path, square_mesh):
