@@ -406,3 +406,103 @@ def test_unit_square_mesh_bytes_pinned(unit_square):
     digests = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for name, a in arrays.items()}
     assert digests == SQUARE_DIGESTS
+
+
+# -- the 1D path, pinned like the square ------------------------------------
+
+
+def nonuniform_interval_mesh():
+    """Graded nodes on [-1, 2] in increasing id order; every third cell is
+    given right to left and the cells are listed out of order."""
+    x = -1.0 + 3.0 * (1.0 - np.cos(np.linspace(0.0, np.pi / 2, 14)))
+    cells = np.column_stack([np.arange(13), np.arange(1, 14)])
+    cells[::3] = cells[::3, ::-1]
+    return vx.Mesh(x[:, None], cells[np.random.default_rng(7).permutation(13)])
+
+
+def mesh_digests(mesh, names):
+    arrays = {name: getattr(mesh, name) for name in names
+              if name not in ("boundary_distance", "h")}
+    arrays["boundary_distance"] = mesh.boundary_distance()
+    arrays["h"] = np.float64(mesh.h)
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()}
+
+
+# sha256 of two 1D meshes' arrays, mesh size and boundary distance: the
+# interval [0, 1] at h = 0.1 from build_mesh and nonuniform_interval_mesh().
+INTERVAL_DIGESTS = {
+    "uniform": {
+        "nodes":
+            "f0552784a8c8aa31a1f50071b2cfc0a35264691eb979cceb2dc96e621eb41453",
+        "cells":
+            "c9ebdb784e59d67168f469d615391b72eea2b29db2c9e6b24cba68ca33a721e0",
+        "cell_volumes":
+            "e3cc6247dfd235632c2847e091da1fdf308812b29838f13fa25d9bea4068ac44",
+        "basis_grads":
+            "11856f11ac3d5277b955fbaf7b866f91307f21b441ba775508a691d2dcce843b",
+        "boundary_facets":
+            "4ab5e45571b9db4e2d397a37fe9ef3b436ccd6f764544c306518f679774e5f37",
+        "facet_normals":
+            "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "facet_measures":
+            "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+        "facet_cells":
+            "67c78fdc208c019f15520b78bfd1df7820340a7c1eba5d1d37eb2ac0c8c301f2",
+        "interior_nodes":
+            "ceb56e57db5af8695e2e81ff43946339e01802cd523f8472c10a67bda25a22e0",
+        "boundary_distance":
+            "ca00c6649a4d670b67cbf21c44725455662261cbfd0b062ef714afe2701ba268",
+        "h":
+            "785b98d01c31b1dd6f3ac127c38f422ef7bae693f476c0894a42fa6238edd3f5",
+    },
+    "nonuniform": {
+        "nodes":
+            "901c9409c6ed892b565da594baa07615673f202f13ee8239727c098e2d499c82",
+        "cells":
+            "86b4c0d27d836093ab5a23fa8127a88e5d3e27d5ad33b9c7b0529b0ebabad111",
+        "cell_volumes":
+            "4f2fec44675a1f8a75e0b4226deee13976fa28f81c7f262dbac03bc1a7c3ab43",
+        "basis_grads":
+            "54d84da0def6ff53ead3bef7f705a2dc78de186bf56f19b2152c96d53cecd049",
+        "boundary_facets":
+            "c9f02aed3d8bbc6a23eb3173c19d361fc322adb8535b4148d320642760748d98",
+        "facet_normals":
+            "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "facet_measures":
+            "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+        "facet_cells":
+            "92efcee53c47cddb0adf55c2c88947787d7744a1c384d99976493419ac9feed9",
+        "interior_nodes":
+            "a2a5d426b0027a8e8cc28cfd6ee59b118d01d66a1a21c92c874e5f85902cba2e",
+        "boundary_distance":
+            "e01868011ab8d733f90f1d5872f7ab9334431ca4719d9ed93b1ea17da2a7db26",
+        "h":
+            "9744af4546a6a78ab3f8fe923973a6a03325062e2f5c918bbdd358c4b85279bd",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_DIGESTS))
+def test_interval_mesh_bytes_pinned(name, interval):
+    mesh = (vx.build_mesh(interval, 0.1) if name == "uniform"
+            else nonuniform_interval_mesh())
+    pins = INTERVAL_DIGESTS[name]
+    assert mesh_digests(mesh, pins) == pins
+
+
+def test_reversed_interval_cells_reoriented(interval_mesh):
+    reversed_cells = interval_mesh.cells[:, ::-1]
+    given = reversed_cells.copy()
+    again = vx.Mesh(interval_mesh.nodes, reversed_cells)
+    assert np.array_equal(reversed_cells, given)  # the caller's array is left alone
+    for name in ("cells", "cell_volumes", "basis_grads", "boundary_facets",
+                 "facet_normals", "facet_measures", "facet_cells", "interior_nodes"):
+        assert np.array_equal(getattr(again, name), getattr(interval_mesh, name)), name
+    assert again.h == interval_mesh.h
+
+
+def test_interval_mesh_with_gap_rejected():
+    nodes = np.linspace(0.0, 1.0, 6)[:, None]
+    with pytest.raises(vx.MeshFailure, match="4 endpoints"):
+        vx.Mesh(nodes, np.array([[0, 1], [1, 2], [3, 4], [4, 5]]))
