@@ -139,14 +139,6 @@ class Domain:
             return self.vertices.min(axis=0), self.vertices.max(axis=0)
         return self.center - self.radius, self.center + self.radius
 
-    def diameter(self):
-        if self.kind == "interval":
-            return self.b - self.a
-        if self.kind == "polygon":
-            d = self.vertices[:, None, :] - self.vertices[None, :, :]
-            return float(np.linalg.norm(d, axis=2).max())
-        return 2.0 * self.radius
-
     def contains(self, points):
         """Boolean mask: which points lie in the closed domain (or within
         _CONTAINS_TOL of it)."""

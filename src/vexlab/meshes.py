@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -57,6 +58,40 @@ def _simplex_rule(nodes, simplices, measures):
     return pts, measures[:, None] * wref[None, :], bary
 
 
+def _corners(nodes, simplices):
+    """The simplices' vertex coordinates, (vertex, coordinate, simplex)."""
+    return np.take(nodes.T, simplices.T, axis=1).swapaxes(0, 1)
+
+
+def _det(a):
+    """Determinants of the (m, m, ...) matrices a by first-row expansion; a
+    0 x 0 matrix has determinant 1."""
+    if len(a) == 0:
+        return np.ones(a.shape[2:])
+    return reduce(np.add, a[0] * _cross(a[1:]))
+
+
+def _cross(rows):
+    """Generalized cross product of the (d - 1, d, ...) rows: entry j is
+    (-1)^j times the minor without column j."""
+    return np.stack([(-1) ** j * _det(np.delete(rows, j, axis=1))
+                     for j in range(rows.shape[1])])
+
+
+def _cell_geometry(nodes, cells):
+    """Every edge x_j - x_i (i < j) of every cell, (pairs, dim, ncells), and
+    the determinant and cofactor matrix (dim, dim, ncells) of each cell's
+    edge matrix E, whose rows are x_k - x_0: det is E's first row dotted
+    with cofactor row 0."""
+    d = nodes.shape[1]
+    corners = _corners(nodes, cells)
+    i, j = np.triu_indices(d + 1, 1)
+    edges = corners[j] - corners[i]
+    E = edges[:d]
+    cof = np.stack([(-1) ** k * _cross(np.delete(E, k, axis=0)) for k in range(d)])
+    return edges, reduce(np.add, E[0] * cof[0]), cof
+
+
 class Mesh:
     """Nodes plus simplices, with precomputed P1 machinery.
 
@@ -84,7 +119,11 @@ class Mesh:
             raise MeshFailure(f"cells name nodes outside 0..{len(self.nodes) - 1}")
         if not np.all(np.isfinite(self.nodes)):
             raise MeshFailure("mesh node coordinates must be finite")
+        uses = np.bincount(self.cells.ravel(), minlength=len(self.nodes))
+        if uses.min() == 0:
+            raise MeshFailure(f"node {int(np.argmin(uses))} belongs to no cell")
         self._setup()
+        self._find_boundary()
         self._quad = None
         self._facet_quad = None
         self._bdist = None
@@ -95,41 +134,21 @@ class Mesh:
     # -- construction details ---------------------------------------------
 
     def _setup(self):
-        if self.dim == 1:
-            order = np.argsort(self.nodes[self.cells, 0], axis=1)
-            self.cells = np.take_along_axis(self.cells, order, axis=1)
-            x0 = self.nodes[self.cells[:, 0], 0]
-            x1 = self.nodes[self.cells[:, 1], 0]
-            lengths = x1 - x0
-            self.cell_volumes = lengths
-            self._check_degenerate()
-            inv = 1.0 / lengths
-            self.basis_grads = np.stack([-inv[:, None], inv[:, None]], axis=1)
-        else:
-            a, b, c = (self.nodes[self.cells[:, k]] for k in range(3))
-            e1, e2 = b - a, c - a
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            flip = det < 0
-            if np.any(flip):  # a new array: the caller's cells stay as given
-                self.cells = np.where(flip[:, None], self.cells[:, [0, 2, 1]],
-                                      self.cells)
-                b, c = self.nodes[self.cells[:, 1]], self.nodes[self.cells[:, 2]]
-                e1, e2 = b - a, c - a
-                det = np.abs(det)
-            self.cell_volumes = 0.5 * det
-            self._check_degenerate()
-            g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
-            g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
-            self.basis_grads = np.stack([-(g1 + g2), g1, g2], axis=1)
-
+        d = self.dim
+        edges, det, cof = _cell_geometry(self.nodes, self.cells)
+        flip = det < 0
+        if np.any(flip):  # a new array: the caller's cells stay as given
+            swap = np.r_[: d - 1, d, d - 1]  # the last two vertices
+            self.cells = np.where(flip[:, None], self.cells[:, swap], self.cells)
+            edges, det, cof = _cell_geometry(self.nodes, self.cells)
+        self.cell_volumes = det / math.factorial(d)
+        self._check_degenerate()
+        grads = cof / det  # grads[k - 1]: the basis gradient of vertex k >= 1
+        self.basis_grads = np.empty((len(det), d + 1, d))
+        self.basis_grads[:, 0] = -reduce(np.add, grads).T
+        self.basis_grads[:, 1:] = grads.transpose(2, 0, 1)
         self.volume = float(self.cell_volumes.sum())
-        self._find_boundary()
-
-        if self.dim == 1:
-            self.h = float(self.cell_volumes.max())
-        else:
-            edges = (b - a, c - b, a - c)
-            self.h = float(max(np.linalg.norm(e, axis=1).max() for e in edges))
+        self.h = float(np.sqrt((edges * edges).sum(axis=1).max()))
 
     def _check_degenerate(self):
         vmax = float(self.cell_volumes.max())
@@ -140,49 +159,35 @@ class Mesh:
             )
 
     def _find_boundary(self):
-        if self.dim == 1:
-            counts = np.bincount(self.cells.ravel(), minlength=len(self.nodes))
-            bnodes = np.where(counts == 1)[0]
-            if len(bnodes) != 2:
-                raise MeshFailure(f"1D mesh has {len(bnodes)} endpoints, expected 2")
-            xs = self.nodes[bnodes, 0]
-            ends = np.array([bnodes[np.argmin(xs)], bnodes[np.argmax(xs)]])
-            self.boundary_facets = ends[:, None]
-            self.facet_normals = np.array([[-1.0], [1.0]])
-            self.facet_measures = np.ones(2)
-            holds = (self.cells[:, :, None] == ends).any(axis=1)
-            self.facet_cells = holds.argmax(axis=0)  # first cell holding each end
-            self.boundary_nodes = np.sort(ends)
-        else:
-            # edge k of cell ci runs from cells[ci, k] to cells[ci, (k + 1) % 3];
-            # a boundary edge is one whose (min, max) key occurs once
-            v0 = self.cells.ravel()
-            v1 = np.roll(self.cells, -1, axis=1).ravel()
-            n = len(self.nodes)
-            keys = np.minimum(v0, v1) * n + np.maximum(v0, v1)
-            uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-            if counts.max() > 2:
-                k = int(np.argmax(counts > 2))
-                key = divmod(int(uniq[k]), n)
-                raise MeshFailure(f"edge {key} shared by {counts[k]} cells")
-            once = first[counts == 1]
-            if len(once) == 0:
-                raise MeshFailure("2D mesh has no boundary edges")
-            a, b = self.nodes[v0[once]], self.nodes[v1[once]]
-            t = b - a
-            length = np.sqrt(_rowdot(t, t))
-            normals = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
-            centroid = self.nodes[self.cells[once // 3]].mean(axis=1)
-            normals[_rowdot(normals, 0.5 * (a + b) - centroid) < 0] *= -1.0
-            self.boundary_facets = np.column_stack([v0[once], v1[once]])
-            self.facet_normals = normals
-            self.facet_measures = length
-            self.facet_cells = once // 3
-            self.boundary_nodes = np.unique(self.boundary_facets.ravel())
-
-        mask = np.ones(len(self.nodes), dtype=bool)
-        mask[self.boundary_nodes] = False
-        self.interior_nodes = np.where(mask)[0]
+        # face k * ncells + ci is cell ci's vertices k, ..., k + dim - 1 (mod
+        # dim + 1); a boundary facet is a face whose (min, max) key occurs once
+        d, n, nc = self.dim, len(self.nodes), len(self.cells)
+        cols = [np.roll(self.cells.T, -k, axis=0).ravel() for k in range(d)]
+        keys = reduce(np.minimum, cols) * n + reduce(np.maximum, cols)
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        if counts.max() > 2:
+            k = int(np.argmax(counts > 2))
+            face = tuple(sorted(int(c[first[k]]) for c in cols))
+            raise MeshFailure(f"facet {face} shared by {counts[k]} cells")
+        once = first[counts == 1]
+        if d == 1 and len(once) != 2:
+            raise MeshFailure(f"1D mesh has {len(once)} endpoints, expected 2")
+        if len(once) == 0:
+            raise MeshFailure("mesh has no boundary facets")
+        self.boundary_facets = np.column_stack([c[once] for c in cols])
+        self.facet_cells = once % nc
+        # measure sqrt(det(T T^T)) and normal cross(T) / measure from the
+        # facet's edge vectors T (a point facet: 1 and +1), turned away from
+        # its cell's centroid
+        corners = _corners(self.nodes, self.boundary_facets)
+        t = corners[1:] - corners[:1]
+        self.facet_measures = np.sqrt(_det((t.transpose(2, 0, 1) @ t.T).T))
+        normals = (_cross(t) / self.facet_measures).T.copy()
+        centroid = _corners(self.nodes, self.cells[self.facet_cells]).mean(axis=0)
+        normals[_rowdot(normals, (corners.mean(axis=0) - centroid).T) < 0] *= -1.0
+        self.facet_normals = normals
+        self.boundary_nodes = np.unique(self.boundary_facets.ravel())
+        self.interior_nodes = np.delete(np.arange(n), self.boundary_nodes)
 
     # -- quadrature --------------------------------------------------------
 

@@ -61,12 +61,10 @@ def test_vertex_order_normalized():
     assert cw.volume() == pytest.approx(3.0, abs=1e-14)
 
 
-def test_bounding_box_and_diameter():
+def test_bounding_box():
     dom = vx.Domain.polygon(L_SHAPE)
     lo, hi = dom.bounding_box()
     assert np.allclose(lo, [0, 0]) and np.allclose(hi, [2, 2])
-    assert dom.diameter() == pytest.approx(np.sqrt(8.0))
-    assert vx.Domain.disk((1, 1), 0.5).diameter() == pytest.approx(1.0)
 
 
 def test_contains():

@@ -205,6 +205,23 @@ def test_read_mesh_rejects_unknown_node_in_cell(tmp_path, square_mesh):
         vx.read_mesh(path)
 
 
+def test_read_mesh_rejects_orphan_node(tmp_path, square_mesh):
+    # a node that no cell uses would count as interior, and its row of every
+    # stiffness matrix would be empty
+    path = tmp_path / "m.txt"
+    vx.write_mesh(square_mesh, path)
+    lines = path.read_text().splitlines()
+    dim, nn, nc, nf = lines[0].split()
+    lines[0] = f"{dim} {int(nn) + 1} {nc} {nf}"
+    lines.insert(1 + int(nn), f"{nn} 0.5 0.5")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(vx.MeshFailure, match=f"node {nn} belongs to no cell"):
+        vx.read_mesh(path)
+    nodes = np.vstack([square_mesh.nodes, [0.5, 0.5]])
+    with pytest.raises(vx.MeshFailure, match="belongs to no cell"):
+        vx.Mesh(nodes, square_mesh.cells)
+
+
 def test_degenerate_cell_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(vx.DegenerateCell):
@@ -398,14 +415,19 @@ SQUARE_DIGESTS = {
 }
 
 
+def mesh_digests(mesh, names):
+    """sha256 of the named Mesh attributes, methods (boundary_distance) called."""
+    def digest(name):
+        value = getattr(mesh, name)
+        value = value() if callable(value) else value
+        return hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+
+    return {name: digest(name) for name in names}
+
+
 def test_unit_square_mesh_bytes_pinned(unit_square):
     mesh = vx.build_mesh(unit_square, 0.1)
-    arrays = {name: getattr(mesh, name) for name in SQUARE_DIGESTS
-              if name != "boundary_distance"}
-    arrays["boundary_distance"] = mesh.boundary_distance()
-    digests = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-               for name, a in arrays.items()}
-    assert digests == SQUARE_DIGESTS
+    assert mesh_digests(mesh, SQUARE_DIGESTS) == SQUARE_DIGESTS
 
 
 # -- the 1D path, pinned like the square ------------------------------------
@@ -418,15 +440,6 @@ def nonuniform_interval_mesh():
     cells = np.column_stack([np.arange(13), np.arange(1, 14)])
     cells[::3] = cells[::3, ::-1]
     return vx.Mesh(x[:, None], cells[np.random.default_rng(7).permutation(13)])
-
-
-def mesh_digests(mesh, names):
-    arrays = {name: getattr(mesh, name) for name in names
-              if name not in ("boundary_distance", "h")}
-    arrays["boundary_distance"] = mesh.boundary_distance()
-    arrays["h"] = np.float64(mesh.h)
-    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-            for name, a in arrays.items()}
 
 
 # sha256 of two 1D meshes' arrays, mesh size and boundary distance: the
