@@ -1,5 +1,6 @@
 """Geometry kernel: volumes, membership queries, star-shape machinery."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -353,3 +354,88 @@ def test_degenerate_polygon_rejected():
         vx.Domain.polygon([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(vx.ConfigError):
         vx.Domain.disk((0, 0), 0.0)
+
+
+# -- every query of every kind pinned ----------------------------------------
+
+
+def pinned_domains():
+    """Four fixed and 20 random intervals (seed 0), six polygons (the C-shape
+    not star-shaped), a disk and a 3-ball."""
+    rng = np.random.default_rng(0)
+    ends = [(0.0, 1.0), (-1.0, 3.0), (2.0, 6.0), (0.0, 0.5)]
+    ends += [(a, a + w) for a, w in rng.uniform([-10.0, 0.01], [10.0, 10.0], (20, 2))]
+    ang = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    polygons = [[(0, 0), (1, 0), (1, 1), (0, 1)], L_SHAPE, [(0, 0), (2, 0), (2, 1), (0, 1)],
+                [(0, 0), (3, 0), (1.5, 2.0)], np.column_stack([np.cos(ang), np.sin(ang)]),
+                C_SHAPE]
+    return ([vx.Domain.interval(a, b) for a, b in ends]
+            + [vx.Domain.polygon(v) for v in polygons]
+            + [vx.Domain.disk((0.5, -0.25), 1.0), vx.Domain.ball((0.1, -0.2, 0.3), 1.5)])
+
+
+def probe_grid(dom, fractions):
+    """The points lo + (hi - lo) t of the bounding box, t over fractions on
+    every axis."""
+    lo, hi = dom.bounding_box()
+    axes = [lo[d] + (hi[d] - lo[d]) * np.asarray(fractions) for d in range(dom.dim)]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def query_values(dom):
+    """Each pinned query's values on dom, as float arrays.  The radius
+    centers keep clear of the boundary; boundary_distance is asked only at
+    points of the closed domain."""
+    probes = probe_grid(dom, [-0.25, 0.0, 0.3, 0.5, 0.7, 1.0, 1.25])
+    centers = probe_grid(dom, [-0.25, 0.3, 0.5, 0.7, 1.25])
+    directions = {1: [[1.0], [-2.5], [0.3]],
+                  2: [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-0.3, 2.0]],
+                  3: [[1.0, 0.0, 0.0], [0.5, -1.0, 2.0]]}[dom.dim]
+    try:
+        center = vx.find_star_center(dom)
+    except vx.NotStarShaped:
+        center = [np.nan]
+    values = {
+        "volume": [dom.volume()],
+        "bounding_box": np.concatenate(dom.bounding_box()),
+        "contains": dom.contains(probes),
+        "range_of_linear": [dom.range_of_linear(b) for b in directions],
+        "range_of_radius": [dom.range_of_radius(c) for c in centers],
+        "boundary_distance": [dom.boundary_distance(x)
+                              for x in vx.sample_points(dom, 8)],
+        "min_xdotnu": [vx.star_shape_report(dom, o).min_xdotnu for o in probes],
+        "find_star_center": center,
+    }
+    return {k: np.asarray(v, dtype=float).ravel() for k, v in values.items()}
+
+
+# sha256 of each query's values over pinned_domains(): the interval and
+# polygon paths must keep every bit of every nonzero value.  Zeros are hashed
+# as +0.0, since the dot product x . b that the polytope path takes gives +0.0
+# where the interval's plain product a b gave -0.0 (a = 0, b < 0).
+DOMAIN_QUERY_DIGESTS = {
+    "volume":
+        "af7db9f906245a4a1cf82be0ac2542fe68774356abbf4a98ef499aad3e5f3a87",
+    "bounding_box":
+        "19ac614f9e81a0d08bb4aabbd73902151443c1b175eb5bfd8bc4406d013c52ed",
+    "contains":
+        "a80347996577ef85d58269d21f713bbe358ab714d8ba6cfb3d5f1c85ef9a3e27",
+    "range_of_linear":
+        "d712e6f9416265fd4b383e8de9e19b6a47ec2c946be45f0cbc8aa6bb4afa7193",
+    "range_of_radius":
+        "fd452d207cb1fc67cb67dd9b15a32e1d3ce711da2ba3619779ffad9173e95bde",
+    "boundary_distance":
+        "460805599aa4a8f40fb98721f2e0ecc978d7ba555553f77c6ebe248ec00eff2e",
+    "min_xdotnu":
+        "e050d2319edc7e6e69e850826672dadb9a1e07ad57b3462084b04c0e9f853de4",
+    "find_star_center":
+        "9c31dd21bb5e27b3d4bb8684935ae56399c9894238edfc69b8bb623353b68e44",
+}
+
+
+def test_domain_queries_pinned():
+    per_domain = [query_values(dom) for dom in pinned_domains()]
+    got = {name: hashlib.sha256((np.concatenate([v[name] for v in per_domain])
+                                 + 0.0).tobytes()).hexdigest()
+           for name in per_domain[0]}
+    assert got == DOMAIN_QUERY_DIGESTS
