@@ -29,9 +29,9 @@ from .errors import (
     NonElliptic,
     NotStarShaped,
     VexlabError,
+    check_keys,
     config_number,
     read_nodal_file,
-    reject_unknown_keys,
 )
 from .exponents import (
     ConstantExponent,
@@ -117,7 +117,7 @@ def _load_config(path, scenario):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    reject_unknown_keys(cfg, SCENARIOS[scenario][1], f"{scenario} config")
+    check_keys(cfg, SCENARIOS[scenario][1], f"{scenario} config")
     return cfg, os.path.dirname(os.path.abspath(path))
 
 
@@ -138,7 +138,7 @@ def _solver_config(cfg, keys, seed):
     """SolveConfig from the "solver" block, limited to keys, and the seed."""
     data = cfg.get("solver", {})
     if isinstance(data, dict):
-        reject_unknown_keys(data, keys, "solver")
+        check_keys(data, keys, "solver")
         data = {**data, "seed": seed}
     return SolveConfig.from_dict(data)
 
@@ -151,20 +151,20 @@ def _build_field(spec, mesh, base_dir):
         raise ConfigError("field spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "zero":
-        reject_unknown_keys(spec, ("kind",), "zero field")
+        check_keys(spec, ("kind",), "zero field")
         return DiscreteField.zeros(mesh)
     if kind == "constant":
-        reject_unknown_keys(spec, ("kind", "value"), "constant field")
+        check_keys(spec, ("kind", "value"), "constant field")
         vals = np.full(mesh.nnodes, _number(spec, "value", 1.0))
         return DiscreteField(mesh, vals)
     if kind == "bump":
-        reject_unknown_keys(spec, ("kind", "amplitude"), "bump field")
+        check_keys(spec, ("kind", "amplitude"), "bump field")
         prof = mesh.boundary_distance()
         prof = prof / prof.max()
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * prof,
                              zero_trace=True)
     if kind == "product_sin":
-        reject_unknown_keys(spec, ("kind", "amplitude"), "product_sin field")
+        check_keys(spec, ("kind", "amplitude"), "product_sin field")
         lo = mesh.nodes.min(axis=0)
         hi = mesh.nodes.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
@@ -215,7 +215,7 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
     block, or None and {} for a field given in the config."""
     spec = _require(cfg, "candidate")
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
-        reject_unknown_keys(spec, ("kind",), "nehari candidate")
+        check_keys(spec, ("kind",), "nehari candidate")
         res = nehari_candidate(p, q, mesh, scfg)
         keys = ("descent_stop", "descent_iterations", "newton_iterations")
         return (res.field, res.diagnostics["stop"],
@@ -385,7 +385,7 @@ def _run_verdict(cfg, base_dir, out, seed):
 def _run_sweep(cfg, base_dir, out, seed):
     sw = _require(cfg, "sweep")
     sw = sw if isinstance(sw, dict) else {}
-    reject_unknown_keys(sw, ("parameter", "values"), "sweep")
+    check_keys(sw, ("parameter", "values"), "sweep")
     param = sw.get("parameter")
     if param not in ("p", "q"):
         raise ConfigError("sweep needs {'parameter': 'p'|'q', 'values': [..]}")

@@ -1,8 +1,10 @@
 """Domain geometry: intervals, polygons, disks, analytic balls.
 
-Domains carry the exact geometry (the mesh is built separately).  Star-shape
-queries are closed-form: per-facet for polygons, radial for disks/balls,
-endpoint for intervals.
+Domains carry the exact geometry (the mesh is built separately).  They come
+in two families: polytopes (intervals and polygons), stored as vertices and
+the outward unit normals of their facets, and round domains (disks and
+balls), stored as center and radius.  Star-shape queries are closed-form:
+per facet for polytopes, radial for round domains.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import ConfigError, NotStarShaped, config_number, reject_unknown_keys
+from .errors import ConfigError, NotStarShaped, check_keys, config_number
 
 _GEOM_TOL = 1e-10
 # Width of the band around the boundary that Domain.contains counts as inside.
@@ -25,6 +27,10 @@ _TRIPLE_CHUNK = 4096
 # find_star_center scores C(m, 3) vertices against m edges, O(m^4) work:
 # about 0.1 s at this many edges on one core, and 1 s at twice as many.
 _MAX_STAR_EDGES = 64
+# The geometry keys of each domain kind, all of them required.
+_KEYS = {"interval": ("a", "b"), "polygon": ("vertices",),
+         "disk": ("center", "radius"), "ball": ("center", "radius")}
+_ROUND = ("disk", "ball")
 
 
 @dataclass
@@ -47,20 +53,28 @@ class Domain:
     kinds: "interval" (a, b); "polygon" (simple: no two non-adjacent edges
     meet; vertices CCW); "disk" (center, radius, dim 2); "ball" (center,
     radius, any dim, analytic only, not meshable).
+
+    A polytope (interval or polygon) has vertices, (m, dim), and normals,
+    (m, dim): row i is the outward unit normal of facet i, which starts at
+    vertex i.  An interval's facets are its ends, [[a], [b]], with normals
+    [[-1], [1]]; a polygon's facet i is the edge from vertex i to vertex
+    i + 1.  A disk or ball has center and radius.
     """
 
     def __init__(self, kind, **geom):
+        if not isinstance(kind, str) or kind not in _KEYS:
+            raise ConfigError(f"unknown domain kind {kind!r}")
+        check_keys(geom, _KEYS[kind], f"{kind} domain", required=_KEYS[kind])
         self.kind = kind
         if kind == "interval":
-            reject_unknown_keys(geom, ("a", "b"), "interval domain")
             a = config_number(geom["a"], "interval end a")
             b = config_number(geom["b"], "interval end b")
             if not b > a:
                 raise ConfigError(f"interval needs b > a, got ({a}, {b})")
-            self.a, self.b = a, b
+            self.vertices = np.array([[a], [b]])
+            self.normals = np.array([[-1.0], [1.0]])
             self.dim = 1
         elif kind == "polygon":
-            reject_unknown_keys(geom, ("vertices",), "polygon domain")
             verts = config_number(geom["vertices"], "polygon vertices", ndim=2)
             if verts.shape[1] != 2:
                 raise ConfigError("polygon vertices must be two-dimensional")
@@ -75,9 +89,10 @@ class Domain:
                 raise ConfigError("polygon has (numerically) zero area")
             _check_simple(verts)
             self.vertices = verts
+            self.normals = np.array([_outward_normal(p, q)
+                                     for p, q in _polygon_edges(verts)])
             self.dim = 2
-        elif kind in ("disk", "ball"):
-            reject_unknown_keys(geom, ("center", "radius"), f"{kind} domain")
+        else:
             self.center = config_number(geom["center"], f"{kind} center", ndim=1)
             self.radius = config_number(geom["radius"], f"{kind} radius")
             if self.radius <= 0:
@@ -85,8 +100,6 @@ class Domain:
             self.dim = len(self.center)
             if kind == "disk" and self.dim != 2:
                 raise ConfigError("disk center must be 2-dimensional")
-        else:
-            raise ConfigError(f"unknown domain kind {kind!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -115,37 +128,32 @@ class Domain:
         kind = spec.pop("kind")
         if kind == "ball_analytic":
             kind = "ball"
-        try:
-            return cls(kind, **spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad domain spec for kind {kind!r}: {exc}") from exc
+        return cls(kind, **spec)
 
     # -- basic geometry ----------------------------------------------------
 
     def volume(self):
         """Analytic volume (length / area / N-volume) of the domain."""
         if self.kind == "interval":
-            return self.b - self.a
+            a, b = self.vertices[:, 0].tolist()
+            return b - a
         if self.kind == "polygon":
             return _shoelace(self.vertices)
-        # disk or ball
         n = self.dim
         return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * self.radius**n
 
     def bounding_box(self):
-        if self.kind == "interval":
-            return np.array([self.a]), np.array([self.b])
-        if self.kind == "polygon":
-            return self.vertices.min(axis=0), self.vertices.max(axis=0)
-        return self.center - self.radius, self.center + self.radius
+        if self.kind in _ROUND:
+            return self.center - self.radius, self.center + self.radius
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def contains(self, points):
         """Boolean mask: which points lie in the closed domain (or within
         _CONTAINS_TOL of it)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "interval":
-            x = pts[:, 0]
-            return (x >= self.a - _CONTAINS_TOL) & (x <= self.b + _CONTAINS_TOL)
+            x, (a, b) = pts[:, 0], self.vertices[:, 0].tolist()
+            return (x >= a - _CONTAINS_TOL) & (x <= b + _CONTAINS_TOL)
         if self.kind == "polygon":
             return _points_in_polygon(pts, self.vertices)
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius + _CONTAINS_TOL
@@ -155,37 +163,31 @@ class Domain:
     def range_of_linear(self, b):
         """(min, max) of x . b over the closed domain."""
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.kind == "interval":
-            vals = np.array([self.a * b[0], self.b * b[0]])
-            return float(vals.min()), float(vals.max())
-        if self.kind == "polygon":
-            vals = self.vertices @ b
-            return float(vals.min()), float(vals.max())
-        mid = float(self.center @ b)
-        spread = float(np.linalg.norm(b)) * self.radius
-        return mid - spread, mid + spread
+        if self.kind in _ROUND:
+            mid = float(self.center @ b)
+            spread = float(np.linalg.norm(b)) * self.radius
+            return mid - spread, mid + spread
+        vals = self.vertices @ b
+        return float(vals.min()), float(vals.max())
 
     def range_of_radius(self, center):
         """(min, max) of |x - center| over the closed domain."""
         c = np.atleast_1d(np.asarray(center, dtype=float))
-        if self.kind == "interval":
-            d0, d1 = abs(self.a - c[0]), abs(self.b - c[0])
-            rmin = 0.0 if self.a <= c[0] <= self.b else min(d0, d1)
-            return rmin, max(d0, d1)
-        if self.kind == "polygon":
-            rmax = float(np.linalg.norm(self.vertices - c, axis=1).max())
-            if bool(self.contains(c[None, :])[0]):
-                return 0.0, rmax
-            return self.boundary_distance(c), rmax
-        d = float(np.linalg.norm(c - self.center))
-        return max(0.0, d - self.radius), d + self.radius
+        if self.kind in _ROUND:
+            d = float(np.linalg.norm(c - self.center))
+            return max(0.0, d - self.radius), d + self.radius
+        rmax = float(np.linalg.norm(self.vertices - c, axis=1).max())
+        if bool(self.contains(c[None, :])[0]):
+            return 0.0, rmax
+        return self.boundary_distance(c), rmax
 
     def boundary_distance(self, point):
-        """Distance from a point of the closed domain to the boundary (for
-        a polygon, from any point)."""
+        """Distance to the boundary: from a polytope's nearest facet for any
+        point, and for a disk or ball, radius - |x - center|, from a point
+        of the closed domain."""
         x = np.atleast_1d(np.asarray(point, dtype=float))
         if self.kind == "interval":
-            return float(min(x[0] - self.a, self.b - x[0]))
+            return float(np.abs(self.vertices - x).min())
         if self.kind == "polygon":
             return min(_point_segment_distance(x, a, b)
                        for a, b in _polygon_edges(self.vertices))
@@ -194,17 +196,12 @@ class Domain:
     # -- star shape --------------------------------------------------------
 
     def _min_xdotnu(self, origin):
-        """min over the boundary of (x - origin) . nu (exact per kind)."""
+        """min over the boundary of (x - origin) . nu: per facet, at its
+        first vertex, for a polytope; radial for a disk or ball."""
         o = np.atleast_1d(np.asarray(origin, dtype=float))
-        if self.kind == "interval":
-            return min(o[0] - self.a, self.b - o[0])
-        if self.kind == "polygon":
-            vals = []
-            for a, b in _polygon_edges(self.vertices):
-                nu = _outward_normal(a, b)
-                vals.append(float((a - o) @ nu))
-            return min(vals)
-        return self.radius - float(np.linalg.norm(o - self.center))
+        if self.kind in _ROUND:
+            return self.radius - float(np.linalg.norm(o - self.center))
+        return min(float((v - o) @ nu) for v, nu in zip(self.vertices, self.normals))
 
 
 def star_shape_report(domain, origin):
@@ -236,15 +233,15 @@ def find_star_center(domain):
     Raises ConfigError above _MAX_STAR_EDGES edges, and NotStarShaped when
     even the best origin leaves min_xdotnu < 0.
     """
-    if domain.kind in ("disk", "ball"):
+    if domain.kind in _ROUND:
         return domain.center.copy()
     if domain.kind == "interval":
-        return np.array([0.5 * (domain.a + domain.b)])
+        return 0.5 * domain.vertices.sum(axis=0)
 
     if len(domain.vertices) > _MAX_STAR_EDGES:
         raise ConfigError(f"find_star_center takes polygons of at most "
                           f"{_MAX_STAR_EDGES} edges, got {len(domain.vertices)}")
-    nu = np.array([_outward_normal(a, b) for a, b in _polygon_edges(domain.vertices)])
+    nu = domain.normals
     rhs = np.sum(domain.vertices * nu, axis=1)
     best, kept = -np.inf, []
     for o, m in _lp_vertices(nu, rhs):
@@ -307,7 +304,7 @@ def _check_simple(verts):
     for i in range(len(verts) - 2):
         # edge i against the later edges not adjacent to it
         e, f = edges[:, i:i + 1], edges[:, i + 2:len(verts) - (i == 0)]
-        se, sf = _orient(f[0], f[1], e), _orient(e[0], e[1], f)
+        se, sf = np.sign(_orient(f[0], f[1], e)), np.sign(_orient(e[0], e[1], f))
         on_f = (se == 0) & np.all((f.min(0) <= e) & (e <= f.max(0)), axis=-1)
         on_e = (sf == 0) & np.all((e.min(0) <= f) & (f <= e.max(0)), axis=-1)
         meet = (se.prod(0) < 0) & (sf.prod(0) < 0) | on_f.any(0) | on_e.any(0)
@@ -317,9 +314,10 @@ def _check_simple(verts):
 
 
 def _orient(p, q, r):
-    """Sign of the cross product (q - p) x (r - p), broadcast over rows."""
+    """The cross product (q - p) x (r - p), broadcast over rows: positive
+    when r lies left of the line from p to q."""
     u, v = q - p, r - p
-    return np.sign(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _polygon_edges(verts):

@@ -52,11 +52,15 @@ class ConfigError(VexlabError):
     """Invalid or incomplete experiment configuration."""
 
 
-def reject_unknown_keys(spec, allowed, what):
-    """Raise ConfigError naming the keys of the dict spec not in allowed."""
-    unknown = set(spec) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+def check_keys(spec, allowed, what, required=()):
+    """Raise ConfigError naming the keys of the dict spec not in allowed and
+    the keys in required that spec lacks."""
+    unknown = sorted(set(spec) - set(allowed))
+    missing = [key for key in required if key not in spec]
+    named = [f"{label} keys {keys}"
+             for label, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if named:
+        raise ConfigError(f"{what}: {' and '.join(named)}")
 
 
 def config_number(value, what, integer=False, ndim=0):
@@ -88,7 +92,7 @@ def read_nodal_file(spec, base_dir, nnodes, what):
     """The nnodes finite numbers in the file a {"kind", "file"} spec names,
     relative to base_dir, as a float array; ConfigError naming the file,
     not its values, for anything else."""
-    reject_unknown_keys(spec, ("kind", "file"), what)
+    check_keys(spec, ("kind", "file"), what)
     name = spec.get("file")
     if not isinstance(name, str):
         raise ConfigError(f"{what} needs a 'file' string, got {name!r}")

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .domains import sample_points
-from .errors import (ConfigError, ExponentTooLarge, NonElliptic, config_number,
-                     read_nodal_file, reject_unknown_keys)
+from .errors import (ConfigError, ExponentTooLarge, NonElliptic, check_keys,
+                     config_number, read_nodal_file)
 from .fem import DiscreteField, field_on_quadrature, gradient
 
 _ELLIPTIC_EDGE = 1.0 + 1e-12
@@ -425,8 +425,5 @@ def exponent_from_spec(spec, mesh=None, base_dir=None):
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown exponent kind {kind!r}")
     cls, keys = _KINDS[kind]
-    reject_unknown_keys(spec, ("kind", *keys), f"{kind} exponent")
-    missing = [key for key in keys if key not in spec]
-    if missing:
-        raise ConfigError(f"{kind} exponent needs keys {missing}")
+    check_keys(spec, ("kind", *keys), f"{kind} exponent", required=keys)
     return cls(*(spec[key] for key in keys))

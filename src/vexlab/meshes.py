@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial import cKDTree
 
-from .domains import _point_segment_distance_many
+from .domains import _orient, _point_segment_distance_many
 from .errors import ConfigError, DegenerateCell, MeshFailure, NonFiniteIntegrand
 
 # Largest mesh build_mesh makes: 2^22 cells, 64 times the 65,536 cells of an
@@ -54,7 +54,7 @@ def _simplex_rule(nodes, simplices, measures):
     """_RULES mapped onto simplices of the given measures: points (ns, nq,
     dim), weights (ns, nq) and the rule's barycentric points (nq, nverts)."""
     bary, wref = _RULES[simplices.shape[1]]
-    pts = np.einsum("qv,svd->sqd", bary, nodes[simplices])
+    pts = np.einsum("qv,svd->sqd", bary, np.take(nodes, simplices, axis=0))
     return pts, measures[:, None] * wref[None, :], bary
 
 
@@ -289,9 +289,10 @@ def build_mesh(domain, h_target):
     if not (h_target > 0 and math.isfinite(h_target)):
         raise ConfigError(f"h_target must be positive and finite, got {h_target}")
     if domain.kind == "interval":
-        n = max(1, math.ceil(min((domain.b - domain.a) / h_target, _RATIO_CAP)))
+        a, b = domain.vertices[:, 0].tolist()
+        n = max(1, math.ceil(min((b - a) / h_target, _RATIO_CAP)))
         _check_cells(n)
-        nodes = np.linspace(domain.a, domain.b, n + 1)[:, None]
+        nodes = np.linspace(a, b, n + 1)[:, None]
         cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
         mesh = Mesh(nodes, cells)
         _check_volume(mesh, domain.volume())
@@ -366,8 +367,7 @@ def _ear_clip(verts):
         for k in range(m):
             corner = remaining[k - 1], remaining[k], remaining[(k + 1) % m]
             a, b, c = verts[list(corner)]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 1e-14:
+            if _orient(a, b, c) <= 1e-14:
                 continue
             others = [j for j in remaining if j not in corner]
             if np.any(_in_triangle(verts[others], a, b, c)):
@@ -382,10 +382,7 @@ def _ear_clip(verts):
 
 
 def _in_triangle(pts, a, b, c):
-    def side(p, q):
-        return (q[0] - p[0]) * (pts[:, 1] - p[1]) - (q[1] - p[1]) * (pts[:, 0] - p[0])
-
-    s1, s2, s3 = side(a, b), side(b, c), side(c, a)
+    s1, s2, s3 = _orient(a, b, pts), _orient(b, c, pts), _orient(c, a, pts)
     return (s1 > -_EAR_TOL) & (s2 > -_EAR_TOL) & (s3 > -_EAR_TOL)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import splu, spsolve
 
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
-                     config_number, reject_unknown_keys)
+                     check_keys, config_number)
 from .fem import (
     DiscreteField,
     _assemble,
@@ -83,7 +83,7 @@ class SolveConfig:
         if not isinstance(data, dict):
             raise ConfigError("solver config must be a JSON object")
         types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
-        reject_unknown_keys(data, types, "solver config")
+        check_keys(data, types, "solver config")
         cfg = cls(**{key: config_number(value, f"solver {key!r}",
                                         integer=types[key] in ("int", "tuple"),
                                         ndim=int(types[key] == "tuple"))

@@ -98,12 +98,12 @@ def test_range_of_radius():
     assert rmin == pytest.approx(1.0)
     assert rmax == pytest.approx(np.sqrt(4 + 0.25))
 
-    # Domain.boundary_distance, which the polygon branch above relies on,
-    # against the minimum over the boundary's edges
+    # Domain.boundary_distance, which the polytope arm above relies on,
+    # against the minimum over the boundary's facets
     assert sq.boundary_distance([2.0, 0.5]) == rmin
     interval = vx.Domain.interval(-1.0, 3.0)
-    for x in (-1.0, 0.25, 2.5, 3.0):
-        assert interval.boundary_distance([x]) == min(x + 1.0, 3.0 - x)
+    for x in (-3.5, -1.0, 0.25, 2.5, 3.0, 4.25):
+        assert interval.boundary_distance([x]) == min(abs(x + 1.0), abs(3.0 - x))
     shape = vx.Domain.polygon(L_SHAPE)
     edges = list(zip(shape.vertices, np.roll(shape.vertices, -1, axis=0)))
     for x in vx.sample_points(shape, 8):
@@ -119,6 +119,27 @@ def test_range_of_radius():
                        for a, b in zip(ring, np.roll(ring, -1, axis=0))], axis=0)
     got = [disk.boundary_distance(x) for x in pts]
     assert np.allclose(got, per_edge, rtol=0.0, atol=5e-6)
+
+
+def test_interval_is_the_one_dimensional_polytope():
+    unit = vx.Domain.interval(0.0, 1.0)
+    assert unit.vertices.tolist() == [[0.0], [1.0]]
+    assert unit.normals.tolist() == [[-1.0], [1.0]]
+    # the distance to the nearer end from any point, as a polygon's distance
+    # to its nearest edge
+    assert [unit.boundary_distance([x]) for x in (2.0, -0.5, 0.25)] == [1.0, 0.5, 0.25]
+    # a center within the contains band outside counts as inside, for an
+    # interval as for a polygon
+    assert unit.range_of_radius([1.0 + 1e-13]) == (0.0, 1.0 + 1e-13)
+    assert unit.range_of_radius([-2.0]) == (2.0, 3.0)
+    square = vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert square.range_of_radius([1.0 + 1e-13, 0.0])[0] == 0.0
+
+    # clockwise input is stored counterclockwise, each edge's normal
+    # pointing out of the L
+    shape = vx.Domain.polygon(L_SHAPE[::-1])
+    assert shape.vertices.tolist() == [list(v) for v in L_SHAPE]
+    assert shape.normals.tolist() == [[0, -1], [1, 0], [0, 1], [1, 0], [0, 1], [-1, 0]]
 
 
 def test_star_report_disk_and_square():
@@ -336,6 +357,20 @@ def test_from_spec():
             vx.Domain.from_spec(stray)
 
 
+def test_missing_and_unknown_keys_named():
+    with pytest.raises(vx.ConfigError,
+                       match=r"^interval domain: missing keys \['b'\]$"):
+        vx.Domain("interval", a=0)
+    with pytest.raises(vx.ConfigError,
+                       match=r"^polygon domain: missing keys \['vertices'\]$"):
+        vx.Domain.from_spec({"kind": "polygon"})
+    with pytest.raises(vx.ConfigError, match=r"^disk domain: unknown keys \['a'\] "
+                                             r"and missing keys \['radius'\]$"):
+        vx.Domain.from_spec({"kind": "disk", "center": [0, 0], "a": 0})
+    with pytest.raises(vx.ConfigError, match="unknown domain kind"):
+        vx.Domain.from_spec({"kind": ["interval"]})
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "interval", "a": 0.0, "b": float("inf")},
     {"kind": "interval", "a": float("-inf"), "b": 1.0},
@@ -364,14 +399,16 @@ def pinned_domains():
     not star-shaped), a disk and a 3-ball."""
     rng = np.random.default_rng(0)
     ends = [(0.0, 1.0), (-1.0, 3.0), (2.0, 6.0), (0.0, 0.5)]
-    ends += [(a, a + w) for a, w in rng.uniform([-10.0, 0.01], [10.0, 10.0], (20, 2))]
+    ends += [(a, a + w)
+             for a, w in rng.uniform([-10.0, 0.01], [10.0, 10.0], (20, 2))]
     ang = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
-    polygons = [[(0, 0), (1, 0), (1, 1), (0, 1)], L_SHAPE, [(0, 0), (2, 0), (2, 1), (0, 1)],
-                [(0, 0), (3, 0), (1.5, 2.0)], np.column_stack([np.cos(ang), np.sin(ang)]),
-                C_SHAPE]
+    polygons = [[(0, 0), (1, 0), (1, 1), (0, 1)], L_SHAPE,
+                [(0, 0), (2, 0), (2, 1), (0, 1)], [(0, 0), (3, 0), (1.5, 2.0)],
+                np.column_stack([np.cos(ang), np.sin(ang)]), C_SHAPE]
     return ([vx.Domain.interval(a, b) for a, b in ends]
             + [vx.Domain.polygon(v) for v in polygons]
-            + [vx.Domain.disk((0.5, -0.25), 1.0), vx.Domain.ball((0.1, -0.2, 0.3), 1.5)])
+            + [vx.Domain.disk((0.5, -0.25), 1.0),
+               vx.Domain.ball((0.1, -0.2, 0.3), 1.5)])
 
 
 def probe_grid(dom, fractions):

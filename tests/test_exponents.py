@@ -294,6 +294,15 @@ def test_exponent_spec_rejects_malformed(spec):
         vx.exponent_from_spec(spec)
 
 
+def test_exponent_spec_names_missing_and_unknown_keys():
+    with pytest.raises(vx.ConfigError, match=r"^affine exponent: unknown keys \['c'\] "
+                                             r"and missing keys \['b'\]$"):
+        vx.exponent_from_spec({"kind": "affine", "a": 2.0, "c": 0})
+    with pytest.raises(vx.ConfigError, match=r"^radial exponent: missing keys "
+                                             r"\['amp', 'center'\]$"):
+        vx.exponent_from_spec({"kind": "radial", "base": 2.0})
+
+
 @pytest.mark.parametrize("kind", ["affine", "radial", "tabulated"])
 def test_points_take_their_shape_from_dim(kind, square_mesh):
     field = {
