@@ -176,7 +176,9 @@ class Domain:
         if self.kind in _ROUND:
             d = float(np.linalg.norm(c - self.center))
             return max(0.0, d - self.radius), d + self.radius
-        rmax = float(np.linalg.norm(self.vertices - c, axis=1).max())
+        v = self.vertices - c  # scaled by a power of two: no overflow, same bits
+        e = np.frexp(np.abs(v).max())[1]
+        rmax = float(np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=1).max(), e))
         if bool(self.contains(c[None, :])[0]):
             return 0.0, rmax
         return self.boundary_distance(c), rmax
@@ -336,16 +338,11 @@ def _points_in_polygon(pts, verts):
     edges."""
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
+    for (xi, yi), (xj, yj) in zip(verts, np.roll(verts, 1, axis=0)):
         cond = (yi > y) != (yj > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xcross = (xj - xi) * (y - yi) / (yj - yi) + xi
         inside ^= cond & (x < xcross)
-        j = i
     for a, b in _polygon_edges(verts):
         inside |= _point_segment_distance_many(pts, a, b) <= _CONTAINS_TOL
     return inside

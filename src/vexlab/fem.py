@@ -196,12 +196,11 @@ def _mollifier_slices(mesh, radius):
     nv = mesh.cells.shape[1]
     lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
     keep = np.flatnonzero(mesh.boundary_distance() > radius + mesh.h + 1e-12)
-    tree = cKDTree(nodes)
     step = max(1, _MOLLIFY_PAIRS // mesh.nnodes)
     parts = np.split(keep, range(step, len(keep), step))
     for part in parts:
         pairs = cKDTree(nodes[part]).sparse_distance_matrix(
-            tree, radius, output_type="ndarray")
+            mesh._node_tree, radius, output_type="ndarray")
         row, col = pairs["i"], pairs["j"]
         d2 = sum((x[col] - x[part[row]]) ** 2 for x in nodes.T)
         wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]

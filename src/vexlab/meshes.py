@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .domains import _orient, _point_segment_distance_many
+from .domains import _orient
 from .errors import ConfigError, DegenerateCell, MeshFailure, NonFiniteIntegrand
 
 # Largest mesh build_mesh makes: 2^22 cells, 64 times the 65,536 cells of an
@@ -46,16 +47,20 @@ _RULES = {
 
 
 def _rowdot(u, v):
-    """Row-wise dot products, rounded as np.dot rounds each row on its own."""
+    """Row-wise dot products, rounded as np.dot rounds each row on its own.
+    A (k, 2) @ (2,) matvec with k >= 2 rounds each row as _rowdot does on
+    contiguous copies with both columns swapped (strided views may not)."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _simplex_rule(nodes, simplices, measures):
     """_RULES mapped onto simplices of the given measures: points (ns, nq,
-    dim), weights (ns, nq) and the rule's barycentric points (nq, nverts)."""
+    dim), weights (ns, nq) and the rule's barycentric points (nq, nverts);
+    points sum over the vertices from +0.0, in einsum's order."""
     bary, wref = _RULES[simplices.shape[1]]
-    pts = np.einsum("qv,svd->sqd", bary, np.take(nodes, simplices, axis=0))
-    return pts, measures[:, None] * wref[None, :], bary
+    corners = _corners(nodes, simplices)
+    pts = reduce(np.add, map(np.multiply.outer, bary.T, corners), 0.0)
+    return pts.transpose(2, 0, 1).copy(), measures[:, None] * wref[None, :], bary
 
 
 def _corners(nodes, simplices):
@@ -99,8 +104,8 @@ class Mesh:
     barycentric basis, shape (ncells, dim+1, dim)), boundary_facets with unit
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
-    cached: quadrature, facet quadrature, boundary distance, fem._assemble's
-    CSC pattern per node set and live exponents' quadrature samples.
+    cached: quadrature, facet quadrature, boundary distance, the nodes' kd-tree,
+    fem._assemble's CSC pattern per node set and live exponents' samples.
     """
 
     def __init__(self, nodes, cells):
@@ -142,21 +147,16 @@ class Mesh:
             self.cells = np.where(flip[:, None], self.cells[:, swap], self.cells)
             edges, det, cof = _cell_geometry(self.nodes, self.cells)
         self.cell_volumes = det / math.factorial(d)
-        self._check_degenerate()
+        vmax = float(self.cell_volumes.max())
+        if vmax <= 0 or np.any(self.cell_volumes < 1e-13 * vmax):
+            bad = int(np.argmin(self.cell_volumes))
+            raise DegenerateCell(f"cell {bad} has volume {self.cell_volumes[bad]:.3e}")
         grads = cof / det  # grads[k - 1]: the basis gradient of vertex k >= 1
         self.basis_grads = np.empty((len(det), d + 1, d))
         self.basis_grads[:, 0] = -reduce(np.add, grads).T
         self.basis_grads[:, 1:] = grads.transpose(2, 0, 1)
         self.volume = float(self.cell_volumes.sum())
         self.h = float(np.sqrt((edges * edges).sum(axis=1).max()))
-
-    def _check_degenerate(self):
-        vmax = float(self.cell_volumes.max())
-        if vmax <= 0 or np.any(self.cell_volumes < 1e-13 * vmax):
-            bad = int(np.argmin(self.cell_volumes))
-            raise DegenerateCell(
-                f"cell {bad} has volume {self.cell_volumes[bad]:.3e}"
-            )
 
     def _find_boundary(self):
         # face k * ncells + ci is cell ci's vertices k, ..., k + dim - 1 (mod
@@ -212,44 +212,48 @@ class Mesh:
                                              self.facet_measures)[:2]
         return self._facet_quad
 
+    @cached_property
+    def _node_tree(self):  # fem.mollify's pair search
+        return cKDTree(self.nodes)
+
     def boundary_distance(self):
         """Distance from each node to the boundary (cached)."""
-        if self._bdist is None:
-            if self.dim == 1:
-                xs = self.nodes[:, 0]
-                xb = self.nodes[self.boundary_nodes, 0]
-                self._bdist = np.minimum.reduce([np.abs(xs - x) for x in xb])
-            else:
-                self._bdist = self._facet_distance()
+        if self._bdist is None:  # in 1D, to the nearer end
+            self._bdist = (self._facet_distance() if self.dim == 2 else np.abs(
+                self.nodes - self.nodes[self.boundary_nodes].T).min(axis=1))
         return self._bdist
 
     def _facet_distance(self):
-        """Distance from each node to the nearest boundary facet (2D).
+        """Distance from each node x to the nearest boundary facet (2D).
 
-        The distance d_v(x) to the nearest boundary vertex bounds the distance
-        to the boundary, so the nearest facet's midpoint lies within d_v(x) +
-        (its length) / 2 of x: each facet is measured only at such nodes.
+        It is at most d_v, the distance to the nearest boundary vertex v.  If
+        the nearest facet's point p closest to x lies inside it, x - p is
+        normal to the facet, so its midpoint lies within reach = sqrt(d_v^2 +
+        half^2) of x: among the 3 nearest midpoints, or else found by a ball
+        query.  Otherwise p is v.  t rounds as one facet's matvec: see _rowdot.
         """
-        ends = self.nodes[self.boundary_facets]
+        nodes, n, bn = self.nodes, len(self.nodes), self.boundary_nodes
+        a = nodes[self.boundary_facets[:, 0]]
+        ab = nodes[self.boundary_facets[:, 1]] - a
         half = 0.5 * self.facet_measures.max()
-        slack = 1e-9 * (half + np.abs(self.nodes).max())
-        d_v = cKDTree(self.nodes[self.boundary_nodes]).query(self.nodes)[0]
-        near = cKDTree(ends.mean(axis=1)).query_ball_point(
-            self.nodes, d_v + half + slack, return_sorted=False
-        )
-        counts = [len(f) for f in near]
-        node = np.repeat(np.arange(len(self.nodes)), counts)
-        facet = np.fromiter(chain.from_iterable(near), np.int64, sum(counts))
-        order = np.argsort(facet, kind="stable")
-        node = node[order]
-        cut = np.searchsorted(facet[order], np.arange(len(ends) + 1))
-        d = np.full(len(self.nodes), np.inf)
-        # each facet reaches its own two endpoints, and numpy rounds a
-        # (1, 2) @ (2,) product unlike the same row of a longer array
-        for (a, b), lo, hi in zip(ends, cut[:-1], cut[1:]):
-            near_f = node[lo:hi]
-            dist = _point_segment_distance_many(self.nodes[near_f], a, b)
-            np.minimum.at(d, near_f, dist)
+        slack = 1e-9 * (half + np.abs(nodes).max())
+        d_v, v = cKDTree(nodes[bn]).query(nodes)
+        reach = np.sqrt(d_v * d_v + half * half) + slack
+        tree = cKDTree(a + 0.5 * ab)
+        dist, near3 = tree.query(nodes, k=3)
+        more = np.flatnonzero(dist[:, -1] <= reach)  # the third is within reach
+        wide = tree.query_ball_point(nodes[more], reach[more])
+        fv = np.searchsorted(bn, self.boundary_facets).ravel()  # facet f: 2f, 2f+1
+        at_v = sparse.csr_matrix((np.ones(fv.size), (fv, np.r_[: fv.size] // 2)))[v]
+        node, k = np.nonzero(dist <= reach[:, None])
+        facet = np.r_[near3[node, k], np.fromiter(chain(*wide), np.int64), at_v.indices]
+        node = np.r_[node, np.repeat(more, [len(f) for f in wide]),
+                     np.repeat(np.r_[:n], np.diff(at_v.indptr))]
+        x, a, ab, ab2 = nodes[node], a[facet], ab[facet], _rowdot(ab, ab)[facet]
+        t = _rowdot((x - a)[:, ::-1].copy(), ab[:, ::-1].copy()) / ab2
+        x -= a + np.clip(t, 0.0, 1.0)[:, None] * ab
+        d = np.full(n, np.inf)
+        np.minimum.at(d, node, np.sqrt((x * x).sum(axis=1)))
         return d
 
     def divergence_check(self):

@@ -83,12 +83,13 @@ def gradient_modular(u, p):
 def _log_sum_exp(l, e, s):
     """log sum exp(l + e s), its derivative in s (the exp-weighted mean of
     e) and |max| + log(sum), the magnitude that sets its roundoff."""
-    x = l + e * s
+    x = e * s  # one array, worked in place: l + e s, then exp(x - max)
+    x += l
     m = x.max()
-    wts = np.exp(x - m)
-    tot = wts.sum()
+    np.exp(np.subtract(x, m, out=x), out=x)
+    tot = x.sum()
     r = np.log(tot)
-    return m + r, float(wts @ e) / tot, abs(m) + r
+    return m + r, float(x @ e) / tot, abs(m) + r
 
 
 def _balance_root(la, pa, lb, qb):
@@ -211,8 +212,7 @@ def holder_check(u, v, p):
     lhs = abs(float(np.sum(w * uq * vq)))
 
     pq = p.eval_on_quadrature(mesh)
-    pc = conjugate(p)
-    pcq = pc.eval_on_quadrature(mesh)
+    pcq = conjugate(p).eval_on_quadrature(mesh)
     norm_u = _luxemburg_from_samples(np.abs(uq), pq, w)
     norm_v = _luxemburg_from_samples(np.abs(vq), pcq, w)
 

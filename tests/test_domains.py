@@ -134,6 +134,11 @@ def test_interval_is_the_one_dimensional_polytope():
     assert unit.range_of_radius([-2.0]) == (2.0, 3.0)
     square = vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert square.range_of_radius([1.0 + 1e-13, 0.0])[0] == 0.0
+    # rmax through a norm scaled by a power of two: it neither overflows nor
+    # underflows where the plain norm of the vertex offsets would
+    assert vx.Domain.interval(0.0, 1e200).range_of_radius([0.0]) == (0.0, 1e200)
+    tiny = vx.Domain.interval(0.0, 1e-170).range_of_radius([-1e-171])
+    assert tiny == (0.0, 1e-170 + 1e-171)
 
     # clockwise input is stored counterclockwise, each edge's normal
     # pointing out of the L

@@ -377,6 +377,72 @@ def test_boundary_distance_matches_all_facets(oracle_mesh):
     assert np.array_equal(d, ref_boundary_distance(oracle_mesh))
 
 
+def long_facet_strip():
+    """Rows of short facets over a bottom facet of length 1: from the nodes
+    just above it, the three nearest facet midpoints are short facets'."""
+    x = np.linspace(0.0, 1.0, 21)
+    rows = [np.column_stack([x, np.full(21, y)]) for y in (0.05, 0.1, 0.15, 0.2)]
+    nodes = np.vstack([[[0.0, 0.0], [1.0, 0.0]], *rows])  # row r, column j: 2 + 21r + j
+    j = np.arange(20)
+    cells = [[[0, 1, 22]], np.column_stack([np.zeros(20, int), 3 + j, 2 + j])]
+    for a in (2 + 21 * r + j for r in range(3)):
+        cells += [np.column_stack([a, a + 1, a + 22]),
+                  np.column_stack([a, a + 22, a + 21])]
+    return vx.Mesh(nodes, np.vstack(cells))
+
+
+def test_boundary_distance_bowtie_strip_and_off_center_disk():
+    # two refined triangles meeting at one vertex, which has four facets; a
+    # strip whose nearest facet lies beyond the three nearest midpoints; and
+    # a disk whose center is not the origin
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]])
+    cells = np.array([[0, 1, 2], [2, 4, 3]])
+    for _ in range(3):
+        nodes, cells = meshes._refine_red(nodes, cells)
+    bowtie = vx.Mesh(nodes, cells)
+    pinch = int(np.flatnonzero(np.all(bowtie.nodes == 0.5, axis=1))[0])
+    assert np.sum(bowtie.boundary_facets == pinch) == 4
+    strip = long_facet_strip()
+    assert strip.facet_measures.max() == 1.0
+    disk = vx.build_mesh(vx.Domain.disk((0.4, -0.3), 1.7), 0.05)
+    for mesh in (bowtie, strip, disk):
+        assert np.array_equal(mesh.boundary_distance(), ref_boundary_distance(mesh))
+    # the nodes just above the long facet are nearest to it
+    assert np.allclose(strip.boundary_distance()[3:22], 0.05, rtol=1e-13, atol=0.0)
+
+
+def test_matvec_rounds_as_swapped_rowdot():
+    # _facet_distance measures many facets at once through this identity:
+    # the (k, 2) @ (2,) matvec of k >= 2 rows rounds each row as _rowdot does
+    # on contiguous column-swapped copies, and a single row as _rowdot does
+    # unswapped.  A numpy or BLAS change that breaks it fails here first.
+    rng = np.random.default_rng(7)
+    for k in range(1, 65):
+        d = rng.standard_normal((k, 2)) * rng.uniform(0.01, 100.0, (k, 1))
+        ab = rng.standard_normal(2)
+        rows = np.tile(ab, (k, 1))
+        if k == 1:
+            assert np.array_equal(d @ ab, meshes._rowdot(d, rows))
+        else:
+            assert np.array_equal(
+                d @ ab, meshes._rowdot(d[:, ::-1].copy(), rows[:, ::-1].copy()))
+
+
+@pytest.mark.parametrize("nverts", [1, 2, 3])
+def test_simplex_rule_matches_einsum(nverts):
+    rng = np.random.default_rng(nverts)
+    nodes = rng.standard_normal((40, 1 if nverts == 1 else 2))
+    nodes[3] = -0.0
+    simplices = rng.integers(0, 40, (200, nverts))
+    simplices[:5] = 3  # simplices at the -0.0 node only
+    measures = rng.uniform(0.1, 1.0, 200)
+    pts, w, bary = meshes._simplex_rule(nodes, simplices, measures)
+    ref = np.einsum("qv,svd->sqd", bary, nodes[simplices])
+    assert pts.flags.c_contiguous
+    assert pts.tobytes() == ref.tobytes()  # -0.0 summed from +0.0 as well
+    assert np.array_equal(w, measures[:, None] * meshes._RULES[nverts][1])
+
+
 def test_clockwise_cells_reoriented(square_mesh):
     clockwise = square_mesh.cells[:, [0, 2, 1]]
     given = clockwise.copy()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vexlab as vx
+from vexlab.modular import _log_sum_exp
 
 
 def affine_p():
@@ -236,6 +237,24 @@ def test_luxemburg_rejects_non_finite(interval_mesh, rng):
             vx.gradient_luxemburg_norm(u, p)
         with pytest.raises(vx.NonFiniteIntegrand):
             vx.verify_modular_relations(u, p)
+
+
+def test_log_sum_exp_matches_plain_formula():
+    # _log_sum_exp works in one array in place; the formula it replaced,
+    # with its temporaries, must give the same bits
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 1000):
+        l = rng.standard_normal(n) * 30.0
+        e = rng.uniform(-4.0, 4.0, n)
+        for s in (0.0, 0.37, -0.37, 5.0):
+            x = l + e * s
+            m = x.max()
+            wts = np.exp(x - m)
+            tot = wts.sum()
+            r = np.log(tot)
+            want = (m + r, float(wts @ e) / tot, abs(m) + r)
+            got = _log_sum_exp(l, e, s)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 # float.hex of the modular and Holder reports on the L-shape at h = 0.1 with
