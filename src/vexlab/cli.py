@@ -39,7 +39,7 @@ from .exponents import (
     exponent_from_spec,
     log_holder_estimate,
 )
-from .fem import DiscreteField
+from .fem import DiscreteField, _bump_profile
 from .meshes import build_mesh, write_mesh
 from .modular import (gradient_modular, holder_check, luxemburg_norm, modular,
                       verify_modular_relations)
@@ -159,8 +159,7 @@ def _build_field(spec, mesh, base_dir):
         return DiscreteField(mesh, vals)
     if kind == "bump":
         check_keys(spec, ("kind", "amplitude"), "bump field")
-        prof = mesh.boundary_distance()
-        prof = prof / prof.max()
+        prof = _bump_profile(mesh)
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * prof,
                              zero_trace=True)
     if kind == "product_sin":

@@ -83,7 +83,10 @@ class Domain:
             verts = verts[np.any(verts != np.roll(verts, -1, axis=0), axis=1)]
             if len(verts) < 3:
                 raise ConfigError("polygon needs >= 3 distinct vertices")
-            if _shoelace(verts) < 0:
+            area = _shoelace(verts)
+            if not math.isfinite(area):
+                raise ConfigError(f"polygon area {area} is not finite")
+            if area < 0:
                 verts = verts[::-1].copy()
             if abs(_shoelace(verts)) < _GEOM_TOL:
                 raise ConfigError("polygon has (numerically) zero area")
@@ -295,7 +298,8 @@ def sample_points(domain, resolution=64):
 
 def _shoelace(verts):
     x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    with np.errstate(over="ignore", invalid="ignore"):  # Domain refuses inf, nan
+        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _check_simple(verts):

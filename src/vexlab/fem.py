@@ -66,6 +66,12 @@ class DiscreteField:
             raise ConfigError("fields live on different meshes")
 
 
+def _bump_profile(mesh):
+    """The boundary distance over its maximum; zeros if no node is interior."""
+    d = mesh.boundary_distance()
+    return d / d.max() if d.max() > 0 else np.zeros_like(d)
+
+
 def gradient(u):
     """Exact per-cell gradient of a P1 field, (nc, dim)."""
     return _cell_gradients(u.mesh, u.values[u.mesh.cells])

@@ -16,7 +16,6 @@ from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .domains import _orient
@@ -217,43 +216,36 @@ class Mesh:
         return cKDTree(self.nodes)
 
     def boundary_distance(self):
-        """Distance from each node to the boundary (cached)."""
-        if self._bdist is None:  # in 1D, to the nearer end
-            self._bdist = (self._facet_distance() if self.dim == 2 else np.abs(
-                self.nodes - self.nodes[self.boundary_nodes].T).min(axis=1))
-        return self._bdist
+        """Distance from each node x to the boundary (cached).
 
-    def _facet_distance(self):
-        """Distance from each node x to the nearest boundary facet (2D).
-
-        It is at most d_v, the distance to the nearest boundary vertex v.  If
-        the nearest facet's point p closest to x lies inside it, x - p is
-        normal to the facet, so its midpoint lies within reach = sqrt(d_v^2 +
-        half^2) of x: among the 3 nearest midpoints, or else found by a ball
-        query.  Otherwise p is v.  t rounds as one facet's matvec: see _rowdot.
+        d_v, the distance to the nearest boundary vertex, is the answer where
+        facets are points and an upper bound where they are segments.  If a
+        segment's point p nearest x lies inside it, x - p is normal to it, so
+        its midpoint lies within reach = sqrt(d_v^2 + half^2) of x, and that
+        segment lowers d_v: it is among the 3 nearest midpoints or in a ball
+        query.  Else p is a vertex.  t rounds as one facet's matvec: _rowdot.
         """
-        nodes, n, bn = self.nodes, len(self.nodes), self.boundary_nodes
-        a = nodes[self.boundary_facets[:, 0]]
-        ab = nodes[self.boundary_facets[:, 1]] - a
-        half = 0.5 * self.facet_measures.max()
-        slack = 1e-9 * (half + np.abs(nodes).max())
-        d_v, v = cKDTree(nodes[bn]).query(nodes)
-        reach = np.sqrt(d_v * d_v + half * half) + slack
-        tree = cKDTree(a + 0.5 * ab)
-        dist, near3 = tree.query(nodes, k=3)
-        more = np.flatnonzero(dist[:, -1] <= reach)  # the third is within reach
-        wide = tree.query_ball_point(nodes[more], reach[more])
-        fv = np.searchsorted(bn, self.boundary_facets).ravel()  # facet f: 2f, 2f+1
-        at_v = sparse.csr_matrix((np.ones(fv.size), (fv, np.r_[: fv.size] // 2)))[v]
-        node, k = np.nonzero(dist <= reach[:, None])
-        facet = np.r_[near3[node, k], np.fromiter(chain(*wide), np.int64), at_v.indices]
-        node = np.r_[node, np.repeat(more, [len(f) for f in wide]),
-                     np.repeat(np.r_[:n], np.diff(at_v.indptr))]
-        x, a, ab, ab2 = nodes[node], a[facet], ab[facet], _rowdot(ab, ab)[facet]
-        t = _rowdot((x - a)[:, ::-1].copy(), ab[:, ::-1].copy()) / ab2
-        x -= a + np.clip(t, 0.0, 1.0)[:, None] * ab
-        d = np.full(n, np.inf)
-        np.minimum.at(d, node, np.sqrt((x * x).sum(axis=1)))
+        if self._bdist is not None:
+            return self._bdist
+        nodes, facets = self.nodes, self.boundary_facets
+        d = cKDTree(nodes[self.boundary_nodes]).query(nodes)[0]
+        if facets.shape[1] == 2:
+            a = nodes[facets[:, 0]]
+            ab = nodes[facets[:, 1]] - a
+            half = 0.5 * self.facet_measures.max()
+            reach = np.sqrt(d * d + half * half) + 1e-9 * (half + np.abs(nodes).max())
+            tree = cKDTree(a + 0.5 * ab)
+            dist, near3 = tree.query(nodes, k=3)
+            more = np.flatnonzero(dist[:, -1] <= reach)  # the third is within reach
+            wide = tree.query_ball_point(nodes[more], reach[more])
+            node, k = np.nonzero(dist <= reach[:, None])
+            facet = np.r_[near3[node, k], np.fromiter(chain(*wide), np.int64)]
+            node = np.r_[node, np.repeat(more, [len(f) for f in wide])]
+            x, a, ab, ab2 = nodes[node], a[facet], ab[facet], _rowdot(ab, ab)[facet]
+            t = _rowdot((x - a)[:, ::-1].copy(), ab[:, ::-1].copy()) / ab2
+            x -= a + np.clip(t, 0.0, 1.0)[:, None] * ab
+            np.minimum.at(d, node, np.sqrt((x * x).sum(axis=1)))
+        self._bdist = d
         return d
 
     def divergence_check(self):

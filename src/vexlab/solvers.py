@@ -22,6 +22,7 @@ from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoo
 from .fem import (
     DiscreteField,
     _assemble,
+    _bump_profile,
     _cell_mass,
     _cell_stiffness,
     _load_vector,
@@ -518,10 +519,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
         gmag = np.linalg.norm(g, axis=1)[:, None]
         return _nehari_scale(gmag, np.abs(zq), logw, pq, qq) * zvals
 
-    bump = mesh.boundary_distance()
-    bump = bump / bump.max()
-    u = bump * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.nnodes))
-    u[mesh.boundary_nodes] = 0.0
+    u = _bump_profile(mesh) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.nnodes))
     u = project(u)
 
     K = splu(_assemble(mesh, _cell_stiffness(mesh), free))

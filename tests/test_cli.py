@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import tempfile
+import warnings
 from math import inf, nan
 from pathlib import Path
 
@@ -292,6 +293,29 @@ def test_bad_origin_exits_2_before_the_candidate(tmp_path, capsys, monkeypatch,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain, h", [
+    (UNIT_INTERVAL, 1.0),
+    ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}, 2.0),
+], ids=["one_cell", "one_triangle"])
+@pytest.mark.parametrize("kind, code", [("nehari", 3), ("bump", 0)])
+def test_mesh_without_interior_node(tmp_path, capsys, domain, h, kind, code):
+    # every node is on the boundary: the bump field is zero and the Nehari
+    # candidate has no scaling root, and neither warns
+    cfg = write_config(tmp_path, "cfg.json", {
+        "domain": domain, "h": h, "p": {"kind": "constant", "value": 2.0},
+        "q": {"kind": "constant", "value": 4.0}, "candidate": {"kind": kind}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code = main(["pohozaev", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exit_code == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    if kind == "bump":
+        mesh = vx.build_mesh(vx.Domain.from_spec(domain), h)
+        bump = _build_field({"kind": kind}, mesh, str(tmp_path)).values
+        assert bump.tobytes() == np.zeros(mesh.nnodes).tobytes()
+
+
 def test_library_error_exits_3(tmp_path, capsys):
     # p = q = 2 leaves the Nehari scaling projection without a root
     cfg = write_config(tmp_path, "cascade.json",
@@ -477,6 +501,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_polygon_with_overflowing_area_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bad.json",
+                       polygon_solve([[0, 0], [1e200, 0], [0, 1e200]]))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: polygon area inf is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, payload, key", [

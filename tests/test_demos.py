@@ -14,6 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # tier-1's warning policy, which a subprocess does not inherit
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -227,6 +227,17 @@ def test_closed_ring_polygon_drops_repeated_vertex():
         vx.Domain.polygon([(0, 0), (1, 0), (1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("verts, area", [
+    ([(0, 0), (1e200, 0), (0, 1e200)], "inf"),
+    ([(1e200, 1e200), (2e200, 1e200), (1e200, 2e200)], "nan"),
+])
+def test_polygon_with_overflowing_area_refused(verts, area):
+    # a shoelace term overflows; the polygon is refused, with no warning,
+    # before its simplicity check and its edge normals run
+    with pytest.raises(vx.ConfigError, match=f"polygon area {area} is not finite"):
+        vx.Domain.polygon(verts)
+
+
 def segments_meet(p, q, r, s):
     """Whether the closed segments pq and rs of integer points share a
     point, in exact arithmetic: the crossing parameters of their lines, or,

@@ -412,7 +412,7 @@ def test_boundary_distance_bowtie_strip_and_off_center_disk():
 
 
 def test_matvec_rounds_as_swapped_rowdot():
-    # _facet_distance measures many facets at once through this identity:
+    # boundary_distance measures many facets at once through this identity:
     # the (k, 2) @ (2,) matvec of k >= 2 rows rounds each row as _rowdot does
     # on contiguous column-swapped copies, and a single row as _rowdot does
     # unswapped.  A numpy or BLAS change that breaks it fails here first.
@@ -568,6 +568,21 @@ def test_interval_mesh_bytes_pinned(name, interval):
             else nonuniform_interval_mesh())
     pins = INTERVAL_DIGESTS[name]
     assert mesh_digests(mesh, pins) == pins
+
+
+def test_interval_boundary_distance_is_the_nearer_end():
+    # one path for every mesh: where facets are points, the distance to the
+    # nearest boundary vertex is the answer, and it has the bytes of the
+    # plain formula on offset, scaled and graded intervals
+    rng = np.random.default_rng(3)
+    ends = [(0.0, 1.0), (-1.0, 3.0), (2.5, 2.501), (-7e4, 2.3e5), (1e-6, 3e-6)]
+    ends += [(a, a + w) for a, w in zip(rng.normal(0.0, 100.0, 20),
+                                        10.0 ** rng.uniform(-3.0, 3.0, 20))]
+    cases = [vx.build_mesh(vx.Domain.interval(a, b), (b - a) / n)
+             for a, b in ends for n in (1, 2, 7, 50, 333)]
+    for mesh in [*cases, nonuniform_interval_mesh()]:
+        plain = np.abs(mesh.nodes - mesh.nodes[mesh.boundary_nodes].T).min(axis=1)
+        assert mesh.boundary_distance().tobytes() == plain.tobytes()
 
 
 def test_reversed_interval_cells_reoriented(interval_mesh):

@@ -3,6 +3,7 @@ scaling-manifold candidate generator."""
 
 import dataclasses
 import hashlib
+import warnings
 from math import inf, nan
 
 import numpy as np
@@ -613,6 +614,24 @@ def test_nehari_rejects_subcritical_pairing(interval_mesh):
     with pytest.raises(vx.NoScalingRoot):
         vx.nehari_candidate(vx.AffineExponent(2.0, [1.0]),
                             vx.AffineExponent(2.5, [1.0]), interval_mesh)
+
+
+# Meshes whose nodes all lie on the boundary: one cell of [0, 1], and a
+# triangle meshed with h above its longest edge.
+NO_INTERIOR = {"one_cell": (vx.Domain.interval(0.0, 1.0), 1.0),
+               "one_triangle": (vx.Domain.polygon([(0, 0), (1, 0), (0, 1)]), 2.0)}
+
+
+@pytest.mark.parametrize("name", sorted(NO_INTERIOR))
+def test_nehari_without_interior_node_has_no_root(name):
+    mesh = vx.build_mesh(*NO_INTERIOR[name])
+    assert mesh.interior_nodes.size == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = fem._bump_profile(mesh)
+        with pytest.raises(vx.NoScalingRoot, match="zero field"):
+            vx.nehari_candidate(P2, vx.ConstantExponent(4.0), mesh)
+    assert profile.tobytes() == np.zeros(mesh.nnodes).tobytes()
 
 
 def test_nehari_collapse_guard(interval_mesh, monkeypatch):
