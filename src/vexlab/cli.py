@@ -164,8 +164,7 @@ def _build_field(spec, mesh, base_dir):
                              zero_trace=True)
     if kind == "product_sin":
         check_keys(spec, ("kind", "amplitude"), "product_sin field")
-        lo = mesh.nodes.min(axis=0)
-        hi = mesh.nodes.max(axis=0)
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         vals = np.prod(np.sin(np.pi * (mesh.nodes - lo) / span), axis=1)
         return DiscreteField(mesh, _number(spec, "amplitude", 1.0) * vals,
@@ -189,10 +188,7 @@ def _exponent(cfg, key, domain, mesh, base_dir):
 
 def _setup(cfg, base_dir, need_mesh=True):
     domain = Domain.from_spec(_require(cfg, "domain"))
-    mesh = None
-    if need_mesh:
-        h = _number(cfg, "h", 0.05)
-        mesh = build_mesh(domain, h)
+    mesh = build_mesh(domain, _number(cfg, "h", 0.05)) if need_mesh else None
     p = _exponent(cfg, "p", domain, mesh, base_dir)
     q = _exponent(cfg, "q", domain, mesh, base_dir)
     return domain, mesh, p, q
@@ -375,8 +371,7 @@ def _run_verdict(cfg, base_dir, out, seed):
     origin = _origin_for(cfg, domain) if "origin" in cfg else None
     rep = nonexistence_verdict(domain, p, q, N=N, origin=origin,
                                tol=_number(cfg, "tol", 1e-9))
-    payload = {"scenario": "verdict"}
-    payload.update(rep.as_dict())
+    payload = {"scenario": "verdict", **rep.as_dict()}
     _write_json(os.path.join(out, "verdict.json"), payload)
     return 0
 

@@ -331,9 +331,10 @@ def _polygon_edges(verts):
 
 
 def _outward_normal(a, b):
-    """Unit outward normal of edge a->b of a CCW polygon (interior on the left)."""
+    """Unit outward normal of edge a->b of a CCW polygon (interior on the left),
+    normed after an exact scaling by a power of two, so no square overflows."""
     t = b - a
-    n = np.array([t[1], -t[0]])
+    n = np.ldexp([t[1], -t[0]], -np.frexp(np.abs(t).max())[1])
     return n / np.linalg.norm(n)
 
 

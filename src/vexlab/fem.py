@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spilu, spsolve
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
@@ -220,15 +220,18 @@ def _mollifier_slices(mesh, radius):
 
 
 def _assemble(mesh, elem, free):
-    """Sum per-cell (nv, nv) blocks elem into a CSC matrix over the sorted
-    nodes free, bit for bit the COO -> CSR sum sliced to free and turned to
-    CSC.  One bincount fills the pattern cached on the mesh for that node set:
-    slot lists the free-free terms in the order COO -> CSR sums them (stable
-    by row, then sort_indices' unstable sort of each row), target their CSC
-    entries."""
+    """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into a CSC
+    matrix M with its columns in SuperLU's default order for the pattern (its
+    COLAMD and etree postorder), and return (M, perm).  M[:, perm] is the
+    COO -> CSR sum sliced to free and turned to CSC, and a solve on M with
+    permc_spec="NATURAL" taken at perm is its default solve, bit for bit.
+    One bincount fills the pattern cached on the mesh for that node set: slot
+    lists the free-free terms in the order COO -> CSR sums them (stable by
+    row, then sort_indices' unstable sort of each row), target their entries.
+    The order reads the structure alone, so a probe on the pattern finds it."""
     key = free.tobytes()
     if key not in mesh._patterns:
-        cells, n, nv = mesh.cells, mesh.nnodes, mesh.cells.shape[1]
+        cells, n, nv, m = mesh.cells, mesh.nnodes, mesh.cells.shape[1], len(free)
         rows = np.repeat(cells, nv, axis=1).ravel()
         cols = np.tile(cells, (1, nv)).ravel()
         order = np.argsort(rows, kind="stable")
@@ -237,12 +240,17 @@ def _assemble(mesh, elem, free):
         csr.sort_indices()
         slot = csr.data[np.isin(rows[csr.data], free) & np.isin(csr.indices, free)]
         r, c = np.searchsorted(free, rows[slot]), np.searchsorted(free, cols[slot])
-        csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (len(free),) * 2).tocsc()
+        # strictly diagonally dominant (each diagonal sum outweighs all the -1s);
+        # its incomplete factor, which drops the fill, orders it as splu does
+        probe = sparse.coo_matrix((np.where(r == c, len(slot), -1.0), (r, c)), (m, m))
+        perm = spilu(probe.tocsc(), drop_tol=1.0, fill_factor=1).perm_c.astype(np.int64)
+        c = perm[c]  # column j moves to perm[j]
+        csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (m, m)).tocsc()
         target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
-        mesh._patterns[key] = (slot, target, csc.indices, csc.indptr)
-    slot, target, indices, indptr = mesh._patterns[key]
+        mesh._patterns[key] = (slot, target, csc.indices, csc.indptr, perm)
+    slot, target, indices, indptr, perm = mesh._patterns[key]
     data = np.bincount(target, elem.ravel()[slot], len(indices))
-    return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2, float)
+    return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float), perm
 
 
 def _cell_stiffness(mesh):
@@ -253,13 +261,15 @@ def _cell_stiffness(mesh):
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSC) by the mesh quadrature."""
-    return _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
-                     np.arange(mesh.nnodes))
+    M, perm = _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                        np.arange(mesh.nnodes))
+    return M[:, perm]
 
 
 def stiffness_matrix(mesh):
     """P1 stiffness matrix (CSC): entries int grad phi_i . grad phi_j."""
-    return _assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes))
+    K, perm = _assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes))
+    return K[:, perm]
 
 
 def l2_project(mesh, values_on_quadrature):
@@ -272,5 +282,8 @@ def l2_project(mesh, values_on_quadrature):
     vals = np.asarray(values_on_quadrature, dtype=float)
     if vals.shape != mesh.quadrature()[1].shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
-    coeffs = spsolve(mass_matrix(mesh), _load_vector(mesh, vals))
-    return DiscreteField(mesh, coeffs)
+    M, perm = _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                        np.arange(mesh.nnodes))
+    coeffs = spsolve(M, _load_vector(mesh, vals), permc_spec="NATURAL",
+                     use_umfpack=False)
+    return DiscreteField(mesh, coeffs[perm])

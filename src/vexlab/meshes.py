@@ -104,7 +104,7 @@ class Mesh:
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
     cached: quadrature, facet quadrature, boundary distance, the nodes' kd-tree,
-    fem._assemble's CSC pattern per node set and live exponents' samples.
+    fem._assemble's ordered CSC pattern per node set and live exponents' samples.
     """
 
     def __init__(self, nodes, cells):
@@ -131,7 +131,7 @@ class Mesh:
         self._quad = None
         self._facet_quad = None
         self._bdist = None
-        self._patterns = {}  # fem._assemble's CSC pattern by node set
+        self._patterns = {}  # fem._assemble's CSC pattern and column order by node set
         self._exponent_samples = weakref.WeakKeyDictionary()
         self._mollifiers = None  # fem.mollify's kernels by radius, in a cascade
 

@@ -172,7 +172,7 @@ class _EnergyProblem:
         return _load_vector(self.mesh, dens, out)
 
     def hess(self, z):
-        """F''(z) on the interior nodes, as CSC on the mesh's cached pattern."""
+        """F''(z) on the interior nodes, as fem._assemble's (CSC, perm)."""
         g, zq = sample(self.mesh, z)
         g2 = np.sum(g * g, axis=1)
         s_safe = np.maximum(g2[:, None] + self.eps, _TINY)
@@ -206,8 +206,9 @@ def _newton_step(problem, z, free, gf, gn, F0):
     iterate with its energy and free gradient, or None when neither merit
     accepts a step.
     """
+    H, perm = problem.hess(z)
     try:
-        d = spsolve(problem.hess(z), -gf)
+        d = spsolve(H, -gf, permc_spec="NATURAL", use_umfpack=False)[perm]
     except RuntimeError:  # what SuperLU raises on a singular factor
         d = None
     if d is None or not np.all(np.isfinite(d)):
@@ -323,8 +324,7 @@ def power_source(u, q):
 
 def mollifier_radius(eps, mesh):
     """Schedule coupling: radius(eps) = sqrt(eps) * diam(Omega) / 4."""
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     return float(np.sqrt(eps) * np.linalg.norm(hi - lo) / 4.0)
 
 
@@ -522,7 +522,8 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u = _bump_profile(mesh) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.nnodes))
     u = project(u)
 
-    K = splu(_assemble(mesh, _cell_stiffness(mesh), free))
+    K, perm = _assemble(mesh, _cell_stiffness(mesh), free)
+    K = splu(K, permc_spec="NATURAL")
     hist = [prob.energy(u)]
     step = 1.0
     iters1 = iters2 = 0
@@ -531,7 +532,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
         descent_stop = "max_iters"
         while iters1 < _DESCENT_STEPS:
             r = prob.grad(u)[free]
-            d = K.solve(r)
+            d = K.solve(r)[perm]
             res = float(np.sqrt(abs(r @ d)))
             res0 = res if res0 is None else res0
             if res <= max(fraction * res0, 50.0 * cfg.grad_tol):

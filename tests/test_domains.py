@@ -12,7 +12,8 @@ import pytest
 from scipy.optimize import linprog
 
 import vexlab as vx
-from vexlab.domains import _point_segment_distance, _point_segment_distance_many
+from vexlab.domains import (_point_segment_distance, _point_segment_distance_many,
+                            _shoelace)
 
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
 # A "C" with the channel cut in from the right; its kernel is empty because
@@ -236,6 +237,24 @@ def test_polygon_with_overflowing_area_refused(verts, area):
     # before its simplicity check and its edge normals run
     with pytest.raises(vx.ConfigError, match=f"polygon area {area} is not finite"):
         vx.Domain.polygon(verts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_long_edge_normals_neither_overflow_nor_move():
+    # an edge past 1e154 with a finite area: its normal is normed after a
+    # power-of-two scaling, with no overflow warning and no zero normal
+    thin = vx.Domain.polygon([(0, 0), (1e155, 0), (0, 1e-155)])
+    assert thin.volume() == 0.5
+    assert thin.normals.tolist() == [[0.0, -1.0], [1e-310, 1.0], [-1.0, 0.0]]
+    # normal-size edges keep the plain t-perp / |t-perp| bit for bit
+    rng = np.random.default_rng(4)
+    for scale in (1e-3, 1.0, 1e3, 1e100):
+        verts = rng.standard_normal((3, 2)) * scale
+        verts = verts if _shoelace(verts) > 0 else verts[::-1]
+        t = np.roll(verts, -1, axis=0) - verts
+        plain = np.column_stack([t[:, 1], -t[:, 0]])
+        plain /= np.linalg.norm(plain, axis=1)[:, None]
+        assert np.array_equal(vx.Domain.polygon(verts).normals, plain)
 
 
 def segments_meet(p, q, r, s):

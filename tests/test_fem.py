@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
 import vexlab as vx
@@ -323,6 +324,8 @@ ASSEMBLY_MESHES = {
     "l-shape": lambda: vx.build_mesh(vx.Domain.polygon(
         [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]),
         0.2),
+    # nnodes^2 > 2^31: the pattern's CSC keys overflow in 32-bit integers
+    "long-interval": lambda: vx.build_mesh(vx.Domain.interval(0.0, 1.0), 2e-5),
 }
 
 
@@ -339,6 +342,16 @@ def test_mass_and_stiffness_are_the_coo_assembly_bit_for_bit(name, coo_assembly)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(M, attr), getattr(ref, attr))
     assert list(mesh._patterns) == [every.tobytes()]
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_MESHES)
+def test_l2_project_is_the_colamd_mass_solve_bit_for_bit(name):
+    # l2_project solves on the mass matrix filled in SuperLU's column order
+    mesh = ASSEMBLY_MESHES[name]()
+    vals = np.random.default_rng(9).standard_normal(mesh.quadrature()[1].shape)
+    expected = spsolve(vx.mass_matrix(mesh), fem._load_vector(mesh, vals),
+                       use_umfpack=False)
+    assert np.array_equal(vx.l2_project(mesh, vals).values, expected)
 
 
 def test_stiffness_matrix_dirichlet_energy(interval_mesh, square_mesh):

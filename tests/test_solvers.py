@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
+from scipy.sparse.linalg import spilu, splu, spsolve
 
 import vexlab as vx
 from vexlab import fem, solvers
@@ -274,7 +275,7 @@ def test_newton_falls_back_to_steepest_descent(failure, interval, monkeypatch):
     assert plain.diagnostics["newton_fallbacks"] == 0
     rhs = []
 
-    def broken_spsolve(H, b):
+    def broken_spsolve(H, b, **options):
         rhs.append(b)
         if failure == "raises":
             raise RuntimeError("singular matrix")
@@ -302,7 +303,7 @@ def test_newton_lets_other_solver_errors_through(interval, monkeypatch):
     mesh = vx.build_mesh(interval, 0.1)
     v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 4.0))
 
-    def broken_spsolve(H, b):
+    def broken_spsolve(H, b, **options):
         raise MemoryError("out of memory")
 
     monkeypatch.setattr(solvers, "spsolve", broken_spsolve)
@@ -355,15 +356,15 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
     free = mesh.interior_nodes
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
-    H = prob.hess(z)
-    ref = coo_assembly(mesh, elems[0], free)
+    H, perm = prob.hess(z)  # the columns in SuperLU's order
+    ref = coo_assembly(mesh, elems[0], free)[:, np.argsort(perm)]
     assert H.format == "csc" and H.dtype == float
     assert H.shape == (len(free), len(free))
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(H, attr), getattr(ref, attr))
 
     pattern = mesh._patterns[free.tobytes()]
-    again = prob.hess(z)
+    again, _ = prob.hess(z)
     assert list(mesh._patterns) == [free.tobytes()]
     assert mesh._patterns[free.tobytes()] is pattern
     assert np.array_equal(again.data, H.data)
@@ -406,6 +407,95 @@ def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatc
         len(mesh.interior_nodes))
     prob.hess(z)
     assert np.array_equal(elems[0], einsum_blocks(prob, z))
+
+
+# -- SuperLU's column order, found once per node set --------------------
+
+
+def random_hessians(mesh, seeds):
+    """(H, perm) of the p < 2, q = 3 Hessian at one random z per seed."""
+    p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
+    prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3)
+    for seed in seeds:
+        z = np.zeros(mesh.nnodes)
+        z[mesh.interior_nodes] = np.random.default_rng(seed).standard_normal(
+            len(mesh.interior_nodes))
+        yield prob.hess(z)
+
+
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
+    # H[:, perm] is the natural matrix, which spsolve ordered by COLAMD itself
+    mesh = HESS_MESHES[name]()
+    for seed, (H, perm) in enumerate(random_hessians(mesh, range(3))):
+        b = np.random.default_rng(100 + seed).standard_normal(H.shape[0])
+        x = spsolve(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
+        assert np.array_equal(x, spsolve(H[:, perm], b, use_umfpack=False))
+        assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
+    mesh = HESS_MESHES[name]()
+    free, elem = mesh.interior_nodes, fem._cell_stiffness(mesh)
+    K, perm = fem._assemble(mesh, elem, free)
+    r = np.random.default_rng(3).standard_normal(len(free))
+    d = splu(K, permc_spec="NATURAL").solve(r)[perm]
+    assert np.array_equal(d, splu(K[:, perm]).solve(r))
+    assert np.array_equal(perm, splu(K[:, perm]).perm_c)  # the default order
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
+    # zero blocks on the cells around one interior node leave its row and
+    # column empty; the ordered solve fails exactly where the natural one does
+    mesh = HESS_MESHES["square-0.1"]()
+    dead = np.any(mesh.cells == mesh.interior_nodes[20], axis=1)[:, None, None]
+    natural, failed = [], []
+
+    def spy(mesh, elem, free):
+        M, perm = fem._assemble(mesh, np.where(dead, 0.0, elem), free)
+        natural.append(M[:, perm])
+        return M, perm
+
+    def both(H, b, **options):
+        x = spsolve(H, b, **options)
+        failed.append(not np.all(np.isfinite(spsolve(natural[-1], b,
+                                                     use_umfpack=False))))
+        assert np.all(np.isfinite(x)) != failed[-1]
+        return x
+
+    monkeypatch.setattr(solvers, "_assemble", spy)
+    monkeypatch.setattr(solvers, "spsolve", both)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0),
+                               vx.SolveConfig(epsilon=1e-3, max_iters=5))
+    assert res.diagnostics["newton_fallbacks"] == sum(failed) == len(failed) == 5
+
+
+def test_column_order_is_built_once_per_node_set(monkeypatch):
+    # one probe factor per node set; new values never reorder the pattern
+    mesh = HESS_MESHES["square-0.1"]()
+    free, every = mesh.interior_nodes, np.arange(mesh.nnodes)
+    probes = []
+
+    def counting_spilu(A, **options):
+        probes.append(A.shape[0])
+        return spilu(A, **options)
+
+    monkeypatch.setattr(fem, "spilu", counting_spilu)
+    perms = [perm for _, perm in random_hessians(mesh, range(4))]
+    assert probes == [len(free)] and all(perm is perms[0] for perm in perms)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        vx.l2_project(mesh, rng.standard_normal(mesh.quadrature()[1].shape))
+    vx.mass_matrix(mesh), fem.stiffness_matrix(mesh)
+    assert probes == [len(free), mesh.nnodes]
+    assert list(mesh._patterns) == [free.tobytes(), every.tobytes()]
+    vx.nehari_candidate(vx.AffineExponent(1.5, [0.2, 0.0]),
+                        vx.ConstantExponent(3.0), mesh)
+    assert probes == [len(free), mesh.nnodes]
 
 
 class _FrozenPatterns(dict):
