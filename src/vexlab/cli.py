@@ -117,14 +117,9 @@ def _load_config(path, scenario):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    check_keys(cfg, SCENARIOS[scenario][1], f"{scenario} config")
+    _, allowed, required = SCENARIOS[scenario]
+    check_keys(cfg, allowed, f"{scenario} config", required=required)
     return cfg, os.path.dirname(os.path.abspath(path))
-
-
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    return cfg[key]
 
 
 def _number(cfg, key, default, integer=False, least=None):
@@ -178,7 +173,7 @@ def _build_field(spec, mesh, base_dir):
 def _exponent(cfg, key, domain, mesh, base_dir):
     """Exponent field from a spec, of the domain's dimension and with
     bounds in (1, inf) (NonElliptic otherwise)."""
-    p = exponent_from_spec(_require(cfg, key), mesh, base_dir)
+    p = exponent_from_spec(cfg[key], mesh, base_dir)
     if p.dim not in (None, domain.dim):
         raise ConfigError(f"exponent {key!r} is {p.dim}-dimensional on a "
                           f"{domain.dim}-dimensional domain")
@@ -187,7 +182,7 @@ def _exponent(cfg, key, domain, mesh, base_dir):
 
 
 def _setup(cfg, base_dir, need_mesh=True):
-    domain = Domain.from_spec(_require(cfg, "domain"))
+    domain = Domain.from_spec(cfg["domain"])
     mesh = build_mesh(domain, _number(cfg, "h", 0.05)) if need_mesh else None
     p = _exponent(cfg, "p", domain, mesh, base_dir)
     q = _exponent(cfg, "q", domain, mesh, base_dir)
@@ -208,7 +203,7 @@ def _candidate(cfg, mesh, p, q, scfg, base_dir):
     """(field, stop, meta): stop is the Nehari candidate's
     diagnostics["stop"] and meta its descent counts for the report's meta
     block, or None and {} for a field given in the config."""
-    spec = _require(cfg, "candidate")
+    spec = cfg["candidate"]
     if isinstance(spec, dict) and spec.get("kind") == "nehari":
         check_keys(spec, ("kind",), "nehari candidate")
         res = nehari_candidate(p, q, mesh, scfg)
@@ -269,7 +264,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
 def _run_solve(cfg, base_dir, out, seed):
     _, mesh, p, q = _setup(cfg, base_dir)
     scfg = _solver_config(cfg, _SOLVE_SOLVER, seed)
-    v = _build_field(_require(cfg, "rhs"), mesh, base_dir)
+    v = _build_field(cfg["rhs"], mesh, base_dir)
     res = solve_regularized(v, p, q, scfg)
     u = res.field
     report = {
@@ -377,8 +372,7 @@ def _run_verdict(cfg, base_dir, out, seed):
 
 
 def _run_sweep(cfg, base_dir, out, seed):
-    sw = _require(cfg, "sweep")
-    sw = sw if isinstance(sw, dict) else {}
+    sw = cfg["sweep"] if isinstance(cfg["sweep"], dict) else {}
     check_keys(sw, ("parameter", "values"), "sweep")
     param = sw.get("parameter")
     if param not in ("p", "q"):
@@ -407,15 +401,18 @@ def _run_sweep(cfg, base_dir, out, seed):
 
 _SETUP = {"seed", "domain", "h", "p", "q"}
 _CANDIDATE = _SETUP | {"solver", "candidate", "origin"}
-# Each scenario's runner and the top-level config keys it reads ("seed" is
-# read by all), in the order --help lists them.
+_NEED = ("domain", "p", "q")
+# Each scenario's runner, the top-level config keys it reads ("seed" is read
+# by all) and those it requires, in the order --help lists them.
 SCENARIOS = {
-    "spaces-check": (_run_spaces_check, _SETUP | {"trials", "N", "pairs"}),
-    "solve": (_run_solve, _SETUP | {"solver", "rhs"}),
-    "cascade": (_run_cascade, _CANDIDATE),
-    "pohozaev": (_run_pohozaev, _CANDIDATE | {"with_remainder"}),
-    "verdict": (_run_verdict, _SETUP | {"N", "origin", "tol"}),
-    "sweep": (_run_sweep, {"seed", "domain", "p", "q", "sweep", "N", "tol"}),
+    "spaces-check": (_run_spaces_check, _SETUP | {"trials", "N", "pairs"}, _NEED),
+    "solve": (_run_solve, _SETUP | {"solver", "rhs"}, _NEED + ("rhs",)),
+    "cascade": (_run_cascade, _CANDIDATE, _NEED + ("candidate",)),
+    "pohozaev": (_run_pohozaev, _CANDIDATE | {"with_remainder"},
+                 _NEED + ("candidate",)),
+    "verdict": (_run_verdict, _SETUP | {"N", "origin", "tol"}, _NEED),
+    "sweep": (_run_sweep, {"seed", "domain", "p", "q", "sweep", "N", "tol"},
+              _NEED + ("sweep",)),
 }
 
 

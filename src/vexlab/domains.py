@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError, NotStarShaped, check_keys, config_number
 
-_GEOM_TOL = 1e-10
-# Width of the band around the boundary that Domain.contains counts as inside.
+_GEOM_TOL = 1e-10  # star-shape margins; least polygon area / bounding box area
+# Width of the band around the boundary that Domain.contains counts as
+# inside, over the bounding box's longest side.
 _CONTAINS_TOL = 1e-12
-# Edge triples solved at once by find_star_center: a batch holds k 3x3
-# systems and the margins of their k vertices over all m edges, k (9 + m)
-# floats, so a fixed k bounds the memory however many edges a polygon has.
-_TRIPLE_CHUNK = 4096
 # find_star_center scores C(m, 3) vertices against m edges, O(m^4) work:
-# about 0.1 s at this many edges on one core, and 1 s at twice as many.
+# about 0.05 s at this many edges on one core, 16 times that at twice as many.
 _MAX_STAR_EDGES = 64
 # The geometry keys of each domain kind, all of them required.
 _KEYS = {"interval": ("a", "b"), "polygon": ("vertices",),
@@ -88,7 +85,8 @@ class Domain:
                 raise ConfigError(f"polygon area {area} is not finite")
             if area < 0:
                 verts = verts[::-1].copy()
-            if abs(_shoelace(verts)) < _GEOM_TOL:
+            hx, hy = (verts.max(0) / 2 - verts.min(0) / 2).tolist()  # no overflow
+            if abs(_shoelace(verts)) <= 4 * _GEOM_TOL * hx * hy:
                 raise ConfigError("polygon has (numerically) zero area")
             _check_simple(verts)
             self.vertices = verts
@@ -151,15 +149,17 @@ class Domain:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def contains(self, points):
-        """Boolean mask: which points lie in the closed domain (or within
-        _CONTAINS_TOL of it)."""
+        """Boolean mask: which points lie in the closed domain, or within
+        _CONTAINS_TOL times the bounding box's longest side of it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, hi = self.bounding_box()
+        tol = 2 * _CONTAINS_TOL * float(np.max(hi / 2 - lo / 2))  # no overflow
         if self.kind == "interval":
             x, (a, b) = pts[:, 0], self.vertices[:, 0].tolist()
-            return (x >= a - _CONTAINS_TOL) & (x <= b + _CONTAINS_TOL)
+            return (x >= a - tol) & (x <= b + tol)
         if self.kind == "polygon":
-            return _points_in_polygon(pts, self.vertices)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + _CONTAINS_TOL
+            return _points_in_polygon(pts, self.vertices, tol)
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
 
     # -- closed-form ranges used for exponent bounds -----------------------
 
@@ -248,31 +248,19 @@ def find_star_center(domain):
                           f"{_MAX_STAR_EDGES} edges, got {len(domain.vertices)}")
     nu = domain.normals
     rhs = np.sum(domain.vertices * nu, axis=1)
-    best, kept = -np.inf, []
-    for o, m in _lp_vertices(nu, rhs):
-        best = max(best, m.max(initial=-np.inf))
-        kept.append((o[m >= best - _GEOM_TOL], m[m >= best - _GEOM_TOL]))
-    o, m = (np.concatenate(a) for a in zip(*kept))
-    origin = o[m >= best - _GEOM_TOL].mean(axis=0)
+    idx = np.fromiter(combinations(range(len(nu)), 3), np.dtype((int, 3)))
+    A = np.column_stack([nu, np.ones(len(nu))])[idx]
+    ok = np.abs(np.linalg.det(A)) > 1e-12  # parallel edges meet nowhere
+    o = np.linalg.solve(A[ok], rhs[idx][ok][:, :, None])[:, :2, 0]
+    m = np.full(len(o), np.inf)
+    for n_e, r_e in zip(nu, rhs):  # one edge at a time: memory O(triples)
+        m = np.minimum(m, r_e - o @ n_e)
+    origin = o[m >= m.max() - _GEOM_TOL].mean(axis=0)
     margin = domain._min_xdotnu(origin)
     if not margin >= -_GEOM_TOL:  # NaN too
         raise NotStarShaped(f"no admissible star center found (best "
                             f"min_xdotnu = {margin:.3e})")
     return origin
-
-
-def _lp_vertices(nu, rhs):
-    """Yield (o, margin) for the non-singular edge triples, one batch of
-    _TRIPLE_CHUNK triples at a time: o solves nu_e . o + t = rhs_e on the
-    triple's edges, and margin is min_e (rhs_e - nu_e . o) over all edges."""
-    rows = np.column_stack([nu, np.ones(len(nu))])
-    triples = combinations(range(len(nu)), 3)
-    while batch := list(islice(triples, _TRIPLE_CHUNK)):
-        idx = np.array(batch)
-        A, b = rows[idx], rhs[idx]
-        ok = np.abs(np.linalg.det(A)) > 1e-12  # parallel edges meet nowhere
-        o = np.linalg.solve(A[ok], b[ok][:, :, None])[:, :2, 0]
-        yield o, (rhs - o @ nu.T).min(axis=1)
 
 
 def sample_points(domain, resolution=64):
@@ -338,9 +326,8 @@ def _outward_normal(a, b):
     return n / np.linalg.norm(n)
 
 
-def _points_in_polygon(pts, verts):
-    """Ray-casting inside test, with a band of _CONTAINS_TOL around the
-    edges."""
+def _points_in_polygon(pts, verts, tol):
+    """Ray-casting inside test, with a band of width tol around the edges."""
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
     for (xi, yi), (xj, yj) in zip(verts, np.roll(verts, 1, axis=0)):
@@ -349,7 +336,7 @@ def _points_in_polygon(pts, verts):
             xcross = (xj - xi) * (y - yi) / (yj - yi) + xi
         inside ^= cond & (x < xcross)
     for a, b in _polygon_edges(verts):
-        inside |= _point_segment_distance_many(pts, a, b) <= _CONTAINS_TOL
+        inside |= _point_segment_distance_many(pts, a, b) <= tol
     return inside
 
 

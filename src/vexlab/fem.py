@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spilu, spsolve
+from scipy.sparse.linalg import spilu, splu
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
@@ -253,6 +253,14 @@ def _assemble(mesh, elem, free):
     return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float), perm
 
 
+def _factor(mesh, elem, free):
+    """The solve b -> x of elem summed over free, from one SuperLU factor in
+    the column order _assemble caches."""
+    M, perm = _assemble(mesh, elem, free)
+    lu = splu(M, permc_spec="NATURAL")
+    return lambda b: lu.solve(b)[perm]
+
+
 def _cell_stiffness(mesh):
     """Per-cell blocks |cell| grad phi_v . grad phi_w, (nc, nv, nv)."""
     G = mesh.basis_grads
@@ -282,8 +290,6 @@ def l2_project(mesh, values_on_quadrature):
     vals = np.asarray(values_on_quadrature, dtype=float)
     if vals.shape != mesh.quadrature()[1].shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
-    M, perm = _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
-                        np.arange(mesh.nnodes))
-    coeffs = spsolve(M, _load_vector(mesh, vals), permc_spec="NATURAL",
-                     use_umfpack=False)
-    return DiscreteField(mesh, coeffs[perm])
+    solve = _factor(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                    np.arange(mesh.nnodes))
+    return DiscreteField(mesh, solve(_load_vector(mesh, vals)))

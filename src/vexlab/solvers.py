@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
                      check_keys, config_number)
@@ -25,6 +25,7 @@ from .fem import (
     _bump_profile,
     _cell_mass,
     _cell_stiffness,
+    _factor,
     _load_vector,
     _scatter,
     cutoff,
@@ -522,8 +523,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u = _bump_profile(mesh) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.nnodes))
     u = project(u)
 
-    K, perm = _assemble(mesh, _cell_stiffness(mesh), free)
-    K = splu(K, permc_spec="NATURAL")
+    solve = _factor(mesh, _cell_stiffness(mesh), free)
     hist = [prob.energy(u)]
     step = 1.0
     iters1 = iters2 = 0
@@ -532,7 +532,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
         descent_stop = "max_iters"
         while iters1 < _DESCENT_STEPS:
             r = prob.grad(u)[free]
-            d = K.solve(r)[perm]
+            d = solve(r)
             res = float(np.sqrt(abs(r @ d)))
             res0 = res if res0 is None else res0
             if res <= max(fraction * res0, 50.0 * cfg.grad_tol):
@@ -571,6 +571,5 @@ def nehari_candidate(p, q, mesh, cfg=None):
             "descent_stop": descent_stop,
             "newton_iterations": iters2,
             "newton_fallbacks": prob.fallbacks,
-            "seed": cfg.seed,
         },
     )

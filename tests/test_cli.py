@@ -472,6 +472,11 @@ def polygon_solve(vertices):
     ("solve", polygon_solve([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1]])),
     ("solve", polygon_solve([[0, 0], [2, 0], [2, 2], [1, 2], [1, 3], [1, 1],
                              [0, 1]])),
+    ("spaces-check", {**SPACES, "seed": 10**30}),
+    ("solve", {**solve_payload(), "rhs": 3}),
+    ("solve", polygon_solve([[0, 0, 0], [1, 0, 0], [0, 1, 0]])),
+    ("solve", {**solve_payload(), "domain": {"kind": "disk", "center": [0, 0, 0],
+                                             "radius": 1.0}}),
 ], ids=["nodal_file_without_file", "h_not_a_number", "max_iters_not_a_number",
         "solver_not_an_object", "config_not_an_object", "exponent_not_a_number",
         "domain_not_a_number", "amplitude_not_a_number", "N_not_a_number",
@@ -495,7 +500,9 @@ def polygon_solve(vertices):
         "with_remainder_null", "solve_grad_tol_zero", "cascade_grad_tol_negative",
         "solve_max_iters_negative", "cascade_max_iters_negative",
         "spaces_pairs_zero", "spaces_pairs_negative", "polygon_self_touching",
-        "polygon_bow_tie", "polygon_repeated_vertex", "polygon_spike"])
+        "polygon_bow_tie", "polygon_repeated_vertex", "polygon_spike",
+        "seed_out_of_range", "field_not_an_object", "polygon_vertices_3d",
+        "disk_center_3d"])
 def test_malformed_config_exits_2(tmp_path, capsys, scenario, payload):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -512,11 +519,14 @@ def test_polygon_with_overflowing_area_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario, payload, key", [
     ("verdict", {key: v for key, v in VERDICT.items() if key != "p"}, "p"),
+    # every missing key named at once, the second one too
+    ("verdict", {key: v for key, v in VERDICT.items() if key not in ("p", "q")},
+     "q"),
     ("spaces-check", {**SPACES, "pairs": 0}, "pairs"),
     ("pohozaev", {**CASCADE, "with_remainder": "false"}, "with_remainder"),
     ("solve", solve_payload({"grad_tol": 0.0}), "grad_tol"),
     ("solve", solve_payload({"max_iters": -1}), "max_iters"),
-], ids=["verdict_without_p", "pairs_zero",
+], ids=["verdict_without_p", "verdict_without_p_and_q", "pairs_zero",
         "with_remainder_string", "grad_tol_zero", "max_iters_negative"])
 def test_config_error_names_the_key(tmp_path, capsys, scenario, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -534,10 +544,11 @@ def test_help_lists_the_scenarios_in_order(capsys):
 
 
 def write_bad_nodal_files(directory):
-    """51 values, one per node of solve_payload's mesh, one of them NaN; and
-    a file of words."""
+    """51 values, one per node of solve_payload's mesh, one of them NaN; a
+    file of words; and a file of 50 values."""
     (directory / "nan.txt").write_text("2.5\n" * 25 + "nan\n" + "2.5\n" * 25)
     (directory / "words.txt").write_text("two\n" * 51)
+    (directory / "short.txt").write_text("2.5\n" * 50)
 
 
 @pytest.mark.parametrize("key, spec", [
@@ -545,7 +556,8 @@ def write_bad_nodal_files(directory):
     ("rhs", {"kind": "nodal_file", "file": "nan.txt"}),
     ("p", {"kind": "tabulated", "file": "nan.txt"}),
     ("rhs", {"kind": "nodal_file", "file": "missing.txt"}),
-], ids=["text", "nan", "tabulated_nan", "missing"])
+    ("rhs", {"kind": "nodal_file", "file": "short.txt"}),
+], ids=["text", "nan", "tabulated_nan", "missing", "short"])
 def test_nodal_file_error_names_the_file(tmp_path, capsys, key, spec):
     write_bad_nodal_files(tmp_path)
     cfg = write_config(tmp_path, "bad.json", {**solve_payload(), key: spec})

@@ -82,6 +82,34 @@ def test_contains():
     assert list(iv.contains(np.array([[0.5], [1.5]]))) == [True, False]
 
 
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**-20, 1.0, 2.0**20, 2.0**40])
+def test_contains_band_scales_with_the_domain(scale):
+    # the band is 1e-12 of the bounding box's longest side: a point 2.5e-13 of
+    # that side outside the boundary is in it, one 5e-12 outside is not.
+    # Scaling by a power of two is exact, so every scaled copy classifies alike.
+    offsets = np.array([-0.125, 2.5e-13, 5e-12])
+    shape = vx.Domain.polygon(scale * np.array(L_SHAPE))  # longest side 2 scale
+    mids = (shape.vertices + np.roll(shape.vertices, -1, axis=0)) / 2
+    probes = np.concatenate([mids + 2 * scale * d * shape.normals for d in offsets])
+    assert shape.contains(probes).tolist() == [True] * 12 + [False] * 6
+    disk = vx.Domain.disk((0.0, scale), scale)  # longest side 2 scale
+    probes = np.column_stack([scale + 2 * scale * offsets, np.full(3, scale)])
+    assert disk.contains(probes).tolist() == [True, True, False]
+    iv = vx.Domain.interval(0.0, scale)
+    probes = scale * np.concatenate([-offsets, 1.0 + offsets])[:, None]
+    assert iv.contains(probes).tolist() == [True, True, False] * 2
+
+
+def test_zero_area_test_scales_with_the_domain():
+    # a unit square scaled by 1e-6 fills its bounding box and builds
+    small = vx.Domain.polygon(1e-6 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    assert small.volume() == pytest.approx(1e-12, rel=1e-12)
+    # a diagonal sliver of 5e-12 of its box's area is refused at any size
+    for scale in (1e-6, 1.0, 1e6):
+        with pytest.raises(vx.ConfigError, match="zero area"):
+            vx.Domain.polygon(scale * np.array([(0, 0), (1, 1), (0.5, 0.5 + 1e-11)]))
+
+
 def test_range_of_linear():
     sq = vx.Domain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert sq.range_of_linear([1.0, 0.0]) == (0.0, 1.0)
@@ -138,8 +166,11 @@ def test_interval_is_the_one_dimensional_polytope():
     # rmax through a norm scaled by a power of two: it neither overflows nor
     # underflows where the plain norm of the vertex offsets would
     assert vx.Domain.interval(0.0, 1e200).range_of_radius([0.0]) == (0.0, 1e200)
+    # (the contains band scales with the interval, so this center a tenth of
+    # its length outside is outside)
     tiny = vx.Domain.interval(0.0, 1e-170).range_of_radius([-1e-171])
-    assert tiny == (0.0, 1e-170 + 1e-171)
+    assert tiny == (1e-171, 1e-170 + 1e-171)
+    assert not vx.Domain.interval(0.0, 1e-9).contains([[-5e-13]])[0]
 
     # clockwise input is stored counterclockwise, each edge's normal
     # pointing out of the L
@@ -417,6 +448,13 @@ def test_missing_and_unknown_keys_named():
 def test_non_finite_geometry_rejected(spec):
     with pytest.raises(vx.ConfigError):
         vx.Domain.from_spec(spec)
+
+
+def test_wrong_dimension_and_resolution_refused():
+    with pytest.raises(vx.ConfigError, match="origin has dim 2, domain has dim 1"):
+        vx.star_shape_report(vx.Domain.interval(0.0, 1.0), [0.5, 0.5])
+    with pytest.raises(vx.ConfigError, match="resolution must be >= 1"):
+        vx.sample_points(vx.Domain.polygon(L_SHAPE), 0)
 
 
 def test_degenerate_polygon_rejected():

@@ -38,6 +38,14 @@ def test_radial_bounds():
     assert (lo, hi) == pytest.approx((2.5, 6.5))
 
 
+@pytest.mark.parametrize("p", [vx.AffineExponent(2.0, [0.5]),
+                               vx.RadialExponent(2.0, 0.5, [0.0])],
+                         ids=["affine", "radial"])
+def test_domain_bounds_need_a_domain(p):
+    with pytest.raises(vx.ConfigError, match="bounds need a domain"):
+        p.bounds()
+
+
 def test_non_elliptic_rejected():
     dom = vx.Domain.interval(0.0, 1.0)
     with pytest.raises(vx.NonElliptic):

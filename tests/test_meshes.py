@@ -80,6 +80,8 @@ def test_boundary_integral_divergence_oracle():
     mesh = vx.build_mesh(sq, 0.5)
     val = vx.boundary_integral(mesh, lambda x, nu: np.sum(x * nu, axis=1))
     assert val == pytest.approx(8.0, abs=1e-12)  # 2 * area of [-1,1]^2
+    with pytest.raises(vx.ConfigError, match="one value per point"):
+        vx.boundary_integral(mesh, lambda x, nu: x * nu)
 
 
 # the mesh's one triangle rule, the 3-point rule, is exact through degree 2
@@ -168,6 +170,12 @@ def test_read_mesh_rejects_bad_header(tmp_path):
     path.write_text("")
     with pytest.raises(vx.MeshFailure):
         vx.read_mesh(path)
+    path.write_text("3 4 1 4\n")
+    with pytest.raises(vx.MeshFailure, match="bad mesh header"):
+        vx.read_mesh(path)
+    path.write_text("1 2 1 2\n0 0.0\n1 1.0\n0 0 1\n")  # no facet lines
+    with pytest.raises(vx.MeshFailure, match="wrong line count"):
+        vx.read_mesh(path)
 
 
 def _rewrite_line(path, index, edit):
@@ -220,6 +228,16 @@ def test_read_mesh_rejects_orphan_node(tmp_path, square_mesh):
     nodes = np.vstack([square_mesh.nodes, [0.5, 0.5]])
     with pytest.raises(vx.MeshFailure, match="belongs to no cell"):
         vx.Mesh(nodes, square_mesh.cells)
+
+
+@pytest.mark.parametrize("nodes, cells, match", [
+    (np.eye(4, 3), [[0, 1, 2, 3]], "only 1D/2D meshes"),
+    (np.eye(3, 2), [[0, 1]], r"cells must be \(ncells, dim\+1\)"),
+    (np.eye(3, 2), np.zeros((0, 3), dtype=int), "no cells"),
+], ids=["nodes_3d", "cells_wrong_width", "no_cells"])
+def test_mesh_rejects_malformed_arrays(nodes, cells, match):
+    with pytest.raises(vx.MeshFailure, match=match):
+        vx.Mesh(nodes, cells)
 
 
 def test_degenerate_cell_rejected():

@@ -440,7 +440,7 @@ def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
     free, elem = mesh.interior_nodes, fem._cell_stiffness(mesh)
     K, perm = fem._assemble(mesh, elem, free)
     r = np.random.default_rng(3).standard_normal(len(free))
-    d = splu(K, permc_spec="NATURAL").solve(r)[perm]
+    d = fem._factor(mesh, elem, free)(r)  # the descent's solve
     assert np.array_equal(d, splu(K[:, perm]).solve(r))
     assert np.array_equal(perm, splu(K[:, perm]).perm_c)  # the default order
 
@@ -729,6 +729,41 @@ def test_nehari_collapse_guard(interval_mesh, monkeypatch):
     monkeypatch.setattr(solvers, "_COLLAPSE_TOL", 1e3)
     with pytest.raises(vx.CollapseToZero):
         vx.nehari_candidate(P2, q4, interval_mesh)
+
+
+def test_nehari_descent_halves_its_step_past_a_failed_projection(interval,
+                                                                 monkeypatch):
+    # a trial whose projection finds no root is retried at half the step, as
+    # one that does not lower the energy is; the descent then goes on
+    mesh = vx.build_mesh(interval, 0.05)
+    q4, cfg = vx.ConstantExponent(4.0), vx.SolveConfig(seed=42)
+    steps = []  # (step asked for, step taken) of each descent step
+    taken = solvers._projected_step
+
+    def spy(prob, u, free, d, s, project, J0):
+        found = taken(prob, u, free, d, s, project, J0)
+        steps.append((s, found[2]))
+        return found
+
+    monkeypatch.setattr(solvers, "_projected_step", spy)
+    plain = vx.nehari_candidate(P2, q4, mesh, cfg)
+    assert steps[0] == (1.0, 1.0)
+
+    scale, calls = solvers._nehari_scale, []
+
+    def no_root_at_first_trial(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:  # the first call projects the seed
+            raise vx.NoScalingRoot("no root")
+        return scale(*args)
+
+    monkeypatch.setattr(solvers, "_nehari_scale", no_root_at_first_trial)
+    steps.clear()
+    res = vx.nehari_candidate(P2, q4, mesh, cfg)
+    assert steps[0] == (1.0, 0.5)
+    assert len(steps) == res.diagnostics["descent_iterations"] > 1
+    assert res.diagnostics["descent_stop"] == "tolerance" and res.converged
+    assert res.energy == pytest.approx(plain.energy, rel=1e-12)
 
 
 def scale_samples(mesh, p, q, z):
