@@ -78,14 +78,14 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path, payload, meta=()):
+def _write_json(path, payload, meta):
     """Write payload with schema "1" and a "meta" block: the creation time
     plus the items of meta."""
     body = {str(k): _jsonable(v) for k, v in payload.items()}
     body["schema"] = "1"
     body["meta"] = {
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        **dict(meta),
+        **meta,
     }
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -241,7 +241,6 @@ def _run_spaces_check(cfg, base_dir, out, seed):
 
     p_minus, p_plus = p.bounds(domain)
     report = {
-        "scenario": "spaces-check",
         "trials": trials,
         "relations_passed": rel_passed,
         "worst_unit_gap": worst_unit_gap,
@@ -257,8 +256,7 @@ def _run_spaces_check(cfg, base_dir, out, seed):
     lh = log_holder_estimate(p, domain, pairs=pairs, seed=seed)
     report["log_holder_c_hat"] = lh.c_hat
     report["log_holder_ball_form_max"] = lh.ball_form_max
-    _write_json(os.path.join(out, "spaces_check.json"), report)
-    return 0
+    return report, {}, 0
 
 
 def _run_solve(cfg, base_dir, out, seed):
@@ -268,7 +266,6 @@ def _run_solve(cfg, base_dir, out, seed):
     res = solve_regularized(v, p, q, scfg)
     u = res.field
     report = {
-        "scenario": "solve",
         "epsilon": res.diagnostics["epsilon"],
         "energy": res.energy,
         "el_residual": res.el_residual,
@@ -279,10 +276,9 @@ def _run_solve(cfg, base_dir, out, seed):
         "solution_luxemburg_q": luxemburg_norm(u, q),
         "energy_history": res.diagnostics["energy_history"],
     }
-    _write_json(os.path.join(out, "solve.json"), report)
     np.savetxt(os.path.join(out, "solution.txt"), u.values)
     write_mesh(mesh, os.path.join(out, "mesh.txt"))
-    return 0 if res.converged else 3
+    return report, {}, 0 if res.converged else 3
 
 
 def _series_rows(runs, p, q, origin):
@@ -312,7 +308,6 @@ def _run_cascade(cfg, base_dir, out, seed):
     runs = cascade(u, p, q, scfg)
     failed = _cascade_outcome(runs, meta)
     report = {
-        "scenario": "cascade",
         "candidate_stop": candidate_stop,
         "origin": origin,
         "n_schedule": list(scfg.n_schedule),
@@ -323,13 +318,12 @@ def _run_cascade(cfg, base_dir, out, seed):
         "final_energy": runs[-1].energy,
         "final_el_residual": runs[-1].el_residual,
     }
-    _write_json(os.path.join(out, "cascade.json"), report, meta)
     _write_csv(
         os.path.join(out, "cascade_series.csv"),
         "n,epsilon,grad_modular,q_modular,boundary_term",
         _series_rows(runs, p, q, origin),
     )
-    return 3 if failed or candidate_stop not in (None, "converged") else 0
+    return report, meta, 3 if failed or candidate_stop not in (None, "converged") else 0
 
 
 def _run_pohozaev(cfg, base_dir, out, seed):
@@ -347,17 +341,15 @@ def _run_pohozaev(cfg, base_dir, out, seed):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
         failed = _cascade_outcome(runs, meta)
-    star = star_shape_report(domain, origin)
-    payload = {"scenario": "pohozaev", "candidate_stop": candidate_stop,
-               "star_min_xdotnu": star.min_xdotnu}
+    row = report.as_dict()
+    payload = {"candidate_stop": candidate_stop, **row,
+               "star_min_xdotnu": star_shape_report(domain, origin).min_xdotnu}
     if failed is not None:
         payload["failed_levels"] = failed
-    payload.update(report.as_dict())
-    _write_json(os.path.join(out, "pohozaev.json"), payload, meta)
-    row = report.as_dict()
     del row["origin"]
     _write_csv(os.path.join(out, "pohozaev.csv"), ",".join(row), [row.values()])
-    return 3 if failed or candidate_stop not in (None, "converged") else 0
+    return payload, meta, (3 if failed or candidate_stop not in (None, "converged")
+                           else 0)
 
 
 def _run_verdict(cfg, base_dir, out, seed):
@@ -366,9 +358,7 @@ def _run_verdict(cfg, base_dir, out, seed):
     origin = _origin_for(cfg, domain) if "origin" in cfg else None
     rep = nonexistence_verdict(domain, p, q, N=N, origin=origin,
                                tol=_number(cfg, "tol", 1e-9))
-    payload = {"scenario": "verdict", **rep.as_dict()}
-    _write_json(os.path.join(out, "verdict.json"), payload)
-    return 0
+    return rep.as_dict(), {}, 0
 
 
 def _run_sweep(cfg, base_dir, out, seed):
@@ -394,16 +384,16 @@ def _run_sweep(cfg, base_dir, out, seed):
     cols = "value case applies q_minus p_plus p_plus_star coefficient".split()
     _write_csv(os.path.join(out, "sweep.csv"), ",".join(cols),
                [[d[c] for c in cols] for d in results])
-    _write_json(os.path.join(out, "sweep.json"),
-                {"scenario": "sweep", "parameter": param, "results": results})
-    return 0
+    return {"parameter": param, "results": results}, {}, 0
 
 
 _SETUP = {"seed", "domain", "h", "p", "q"}
 _CANDIDATE = _SETUP | {"solver", "candidate", "origin"}
 _NEED = ("domain", "p", "q")
 # Each scenario's runner, the top-level config keys it reads ("seed" is read
-# by all) and those it requires, in the order --help lists them.
+# by all) and those it requires, in the order --help lists them.  A runner
+# writes its CSV and text files and returns (report, meta, exit code); main
+# writes the report to <scenario>.json.
 SCENARIOS = {
     "spaces-check": (_run_spaces_check, _SETUP | {"trials", "N", "pairs"}, _NEED),
     "solve": (_run_solve, _SETUP | {"solver", "rhs"}, _NEED + ("rhs",)),
@@ -435,7 +425,10 @@ def main(argv=None):
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
-        return SCENARIOS[args.scenario][0](cfg, base_dir, args.out, seed)
+        report, meta, code = SCENARIOS[args.scenario][0](cfg, base_dir, args.out, seed)
+        _write_json(os.path.join(args.out, args.scenario.replace("-", "_") + ".json"),
+                    {"scenario": args.scenario, **report}, meta)
+        return code
     except (ConfigError, NonElliptic, ExponentTooLarge, NotStarShaped) as exc:
         print(f"vexlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NotStarShaped, check_keys, config_number
 
-_GEOM_TOL = 1e-10  # star-shape margins; least polygon area / bounding box area
+_GEOM_TOL = 1e-10  # star margins / box's longest side; least area / box area
 # Width of the band around the boundary that Domain.contains counts as
 # inside, over the bounding box's longest side.
 _CONTAINS_TOL = 1e-12
@@ -148,12 +148,16 @@ class Domain:
             return self.center - self.radius, self.center + self.radius
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
+    def _scaled(self, tol):
+        """tol times the bounding box's longest side (half sides: no overflow)."""
+        lo, hi = self.bounding_box()
+        return 2 * tol * float(np.max(hi / 2 - lo / 2))
+
     def contains(self, points):
         """Boolean mask: which points lie in the closed domain, or within
         _CONTAINS_TOL times the bounding box's longest side of it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hi = self.bounding_box()
-        tol = 2 * _CONTAINS_TOL * float(np.max(hi / 2 - lo / 2))  # no overflow
+        tol = self._scaled(_CONTAINS_TOL)
         if self.kind == "interval":
             x, (a, b) = pts[:, 0], self.vertices[:, 0].tolist()
             return (x >= a - tol) & (x <= b + tol)
@@ -219,7 +223,7 @@ def star_shape_report(domain, origin):
     return StarShapeReport(
         origin=o,
         min_xdotnu=float(m),
-        is_star=bool(m >= -_GEOM_TOL),
+        is_star=bool(m >= -domain._scaled(_GEOM_TOL)),
         strict_rho=float(max(m, 0.0)),
     )
 
@@ -233,10 +237,11 @@ def find_star_center(domain):
     feasible set, where three constraints hold with equality, so the 3x3
     system of every non-singular edge triple is solved and its solution o
     scored by its margin min_e (a_e - o) . nu_e.  When the optimum is not
-    unique, the mean of the vertices whose margin is within _GEOM_TOL of the
-    best one is returned; the optimal set is convex, so it holds that mean.
+    unique, the mean of the vertices whose margin is within tol of the best
+    one is returned (tol is _GEOM_TOL times the bounding box's longest side);
+    the optimal set is convex, so it holds that mean.
     Raises ConfigError above _MAX_STAR_EDGES edges, and NotStarShaped when
-    even the best origin leaves min_xdotnu < 0.
+    even the best origin leaves min_xdotnu < -tol.
     """
     if domain.kind in _ROUND:
         return domain.center.copy()
@@ -252,12 +257,13 @@ def find_star_center(domain):
     A = np.column_stack([nu, np.ones(len(nu))])[idx]
     ok = np.abs(np.linalg.det(A)) > 1e-12  # parallel edges meet nowhere
     o = np.linalg.solve(A[ok], rhs[idx][ok][:, :, None])[:, :2, 0]
+    tol = domain._scaled(_GEOM_TOL)
     m = np.full(len(o), np.inf)
     for n_e, r_e in zip(nu, rhs):  # one edge at a time: memory O(triples)
         m = np.minimum(m, r_e - o @ n_e)
-    origin = o[m >= m.max() - _GEOM_TOL].mean(axis=0)
+    origin = o[m >= m.max() - tol].mean(axis=0)
     margin = domain._min_xdotnu(origin)
-    if not margin >= -_GEOM_TOL:  # NaN too
+    if not margin >= -tol:  # NaN too
         raise NotStarShaped(f"no admissible star center found (best "
                             f"min_xdotnu = {margin:.3e})")
     return origin

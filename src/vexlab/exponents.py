@@ -309,11 +309,11 @@ def sobolev_conjugate(p, N):
 
 
 def embedding_gap(p, q, domain, N=None):
-    """min over samples of (p*(x) - q(x)); positive means compact range."""
+    """min over samples of (p*(x) - q(x)); positive means compact range.
+    The samples are a grid of the domain and the nodes of a tabulated p or q."""
     N = float(N if N is not None else domain.dim)
-    pts = sample_points(domain)
-    if isinstance(p, TabulatedExponent):
-        pts = np.vstack([pts, p.mesh.nodes])
+    pts = np.vstack([sample_points(domain)] + [
+        e.mesh.nodes for e in (p, q) if isinstance(e, TabulatedExponent)])
     pstar = sobolev_conjugate(p, N).value_at(pts)
     qv = q.value_at(pts)
     return float(np.min(pstar - qv))

@@ -28,7 +28,9 @@ _MAX_CELLS = 2**22
 # Size ratios are capped here before rounding, so that one that overflows
 # (a tiny h) still gives a cell count, which _MAX_CELLS then rejects.
 _RATIO_CAP = 2.0**64
-_EAR_TOL = 1e-12  # a vertex this close to an ear's triangle blocks the ear
+# An ear's corner turns left by more than _EAR_TURN and no vertex lies within
+# _EAR_TOL of its triangle; both are areas over the squared longest side.
+_EAR_TURN, _EAR_TOL = 1e-14, 1e-12
 
 # The one quadrature rule per simplex, by its vertex count, as barycentric
 # points and weights summing to one: the point itself (1D boundary facets),
@@ -356,6 +358,7 @@ def _refine_red(nodes, tris):
 
 def _ear_clip(verts):
     """Triangulate a simple CCW polygon, which always has an ear, into triples."""
+    scale = float(np.ptp(verts, axis=0).max()) ** 2
     remaining = list(range(len(verts)))
     tris = []
     while len(remaining) > 3:
@@ -363,10 +366,10 @@ def _ear_clip(verts):
         for k in range(m):
             corner = remaining[k - 1], remaining[k], remaining[(k + 1) % m]
             a, b, c = verts[list(corner)]
-            if _orient(a, b, c) <= 1e-14:
+            if _orient(a, b, c) <= _EAR_TURN * scale:
                 continue
             others = [j for j in remaining if j not in corner]
-            if np.any(_in_triangle(verts[others], a, b, c)):
+            if np.any(_in_triangle(verts[others], a, b, c, -_EAR_TOL * scale)):
                 continue
             tris.append(corner)
             remaining.pop(k)
@@ -377,9 +380,9 @@ def _ear_clip(verts):
     return tris
 
 
-def _in_triangle(pts, a, b, c):
+def _in_triangle(pts, a, b, c, floor):
     s1, s2, s3 = _orient(a, b, pts), _orient(b, c, pts), _orient(c, a, pts)
-    return (s1 > -_EAR_TOL) & (s2 > -_EAR_TOL) & (s3 > -_EAR_TOL)
+    return (s1 > floor) & (s2 > floor) & (s3 > floor)
 
 
 def _mesh_disk(domain, h_target):

@@ -161,15 +161,12 @@ def verify_modular_relations(u, p):
     rho = float(np.sum(w * vals**pq))
     norm = _luxemburg_from_samples(vals, pq, w)
 
-    if norm == 0.0:
-        return ModularRelationsReport(
-            norm=0.0, modular_value=rho, p_minus=p_minus, p_plus=p_plus,
-            relation="zero", lower_slack=0.0, upper_slack=0.0, unit_gap=0.0,
-            sign_consistent=True, passed=rho == 0.0,
-        )
-
-    unit_gap = abs(float(np.sum(w * (vals / norm) ** pq)) - 1.0)
-    if norm > 1.0 + _UNIT_BAND:
+    unit_gap = abs(float(np.sum(w * (vals / norm) ** pq)) - 1.0) if norm else 0.0
+    if norm == 0.0:  # every sample is 0, so rho is 0 as well
+        relation = "zero"
+        lower_slack = upper_slack = 0.0
+        sign_consistent = rho == 0.0
+    elif norm > 1.0 + _UNIT_BAND:
         relation = "above"
         lower_slack = rho - norm**p_minus
         upper_slack = norm**p_plus - rho

@@ -244,9 +244,9 @@ def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
     steps are taken, or a step would take the energy out of the open-closed
     interval bounds.
 
-    Returns (z, energy history, residual norm, steps, stop) with stop one of
-    "converged", "stalled", "max_iters" or "left_nehari" (the refused step
-    is not taken).
+    Returns the SolveResult of the last iterate; its diagnostics hold the
+    energy_history, newton_fallbacks and stop: "converged", "stalled",
+    "max_iters" or "left_nehari" (the refused step is not taken).
     """
     z = np.array(z0, dtype=float)
     hist = [problem.energy(z)]
@@ -265,7 +265,11 @@ def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
         iters += 1
     if gn <= cfg.grad_tol:
         stop = "converged"
-    return z, hist, gn, iters, stop
+    return SolveResult(
+        field=DiscreteField(problem.mesh, z, zero_trace=True), energy=hist[-1],
+        el_residual=gn, iterations=iters, converged=stop == "converged",
+        diagnostics={"energy_history": hist, "stop": stop,
+                     "newton_fallbacks": problem.fallbacks})
 
 
 # -- public energies and actions -------------------------------------------
@@ -347,16 +351,9 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
         z0 = z0.values
     z0 = np.array(z0, dtype=float)
     z0[mesh.boundary_nodes] = 0.0
-    z, hist, gn, iters, stop = _minimize(prob, z0, mesh.interior_nodes, cfg)
-    return SolveResult(
-        field=DiscreteField(mesh, z, zero_trace=True),
-        energy=hist[-1],
-        el_residual=gn,
-        iterations=iters,
-        converged=stop == "converged",
-        diagnostics={"energy_history": hist, "epsilon": eps, "stop": stop,
-                     "newton_fallbacks": prob.fallbacks},
-    )
+    res = _minimize(prob, z0, mesh.interior_nodes, cfg)
+    res.diagnostics["epsilon"] = eps
+    return res
 
 
 def solve_truncated(u, p, q, n, cfg=None):
@@ -494,7 +491,9 @@ def nehari_candidate(p, q, mesh, cfg=None):
     Requires q- > p+ on the mesh (monotone scaling projection); raises
     NoScalingRoot otherwise, and CollapseToZero when the polished
     candidate's gradient norm is below _COLLAPSE_TOL.
-    diagnostics["stop"] is the polish's stop reason (see _minimize);
+    The result is the last polish's (see _minimize), with iterations
+    counting descent and polish steps and energy_history the descent's; its
+    diagnostics["stop"] is the polish's stop reason;
     "left_nehari" means its last attempt would have left that energy band,
     and the field is its last iterate inside it.
     diagnostics["descent_stop"] says why the last descent ended: "tolerance"
@@ -546,30 +545,17 @@ def nehari_candidate(p, q, mesh, cfg=None):
             u, J, s = found
             hist.append(J)
             step = min(s * 2.0, 1e3)
-        z, _, gn, n, stop = _minimize(prob, u, free, cfg, bounds=(
+        res = _minimize(prob, u, free, cfg, bounds=(
             0.0, hist[-1] * (1.0 + _NEHARI_SLACK)))
-        iters2 += n
-        if stop != "left_nehari" or descent_stop != "tolerance":
+        iters2 += res.iterations
+        if res.diagnostics["stop"] != "left_nehari" or descent_stop != "tolerance":
             break
-    u = z
 
-    ufield = DiscreteField(mesh, u, zero_trace=True)
-    if gradient_luxemburg_norm(ufield, p) < _COLLAPSE_TOL:
+    u = res.field
+    if gradient_luxemburg_norm(u, p) < _COLLAPSE_TOL:
         raise CollapseToZero("candidate collapsed toward the trivial solution")
-    identity_gap = abs(gradient_modular(ufield, p).value - modular(ufield, q).value)
-    return SolveResult(
-        field=ufield,
-        energy=prob.energy(u),
-        el_residual=gn,
-        iterations=iters1 + iters2,
-        converged=stop == "converged",
-        diagnostics={
-            "stop": stop,
-            "identity_gap": identity_gap,
-            "energy_history": hist,
-            "descent_iterations": iters1,
-            "descent_stop": descent_stop,
-            "newton_iterations": iters2,
-            "newton_fallbacks": prob.fallbacks,
-        },
-    )
+    res.diagnostics.update(
+        identity_gap=abs(gradient_modular(u, p).value - modular(u, q).value),
+        energy_history=hist, descent_iterations=iters1, descent_stop=descent_stop,
+        newton_iterations=iters2)
+    return replace(res, iterations=iters1 + iters2)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vexlab as vx
-from vexlab.cli import _build_field, _load_config, main
+from vexlab.cli import _build_field, _csv_cell, _jsonable, _load_config, main
 from vexlab.errors import config_number
 
 BALL = {"kind": "ball_analytic", "center": [0, 0, 0], "radius": 1.0}
@@ -690,6 +690,15 @@ def test_config_number_reads_numbers_only():
     for fraction in (2.5, 2.0, np.float64(3.0)):
         with pytest.raises(vx.ConfigError):
             config_number(fraction, "x", integer=True)
+
+
+def test_csv_cells_and_json_values_are_plain():
+    # numpy 2 reprs np.float64(0.1) with its type; a CSV cell holds the value
+    cells = [np.float64(0.1), np.int64(3), np.bool_(True), False, 0.1, "x"]
+    assert [_csv_cell(v) for v in cells] == ["0.1", "3", "1", "0", "0.1", "x"]
+    # JSON has no inf or nan, so a non-finite number is written as null
+    values = {"a": [np.float64(inf), nan, 1.5], "b": np.array([-inf, 2.0])}
+    assert _jsonable(values) == {"a": [None, None, 1.5], "b": [None, 2.0]}
 
 
 @pytest.mark.parametrize("path", sorted(

@@ -392,6 +392,22 @@ def test_find_star_center_rejects_c_shape():
         vx.find_star_center(dom)
 
 
+@pytest.mark.parametrize("k", range(-40, 41, 10))
+def test_star_verdict_scales_with_the_domain(k):
+    # the margins are taken over the bounding box's longest side, and scaling
+    # by a power of two is exact: the L-shape's center scales exactly, and
+    # the C-shape is refused at every size
+    scale = 2.0**k
+    l_shape = vx.Domain.polygon(scale * np.array(L_SHAPE))
+    assert vx.find_star_center(l_shape).tolist() == [0.5 * scale, 0.5 * scale]
+    c_shape = vx.Domain.polygon(scale * np.array(C_SHAPE))
+    with pytest.raises(vx.NotStarShaped):
+        vx.find_star_center(c_shape)
+    # (0.5, 1.5), one of the LP's best origins, misses by a sixth of the side
+    rep = vx.star_shape_report(c_shape, scale * np.array([0.5, 1.5]))
+    assert rep.min_xdotnu == -0.5 * scale and not rep.is_star
+
+
 def test_sample_points_nested_under_doubling():
     dom = vx.Domain.polygon(L_SHAPE)
     coarse = vx.sample_points(dom, 8)

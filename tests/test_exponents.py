@@ -139,6 +139,18 @@ def test_embedding_gap_reads_tabulated_nodes():
     assert gap == pytest.approx(2.0 * 1.2 / (2.0 - 1.2) - 4.0, abs=1e-12)
 
 
+def test_embedding_gap_reads_tabulated_q_nodes():
+    # p* = 3 everywhere (p = 1.5, N = 3); q = 2 but for 3.5 at the node
+    # x = 0.33, which no sample grid point hits
+    interval = vx.Domain.interval(0.0, 1.0)
+    mesh = vx.build_mesh(interval, 0.01)
+    vals = np.full(mesh.nnodes, 2.0)
+    vals[33] = 3.5
+    gap = vx.embedding_gap(vx.ConstantExponent(1.5), vx.TabulatedExponent(mesh, vals),
+                           interval, N=3)
+    assert gap == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_quadrature_samples_cached_per_mesh(unit_square):
     mesh = vx.build_mesh(unit_square, 0.25)
     p = vx.RadialExponent(1.6, 0.1, [0.5, 0.5])
@@ -261,6 +273,13 @@ def test_log_holder_samples_few_points():
     # the L-shape fills 3/4 of its box, so a kept pair costs about 4/3 + 1
     # points; the ball form adds one point per ball tried
     assert sum(tested) <= 4 * 500
+
+
+def test_log_holder_refuses_a_domain_without_pairs():
+    # partners lie at least 1e-6 away, so none falls inside a 1e-9 interval
+    with pytest.raises(vx.ConfigError, match="no admissible pairs"):
+        vx.log_holder_estimate(vx.ConstantExponent(2.0), vx.Domain.interval(0, 1e-9),
+                               pairs=1)
 
 
 def test_exponent_from_spec(interval, tmp_path):

@@ -240,6 +240,13 @@ def test_mesh_rejects_malformed_arrays(nodes, cells, match):
         vx.Mesh(nodes, cells)
 
 
+def test_mesh_takes_flat_nodes_as_one_dimensional():
+    flat = vx.Mesh([0.0, 0.5, 1.0], [[0, 1], [1, 2]])
+    column = vx.Mesh([[0.0], [0.5], [1.0]], [[0, 1], [1, 2]])
+    assert flat.dim == 1 and np.array_equal(flat.nodes, column.nodes)
+    assert flat.boundary_nodes.tolist() == column.boundary_nodes.tolist() == [0, 2]
+
+
 def test_degenerate_cell_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(vx.DegenerateCell):
@@ -283,6 +290,18 @@ def test_nonconvex_polygon_meshes_cleanly():
     assert mesh.volume == pytest.approx(3.0, abs=1e-10)
     inside = mesh.nodes[mesh.ncells // 2]
     assert domain.contains(inside[None, :])[0]
+
+
+@pytest.mark.parametrize("k", range(-40, 41, 10))
+def test_polygon_meshes_alike_at_every_scale(k):
+    # ear clipping weighs orientations, which are areas, against the squared
+    # longest side, and scaling by a power of two is exact: a scaled L-shape
+    # meshes into the unit one's cells with exactly scaled nodes
+    l_shape = np.array([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], float)
+    unit = vx.build_mesh(vx.Domain.polygon(l_shape), 0.25)
+    mesh = vx.build_mesh(vx.Domain.polygon(2.0**k * l_shape), 2.0**k * 0.25)
+    assert np.array_equal(mesh.cells, unit.cells)
+    assert np.array_equal(mesh.nodes, 2.0**k * unit.nodes)
 
 
 @pytest.mark.parametrize("vertices, area", [

@@ -939,12 +939,13 @@ def test_minimize_refuses_a_step_out_of_bounds(interval):
                                   load_q=vx.field_on_quadrature(load))
     z0 = np.zeros(mesh.nnodes)
     free = mesh.interior_nodes
-    z, hist, _, iters, stop = solvers._minimize(prob, z0, free, vx.SolveConfig(),
-                                                bounds=(0.0, np.inf))
-    assert (stop, iters, hist) == ("left_nehari", 0, [prob.energy(z0)])
-    assert np.array_equal(z, z0)
+    res = solvers._minimize(prob, z0, free, vx.SolveConfig(), bounds=(0.0, np.inf))
+    diag = res.diagnostics
+    assert (diag["stop"], res.iterations, diag["energy_history"]) == (
+        "left_nehari", 0, [prob.energy(z0)])
+    assert np.array_equal(res.field.values, z0)
     free_run = solvers._minimize(prob, z0, free, vx.SolveConfig())
-    assert free_run[4] == "converged"
+    assert free_run.diagnostics["stop"] == "converged"
 
 
 def sha256(values):
