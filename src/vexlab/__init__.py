@@ -86,7 +86,6 @@ from .solvers import (
     power_source,
     regularized_energy,
     solve_regularized,
-    solve_truncated,
     source_energy,
 )
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -341,7 +342,7 @@ def _run_pohozaev(cfg, base_dir, out, seed):
         runs = cascade(u, p, q, scfg)
         report = report.with_remainder(remainder_R(runs, p, mesh, origin))
         failed = _cascade_outcome(runs, meta)
-    row = report.as_dict()
+    row = asdict(report)
     payload = {"candidate_stop": candidate_stop, **row,
                "star_min_xdotnu": star_shape_report(domain, origin).min_xdotnu}
     if failed is not None:
@@ -358,7 +359,7 @@ def _run_verdict(cfg, base_dir, out, seed):
     origin = _origin_for(cfg, domain) if "origin" in cfg else None
     rep = nonexistence_verdict(domain, p, q, N=N, origin=origin,
                                tol=_number(cfg, "tol", 1e-9))
-    return rep.as_dict(), {}, 0
+    return asdict(rep), {}, 0
 
 
 def _run_sweep(cfg, base_dir, out, seed):
@@ -376,7 +377,7 @@ def _run_sweep(cfg, base_dir, out, seed):
     for k, val in enumerate(values):
         p = ConstantExponent(val) if param == "p" else base_p
         q = ConstantExponent(val) if param == "q" else base_q
-        d = nonexistence_verdict(domain, p, q, N=N, tol=tol).as_dict()
+        d = asdict(nonexistence_verdict(domain, p, q, N=N, tol=tol))
         d["value"] = val
         d["seed"] = seed + k + 1
         results.append(d)

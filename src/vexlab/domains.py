@@ -205,12 +205,17 @@ class Domain:
     # -- star shape --------------------------------------------------------
 
     def _min_xdotnu(self, origin):
-        """min over the boundary of (x - origin) . nu: per facet, at its
-        first vertex, for a polytope; radial for a disk or ball."""
-        o = np.atleast_1d(np.asarray(origin, dtype=float))
+        """min over the boundary of (x - origin) . nu.  A polytope takes it
+        per facet, at the facet's first vertex, for one origin or for each
+        row of a (k, dim) stack, one facet at a time (memory O(k)); a disk
+        or ball takes it radially, for one origin."""
+        o = np.asarray(origin, dtype=float)
         if self.kind in _ROUND:
-            return self.radius - float(np.linalg.norm(o - self.center))
-        return min(float((v - o) @ nu) for v, nu in zip(self.vertices, self.normals))
+            return self.radius - np.linalg.norm(o - self.center)
+        m = np.inf
+        for v, nu in zip(self.vertices, self.normals):
+            m = np.minimum(m, (v - o) @ nu)
+        return m
 
 
 def star_shape_report(domain, origin):
@@ -236,10 +241,11 @@ def find_star_center(domain):
     its outward unit normal).  The optimum is attained at a vertex of the
     feasible set, where three constraints hold with equality, so the 3x3
     system of every non-singular edge triple is solved and its solution o
-    scored by its margin min_e (a_e - o) . nu_e.  When the optimum is not
-    unique, the mean of the vertices whose margin is within tol of the best
-    one is returned (tol is _GEOM_TOL times the bounding box's longest side);
-    the optimal set is convex, so it holds that mean.
+    scored by Domain._min_xdotnu, the margin min_e (a_e - o) . nu_e.  When
+    the optimum is not unique, the mean of the vertices whose margin is
+    within tol of the best one is returned (tol is _GEOM_TOL times the
+    bounding box's longest side); the optimal set is convex, so it holds
+    that mean.
     Raises ConfigError above _MAX_STAR_EDGES edges, and NotStarShaped when
     even the best origin leaves min_xdotnu < -tol.
     """
@@ -258,9 +264,7 @@ def find_star_center(domain):
     ok = np.abs(np.linalg.det(A)) > 1e-12  # parallel edges meet nowhere
     o = np.linalg.solve(A[ok], rhs[idx][ok][:, :, None])[:, :2, 0]
     tol = domain._scaled(_GEOM_TOL)
-    m = np.full(len(o), np.inf)
-    for n_e, r_e in zip(nu, rhs):  # one edge at a time: memory O(triples)
-        m = np.minimum(m, r_e - o @ n_e)
+    m = domain._min_xdotnu(o)
     origin = o[m >= m.max() - tol].mean(axis=0)
     margin = domain._min_xdotnu(origin)
     if not margin >= -tol:  # NaN too

@@ -39,18 +39,14 @@ class LogHolderReport:
 
 
 class ExponentField:
-    """Base class: a scalar field x -> p(x) with a gradient."""
+    """Base class: a scalar field x -> p(x) with a gradient.
+
+    A subclass defines value_at(x), the values (n,) at the points x (see
+    _as_points), gradient_at(x), the gradients (n, dim) there, and
+    bounds(domain=None), the (min, max) of p over the domain.
+    """
 
     dim = None
-
-    def value_at(self, x):
-        raise NotImplementedError
-
-    def gradient_at(self, x):
-        raise NotImplementedError
-
-    def bounds(self, domain=None):
-        raise NotImplementedError
 
     # fast paths used by the quadrature pipeline; default is generic
     def eval_on_quadrature(self, mesh):
@@ -332,10 +328,10 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
 
     xs, ys = [], []
     kept = 0
-    attempts = 0
-    while kept < pairs and attempts < 200 * pairs:
-        attempts += 1
+    drawn = 0
+    while kept < pairs and drawn < 200 * pairs:
         n = pairs - kept
+        drawn += n
         x = lo + span * rng.random((n, domain.dim))
         keep = domain.contains(x)
         x = x[keep]

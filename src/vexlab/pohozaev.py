@@ -10,7 +10,7 @@ machine-readable nonexistence verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class PohozaevReport:
     def with_remainder(self, r_proxy):
         base = self.t1 + self.t2 + self.t3 - self.t4
         return replace(self, r_proxy=float(r_proxy), total=base + float(r_proxy))
-
-    def as_dict(self):
-        return {**asdict(self), "origin": list(self.origin)}
 
 
 def _origin(origin):
@@ -222,9 +219,9 @@ def remainder_R(runs, p, mesh, origin):
     truncation levels (InsufficientRuns otherwise).  Nonnegative whenever
     the chosen origin star-shapes the domain.
     """
-    by_n = {}
+    by_n = {}  # n -> {epsilon: boundary term}, in schedule order
     for n, eps, term in remainder_table(runs, p, origin):
-        by_n.setdefault(n, []).append((float(eps), term))
+        by_n.setdefault(n, {})[eps] = term  # a repeated n adds no level
     if len(by_n) < 2:
         raise InsufficientRuns(
             f"need at least 2 truncation levels, got {len(by_n)}"
@@ -234,13 +231,13 @@ def remainder_R(runs, p, mesh, origin):
     p_plus = float(pq.max())
 
     per_n = {}
-    for n, pairs in by_n.items():
-        if len(pairs) < 2:
+    for n, terms in by_n.items():
+        terms = list(terms.values())
+        if len(terms) < 2:
             raise InsufficientRuns(
-                f"need at least 2 epsilon levels at n = {n}, got {len(pairs)}"
+                f"need at least 2 epsilon levels at n = {n}, got {len(terms)}"
             )
-        pairs.sort(key=lambda t: -t[0])
-        per_n[n] = max(term for _, term in pairs[len(pairs) // 2:])
+        per_n[n] = max(terms[len(terms) // 2:])
     ns = sorted(per_n)
     proxy = max(per_n[n] for n in ns[len(ns) // 2:])
     return ((p_dag - 1.0) / p_plus) * proxy
@@ -278,9 +275,6 @@ class VerdictReport:
     is_star: bool
     strict_rho: float
     tol: float
-
-    def as_dict(self):
-        return {**asdict(self), "origin": list(self.origin)}
 
 
 def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):

@@ -356,74 +356,59 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
     return res
 
 
-def solve_truncated(u, p, q, n, cfg=None):
-    """Solve the truncated problem for one n down the epsilon schedule.
-
-    Builds u_n = cutoff(u, n) and the mollified doubled source, then runs
-    solve_regularized along the schedule with warm starts.  Returns the
-    last epsilon level, recorded by _level.
-    """
-    cfg = cfg or SolveConfig()
-    z = cutoff(u, n)  # u_n, also the first warm start
-    f_node = power_source(z, q)
-    runs = []
-    for eps in cfg.eps_schedule():
-        v_eps = mollify(f_node, mollifier_radius(eps, u.mesh))
-        runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
-        z = runs[-1].field
-    return _level(u, n, runs)
-
-
-def _level(u, n, runs, reused_from_n=None):
-    """The record of truncation level n: tags each epsilon level of runs with
-    diagnostics n (and reused_from_n, when runs are copies of that level's),
-    and returns the last, which holds them all under diagnostics["eps_runs"]
-    plus truncation_active (whether max |u| exceeds n)."""
-    for lv in runs:
-        lv.diagnostics["n"] = n
-        if reused_from_n is not None:
-            lv.diagnostics["reused_from_n"] = reused_from_n
-    runs[-1].diagnostics.update(
-        eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)))
-    return runs[-1]
-
-
 def cascade(u, p, q, cfg=None):
-    """Run solve_truncated along cfg.n_schedule; report gaps against u.
+    """Solve the truncated problems along cfg.n_schedule; report gaps
+    against u.
 
-    Each returned SolveResult carries two diagnostics: gap_grad_modular,
-    the difference in gradient modular between the truncated solution and
-    the candidate u, and gap_q_modular, the same difference for the source
-    modular.  Both shrink to zero once the truncation level clears max |u|.
-    A level whose cutoff(u, n) is byte-equal to an earlier level's poses the
-    same problem, so its epsilon levels are copies of that level's, each
-    tagged with diagnostics reused_from_n.  fem.mollify keeps its kernels on
-    the mesh for the length of this call only.
+    Truncation level n builds u_n = cutoff(u, n), its first warm start, and
+    the mollified doubled source, and runs solve_regularized down the
+    epsilon schedule with warm starts.  Each returned SolveResult is a
+    level's last epsilon level, holding them all under
+    diagnostics["eps_runs"], each tagged with diagnostics n; it also carries
+    truncation_active (whether max |u| exceeds n) and two gaps:
+    gap_grad_modular, the difference in gradient modular between the
+    truncated solution and the candidate u, and gap_q_modular, the same
+    difference for the source modular.  Both shrink to zero once the
+    truncation level clears max |u|.
+    A level whose u_n is byte-equal to an earlier level's poses the same
+    problem, so its epsilon levels are copies of that level's, each tagged
+    with diagnostics reused_from_n.  fem.mollify keeps its kernels on the
+    mesh for the length of this call only.
     cascade_levels walks the epsilon levels of the returned runs.
     """
     cfg = cfg or SolveConfig()
     gm_u = gradient_modular(u, p).value
     qm_u = modular(u, q).value
     out = []
-    solved = {}  # cutoff(u, n) bytes -> (n, epsilon levels) of the level solving it
+    solved = {}  # u_n bytes -> (n, epsilon levels) of the level solving it
     u.mesh._mollifiers = {}
     try:
         for n in cfg.n_schedule:
-            key = cutoff(u, n).values.tobytes()
+            z = cutoff(u, n)
+            key = z.values.tobytes()
             if key in solved:
                 n0, levels = solved[key]
-                copies = []
-                for lv in levels:  # each with its own field, dict and history
-                    diag = {**lv.diagnostics,
-                            "energy_history": list(lv.diagnostics["energy_history"])}
-                    copies.append(replace(lv, field=lv.field.copy(), diagnostics=diag))
-                res = _level(u, n, copies, n0)
+                runs = [replace(lv, field=lv.field.copy(), diagnostics={
+                    **lv.diagnostics,
+                    "energy_history": list(lv.diagnostics["energy_history"])})
+                    for lv in levels]  # each with its own field, dict and history
             else:
-                res = solve_truncated(u, p, q, n, cfg)
-                solved[key] = (n, res.diagnostics["eps_runs"])
-            res.diagnostics["gap_grad_modular"] = abs(
-                gradient_modular(res.field, p).value - gm_u)
-            res.diagnostics["gap_q_modular"] = abs(modular(res.field, q).value - qm_u)
+                n0, runs = None, []
+                f_node = power_source(z, q)
+                for eps in cfg.eps_schedule():
+                    v_eps = mollify(f_node, mollifier_radius(eps, u.mesh))
+                    runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
+                    z = runs[-1].field
+                solved[key] = (n, runs)
+            for lv in runs:
+                lv.diagnostics["n"] = n
+                if n0 is not None:
+                    lv.diagnostics["reused_from_n"] = n0
+            res = runs[-1]
+            res.diagnostics.update(
+                eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)),
+                gap_grad_modular=abs(gradient_modular(res.field, p).value - gm_u),
+                gap_q_modular=abs(modular(res.field, q).value - qm_u))
             out.append(res)
     finally:
         u.mesh._mollifiers = None

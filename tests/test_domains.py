@@ -392,6 +392,41 @@ def test_find_star_center_rejects_c_shape():
         vx.find_star_center(dom)
 
 
+GON_64 = np.column_stack([np.cos(2 * np.pi * np.arange(64) / 64),
+                          np.sin(2 * np.pi * np.arange(64) / 64)])
+
+
+@pytest.mark.parametrize("verts", [L_SHAPE, C_SHAPE, GON_64],
+                         ids=["l_shape", "c_shape", "64_gon"])
+def test_stacked_margin_is_the_per_origin_margin(verts):
+    # find_star_center scores its candidate origins as one (k, 2) stack
+    dom = vx.Domain.polygon(verts)
+    lo, hi = dom.bounding_box()
+    origins = probe_grid(dom, np.linspace(-0.25, 1.25, 13))
+    stacked = dom._min_xdotnu(origins)
+    assert stacked.shape == (len(origins),)
+    single = np.array([dom._min_xdotnu(o) for o in origins])
+    assert np.all(np.abs(stacked - single) <= 4 * np.spacing(np.max(hi - lo)))
+
+
+# float.hex of find_star_center's origin, taken while it scored the LP's
+# vertices with a margin formula of its own, and the C-shape's refusal
+STAR_CENTER_PINS = {
+    "l_shape": ["0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+    "64_gon": ["0x1.9856fd2aab925p-57", "0x1.00ff4baa1856fp-56"],
+    "rectangle": ["0x1.0000000000000p+0", "0x1.0000000000000p-1"],
+}
+
+
+def test_star_centers_pinned():
+    shapes = {"l_shape": L_SHAPE, "64_gon": GON_64,
+              "rectangle": [(0, 0), (2, 0), (2, 1), (0, 1)]}
+    assert {name: [x.hex() for x in vx.find_star_center(vx.Domain.polygon(v))]
+            for name, v in shapes.items()} == STAR_CENTER_PINS
+    with pytest.raises(vx.NotStarShaped, match=r"best min_xdotnu = -5\.000e-01\)$"):
+        vx.find_star_center(vx.Domain.polygon(C_SHAPE))
+
+
 @pytest.mark.parametrize("k", range(-40, 41, 10))
 def test_star_verdict_scales_with_the_domain(k):
     # the margins are taken over the bounding box's longest side, and scaling

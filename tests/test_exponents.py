@@ -282,6 +282,18 @@ def test_log_holder_refuses_a_domain_without_pairs():
                                pairs=1)
 
 
+def test_log_holder_budget_counts_points_not_batches():
+    # every batch draws pairs points and keeps no pair, so a budget of 200
+    # batches would pass 2 * 200 * pairs**2 points (16,000,000) to contains
+    narrow = vx.Domain.interval(0, 1e-9)
+    tested = []
+    contains = narrow.contains
+    narrow.contains = lambda pts: (tested.append(len(pts)), contains(pts))[1]
+    with pytest.raises(vx.ConfigError, match="no admissible pairs"):
+        vx.log_holder_estimate(vx.ConstantExponent(2.0), narrow, pairs=200)
+    assert sum(tested) <= 2 * 200 * 200
+
+
 def test_exponent_from_spec(interval, tmp_path):
     p = vx.exponent_from_spec({"kind": "constant", "value": 2.0})
     assert isinstance(p, vx.ConstantExponent)

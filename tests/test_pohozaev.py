@@ -1,5 +1,6 @@
 """Balance terms, boundary remainder, the identity checks, and the verdict."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -134,8 +135,8 @@ def test_report_with_remainder_and_csv(fine_interval_mesh):
     assert rep2.r_proxy == 0.125
     assert rep2.total == pytest.approx(
         rep.t1 + rep.t2 + rep.t3 - rep.t4 + 0.125, abs=1e-15)
-    d = rep2.as_dict()
-    assert d["origin"] == [0.5] and d["r_proxy"] == 0.125
+    d = dataclasses.asdict(rep2)
+    assert d["origin"] == (0.5,) and d["r_proxy"] == 0.125
 
 
 # -- boundary term and the remainder proxy ----------------------------------
@@ -162,6 +163,11 @@ def test_remainder_zero_fields_exact(interval_mesh):
     r = vx.remainder_R(runs, P2, interval_mesh, origin=[0.5])
     # trailing-half max of the eps list is 0.25; coefficient (2-1)/2
     assert r == pytest.approx(0.125, abs=1e-14)
+    # a repeated truncation level adds no epsilon level to its n
+    repeated = synthetic_cascade(interval_mesh,
+                                 lambda: np.zeros(interval_mesh.nnodes),
+                                 (1, 2, 2), (0.5, 0.25))
+    assert vx.remainder_R(repeated, P2, interval_mesh, origin=[0.5]) == r
 
 
 def test_remainder_nonnegative_for_star_origin(interval_mesh, rng):

@@ -538,7 +538,7 @@ def test_solve_truncated_linear_limit(fine_interval_mesh):
     mesh = fine_interval_mesh
     u = sin_field(mesh)
     cfg = vx.SolveConfig(epsilon0=1.0, eps_factor=0.25, eps_min=1e-6)
-    res = vx.solve_truncated(u, P2, P2, n=2, cfg=cfg)
+    res = vx.cascade(u, P2, P2, dataclasses.replace(cfg, n_schedule=(2,)))[0]
     assert res.converged
     assert not res.diagnostics["truncation_active"]
     exact = vx.DiscreteField.interpolate(
@@ -562,9 +562,34 @@ def test_solve_truncated_linear_limit(fine_interval_mesh):
 def test_solve_truncated_flags_active_truncation(interval_mesh):
     u = 3.0 * sin_field(interval_mesh)
     cfg = vx.SolveConfig(epsilon0=0.5, eps_factor=0.5, eps_min=0.125)
-    res = vx.solve_truncated(u, P2, P2, n=1, cfg=cfg)
+    res = vx.cascade(u, P2, P2, dataclasses.replace(cfg, n_schedule=(1,)))[0]
     assert res.diagnostics["truncation_active"]
     assert res.diagnostics["n"] == 1
+
+
+# float.hex of each epsilon level's energy and sha256 of the last field of
+# solve_truncated(u, p, q, n), the one-level solve that cascade now runs
+# itself, taken before it was folded in.
+TRUNCATED_PINS = {
+    1: (["-0x1.7c12c876106e3p+1", "-0x1.b621b760c5750p+1", "-0x1.d45e3ace9d9c3p+1"],
+        "6080428d539200eb0b7e93a8fc725913437e65832d076183817f133ec98a4c70"),
+    8: (["-0x1.22560aef90551p+5", "-0x1.3236e15867089p+5", "-0x1.3911d212c45b2p+5"],
+        "e32579a7fed568698af00f5000dea4a09e0ef29c5eb001ce71770575057c504a"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_one_level_cascade_is_the_truncated_solve_bit_for_bit(interval_mesh, n):
+    # max |u| = 3.5: n = 1 truncates, n = 8 does not
+    u = 3.5 * sin_field(interval_mesh)
+    cfg = vx.SolveConfig(epsilon0=0.5, eps_factor=0.5, eps_min=0.125,
+                         n_schedule=(n,))
+    res = vx.cascade(u, vx.AffineExponent(2.5, [0.5]), vx.ConstantExponent(4.0),
+                     cfg)[0]
+    assert res.diagnostics["truncation_active"] == (n == 1)
+    levels = res.diagnostics["eps_runs"]
+    assert ([lv.energy.hex() for lv in levels], sha256(res.field.values)) \
+        == TRUNCATED_PINS[n]
 
 
 def test_cascade_levels_converge_without_stalling(fine_interval_mesh):
