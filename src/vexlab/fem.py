@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spilu, splu
 from scipy.spatial import cKDTree
 
@@ -14,6 +15,16 @@ from .errors import ConfigError, NonFiniteIntegrand
 # Most kernel pairs one mollify slice holds at once (about 70 bytes each,
 # temporaries included), which bounds its memory at any radius.
 _MOLLIFY_PAIRS = 2**23
+# Largest m * bw^2 (m free nodes, bw the half-bandwidth in reverse
+# Cuthill-McKee order) that _banded solves by LAPACK's banded LU.  gbsv's
+# time per solve over SuperLU's, one thread, best of 5-7, by mesh (h): m, bw,
+# m * bw^2, ratio.  interval (0.005): 199, 1, 199, 0.25-0.38; square (0.1):
+# 225, 15, 50k, 0.31-0.37; square (0.05): 961, 31, 0.92M, 0.37-0.39; disk
+# (0.1): 576, 46, 1.2M, 0.63-0.80; L-shape (0.1): 1953, 32, 2.0M, 0.31-0.32;
+# disk (0.07): 1225, 69, 5.8M, 1.06-1.34; square (0.025): 3969, 63, 15.8M,
+# 1.07; disk (0.05): 2401, 97, 22.6M, 1.39-1.51; triangle (0.02): 32385, 254,
+# 2.1G, 1.73-2.03.  2^21 is the largest power of two below the least loss.
+_BAND_WORK = 2**21
 
 
 class DiscreteField:
@@ -251,6 +262,33 @@ def _assemble(mesh, elem, free):
     slot, target, indices, indptr, perm = mesh._patterns[key]
     data = np.bincount(target, elem.ravel()[slot], len(indices))
     return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float), perm
+
+
+def _banded(mesh, free):
+    """The solve (data, b) -> x by LAPACK's banded LU (partial pivoting) of
+    the CSC data on _assemble's cached pattern for free, or None when m * bw^2
+    exceeds _BAND_WORK.  Its order and scatter are built once per node set."""
+    key = free.tobytes()
+    if key not in mesh._bands:
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        _, _, rows, indptr, perm = mesh._patterns[key]
+        m = len(perm)
+        cols = np.argsort(perm)[np.repeat(np.arange(m), np.diff(indptr))]
+        order = reverse_cuthill_mckee(sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), (m, m)), symmetric_mode=True)
+        pos = np.argsort(order)
+        i, j = pos[rows], pos[cols]
+        bw = int(np.abs(i - j).max())
+        flat = (bw + i - j) * m + j  # ab[bw + i - j, j] = A[i, j]
+
+        def solve(data, b):
+            ab = np.zeros((2 * bw + 1, m))
+            ab.flat[flat] = data
+            return solve_banded((bw, bw), ab, b[order], overwrite_ab=True,
+                                check_finite=False)[pos]
+
+        mesh._bands[key] = solve if m * bw * bw <= _BAND_WORK else None
+    return mesh._bands[key]
 
 
 def _factor(mesh, elem, free):

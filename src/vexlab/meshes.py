@@ -134,6 +134,7 @@ class Mesh:
         self._facet_quad = None
         self._bdist = None
         self._patterns = {}  # fem._assemble's CSC pattern and column order by node set
+        self._bands = {}  # fem._banded's band solve (or None) by node set
         self._exponent_samples = weakref.WeakKeyDictionary()
         self._mollifiers = None  # fem.mollify's kernels by radius, in a cascade
 

@@ -15,31 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve as _superlu
 
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
                      check_keys, config_number)
-from .fem import (
-    DiscreteField,
-    _assemble,
-    _bump_profile,
-    _cell_mass,
-    _cell_stiffness,
-    _factor,
-    _load_vector,
-    _scatter,
-    cutoff,
-    field_on_quadrature,
-    l2_project,
-    mollify,
-    sample,
-)
-from .modular import (
-    _balance_root,
-    gradient_luxemburg_norm,
-    gradient_modular,
-    modular,
-)
+from .fem import (DiscreteField, _assemble, _banded, _bump_profile, _cell_mass,
+                  _cell_stiffness, _factor, _load_vector, _scatter, cutoff,
+                  field_on_quadrature, l2_project, mollify, sample)
+from .modular import _balance_root, gradient_luxemburg_norm, gradient_modular, modular
 
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
@@ -133,7 +116,7 @@ class SolveResult:
 class _EnergyProblem:
     """The one energy of this module: samples p and q at the quadrature
     points once and evaluates F, F' and F''.  q=None drops the power term
-    (hess needs q)."""
+    (hess needs q).  Fixed once built: _at keeps the last iterate's samples."""
 
     def __init__(self, mesh, p, q, eps, load_q=None, q_sign=1.0):
         self.mesh = mesh
@@ -144,10 +127,22 @@ class _EnergyProblem:
         self.qq = None if q is None else q.eval_on_quadrature(mesh)
         self.load_q = load_q  # (nc, nq) or None
         self.fallbacks = 0  # Newton steps that fell back to -g
+        self._key = None
+
+    def _at(self, z):
+        """(g, zq, s, a) at z: cell gradients, samples, s = |g|^2 + eps and
+        a = sum_q w s^((p-2)/2) (grad's scale, hess's a1), kept for the last z."""
+        if (key := z.tobytes()) != self._key:
+            g, zq = sample(self.mesh, z)
+            s = np.sum(g * g, axis=1)[:, None] + self.eps
+            with np.errstate(over="ignore", divide="ignore"):
+                a = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
+                           axis=1)
+            self._key, self._last = key, (g, zq, s, a)
+        return self._last
 
     def energy(self, z):
-        g, zq = sample(self.mesh, z)
-        s = np.sum(g * g, axis=1)[:, None] + self.eps
+        _, zq, s, _ = self._at(z)
         with np.errstate(over="ignore"):
             e = np.sum(self.w * s ** (self.pq / 2.0) / self.pq)
             if self.qq is not None:
@@ -157,11 +152,7 @@ class _EnergyProblem:
         return float(e)
 
     def grad(self, z):
-        g, zq = sample(self.mesh, z)
-        s = np.sum(g * g, axis=1)[:, None] + self.eps
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = np.sum(self.w * np.maximum(s, _TINY) ** ((self.pq - 2.0) / 2.0),
-                           axis=1)
+        g, zq, _, scale = self._at(z)
         out = _scatter(self.mesh, np.einsum("cd,cvd->cv", scale[:, None] * g,
                                             self.mesh.basis_grads))
         if self.qq is None and self.load_q is None:
@@ -174,14 +165,11 @@ class _EnergyProblem:
 
     def hess(self, z):
         """F''(z) on the interior nodes, as fem._assemble's (CSC, perm)."""
-        g, zq = sample(self.mesh, z)
-        g2 = np.sum(g * g, axis=1)
-        s_safe = np.maximum(g2[:, None] + self.eps, _TINY)
+        g, zq, s, a1 = self._at(z)
         with np.errstate(over="ignore", divide="ignore"):
-            a1 = np.sum(self.w * s_safe ** ((self.pq - 2.0) / 2.0), axis=1)
-            a2 = np.sum(self.w * (self.pq - 2.0) * s_safe ** ((self.pq - 4.0) / 2.0),
-                        axis=1)
-        a2 = np.where(g2 > _TINY, a2, 0.0)
+            a2 = np.sum(self.w * (self.pq - 2.0)
+                        * np.maximum(s, _TINY) ** ((self.pq - 4.0) / 2.0), axis=1)
+        a2 = np.where(np.sum(g * g, axis=1) > _TINY, a2, 0.0)
         A = (a1[:, None, None] * np.eye(self.mesh.dim)
              + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
         G = self.mesh.basis_grads
@@ -196,6 +184,15 @@ class _EnergyProblem:
         return _assemble(self.mesh, elem, self.mesh.interior_nodes)
 
 
+def spsolve(system, b):
+    """x with H[:, perm] x = b for system = (H, perm, band), band from
+    fem._banded: by the band's LU if it has one, else by SuperLU."""
+    H, perm, band = system
+    if band is None:
+        return _superlu(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
+    return band(H.data, b)
+
+
 def _newton_step(problem, z, free, gf, gn, F0):
     """One damped step along the Newton direction, or None.  When the sparse
     solve fails, the direction is -g and problem.fallbacks counts the step.
@@ -207,10 +204,10 @@ def _newton_step(problem, z, free, gf, gn, F0):
     iterate with its energy and free gradient, or None when neither merit
     accepts a step.
     """
-    H, perm = problem.hess(z)
+    system = (*problem.hess(z), _banded(problem.mesh, free))
     try:
-        d = spsolve(H, -gf, permc_spec="NATURAL", use_umfpack=False)[perm]
-    except RuntimeError:  # what SuperLU raises on a singular factor
+        d = spsolve(system, -gf)
+    except (RuntimeError, np.linalg.LinAlgError):  # a singular factor
         d = None
     if d is None or not np.all(np.isfinite(d)):
         problem.fallbacks += 1
@@ -487,14 +484,14 @@ def nehari_candidate(p, q, mesh, cfg=None):
     """
     cfg = cfg or SolveConfig()
     rng = np.random.default_rng(cfg.seed)
-    prob = _EnergyProblem(mesh, p, q, 0.0, q_sign=-1.0)
-    pq, qq = prob.pq, prob.qq
+    pq, qq = p.eval_on_quadrature(mesh), q.eval_on_quadrature(mesh)
     if float(qq.min()) <= float(pq.max()) + 1e-12:
         raise NoScalingRoot(
             f"scaling projection needs q- > p+, got q- = {qq.min():.4g}, "
             f"p+ = {pq.max():.4g}"
         )
-    prob.eps = 0.0 if float(pq.min()) >= 2.0 else 1e-14
+    prob = _EnergyProblem(mesh, p, q, 0.0 if float(pq.min()) >= 2.0 else 1e-14,
+                          q_sign=-1.0)
     free = mesh.interior_nodes
 
     logw = np.log(prob.w)

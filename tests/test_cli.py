@@ -714,23 +714,23 @@ def test_shipped_configs_have_known_keys(path):
 CONFIG_DIGESTS = {
     "cascade_interval": {
         "cascade.json":
-            "55d92cd712d83fca02846a0bbc2e5b5a517a52d37363074e847cc4a04ed6dc74",
+            "041a1c7fb2f6f2fc592f8a90695691ba6dba28a97afa3ad42416f3ba75c70609",
         "cascade_series.csv":
-            "4a5aae15f81fb100c67fd7047c5983e41014db98af373c7ea9a9dd53305daa2d",
+            "90ce5fa2e73f8465dfa773f79c1641cc326af99ea51b70091276d65cfa3c8e91",
     },
     "pohozaev_interval": {
         "pohozaev.csv":
-            "b3b273b26a64ba3d982bda0ca55c4b3f1875192f800b25c5e569986b6c81649b",
+            "b7ea5760c30752b3d60acfb9d619b4c77599a06674f4dec891e387a110eb0947",
         "pohozaev.json":
-            "fc5aac41ccde81a8a90b9120f86e5f385ef26d16bc44074264f510528b2fe1be",
+            "872ad70ecf3ee08044a8871bec12f595db235ff854c3fd2e9a0cdeb790f6caa5",
     },
     "solve_interval": {
         "mesh.txt":
             "7159966012ea677f07df523dcbf78286e96be6fd10da0f1f42d073f3e06892e0",
         "solution.txt":
-            "329f972017ed366d3f762d1922f4d05c90a12d248fc9af3f8ca416c6ebc846e8",
+            "a8040378d05bd692dfea7469906884ad9d377e7c620e28d9bd160fed4ba1ca0e",
         "solve.json":
-            "b71f25193aa23f94cb1e0682977ff5d9f476163a1148b070a81f3dbd0cce3988",
+            "ffecc722a2b5f2a20a69da5249776e356913787d855e4c8ec9db2f1a472c8128",
     },
     "spaces_check_interval": {
         "spaces_check.json":

@@ -448,7 +448,8 @@ def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
     # zero blocks on the cells around one interior node leave its row and
-    # column empty; the ordered solve fails exactly where the natural one does
+    # column empty; the band solve fails exactly where SuperLU's natural one
+    # does
     mesh = HESS_MESHES["square-0.1"]()
     dead = np.any(mesh.cells == mesh.interior_nodes[20], axis=1)[:, None, None]
     natural, failed = [], []
@@ -458,10 +459,17 @@ def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
         natural.append(M[:, perm])
         return M, perm
 
-    def both(H, b, **options):
-        x = spsolve(H, b, **options)
+    band_solve = solvers.spsolve
+
+    def both(system, b):
+        assert system[2] is not None  # the band LU, not SuperLU
         failed.append(not np.all(np.isfinite(spsolve(natural[-1], b,
                                                      use_umfpack=False))))
+        try:
+            x = band_solve(system, b)
+        except np.linalg.LinAlgError:
+            assert failed[-1]
+            raise
         assert np.all(np.isfinite(x)) != failed[-1]
         return x
 
@@ -472,6 +480,95 @@ def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
                                vx.ConstantExponent(3.0),
                                vx.SolveConfig(epsilon=1e-3, max_iters=5))
     assert res.diagnostics["newton_fallbacks"] == sum(failed) == len(failed) == 5
+
+
+# -- the banded Newton solve ------------------------------------------------
+
+
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", [n for n in HESS_MESHES if n != "no-interior-node"])
+def test_band_direction_is_the_superlu_direction(name, q_sign):
+    mesh = HESS_MESHES[name]()
+    p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
+    prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3,
+                                  q_sign=q_sign)
+    free = mesh.interior_nodes
+    z = np.zeros(mesh.nnodes)
+    z[free] = np.random.default_rng(7).standard_normal(len(free))
+    H, perm = prob.hess(z)
+    band = fem._banded(mesh, free)
+    assert band is not None
+    b = np.random.default_rng(8).standard_normal(len(free))
+    x = solvers.spsolve((H, perm, band), b)
+    ref = spsolve(H[:, perm], b, use_umfpack=False)  # the natural matrix
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_band_order_is_built_once_per_node_set(unit_square, monkeypatch):
+    from scipy.sparse import csgraph
+
+    orders = counting(monkeypatch, csgraph, "reverse_cuthill_mckee")
+    mesh = vx.build_mesh(unit_square, 0.1)
+    free = mesh.interior_nodes
+    p, q = vx.AffineExponent(1.5, [0.2, 0.0]), vx.ConstantExponent(3.0)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    solves = counting(monkeypatch, solvers, "spsolve")
+    vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3))
+    assert len(orders) == 1 and list(mesh._bands) == [free.tobytes()]
+    band = mesh._bands[free.tobytes()]
+    assert band is not None and all(system[2] is band for system, _ in solves)
+    count = len(solves)
+    vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-4))
+    vx.nehari_candidate(p, q, mesh)
+    assert len(solves) > count and len(orders) == 1
+    assert all(system[2] is band for system, _ in solves)
+
+
+def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
+    # the disk at h = 0.05: 2,401 free nodes, bw = 97, m bw^2 = 22.6M
+    mesh = vx.build_mesh(vx.Domain.disk(), 0.05)
+    steps = []
+
+    def spy(system, b):
+        x = solve(system, b)
+        steps.append((system, b, x))
+        return x
+
+    solve = solvers.spsolve
+    monkeypatch.setattr(solvers, "spsolve", spy)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                         vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3,
+                                                                  max_iters=2))
+    assert len(steps) == 2
+    for (H, perm, band), b, x in steps:
+        assert band is None
+        assert np.array_equal(
+            x, spsolve(H, b, permc_spec="NATURAL", use_umfpack=False)[perm])
+
+
+def test_one_interior_node_solves_on_the_band():
+    mesh = HESS_MESHES["one-interior-node"]()
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3))
+    assert mesh._bands[mesh.interior_nodes.tobytes()] is not None
+    assert res.converged and res.diagnostics["newton_fallbacks"] == 0
+    assert res.field.values[4] > 0
+
+
+def test_each_iterate_is_sampled_once(unit_square, monkeypatch):
+    # energy, gradient and Hessian at one iterate share one sample
+    mesh = vx.build_mesh(unit_square, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    samples = counting(monkeypatch, solvers, "sample")
+    hessians = counting(monkeypatch, solvers._EnergyProblem, "hess")
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3))
+    iterates = [z.tobytes() for _, z in samples]
+    assert len(iterates) == len(set(iterates))
+    assert len(hessians) == res.iterations >= 3
+    assert len(samples) == len(res.diagnostics["energy_history"])  # all accepted
 
 
 def test_column_order_is_built_once_per_node_set(monkeypatch):
@@ -569,12 +666,14 @@ def test_solve_truncated_flags_active_truncation(interval_mesh):
 
 # float.hex of each epsilon level's energy and sha256 of the last field of
 # solve_truncated(u, p, q, n), the one-level solve that cascade now runs
-# itself, taken before it was folded in.
+# itself, taken before it was folded in; re-pinned once when small Newton
+# systems moved to the banded LU, after a key-by-key check against the
+# SuperLU results (every float within 1e-12 relative, every count equal).
 TRUNCATED_PINS = {
-    1: (["-0x1.7c12c876106e3p+1", "-0x1.b621b760c5750p+1", "-0x1.d45e3ace9d9c3p+1"],
-        "6080428d539200eb0b7e93a8fc725913437e65832d076183817f133ec98a4c70"),
-    8: (["-0x1.22560aef90551p+5", "-0x1.3236e15867089p+5", "-0x1.3911d212c45b2p+5"],
-        "e32579a7fed568698af00f5000dea4a09e0ef29c5eb001ce71770575057c504a"),
+    1: (["-0x1.7c12c876106e3p+1", "-0x1.b621b760c5750p+1", "-0x1.d45e3ace9d9c4p+1"],
+        "3518b613a400396a04abe663b4b8b2160b6181c787e41e6abbebf8cfdddaccd8"),
+    8: (["-0x1.22560aef90552p+5", "-0x1.3236e1586708ap+5", "-0x1.3911d212c45b2p+5"],
+        "16c512c0e7eeacb04c3322e97c72a04244adf39dbac0fb31cb4e7eb2b74f35d4"),
 }
 
 
@@ -981,11 +1080,13 @@ def sha256(values):
 # Which epsilon levels of a cascade stall at max_iters turns on the last bits
 # of the energy, gradient and Hessian, so a change that moves one bit of the
 # solver path must fail here, not silently change the solver benchmarks.
+# Re-pinned with TRUNCATED_PINS when small Newton systems moved to the banded
+# LU; nehari_energy_history, a descent without Newton steps, did not move.
 SOLVER_DIGESTS = {
     "solve_values":
-        "8c9ee8d1e5280bcd7316a0aafcda6212c709e61ef07f47473fb49c0df97cf706",
+        "0b5288922cb260c7c31301f38e62a2e3dc6840598785db41a4d5d412d7d3241a",
     "solve_energy_history":
-        "69dd1f0a9ea0a02b498e80923f8f6ee6242dfd3b112aeb515365f5a95161064a",
+        "a5565c7b08b835c1bbe578c702fe73f5248ca24b4df11bff259f52a1e022faf1",
     "nehari_energy_history":
         "9bd65e47700e0896fddffb580e13775e8a9d1c64a4c406700d7d690d9b3c6feb",
 }
