@@ -24,39 +24,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .domains import Domain, find_star_center, star_shape_report
-from .errors import (
-    ConfigError,
-    ExponentTooLarge,
-    NonElliptic,
-    NotStarShaped,
-    VexlabError,
-    check_keys,
-    config_number,
-    read_nodal_file,
-)
-from .exponents import (
-    ConstantExponent,
-    embedding_gap,
-    exponent_from_spec,
-    log_holder_estimate,
-)
+from .errors import (ConfigError, ExponentTooLarge, NonElliptic, NotStarShaped,
+                     VexlabError, check_keys, config_number, read_nodal_file)
+from .exponents import (ConstantExponent, embedding_gap, exponent_from_spec,
+                        log_holder_estimate)
 from .fem import DiscreteField, _bump_profile
 from .meshes import build_mesh, write_mesh
 from .modular import (gradient_modular, holder_check, luxemburg_norm, modular,
                       verify_modular_relations)
-from .pohozaev import (
-    nonexistence_verdict,
-    pohozaev_terms,
-    remainder_R,
-    remainder_table,
-)
-from .solvers import (
-    SolveConfig,
-    cascade,
-    cascade_levels,
-    nehari_candidate,
-    solve_regularized,
-)
+from .pohozaev import nonexistence_verdict, pohozaev_terms, remainder_R, remainder_table
+from .solvers import (SolveConfig, cascade, cascade_levels, nehari_candidate,
+                      solve_regularized)
 
 # The solver-block keys: solve runs at one fixed epsilon; cascade and
 # pohozaev walk the epsilon schedule for each truncation level.

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import spilu, splu
 from scipy.spatial import cKDTree
 
@@ -16,15 +16,14 @@ from .errors import ConfigError, NonFiniteIntegrand
 # temporaries included), which bounds its memory at any radius.
 _MOLLIFY_PAIRS = 2**23
 # Largest m * bw^2 (m free nodes, bw the half-bandwidth in reverse
-# Cuthill-McKee order) that _banded solves by LAPACK's banded LU.  gbsv's
-# time per solve over SuperLU's, one thread, best of 5-7, by mesh (h): m, bw,
-# m * bw^2, ratio.  interval (0.005): 199, 1, 199, 0.25-0.38; square (0.1):
-# 225, 15, 50k, 0.31-0.37; square (0.05): 961, 31, 0.92M, 0.37-0.39; disk
-# (0.1): 576, 46, 1.2M, 0.63-0.80; L-shape (0.1): 1953, 32, 2.0M, 0.31-0.32;
-# disk (0.07): 1225, 69, 5.8M, 1.06-1.34; square (0.025): 3969, 63, 15.8M,
-# 1.07; disk (0.05): 2401, 97, 22.6M, 1.39-1.51; triangle (0.02): 32385, 254,
-# 2.1G, 1.73-2.03.  2^21 is the largest power of two below the least loss.
-_BAND_WORK = 2**21
+# Cuthill-McKee order) that _banded solves by LAPACK's banded LU: the largest
+# power of two below the least loss.  gbsv's time per solve over SuperLU's,
+# one thread, best of 15 in each of 3 runs, by mesh (h): m * bw^2, ratio.
+# interval (0.005): 199, 0.23-0.24; square (0.1): 50k, 0.22-0.23; disk (0.1):
+# 1.2M, 0.45-0.54; L-shape (0.1): 2.0M, 0.16; disk (0.07): 5.8M, 0.62-0.63;
+# square (0.025): 15.8M, 0.44-0.45; disk (0.05): 22.6M, 0.89; disk (0.04):
+# 58.2M, 1.12-1.15.
+_BAND_WORK = 2**25
 
 
 class DiscreteField:
@@ -105,7 +104,7 @@ def _cell_gradients(mesh, zc):
 
 
 def _cell_samples(mesh, zc):
-    return np.einsum("qv,cv->cq", mesh.quadrature()[2], zc)
+    return zc @ mesh.quadrature()[2].T
 
 
 def _scatter(mesh, cell_terms, out=None):
@@ -119,13 +118,15 @@ def _scatter(mesh, cell_terms, out=None):
 def _load_vector(mesh, samples, out=None):
     """Entries <f, phi_i> of quadrature samples f (nc, nq), into out if given."""
     _, w, bary = mesh.quadrature()
-    return _scatter(mesh, np.einsum("cq,qv->cv", w * samples, bary), out)
+    return _scatter(mesh, (w * samples) @ bary, out)
 
 
 def _cell_mass(mesh, weights):
     """Per-cell blocks sum_q weights[c, q] phi_v phi_w, (nc, nv, nv)."""
     _, _, bary = mesh.quadrature()
-    return np.einsum("cq,qv,qw->cvw", weights, bary, bary)
+    nq, nv = bary.shape
+    outer = (bary[:, :, None] * bary[:, None, :]).reshape(nq, nv * nv)
+    return (weights @ outer).reshape(-1, nv, nv)
 
 
 def mesh_l2(u):
@@ -231,9 +232,10 @@ def _mollifier_slices(mesh, radius):
 
 
 def _assemble(mesh, elem, free):
-    """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into a CSC
-    matrix M with its columns in SuperLU's default order for the pattern (its
-    COLAMD and etree postorder), and return (M, perm).  M[:, perm] is the
+    """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into the
+    data of the CSC matrix M = _csc(data, pattern), pattern = (indices, indptr,
+    perm), with its columns in SuperLU's default order for the pattern (its
+    COLAMD and etree postorder); return (data, pattern).  M[:, perm] is the
     COO -> CSR sum sliced to free and turned to CSC, and a solve on M with
     permc_spec="NATURAL" taken at perm is its default solve, bit for bit.
     One bincount fills the pattern cached on the mesh for that node set: slot
@@ -258,20 +260,27 @@ def _assemble(mesh, elem, free):
         c = perm[c]  # column j moves to perm[j]
         csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (m, m)).tocsc()
         target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
-        mesh._patterns[key] = (slot, target, csc.indices, csc.indptr, perm)
-    slot, target, indices, indptr, perm = mesh._patterns[key]
-    data = np.bincount(target, elem.ravel()[slot], len(indices))
+        mesh._patterns[key] = (slot, target, (csc.indices, csc.indptr, perm))
+    slot, target, pattern = mesh._patterns[key]
+    return np.bincount(target, elem.ravel()[slot], len(pattern[0])), pattern
+
+
+def _csc(data, pattern):
+    """(M, perm) of _assemble's (data, pattern): M in CSC, columns in perm's order."""
+    indices, indptr, perm = pattern
     return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float), perm
 
 
 def _banded(mesh, free):
-    """The solve (data, b) -> x by LAPACK's banded LU (partial pivoting) of
-    the CSC data on _assemble's cached pattern for free, or None when m * bw^2
-    exceeds _BAND_WORK.  Its order and scatter are built once per node set."""
+    """The solve (data, b) -> x by LAPACK's banded LU (gbsv, partial pivoting)
+    of the CSC data on _assemble's cached pattern for free, or None when
+    m * bw^2 exceeds _BAND_WORK.  Its order, its scatter into gbsv's storage
+    and gbsv itself are fetched once per node set.  A zero pivot raises
+    LinAlgError, an argument gbsv refuses ValueError."""
     key = free.tobytes()
     if key not in mesh._bands:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
-        _, _, rows, indptr, perm = mesh._patterns[key]
+        _, _, (rows, indptr, perm) = mesh._patterns[key]
         m = len(perm)
         cols = np.argsort(perm)[np.repeat(np.arange(m), np.diff(indptr))]
         order = reverse_cuthill_mckee(sparse.csr_matrix(
@@ -279,13 +288,20 @@ def _banded(mesh, free):
         pos = np.argsort(order)
         i, j = pos[rows], pos[cols]
         bw = int(np.abs(i - j).max())
-        flat = (bw + i - j) * m + j  # ab[bw + i - j, j] = A[i, j]
+        # ab[2 bw + i - j, j] = A[i, j] below bw rows of fill, column-major
+        flat = j * (3 * bw + 1) + 2 * bw + i - j
+        gbsv = get_lapack_funcs("gbsv", dtype=float)
 
         def solve(data, b):
-            ab = np.zeros((2 * bw + 1, m))
-            ab.flat[flat] = data
-            return solve_banded((bw, bw), ab, b[order], overwrite_ab=True,
-                                check_finite=False)[pos]
+            ab = np.zeros(m * (3 * bw + 1))
+            ab[flat] = data
+            _, _, x, info = gbsv(bw, bw, ab.reshape(m, -1).T, b[order],
+                                 overwrite_ab=True, overwrite_b=True)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"gbsv: pivot {info} is exactly zero")
+            if info < 0:
+                raise ValueError(f"gbsv: illegal value in argument {-info}")
+            return x[pos]
 
         mesh._bands[key] = solve if m * bw * bw <= _BAND_WORK else None
     return mesh._bands[key]
@@ -294,27 +310,26 @@ def _banded(mesh, free):
 def _factor(mesh, elem, free):
     """The solve b -> x of elem summed over free, from one SuperLU factor in
     the column order _assemble caches."""
-    M, perm = _assemble(mesh, elem, free)
+    M, perm = _csc(*_assemble(mesh, elem, free))
     lu = splu(M, permc_spec="NATURAL")
     return lambda b: lu.solve(b)[perm]
 
 
 def _cell_stiffness(mesh):
     """Per-cell blocks |cell| grad phi_v . grad phi_w, (nc, nv, nv)."""
-    G = mesh.basis_grads
-    return mesh.cell_volumes[:, None, None] * np.einsum("cvd,cwd->cvw", G, G)
+    return mesh.cell_volumes[:, None, None] * mesh._gram
 
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSC) by the mesh quadrature."""
-    M, perm = _assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
-                        np.arange(mesh.nnodes))
+    M, perm = _csc(*_assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                              np.arange(mesh.nnodes)))
     return M[:, perm]
 
 
 def stiffness_matrix(mesh):
     """P1 stiffness matrix (CSC): entries int grad phi_i . grad phi_j."""
-    K, perm = _assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes))
+    K, perm = _csc(*_assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes)))
     return K[:, perm]
 
 

@@ -106,7 +106,8 @@ class Mesh:
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
     cached: quadrature, facet quadrature, boundary distance, the nodes' kd-tree,
-    fem._assemble's ordered CSC pattern per node set and live exponents' samples.
+    the per-cell Gram matrices of basis_grads, fem._assemble's ordered CSC
+    pattern per node set and live exponents' samples.
     """
 
     def __init__(self, nodes, cells):
@@ -217,6 +218,10 @@ class Mesh:
     @cached_property
     def _node_tree(self):  # fem.mollify's pair search
         return cKDTree(self.nodes)
+
+    @cached_property
+    def _gram(self):  # G G^T of each cell's G = basis_grads, (nc, nv, nv)
+        return np.einsum("cvd,cwd->cvw", self.basis_grads, self.basis_grads)
 
     def boundary_distance(self):
         """Distance from each node x to the boundary (cached).

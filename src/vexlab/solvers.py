@@ -20,7 +20,7 @@ from scipy.sparse.linalg import spsolve as _superlu
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
                      check_keys, config_number)
 from .fem import (DiscreteField, _assemble, _banded, _bump_profile, _cell_mass,
-                  _cell_stiffness, _factor, _load_vector, _scatter, cutoff,
+                  _cell_stiffness, _csc, _factor, _load_vector, _scatter, cutoff,
                   field_on_quadrature, l2_project, mollify, sample)
 from .modular import _balance_root, gradient_luxemburg_norm, gradient_modular, modular
 
@@ -164,18 +164,16 @@ class _EnergyProblem:
         return _load_vector(self.mesh, dens, out)
 
     def hess(self, z):
-        """F''(z) on the interior nodes, as fem._assemble's (CSC, perm)."""
+        """F''(z) on the interior nodes, as fem._assemble's (data, pattern)."""
         g, zq, s, a1 = self._at(z)
         with np.errstate(over="ignore", divide="ignore"):
             a2 = np.sum(self.w * (self.pq - 2.0)
                         * np.maximum(s, _TINY) ** ((self.pq - 4.0) / 2.0), axis=1)
         a2 = np.where(np.sum(g * g, axis=1) > _TINY, a2, 0.0)
-        A = (a1[:, None, None] * np.eye(self.mesh.dim)
-             + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
-        G = self.mesh.basis_grads
-        # G A G^T term by term, d outer and e inner: einsum's sums, bit for bit
-        elem = sum((G[:, :, None, d] * A[:, None, None, d, e]) * G[:, None, :, e]
-                   for d in range(self.mesh.dim) for e in range(self.mesh.dim))
+        # G A G^T = a1 G G^T + a2 (G g)(G g)^T: each block symmetric bit for bit
+        Gg = np.einsum("cvd,cd->cv", self.mesh.basis_grads, g)
+        elem = (a1[:, None, None] * self.mesh._gram
+                + a2[:, None, None] * (Gg[:, :, None] * Gg[:, None, :]))
 
         az = np.maximum(np.abs(zq), 1e-14)
         with np.errstate(over="ignore"):
@@ -185,12 +183,13 @@ class _EnergyProblem:
 
 
 def spsolve(system, b):
-    """x with H[:, perm] x = b for system = (H, perm, band), band from
-    fem._banded: by the band's LU if it has one, else by SuperLU."""
-    H, perm, band = system
-    if band is None:
-        return _superlu(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
-    return band(H.data, b)
+    """x with H[:, perm] x = b for system = (data, pattern, band), (H, perm) =
+    fem._csc(data, pattern): by fem._banded's band LU if any, else SuperLU."""
+    data, pattern, band = system
+    if band is not None:
+        return band(data, b)
+    H, perm = _csc(data, pattern)
+    return _superlu(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
 
 
 def _newton_step(problem, z, free, gf, gn, F0):

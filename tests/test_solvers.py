@@ -336,6 +336,13 @@ HESS_MESHES = {
 }
 
 
+def csc(data, pattern):
+    """The CSC matrix M of fem._assemble's (data, pattern), built here: its
+    columns in SuperLU's order pattern[2], so M[:, pattern[2]] is natural."""
+    indices, indptr, perm = pattern
+    return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float)
+
+
 @pytest.mark.parametrize("q_sign", [1.0, -1.0])
 @pytest.mark.parametrize("name", HESS_MESHES)
 def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
@@ -356,23 +363,24 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
     free = mesh.interior_nodes
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
-    H, perm = prob.hess(z)  # the columns in SuperLU's order
-    ref = coo_assembly(mesh, elems[0], free)[:, np.argsort(perm)]
+    data, pattern = prob.hess(z)
+    H = csc(data, pattern)  # the columns in SuperLU's order
+    ref = coo_assembly(mesh, elems[0], free)[:, np.argsort(pattern[2])]
     assert H.format == "csc" and H.dtype == float
     assert H.shape == (len(free), len(free))
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(H, attr), getattr(ref, attr))
 
-    pattern = mesh._patterns[free.tobytes()]
-    again, _ = prob.hess(z)
+    cached = mesh._patterns[free.tobytes()]
+    again, same = prob.hess(z)
     assert list(mesh._patterns) == [free.tobytes()]
-    assert mesh._patterns[free.tobytes()] is pattern
-    assert np.array_equal(again.data, H.data)
+    assert mesh._patterns[free.tobytes()] is cached and same is pattern
+    assert np.array_equal(again, data)
 
 
 def einsum_blocks(prob, z):
-    """The Hessian's element blocks with G A G^T by einsum, the reference for
-    hess's term-by-term product."""
+    """The Hessian's element blocks with G A G^T by einsum from A's entries,
+    the reference for hess's Gram form a1 G G^T + a2 (G g)(G g)^T."""
     mesh = prob.mesh
     g, zq = fem.sample(mesh, z)
     g2 = np.sum(g * g, axis=1)
@@ -390,7 +398,10 @@ def einsum_blocks(prob, z):
 
 @pytest.mark.parametrize("q_sign", [1.0, -1.0])
 @pytest.mark.parametrize("name", HESS_MESHES)
-def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatch):
+def test_hess_element_blocks_are_symmetric_and_the_einsum_to_roundoff(
+        name, q_sign, monkeypatch):
+    # the Gram form makes every block symmetric bit for bit, which the
+    # einsum over A's entries does not promise; the two agree to roundoff
     mesh = HESS_MESHES[name]()
     elems = []
 
@@ -406,14 +417,16 @@ def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatc
     z[mesh.interior_nodes] = np.random.default_rng(7).standard_normal(
         len(mesh.interior_nodes))
     prob.hess(z)
-    assert np.array_equal(elems[0], einsum_blocks(prob, z))
+    elem, ref = elems[0], einsum_blocks(prob, z)
+    assert np.array_equal(elem, elem.transpose(0, 2, 1))
+    assert np.abs(elem - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # -- SuperLU's column order, found once per node set --------------------
 
 
 def random_hessians(mesh, seeds):
-    """(H, perm) of the p < 2, q = 3 Hessian at one random z per seed."""
+    """(data, pattern) of the p < 2, q = 3 Hessian at one random z per seed."""
     p = vx.AffineExponent(1.5, [0.2] + [0.0] * (mesh.dim - 1))
     prob = solvers._EnergyProblem(mesh, p, vx.ConstantExponent(3.0), 1e-3)
     for seed in seeds:
@@ -427,7 +440,8 @@ def random_hessians(mesh, seeds):
 def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
     # H[:, perm] is the natural matrix, which spsolve ordered by COLAMD itself
     mesh = HESS_MESHES[name]()
-    for seed, (H, perm) in enumerate(random_hessians(mesh, range(3))):
+    for seed, (data, pattern) in enumerate(random_hessians(mesh, range(3))):
+        H, perm = csc(data, pattern), pattern[2]
         b = np.random.default_rng(100 + seed).standard_normal(H.shape[0])
         x = spsolve(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
         assert np.array_equal(x, spsolve(H[:, perm], b, use_umfpack=False))
@@ -438,7 +452,8 @@ def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
 def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
     mesh = HESS_MESHES[name]()
     free, elem = mesh.interior_nodes, fem._cell_stiffness(mesh)
-    K, perm = fem._assemble(mesh, elem, free)
+    data, pattern = fem._assemble(mesh, elem, free)
+    K, perm = csc(data, pattern), pattern[2]
     r = np.random.default_rng(3).standard_normal(len(free))
     d = fem._factor(mesh, elem, free)(r)  # the descent's solve
     assert np.array_equal(d, splu(K[:, perm]).solve(r))
@@ -455,9 +470,9 @@ def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
     natural, failed = [], []
 
     def spy(mesh, elem, free):
-        M, perm = fem._assemble(mesh, np.where(dead, 0.0, elem), free)
-        natural.append(M[:, perm])
-        return M, perm
+        data, pattern = fem._assemble(mesh, np.where(dead, 0.0, elem), free)
+        natural.append(csc(data, pattern)[:, pattern[2]])
+        return data, pattern
 
     band_solve = solvers.spsolve
 
@@ -495,12 +510,13 @@ def test_band_direction_is_the_superlu_direction(name, q_sign):
     free = mesh.interior_nodes
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
-    H, perm = prob.hess(z)
+    data, pattern = prob.hess(z)
     band = fem._banded(mesh, free)
     assert band is not None
     b = np.random.default_rng(8).standard_normal(len(free))
-    x = solvers.spsolve((H, perm, band), b)
-    ref = spsolve(H[:, perm], b, use_umfpack=False)  # the natural matrix
+    x = solvers.spsolve((data, pattern, band), b)
+    natural = csc(data, pattern)[:, pattern[2]]
+    ref = spsolve(natural, b, use_umfpack=False)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -525,8 +541,8 @@ def test_band_order_is_built_once_per_node_set(unit_square, monkeypatch):
 
 
 def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
-    # the disk at h = 0.05: 2,401 free nodes, bw = 97, m bw^2 = 22.6M
-    mesh = vx.build_mesh(vx.Domain.disk(), 0.05)
+    # the disk at h = 0.04: 3,844 free nodes, bw = 123, m bw^2 = 58.2M
+    mesh = vx.build_mesh(vx.Domain.disk(), 0.04)
     steps = []
 
     def spy(system, b):
@@ -541,10 +557,75 @@ def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
                          vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3,
                                                                   max_iters=2))
     assert len(steps) == 2
-    for (H, perm, band), b, x in steps:
+    for (data, pattern, band), b, x in steps:
         assert band is None
-        assert np.array_equal(
-            x, spsolve(H, b, permc_spec="NATURAL", use_umfpack=False)[perm])
+        assert np.array_equal(x, spsolve(csc(data, pattern), b, permc_spec="NATURAL",
+                                         use_umfpack=False)[pattern[2]])
+
+
+def test_band_step_builds_no_sparse_matrix(unit_square, monkeypatch):
+    # once the pattern and band exist, a Newton step neither wraps a CSC
+    # matrix nor goes through scipy's solve_banded
+    import scipy.linalg
+
+    mesh = vx.build_mesh(unit_square, 0.1)
+    p, q = vx.AffineExponent(1.5, [0.2, 0.0]), vx.ConstantExponent(3.0)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    first = vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-step sparse or solve_banded call")
+
+    monkeypatch.setattr(fem.sparse, "csc_matrix", refuse)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", refuse)
+    again = vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3))
+    assert again.converged and again.diagnostics["newton_fallbacks"] == 0
+    assert np.array_equal(again.field.values, first.field.values)
+
+
+def test_zero_band_column_falls_back_once(unit_square):
+    # an exactly zero column leaves gbsv a zero pivot: LinAlgError, which the
+    # Newton step counts as one fallback to -g
+    mesh = vx.build_mesh(unit_square, 0.1)
+    free = mesh.interior_nodes
+    prob = solvers._EnergyProblem(mesh, vx.AffineExponent(1.5, [0.2, 0.0]),
+                                  vx.ConstantExponent(3.0), 1e-3,
+                                  load_q=np.full(mesh.quadrature()[1].shape, 10.0))
+    z = np.zeros(mesh.nnodes)
+    data, pattern = prob.hess(z)
+    indptr = pattern[1]
+    data[indptr[7]:indptr[8]] = 0.0  # column 7 of H
+    band = fem._banded(mesh, free)
+    with pytest.raises(np.linalg.LinAlgError):
+        band(data, np.ones(len(free)))
+
+    prob.hess = lambda z: (data, pattern)
+    gf = prob.grad(z)[free]
+    step = solvers._newton_step(prob, z, free, gf, float(np.linalg.norm(gf)),
+                                prob.energy(z))
+    assert step is not None and prob.fallbacks == 1
+    assert step[1] < prob.energy(z)  # a damped step along -g
+
+
+def test_refused_band_argument_escapes_the_newton_step(unit_square, monkeypatch):
+    # gbsv's info < 0 (an argument it refuses) is a fault, not a singular
+    # Hessian: the ValueError must not turn into a -g step
+    from scipy.linalg import get_lapack_funcs
+
+    def refusing(name, dtype):
+        gbsv = get_lapack_funcs(name, dtype=dtype)
+
+        def call(*args, **kwargs):
+            lu, piv, x, _ = gbsv(*args, **kwargs)
+            return lu, piv, x, -4
+        return call
+
+    monkeypatch.setattr(fem, "get_lapack_funcs", refusing)
+    mesh = vx.build_mesh(unit_square, 0.1)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    with pytest.raises(ValueError, match="argument 4"):
+        vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                             vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3))
 
 
 def test_one_interior_node_solves_on_the_band():
@@ -582,7 +663,7 @@ def test_column_order_is_built_once_per_node_set(monkeypatch):
         return spilu(A, **options)
 
     monkeypatch.setattr(fem, "spilu", counting_spilu)
-    perms = [perm for _, perm in random_hessians(mesh, range(4))]
+    perms = [pattern[2] for _, pattern in random_hessians(mesh, range(4))]
     assert probes == [len(free)] and all(perm is perms[0] for perm in perms)
     rng = np.random.default_rng(5)
     for _ in range(2):
@@ -666,14 +747,16 @@ def test_solve_truncated_flags_active_truncation(interval_mesh):
 
 # float.hex of each epsilon level's energy and sha256 of the last field of
 # solve_truncated(u, p, q, n), the one-level solve that cascade now runs
-# itself, taken before it was folded in; re-pinned once when small Newton
-# systems moved to the banded LU, after a key-by-key check against the
-# SuperLU results (every float within 1e-12 relative, every count equal).
+# itself, taken before it was folded in; re-pinned when small Newton
+# systems moved to the banded LU, and again when the Newton step took the
+# Gram-form Hessian, a direct gbsv call and matmul gathers, each time after a
+# key-by-key check against the parent (every float within 1e-12 relative,
+# every count equal; tests/repin_compare.py does it).
 TRUNCATED_PINS = {
-    1: (["-0x1.7c12c876106e3p+1", "-0x1.b621b760c5750p+1", "-0x1.d45e3ace9d9c4p+1"],
-        "3518b613a400396a04abe663b4b8b2160b6181c787e41e6abbebf8cfdddaccd8"),
-    8: (["-0x1.22560aef90552p+5", "-0x1.3236e1586708ap+5", "-0x1.3911d212c45b2p+5"],
-        "16c512c0e7eeacb04c3322e97c72a04244adf39dbac0fb31cb4e7eb2b74f35d4"),
+    1: (["-0x1.7c12c876106e1p+1", "-0x1.b621b760c574fp+1", "-0x1.d45e3ace9d9c1p+1"],
+        "34d1adee3a92e240fc91f57cdc10c0e020f31892b5d742bd50d9f83f8cd56122"),
+    8: (["-0x1.22560aef90552p+5", "-0x1.3236e1586708bp+5", "-0x1.3911d212c45b2p+5"],
+        "a09fb67ad95d3bb538c7a2f4988bcd17cde00bee551b11bf6a3ae250ce87de6b"),
 }
 
 
@@ -1080,15 +1163,15 @@ def sha256(values):
 # Which epsilon levels of a cascade stall at max_iters turns on the last bits
 # of the energy, gradient and Hessian, so a change that moves one bit of the
 # solver path must fail here, not silently change the solver benchmarks.
-# Re-pinned with TRUNCATED_PINS when small Newton systems moved to the banded
-# LU; nehari_energy_history, a descent without Newton steps, did not move.
+# Re-pinned with TRUNCATED_PINS both times; nehari_energy_history, a descent
+# without Newton steps, moved only the second time, with the matmul gathers.
 SOLVER_DIGESTS = {
     "solve_values":
-        "0b5288922cb260c7c31301f38e62a2e3dc6840598785db41a4d5d412d7d3241a",
+        "53e2822550c4229bd28655fe8a5a067202673340ff4c96cdce20b23bfe9148f5",
     "solve_energy_history":
-        "a5565c7b08b835c1bbe578c702fe73f5248ca24b4df11bff259f52a1e022faf1",
+        "042d1dc0541340716252f5df8f83e0c8dea4d5a0bee4cd3655bbc3eca11d0949",
     "nehari_energy_history":
-        "9bd65e47700e0896fddffb580e13775e8a9d1c64a4c406700d7d690d9b3c6feb",
+        "6200ae9eacd459684a14ddda050d1a89e0426733ffcf451cbb5c9a086a55d098",
 }
 
 
@@ -1110,11 +1193,13 @@ def test_solver_path_bytes_pinned(unit_square, interval):
 # float.hex of the energies and sha256 of the nodal actions and sources on
 # two 2D cases with variable exponents.  Pinned before the energy layer was
 # restructured; a change here means a result moved by at least one ulp.
+# power_source was re-pinned when the load vector and the mass blocks moved
+# to matmul (tests/repin_compare.py: within 1.7e-15 relative).
 ENERGY_PINS = {
     "square": {
         "source_energy": "0x1.16ae903219d0ap+7",
         "power_source":
-            "7729527966309c0765e61aee755fb9c82eb774804b79c77c67799e619d563946",
+            "215e5793066328d167716899a62e57fbe90e8c37f2f7e3062dad803b720165ae",
         0.0: {
             "phi_energy": "0x1.163ca918e28fdp+7",
             "regularized_energy": "0x1.16e5fba1e7e9cp+7",
@@ -1137,7 +1222,7 @@ ENERGY_PINS = {
     "disk": {
         "source_energy": "0x1.ef978fe4f45efp+8",
         "power_source":
-            "352daba102e7dcc0ba204109550a2e14f7a8ed4f1d291b5bd4204addfd28c1fa",
+            "f0f8949227d4b3c148816c21f08c801b09db7ba95e0e0463cc46bb30701477cd",
         0.0: {
             "phi_energy": "0x1.ef4c7a639aa4ap+8",
             "regularized_energy": "0x1.f00ecb5a55bfep+8",
