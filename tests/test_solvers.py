@@ -378,9 +378,9 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
     assert np.array_equal(again, data)
 
 
-def einsum_blocks(prob, z):
-    """The Hessian's element blocks with G A G^T by einsum from A's entries,
-    the reference for hess's Gram form a1 G G^T + a2 (G g)(G g)^T."""
+def hess_coefficients(prob, z):
+    """(g, a1, a2, m) of the Hessian at z by the formulas: each cell's
+    A = a1 I + a2 g g^T and its mass weights m at the quadrature points."""
     mesh = prob.mesh
     g, zq = fem.sample(mesh, z)
     g2 = np.sum(g * g, axis=1)
@@ -388,20 +388,37 @@ def einsum_blocks(prob, z):
     a1 = np.sum(prob.w * s ** ((prob.pq - 2.0) / 2.0), axis=1)
     a2 = np.sum(prob.w * (prob.pq - 2.0) * s ** ((prob.pq - 4.0) / 2.0), axis=1)
     a2 = np.where(g2 > solvers._TINY, a2, 0.0)
+    m = prob.w * prob.q_sign * (prob.qq - 1.0) * np.maximum(np.abs(zq), 1e-14) ** (
+        prob.qq - 2.0)
+    return g, a1, a2, m
+
+
+def einsum_blocks(prob, z):
+    """The Hessian's element blocks with G A G^T by einsum from A's entries,
+    the roundoff reference for hess's Gram form."""
+    mesh = prob.mesh
+    g, a1, a2, m = hess_coefficients(prob, z)
     A = (a1[:, None, None] * np.eye(mesh.dim)
          + a2[:, None, None] * np.einsum("cd,ce->cde", g, g))
     G = mesh.basis_grads
-    m = prob.w * prob.q_sign * (prob.qq - 1.0) * np.maximum(np.abs(zq), 1e-14) ** (
-        prob.qq - 2.0)
     return np.einsum("cvd,cde,cwe->cvw", G, A, G) + fem._cell_mass(mesh, m)
 
 
-@pytest.mark.parametrize("q_sign", [1.0, -1.0])
-@pytest.mark.parametrize("name", HESS_MESHES)
-def test_hess_element_blocks_are_symmetric_and_the_einsum_to_roundoff(
-        name, q_sign, monkeypatch):
-    # the Gram form makes every block symmetric bit for bit, which the
-    # einsum over A's entries does not promise; the two agree to roundoff
+def gram_einsum_blocks(prob, z):
+    """The Hessian's element blocks a1 G G^T + a2 (G g)(G g)^T by einsum, the
+    bit-for-bit reference for hess's Gram form."""
+    mesh = prob.mesh
+    g, a1, a2, m = hess_coefficients(prob, z)
+    G = mesh.basis_grads
+    Gg = np.einsum("cvd,cd->cv", G, g)
+    return (a1[:, None, None] * np.einsum("cvd,cwd->cvw", G, G)
+            + a2[:, None, None] * np.einsum("cv,cw->cvw", Gg, Gg)
+            + fem._cell_mass(mesh, m))
+
+
+def hess_element_blocks(name, q_sign, monkeypatch):
+    """(prob, z, elem): the element blocks hess hands to fem._assemble at a
+    random z, for the p < 2, q = 3 problem on HESS_MESHES[name]."""
     mesh = HESS_MESHES[name]()
     elems = []
 
@@ -417,7 +434,24 @@ def test_hess_element_blocks_are_symmetric_and_the_einsum_to_roundoff(
     z[mesh.interior_nodes] = np.random.default_rng(7).standard_normal(
         len(mesh.interior_nodes))
     prob.hess(z)
-    elem, ref = elems[0], einsum_blocks(prob, z)
+    return prob, z, elems[0]
+
+
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_hess_element_blocks_are_the_einsum_bit_for_bit(name, q_sign, monkeypatch):
+    prob, z, elem = hess_element_blocks(name, q_sign, monkeypatch)
+    assert np.array_equal(elem, gram_einsum_blocks(prob, z))
+
+
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", HESS_MESHES)
+def test_hess_element_blocks_are_symmetric_and_the_einsum_to_roundoff(
+        name, q_sign, monkeypatch):
+    # the Gram form makes every block symmetric bit for bit, which the
+    # einsum over A's entries does not promise; the two agree to roundoff
+    prob, z, elem = hess_element_blocks(name, q_sign, monkeypatch)
+    ref = einsum_blocks(prob, z)
     assert np.array_equal(elem, elem.transpose(0, 2, 1))
     assert np.abs(elem - ref).max() <= 1e-13 * np.abs(ref).max()
 
