@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import spilu, splu
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
@@ -16,13 +16,13 @@ from .errors import ConfigError, NonFiniteIntegrand
 # temporaries included), which bounds its memory at any radius.
 _MOLLIFY_PAIRS = 2**23
 # Largest m * bw^2 (m free nodes, bw the half-bandwidth in reverse
-# Cuthill-McKee order) that _banded solves by LAPACK's banded LU: the largest
-# power of two below the least loss.  gbsv's time per solve over SuperLU's,
-# one thread, best of 15 in each of 3 runs, by mesh (h): m * bw^2, ratio.
-# interval (0.005): 199, 0.23-0.24; square (0.1): 50k, 0.22-0.23; disk (0.1):
-# 1.2M, 0.45-0.54; L-shape (0.1): 2.0M, 0.16; disk (0.07): 5.8M, 0.62-0.63;
-# square (0.025): 15.8M, 0.44-0.45; disk (0.05): 22.6M, 0.89; disk (0.04):
-# 58.2M, 1.12-1.15.
+# Cuthill-McKee order) that _banded solves by LAPACK's banded LU; larger
+# systems go to SuperLU in its own COLAMD order.  gbsv's time per solve over
+# SuperLU's, one thread, best of 15 in each of 3 runs, by disk (h): m * bw^2,
+# ratio: (0.05) 22.6M, 0.66-0.73; (0.04) 58.2M, 0.90-0.94; (0.03) 187.6M,
+# 1.06-1.18; (0.025) 380.4M, 1.32-1.46; below 22.6M it won on every mesh tried
+# (ROADMAP item 13).  The largest power of two below the least loss would be
+# 2^27; 2^25 keeps the disk at h = 0.04 on SuperLU.
 _BAND_WORK = 2**25
 
 
@@ -233,15 +233,12 @@ def _mollifier_slices(mesh, radius):
 
 def _assemble(mesh, elem, free):
     """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into the
-    data of the CSC matrix M = _csc(data, pattern), pattern = (indices, indptr,
-    perm), with its columns in SuperLU's default order for the pattern (its
-    COLAMD and etree postorder); return (data, pattern).  M[:, perm] is the
-    COO -> CSR sum sliced to free and turned to CSC, and a solve on M with
-    permc_spec="NATURAL" taken at perm is its default solve, bit for bit.
-    One bincount fills the pattern cached on the mesh for that node set: slot
-    lists the free-free terms in the order COO -> CSR sums them (stable by
-    row, then sort_indices' unstable sort of each row), target their entries.
-    The order reads the structure alone, so a probe on the pattern finds it."""
+    float data of the CSC matrix _csc(data, pattern), pattern = (indices,
+    indptr): the COO -> CSR sum sliced to free and turned to CSC, bit for bit;
+    return (data, pattern).  One bincount fills the pattern cached on the mesh
+    for that node set: slot lists the free-free terms in the order COO -> CSR
+    sums them (stable by row, then sort_indices' unstable sort of each row),
+    target their entries."""
     key = free.tobytes()
     if key not in mesh._patterns:
         cells, n, nv, m = mesh.cells, mesh.nnodes, mesh.cells.shape[1], len(free)
@@ -253,22 +250,18 @@ def _assemble(mesh, elem, free):
         csr.sort_indices()
         slot = csr.data[np.isin(rows[csr.data], free) & np.isin(csr.indices, free)]
         r, c = np.searchsorted(free, rows[slot]), np.searchsorted(free, cols[slot])
-        # strictly diagonally dominant (each diagonal sum outweighs all the -1s);
-        # its incomplete factor, which drops the fill, orders it as splu does
-        probe = sparse.coo_matrix((np.where(r == c, len(slot), -1.0), (r, c)), (m, m))
-        perm = spilu(probe.tocsc(), drop_tol=1.0, fill_factor=1).perm_c.astype(np.int64)
-        c = perm[c]  # column j moves to perm[j]
         csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (m, m)).tocsc()
         target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
-        mesh._patterns[key] = (slot, target, (csc.indices, csc.indptr, perm))
+        mesh._patterns[key] = (slot, target, (csc.indices, csc.indptr))
     slot, target, pattern = mesh._patterns[key]
-    return np.bincount(target, elem.ravel()[slot], len(pattern[0])), pattern
+    data = np.bincount(target, elem.ravel()[slot], len(pattern[0]))
+    return data.astype(float, copy=False), pattern  # bincount of no term is int64
 
 
 def _csc(data, pattern):
-    """(M, perm) of _assemble's (data, pattern): M in CSC, columns in perm's order."""
-    indices, indptr, perm = pattern
-    return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float), perm
+    """The CSC matrix of _assemble's (data, pattern)."""
+    indices, indptr = pattern
+    return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2)
 
 
 def _banded(mesh, free):
@@ -280,9 +273,9 @@ def _banded(mesh, free):
     key = free.tobytes()
     if key not in mesh._bands:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
-        _, _, (rows, indptr, perm) = mesh._patterns[key]
-        m = len(perm)
-        cols = np.argsort(perm)[np.repeat(np.arange(m), np.diff(indptr))]
+        _, _, (rows, indptr) = mesh._patterns[key]
+        m = len(indptr) - 1
+        cols = np.repeat(np.arange(m), np.diff(indptr))
         order = reverse_cuthill_mckee(sparse.csr_matrix(
             (np.ones(len(rows)), (rows, cols)), (m, m)), symmetric_mode=True)
         pos = np.argsort(order)
@@ -308,11 +301,8 @@ def _banded(mesh, free):
 
 
 def _factor(mesh, elem, free):
-    """The solve b -> x of elem summed over free, from one SuperLU factor in
-    the column order _assemble caches."""
-    M, perm = _csc(*_assemble(mesh, elem, free))
-    lu = splu(M, permc_spec="NATURAL")
-    return lambda b: lu.solve(b)[perm]
+    """The solve b -> x of elem summed over free, by one SuperLU factor."""
+    return splu(_csc(*_assemble(mesh, elem, free))).solve
 
 
 def _cell_stiffness(mesh):
@@ -322,15 +312,13 @@ def _cell_stiffness(mesh):
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSC) by the mesh quadrature."""
-    M, perm = _csc(*_assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
-                              np.arange(mesh.nnodes)))
-    return M[:, perm]
+    return _csc(*_assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                           np.arange(mesh.nnodes)))
 
 
 def stiffness_matrix(mesh):
     """P1 stiffness matrix (CSC): entries int grad phi_i . grad phi_j."""
-    K, perm = _csc(*_assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes)))
-    return K[:, perm]
+    return _csc(*_assemble(mesh, _cell_stiffness(mesh), np.arange(mesh.nnodes)))
 
 
 def l2_project(mesh, values_on_quadrature):

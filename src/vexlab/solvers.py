@@ -183,13 +183,12 @@ class _EnergyProblem:
 
 
 def spsolve(system, b):
-    """x with H[:, perm] x = b for system = (data, pattern, band), (H, perm) =
-    fem._csc(data, pattern): by fem._banded's band LU if any, else SuperLU."""
+    """x with H x = b for system = (data, pattern, band), H = fem._csc(data,
+    pattern): by fem._banded's band LU if any, else SuperLU."""
     data, pattern, band = system
     if band is not None:
         return band(data, b)
-    H, perm = _csc(data, pattern)
-    return _superlu(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
+    return _superlu(_csc(data, pattern), b, use_umfpack=False)
 
 
 def _newton_step(problem, z, free, gf, gn, F0):

@@ -16,7 +16,9 @@ that checkout's src/ first on the path, it collects
   level's stop reason and Newton fallbacks;
 - the raw values behind the pins of test_solvers.py (TRUNCATED_PINS,
   SOLVER_DIGESTS, ENERGY_PINS), test_modular.py (FIELDS_PINS) and
-  test_pohozaev.py (BALANCE_PINS), built by the checkout's own case helpers.
+  test_pohozaev.py (BALANCE_PINS), built by the checkout's own case helpers;
+- two Newton steps on the disk at h = 0.04, whose system is too wide for
+  the band LU, so SuperLU's direction is covered as well as the band's.
 
 It prints, per output, the worst relative change of its floats,
 |new - old| / max(1, |old|), and every count, flag or string that differs,
@@ -142,6 +144,19 @@ def _pinned_test_inputs():
         "solve_values": res.field.values,
         "solve_energy_history": res.diagnostics["energy_history"],
         "nehari_energy_history": cand.diagnostics["energy_history"]}
+
+    # the disk at h = 0.04 (m bw^2 = 58.2M) takes SuperLU's Newton direction,
+    # which no pinned test hashes (test_large_pattern_keeps_the_superlu_...)
+    mesh = vx.build_mesh(vx.Domain.disk(), 0.04)
+    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0),
+                               vx.SolveConfig(epsilon=1e-3, max_iters=2))
+    out["SUPERLU_DIRECTION"] = {
+        "energy": res.energy, "el_residual": res.el_residual,
+        "stop": res.diagnostics["stop"],
+        "fallbacks": res.diagnostics["newton_fallbacks"],
+        "energy_history": res.diagnostics["energy_history"]}
 
     for kind in ("square", "disk"):  # test_energy_helpers_pinned
         z, v, source, p, q = test_solvers.energy_case(kind, square)

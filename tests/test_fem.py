@@ -346,7 +346,7 @@ def test_mass_and_stiffness_are_the_coo_assembly_bit_for_bit(name, coo_assembly)
 
 @pytest.mark.parametrize("name", ASSEMBLY_MESHES)
 def test_l2_project_is_the_colamd_mass_solve_bit_for_bit(name):
-    # l2_project solves on the mass matrix filled in SuperLU's column order
+    # l2_project's factor is SuperLU's default (COLAMD) solve on the mass matrix
     mesh = ASSEMBLY_MESHES[name]()
     vals = np.random.default_rng(9).standard_normal(mesh.quadrature()[1].shape)
     expected = spsolve(vx.mass_matrix(mesh), fem._load_vector(mesh, vals),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
-from scipy.sparse.linalg import spilu, splu, spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 import vexlab as vx
 from vexlab import fem, solvers
@@ -337,10 +337,10 @@ HESS_MESHES = {
 
 
 def csc(data, pattern):
-    """The CSC matrix M of fem._assemble's (data, pattern), built here: its
-    columns in SuperLU's order pattern[2], so M[:, pattern[2]] is natural."""
-    indices, indptr, perm = pattern
-    return sparse.csc_matrix((data, indices, indptr), (len(perm),) * 2, float)
+    """The CSC matrix of fem._assemble's (data, pattern), built here with no
+    dtype: it is float because the data are."""
+    indices, indptr = pattern
+    return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2)
 
 
 @pytest.mark.parametrize("q_sign", [1.0, -1.0])
@@ -364,8 +364,10 @@ def test_hess_is_the_sliced_coo_assembly_bit_for_bit(name, q_sign, monkeypatch,
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
     data, pattern = prob.hess(z)
-    H = csc(data, pattern)  # the columns in SuperLU's order
-    ref = coo_assembly(mesh, elems[0], free)[:, np.argsort(pattern[2])]
+    H = csc(data, pattern)
+    ref = coo_assembly(mesh, elems[0], free)
+    # float data even with no free-free entry, where np.bincount gives int64
+    assert data.dtype == np.float64
     assert H.format == "csc" and H.dtype == float
     assert H.shape == (len(free), len(free))
     for attr in ("data", "indices", "indptr"):
@@ -456,7 +458,7 @@ def test_hess_element_blocks_are_symmetric_and_the_einsum_to_roundoff(
     assert np.abs(elem - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-# -- SuperLU's column order, found once per node set --------------------
+# -- SuperLU's solves, in its own column order ------------------------------
 
 
 def random_hessians(mesh, seeds):
@@ -472,13 +474,14 @@ def random_hessians(mesh, seeds):
 
 @pytest.mark.parametrize("name", HESS_MESHES)
 def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
-    # H[:, perm] is the natural matrix, which spsolve ordered by COLAMD itself
+    # the Newton step's SuperLU branch is scipy's default solve, which orders
+    # the natural-order columns by COLAMD itself
     mesh = HESS_MESHES[name]()
     for seed, (data, pattern) in enumerate(random_hessians(mesh, range(3))):
-        H, perm = csc(data, pattern), pattern[2]
+        H = csc(data, pattern)
         b = np.random.default_rng(100 + seed).standard_normal(H.shape[0])
-        x = spsolve(H, b, permc_spec="NATURAL", use_umfpack=False)[perm]
-        assert np.array_equal(x, spsolve(H[:, perm], b, use_umfpack=False))
+        x = solvers.spsolve((data, pattern, None), b)
+        assert np.array_equal(x, spsolve(H, b, use_umfpack=False))
         assert np.all(np.isfinite(x))
 
 
@@ -487,25 +490,22 @@ def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
     mesh = HESS_MESHES[name]()
     free, elem = mesh.interior_nodes, fem._cell_stiffness(mesh)
     data, pattern = fem._assemble(mesh, elem, free)
-    K, perm = csc(data, pattern), pattern[2]
     r = np.random.default_rng(3).standard_normal(len(free))
     d = fem._factor(mesh, elem, free)(r)  # the descent's solve
-    assert np.array_equal(d, splu(K[:, perm]).solve(r))
-    assert np.array_equal(perm, splu(K[:, perm]).perm_c)  # the default order
+    assert np.array_equal(d, splu(csc(data, pattern)).solve(r))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
     # zero blocks on the cells around one interior node leave its row and
-    # column empty; the band solve fails exactly where SuperLU's natural one
-    # does
+    # column empty; the band solve fails exactly where SuperLU's does
     mesh = HESS_MESHES["square-0.1"]()
     dead = np.any(mesh.cells == mesh.interior_nodes[20], axis=1)[:, None, None]
     natural, failed = [], []
 
     def spy(mesh, elem, free):
         data, pattern = fem._assemble(mesh, np.where(dead, 0.0, elem), free)
-        natural.append(csc(data, pattern)[:, pattern[2]])
+        natural.append(csc(data, pattern))
         return data, pattern
 
     band_solve = solvers.spsolve
@@ -549,8 +549,7 @@ def test_band_direction_is_the_superlu_direction(name, q_sign):
     assert band is not None
     b = np.random.default_rng(8).standard_normal(len(free))
     x = solvers.spsolve((data, pattern, band), b)
-    natural = csc(data, pattern)[:, pattern[2]]
-    ref = spsolve(natural, b, use_umfpack=False)
+    ref = spsolve(csc(data, pattern), b, use_umfpack=False)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -593,8 +592,7 @@ def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
     assert len(steps) == 2
     for (data, pattern, band), b, x in steps:
         assert band is None
-        assert np.array_equal(x, spsolve(csc(data, pattern), b, permc_spec="NATURAL",
-                                         use_umfpack=False)[pattern[2]])
+        assert np.array_equal(x, spsolve(csc(data, pattern), b, use_umfpack=False))
 
 
 def test_band_step_builds_no_sparse_matrix(unit_square, monkeypatch):
@@ -686,28 +684,23 @@ def test_each_iterate_is_sampled_once(unit_square, monkeypatch):
     assert len(samples) == len(res.diagnostics["energy_history"])  # all accepted
 
 
-def test_column_order_is_built_once_per_node_set(monkeypatch):
-    # one probe factor per node set; new values never reorder the pattern
+def test_pattern_is_built_once_per_node_set():
+    # one pattern per node set, shared by the Hessians, l2_project,
+    # mass_matrix, stiffness_matrix and nehari_candidate; new values never
+    # rebuild it
     mesh = HESS_MESHES["square-0.1"]()
     free, every = mesh.interior_nodes, np.arange(mesh.nnodes)
-    probes = []
-
-    def counting_spilu(A, **options):
-        probes.append(A.shape[0])
-        return spilu(A, **options)
-
-    monkeypatch.setattr(fem, "spilu", counting_spilu)
-    perms = [pattern[2] for _, pattern in random_hessians(mesh, range(4))]
-    assert probes == [len(free)] and all(perm is perms[0] for perm in perms)
+    patterns = [pattern for _, pattern in random_hessians(mesh, range(4))]
+    assert all(pattern is patterns[0] for pattern in patterns)
     rng = np.random.default_rng(5)
-    for _ in range(2):
-        vx.l2_project(mesh, rng.standard_normal(mesh.quadrature()[1].shape))
+    vx.l2_project(mesh, rng.standard_normal(mesh.quadrature()[1].shape))
+    built = dict(mesh._patterns)
+    vx.l2_project(mesh, rng.standard_normal(mesh.quadrature()[1].shape))
     vx.mass_matrix(mesh), fem.stiffness_matrix(mesh)
-    assert probes == [len(free), mesh.nnodes]
-    assert list(mesh._patterns) == [free.tobytes(), every.tobytes()]
     vx.nehari_candidate(vx.AffineExponent(1.5, [0.2, 0.0]),
                         vx.ConstantExponent(3.0), mesh)
-    assert probes == [len(free), mesh.nnodes]
+    assert list(mesh._patterns) == [free.tobytes(), every.tobytes()]
+    assert all(mesh._patterns[key] is value for key, value in built.items())
 
 
 class _FrozenPatterns(dict):
