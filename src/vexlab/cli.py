@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 config error (an unknown top-level key included),
 3 solver non-convergence (artifacts are still written, with converged =
 false or a candidate_stop other than "converged").
 
-Outputs are deterministic for a fixed (config, seed); the timestamp and the
-counts of a Nehari candidate's descent and of a cascade's Newton fallbacks and
-reused levels live in an isolated "meta" block, so reports diff modulo it.
+Outputs are deterministic for a fixed (config, seed, BLAS thread count); the
+timestamp and the counts of a Nehari candidate's descent and of a cascade's
+Newton fallbacks and reused levels live in a "meta" block; diff reports modulo it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
@@ -16,7 +16,7 @@ from .errors import ConfigError, NonFiniteIntegrand
 # temporaries included), which bounds its memory at any radius.
 _MOLLIFY_PAIRS = 2**23
 # Largest m * bw^2 (m free nodes, bw the half-bandwidth in reverse
-# Cuthill-McKee order) that _banded solves by LAPACK's banded LU; larger
+# Cuthill-McKee order) that _band_lu solves by LAPACK's banded LU; larger
 # systems go to SuperLU in its own COLAMD order.  gbsv's time per solve over
 # SuperLU's, one thread, best of 15 in each of 3 runs, by disk (h): m * bw^2,
 # ratio: (0.05) 22.6M, 0.66-0.73; (0.04) 58.2M, 0.90-0.94; (0.03) 187.6M,
@@ -182,7 +182,7 @@ def cutoff(u, n):
 # -- mollification ---------------------------------------------------------
 
 
-def mollify(u, radius):
+def mollify(u, radius, kernels=None):
     """Discrete mollification with a polynomial bump kernel.
 
     One pass over the (node, neighbor) pairs within `radius` weighs each by
@@ -191,8 +191,8 @@ def mollify(u, radius):
     against roundoff: sup norm never grows, nonnegativity and constants are
     kept.  Nodes within radius + h of the boundary stay zero (zero trace).
     The kept nodes go in slices of _MOLLIFY_PAIRS // nnodes, so at most
-    _MOLLIFY_PAIRS pairs are held at once.  While solvers.cascade runs,
-    mesh._mollifiers keeps each kernel of one slice by radius for reuse.
+    _MOLLIFY_PAIRS pairs are held at once.  A dict kernels (solvers.cascade
+    passes one) keeps each kernel of one slice by radius for reuse.
     """
     if not (radius > 0 and radius * radius > 0):
         raise ConfigError(f"mollifier radius {radius!r} is not positive or underflows")
@@ -200,16 +200,16 @@ def mollify(u, radius):
     f = u.values
     lo, hi = f.min(), f.max()
     out = np.zeros(mesh.nnodes)
-    kept = (mesh._mollifiers or {}).get(radius)
-    for part, row, col, wk, den in kept or _mollifier_slices(mesh, radius):
+    kept = (kernels or {}).get(radius)
+    for part, row, col, wk, den in kept or _mollifier_slices(mesh, radius, kernels):
         out[part] = np.clip(np.bincount(row, wk * f[col], len(part)) / den, lo, hi)
     return DiscreteField(mesh, out, zero_trace=True)
 
 
-def _mollifier_slices(mesh, radius):
+def _mollifier_slices(mesh, radius, kernels=None):
     """Yield mollify's kernel slices (part, row, col, wk, den): kept nodes
     part, pairs (part[row], col) of weights wk, each node's sum of weights
-    den.  Stores a kernel of one slice in mesh._mollifiers, if that is set."""
+    den.  Stores a kernel of one slice in the dict kernels, if one is given."""
     nodes = mesh.nodes
     nv = mesh.cells.shape[1]
     lumped = _scatter(mesh, np.repeat(mesh.cell_volumes / nv, nv))
@@ -223,8 +223,8 @@ def _mollifier_slices(mesh, radius):
         d2 = sum((x[col] - x[part[row]]) ** 2 for x in nodes.T)
         wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
         piece = (part, row, col, wk, np.bincount(row, wk, len(part)))
-        if len(parts) == 1 and mesh._mollifiers is not None:
-            mesh._mollifiers[radius] = [piece]
+        if len(parts) == 1 and kernels is not None:
+            kernels[radius] = [piece]
         yield piece
 
 
@@ -234,11 +234,11 @@ def _mollifier_slices(mesh, radius):
 def _assemble(mesh, elem, free):
     """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into the
     float data of the CSC matrix _csc(data, pattern), pattern = (indices,
-    indptr): the COO -> CSR sum sliced to free and turned to CSC, bit for bit;
-    return (data, pattern).  One bincount fills the pattern cached on the mesh
-    for that node set: slot lists the free-free terms in the order COO -> CSR
-    sums them (stable by row, then sort_indices' unstable sort of each row),
-    target their entries."""
+    indptr, band): the COO -> CSR sum sliced to free and turned to CSC, bit
+    for bit, and _band_lu's solve; return (data, pattern).  One bincount
+    fills the record cached on the mesh per node set: slot lists the free-free
+    terms in the order COO -> CSR sums them (stable by row, then
+    sort_indices' unstable sort of each row), target their entries."""
     key = free.tobytes()
     if key not in mesh._patterns:
         cells, n, nv, m = mesh.cells, mesh.nnodes, mesh.cells.shape[1], len(free)
@@ -252,7 +252,7 @@ def _assemble(mesh, elem, free):
         r, c = np.searchsorted(free, rows[slot]), np.searchsorted(free, cols[slot])
         csc = sparse.coo_matrix((np.ones(len(slot)), (r, c)), (m, m)).tocsc()
         target = np.unique(c * n + r, return_inverse=True)[1]  # in CSC order
-        mesh._patterns[key] = (slot, target, (csc.indices, csc.indptr))
+        mesh._patterns[key] = (slot, target, (csc.indices, csc.indptr, _band_lu(csc)))
     slot, target, pattern = mesh._patterns[key]
     data = np.bincount(target, elem.ravel()[slot], len(pattern[0]))
     return data.astype(float, copy=False), pattern  # bincount of no term is int64
@@ -260,44 +260,50 @@ def _assemble(mesh, elem, free):
 
 def _csc(data, pattern):
     """The CSC matrix of _assemble's (data, pattern)."""
-    indices, indptr = pattern
+    indices, indptr, _ = pattern
     return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2)
 
 
-def _banded(mesh, free):
+def _band_lu(csc):
     """The solve (data, b) -> x by LAPACK's banded LU (gbsv, partial pivoting)
-    of the CSC data on _assemble's cached pattern for free, or None when
-    m * bw^2 exceeds _BAND_WORK.  Its order, its scatter into gbsv's storage
-    and gbsv itself are fetched once per node set.  A zero pivot raises
-    LinAlgError, an argument gbsv refuses ValueError."""
-    key = free.tobytes()
-    if key not in mesh._bands:
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-        _, _, (rows, indptr) = mesh._patterns[key]
-        m = len(indptr) - 1
-        cols = np.repeat(np.arange(m), np.diff(indptr))
-        order = reverse_cuthill_mckee(sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), (m, m)), symmetric_mode=True)
-        pos = np.argsort(order)
-        i, j = pos[rows], pos[cols]
-        bw = int(np.abs(i - j).max())
-        # ab[2 bw + i - j, j] = A[i, j] below bw rows of fill, column-major
-        flat = j * (3 * bw + 1) + 2 * bw + i - j
-        gbsv = get_lapack_funcs("gbsv", dtype=float)
+    of data on the symmetric pattern of the m x m CSC matrix csc, in reverse
+    Cuthill-McKee order; None when m = 0 or m * bw^2 exceeds _BAND_WORK.  A
+    zero pivot raises LinAlgError, an argument gbsv refuses ValueError."""
+    m = csc.shape[0]
+    if m == 0:  # reverse_cuthill_mckee has no order to give
+        return None
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    order = reverse_cuthill_mckee(csc, symmetric_mode=True)
+    pos = np.argsort(order)
+    i, j = pos[csc.indices], pos[np.repeat(np.arange(m), np.diff(csc.indptr))]
+    bw = int(np.abs(i - j).max())
+    if m * bw * bw > _BAND_WORK:
+        return None
+    # ab[2 bw + i - j, j] = A[i, j] below bw rows of fill, column-major
+    flat = j * (3 * bw + 1) + 2 * bw + i - j
+    gbsv = get_lapack_funcs("gbsv", dtype=float)
 
-        def solve(data, b):
-            ab = np.zeros(m * (3 * bw + 1))
-            ab[flat] = data
-            _, _, x, info = gbsv(bw, bw, ab.reshape(m, -1).T, b[order],
-                                 overwrite_ab=True, overwrite_b=True)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"gbsv: pivot {info} is exactly zero")
-            if info < 0:
-                raise ValueError(f"gbsv: illegal value in argument {-info}")
-            return x[pos]
+    def solve(data, b):
+        ab = np.zeros(m * (3 * bw + 1))
+        ab[flat] = data
+        _, _, x, info = gbsv(bw, bw, ab.reshape(m, -1).T, b[order],
+                             overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"gbsv: pivot {info} is exactly zero")
+        if info < 0:
+            raise ValueError(f"gbsv: illegal value in argument {-info}")
+        return x[pos]
 
-        mesh._bands[key] = solve if m * bw * bw <= _BAND_WORK else None
-    return mesh._bands[key]
+    return solve
+
+
+def _solve(system, b):
+    """x with _csc(*system) x = b for _assemble's system = (data, pattern): by
+    the pattern's band LU if it has one, else by SuperLU in COLAMD order."""
+    data, pattern = system
+    if pattern[2] is not None:
+        return pattern[2](data, b)
+    return spsolve(_csc(data, pattern), b, use_umfpack=False)
 
 
 def _factor(mesh, elem, free):

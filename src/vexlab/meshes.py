@@ -134,10 +134,8 @@ class Mesh:
         self._quad = None
         self._facet_quad = None
         self._bdist = None
-        self._patterns = {}  # fem._assemble's CSC pattern by node set
-        self._bands = {}  # fem._banded's band solve (or None) by node set
+        self._patterns = {}  # fem._assemble's record by node set
         self._exponent_samples = weakref.WeakKeyDictionary()
-        self._mollifiers = None  # fem.mollify's kernels by radius, in a cascade
 
     # -- construction details ---------------------------------------------
 

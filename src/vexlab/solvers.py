@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import spsolve as _superlu
 
 from .errors import (CollapseToZero, ConfigError, InsufficientRuns, NoScalingRoot,
                      check_keys, config_number)
-from .fem import (DiscreteField, _assemble, _banded, _bump_profile, _cell_mass,
-                  _cell_stiffness, _csc, _factor, _load_vector, _scatter, cutoff,
+from .fem import (DiscreteField, _assemble, _bump_profile, _cell_mass,
+                  _cell_stiffness, _factor, _load_vector, _scatter, cutoff,
                   field_on_quadrature, l2_project, mollify, sample)
+from .fem import _solve as spsolve
 from .modular import _balance_root, gradient_luxemburg_norm, gradient_modular, modular
 
 _TINY = 1e-300
@@ -182,15 +182,6 @@ class _EnergyProblem:
         return _assemble(self.mesh, elem, self.mesh.interior_nodes)
 
 
-def spsolve(system, b):
-    """x with H x = b for system = (data, pattern, band), H = fem._csc(data,
-    pattern): by fem._banded's band LU if any, else SuperLU."""
-    data, pattern, band = system
-    if band is not None:
-        return band(data, b)
-    return _superlu(_csc(data, pattern), b, use_umfpack=False)
-
-
 def _newton_step(problem, z, free, gf, gn, F0):
     """One damped step along the Newton direction, or None.  When the sparse
     solve fails, the direction is -g and problem.fallbacks counts the step.
@@ -202,7 +193,7 @@ def _newton_step(problem, z, free, gf, gn, F0):
     iterate with its energy and free gradient, or None when neither merit
     accepts a step.
     """
-    system = (*problem.hess(z), _banded(problem.mesh, free))
+    system = problem.hess(z)
     try:
         d = spsolve(system, -gf)
     except (RuntimeError, np.linalg.LinAlgError):  # a singular factor
@@ -367,8 +358,8 @@ def cascade(u, p, q, cfg=None):
     truncation level clears max |u|.
     A level whose u_n is byte-equal to an earlier level's poses the same
     problem, so its epsilon levels are copies of that level's, each tagged
-    with diagnostics reused_from_n.  fem.mollify keeps its kernels on the
-    mesh for the length of this call only.
+    with diagnostics reused_from_n.  The mollifier kernels, one per radius,
+    are built once per call and passed to fem.mollify.
     cascade_levels walks the epsilon levels of the returned runs.
     """
     cfg = cfg or SolveConfig()
@@ -376,37 +367,34 @@ def cascade(u, p, q, cfg=None):
     qm_u = modular(u, q).value
     out = []
     solved = {}  # u_n bytes -> (n, epsilon levels) of the level solving it
-    u.mesh._mollifiers = {}
-    try:
-        for n in cfg.n_schedule:
-            z = cutoff(u, n)
-            key = z.values.tobytes()
-            if key in solved:
-                n0, levels = solved[key]
-                runs = [replace(lv, field=lv.field.copy(), diagnostics={
-                    **lv.diagnostics,
-                    "energy_history": list(lv.diagnostics["energy_history"])})
-                    for lv in levels]  # each with its own field, dict and history
-            else:
-                n0, runs = None, []
-                f_node = power_source(z, q)
-                for eps in cfg.eps_schedule():
-                    v_eps = mollify(f_node, mollifier_radius(eps, u.mesh))
-                    runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
-                    z = runs[-1].field
-                solved[key] = (n, runs)
-            for lv in runs:
-                lv.diagnostics["n"] = n
-                if n0 is not None:
-                    lv.diagnostics["reused_from_n"] = n0
-            res = runs[-1]
-            res.diagnostics.update(
-                eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)),
-                gap_grad_modular=abs(gradient_modular(res.field, p).value - gm_u),
-                gap_q_modular=abs(modular(res.field, q).value - qm_u))
-            out.append(res)
-    finally:
-        u.mesh._mollifiers = None
+    kernels = {}  # mollify's kernels by radius
+    for n in cfg.n_schedule:
+        z = cutoff(u, n)
+        key = z.values.tobytes()
+        if key in solved:
+            n0, levels = solved[key]
+            runs = [replace(lv, field=lv.field.copy(), diagnostics={
+                **lv.diagnostics,
+                "energy_history": list(lv.diagnostics["energy_history"])})
+                for lv in levels]  # each with its own field, dict and history
+        else:
+            n0, runs = None, []
+            f_node = power_source(z, q)
+            for eps in cfg.eps_schedule():
+                v_eps = mollify(f_node, mollifier_radius(eps, u.mesh), kernels)
+                runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
+                z = runs[-1].field
+            solved[key] = (n, runs)
+        for lv in runs:
+            lv.diagnostics["n"] = n
+            if n0 is not None:
+                lv.diagnostics["reused_from_n"] = n0
+        res = runs[-1]
+        res.diagnostics.update(
+            eps_runs=runs, truncation_active=bool(np.any(np.abs(u.values) > n)),
+            gap_grad_modular=abs(gradient_modular(res.field, p).value - gm_u),
+            gap_q_modular=abs(modular(res.field, q).value - qm_u))
+        out.append(res)
     return out
 
 

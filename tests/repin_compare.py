@@ -7,7 +7,9 @@ pin.  Before re-pinning them, run
 
 (a checkout is a directory holding src/, tests/, configs/ and perfbench/,
 say one made with `git archive`).  In a fresh interpreter per checkout, with
-that checkout's src/ first on the path, it collects
+that checkout's src/ first on the path and perfbench/run.py's THREAD_VARS
+set to 1 (one BLAS thread, as in perfbench's reps and the fingerprint
+test), it collects
 
 - every file each shipped configs/*.json writes through the CLI: JSON reports
   with their "meta" counts but not its timestamp, CSV and text files token by
@@ -251,11 +253,15 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__)
         return 2
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from run import THREAD_VARS
+
     got = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, checkout in enumerate(argv):
             dest = os.path.join(tmp, f"{i}.json")
-            env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+            env = {**os.environ, **{var: "1" for var in THREAD_VARS},
+                   "PYTHONPATH": str(Path(checkout).resolve() / "src")}
             subprocess.run([sys.executable, os.path.abspath(__file__), "--collect",
                             checkout, dest], check=True, cwd=tmp, env=env)
             got.append(json.loads(Path(dest).read_text()))

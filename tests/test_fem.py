@@ -224,7 +224,7 @@ def test_mollify_slices_match_one_pass(kind, rng, monkeypatch):
 @pytest.mark.parametrize("nodes_per_slice", [None, 50])
 @pytest.mark.parametrize("kind", ["disk", "interval"])
 def test_mollify_kernel_cache_is_bit_for_bit(kind, nodes_per_slice, rng, monkeypatch):
-    # what solvers.cascade sets up: kernels kept by radius and reused
+    # what solvers.cascade passes: one table of kernels by radius, reused
     if kind == "disk":
         mesh = vx.build_mesh(vx.Domain.disk((0.0, 0.0), 1.0), 0.05)
     else:
@@ -235,12 +235,10 @@ def test_mollify_kernel_cache_is_bit_for_bit(kind, nodes_per_slice, rng, monkeyp
               for _ in range(3)]
     radii = (0.02, 0.1, 0.3, 0.6)
     plain = [[vx.mollify(u, r).values for r in radii] for u in fields]
-    assert mesh._mollifiers is None  # nothing kept outside a cascade
     assert [hashlib.sha256(v.tobytes()).hexdigest()
             for v in plain[0]] == MOLLIFY_DIGESTS[kind]
-    mesh._mollifiers = {}
-    cached = [[vx.mollify(u, r).values for r in radii] for u in fields]
-    kept = mesh._mollifiers
+    kept = {}
+    cached = [[vx.mollify(u, r, kept).values for r in radii] for u in fields]
     # only a kernel of one slice is kept: at most _MOLLIFY_PAIRS pairs each
     assert all(len(kernel) == 1 for kernel in kept.values())
     assert (set(kept) == set(radii)) == (nodes_per_slice is None)

@@ -339,7 +339,7 @@ HESS_MESHES = {
 def csc(data, pattern):
     """The CSC matrix of fem._assemble's (data, pattern), built here with no
     dtype: it is float because the data are."""
-    indices, indptr = pattern
+    indices, indptr, _ = pattern
     return sparse.csc_matrix((data, indices, indptr), (len(indptr) - 1,) * 2)
 
 
@@ -480,7 +480,7 @@ def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
     for seed, (data, pattern) in enumerate(random_hessians(mesh, range(3))):
         H = csc(data, pattern)
         b = np.random.default_rng(100 + seed).standard_normal(H.shape[0])
-        x = solvers.spsolve((data, pattern, None), b)
+        x = solvers.spsolve((data, (*pattern[:2], None)), b)  # SuperLU's branch
         assert np.array_equal(x, spsolve(H, b, use_umfpack=False))
         assert np.all(np.isfinite(x))
 
@@ -511,7 +511,7 @@ def test_singular_hessian_falls_back_as_the_colamd_solve_does(monkeypatch):
     band_solve = solvers.spsolve
 
     def both(system, b):
-        assert system[2] is not None  # the band LU, not SuperLU
+        assert system[1][2] is not None  # the band LU, not SuperLU
         failed.append(not np.all(np.isfinite(spsolve(natural[-1], b,
                                                      use_umfpack=False))))
         try:
@@ -545,10 +545,9 @@ def test_band_direction_is_the_superlu_direction(name, q_sign):
     z = np.zeros(mesh.nnodes)
     z[free] = np.random.default_rng(7).standard_normal(len(free))
     data, pattern = prob.hess(z)
-    band = fem._banded(mesh, free)
-    assert band is not None
+    assert pattern[2] is not None
     b = np.random.default_rng(8).standard_normal(len(free))
-    x = solvers.spsolve((data, pattern, band), b)
+    x = solvers.spsolve((data, pattern), b)
     ref = spsolve(csc(data, pattern), b, use_umfpack=False)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -563,14 +562,14 @@ def test_band_order_is_built_once_per_node_set(unit_square, monkeypatch):
     v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
     solves = counting(monkeypatch, solvers, "spsolve")
     vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-3))
-    assert len(orders) == 1 and list(mesh._bands) == [free.tobytes()]
-    band = mesh._bands[free.tobytes()]
-    assert band is not None and all(system[2] is band for system, _ in solves)
+    assert len(orders) == 1 and list(mesh._patterns) == [free.tobytes()]
+    band = mesh._patterns[free.tobytes()][2][2]
+    assert band is not None and all(system[1][2] is band for system, _ in solves)
     count = len(solves)
     vx.solve_regularized(v, p, q, vx.SolveConfig(epsilon=1e-4))
     vx.nehari_candidate(p, q, mesh)
     assert len(solves) > count and len(orders) == 1
-    assert all(system[2] is band for system, _ in solves)
+    assert all(system[1][2] is band for system, _ in solves)
 
 
 def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
@@ -590,8 +589,8 @@ def test_large_pattern_keeps_the_superlu_direction_bit_for_bit(monkeypatch):
                          vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3,
                                                                   max_iters=2))
     assert len(steps) == 2
-    for (data, pattern, band), b, x in steps:
-        assert band is None
+    for (data, pattern), b, x in steps:
+        assert pattern[2] is None
         assert np.array_equal(x, spsolve(csc(data, pattern), b, use_umfpack=False))
 
 
@@ -625,9 +624,8 @@ def test_zero_band_column_falls_back_once(unit_square):
                                   load_q=np.full(mesh.quadrature()[1].shape, 10.0))
     z = np.zeros(mesh.nnodes)
     data, pattern = prob.hess(z)
-    indptr = pattern[1]
+    indptr, band = pattern[1:]
     data[indptr[7]:indptr[8]] = 0.0  # column 7 of H
-    band = fem._banded(mesh, free)
     with pytest.raises(np.linalg.LinAlgError):
         band(data, np.ones(len(free)))
 
@@ -665,9 +663,23 @@ def test_one_interior_node_solves_on_the_band():
     v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
     res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
                                vx.ConstantExponent(3.0), vx.SolveConfig(epsilon=1e-3))
-    assert mesh._bands[mesh.interior_nodes.tobytes()] is not None
+    assert mesh._patterns[mesh.interior_nodes.tobytes()][2][2] is not None
     assert res.converged and res.diagnostics["newton_fallbacks"] == 0
     assert res.field.values[4] > 0
+
+
+def test_empty_node_set_assembles_and_factors():
+    # the one-triangle mesh has no interior node: its record is built on an
+    # empty node set, which has no band order, and still solves and factors
+    mesh = HESS_MESHES["no-interior-node"]()
+    free = mesh.interior_nodes
+    prob = solvers._EnergyProblem(mesh, P2, vx.ConstantExponent(3.0), 1e-3)
+    data, pattern = prob.hess(np.zeros(mesh.nnodes))
+    assert len(free) == len(data) == 0 and len(pattern) == 3
+    assert mesh._patterns[free.tobytes()][2] is pattern and pattern[2] is None
+    assert solvers.spsolve((data, pattern), np.zeros(0)).shape == (0,)
+    solve = fem._factor(mesh, fem._cell_stiffness(mesh), free)
+    assert solve(np.zeros(0)).shape == (0,)
 
 
 def test_each_iterate_is_sampled_once(unit_square, monkeypatch):
@@ -879,18 +891,42 @@ def test_cascade_builds_each_mollifier_kernel_once(interval_mesh, monkeypatch):
     assert len(mollified) == 6 and len(kernels) == 3
     assert not any("reused_from_n" in lv.diagnostics
                    for lv in vx.cascade_levels(runs))
-    assert interval_mesh._mollifiers is None
+    table = mollified[0][2]  # one table passed to every call, one kernel a radius
+    assert all(args[2] is table for args in mollified) and len(table) == 3
 
 
-def test_cascade_drops_its_kernels_when_a_level_raises(interval_mesh, monkeypatch):
-    def fails(*args, **kwargs):
-        assert interval_mesh._mollifiers  # the level's kernel is kept
-        raise vx.NoScalingRoot("injected")
+@pytest.mark.parametrize("level_raises", [False, True],
+                         ids=["finishes", "a_level_raises"])
+def test_cascade_keeps_no_state_on_the_mesh(level_raises, monkeypatch):
+    # on a mesh whose lazy caches one cascade has filled, another adds,
+    # removes or rebinds no attribute: not while a level runs, nor after the
+    # cascade finishes or a level raises
+    mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.02)
+    u = 3.0 * sin_field(mesh)
+    cfg = vx.SolveConfig(epsilon0=0.5, eps_factor=0.5, eps_min=0.125,
+                         n_schedule=(1, 2))
+    vx.cascade(u, P2, P2, cfg)
+    before = dict(vars(mesh))
 
-    monkeypatch.setattr(solvers, "solve_regularized", fails)
-    with pytest.raises(vx.NoScalingRoot, match="injected"):
-        vx.cascade(sin_field(interval_mesh), P2, P2, vx.SolveConfig())
-    assert interval_mesh._mollifiers is None
+    def unchanged():
+        now = vars(mesh)
+        return set(now) == set(before) and all(now[k] is v for k, v in before.items())
+
+    levels, solve = [], solvers.solve_regularized
+
+    def spy(*args, **kwargs):
+        levels.append(unchanged())
+        if level_raises:
+            raise vx.NoScalingRoot("injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_regularized", spy)
+    if level_raises:
+        with pytest.raises(vx.NoScalingRoot, match="injected"):
+            vx.cascade(u, P2, P2, cfg)
+    else:
+        vx.cascade(u, P2, P2, cfg)
+    assert levels == [True] * (1 if level_raises else 6) and unchanged()
 
 
 def test_cascade_zero_candidate(interval_mesh):
