@@ -92,9 +92,6 @@ class ConstantExponent(ExponentField):
     def bounds(self, domain=None):
         return _checked_bounds(self.value, self.value)
 
-    def __repr__(self):
-        return f"ConstantExponent({self.value})"
-
 
 class AffineExponent(ExponentField):
     """p(x) = a + b . x"""
@@ -217,11 +214,10 @@ class TabulatedExponent(ExponentField):
 class TransformedExponent(ExponentField):
     """f(p(x)) for a smooth monotone f, with chain-rule gradients."""
 
-    def __init__(self, base, fn, dfn, name, validator):
+    def __init__(self, base, fn, dfn, validator):
         self.base = base
         self.fn = fn
         self.dfn = dfn
-        self.name = name
         self.validator = validator
         self.dim = base.dim
 
@@ -247,9 +243,6 @@ class TransformedExponent(ExponentField):
         pv = self.base.eval_on_quadrature(mesh)
         self.validator(pv)
         return self.fn(pv)
-
-    def __repr__(self):
-        return f"{self.name}({self.base!r})"
 
 
 def _checked_bounds(lo, hi):
@@ -279,7 +272,6 @@ def conjugate(p):
         p,
         fn=lambda t: t / (t - 1.0),
         dfn=lambda t: -1.0 / (t - 1.0) ** 2,
-        name="conjugate",
         validator=_elliptic_validator,
     )
 
@@ -299,7 +291,6 @@ def sobolev_conjugate(p, N):
         p,
         fn=lambda t: N * t / (N - t),
         dfn=lambda t: N**2 / (N - t) ** 2,
-        name="sobolev_conjugate",
         validator=validator,
     )
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NonFiniteIntegrand
@@ -16,13 +16,13 @@ from .errors import ConfigError, NonFiniteIntegrand
 # temporaries included), which bounds its memory at any radius.
 _MOLLIFY_PAIRS = 2**23
 # Largest m * bw^2 (m free nodes, bw the half-bandwidth in reverse
-# Cuthill-McKee order) that _band_lu solves by LAPACK's banded LU; larger
-# systems go to SuperLU in its own COLAMD order.  gbsv's time per solve over
-# SuperLU's, one thread, best of 15 in each of 3 runs, by disk (h): m * bw^2,
-# ratio: (0.05) 22.6M, 0.66-0.73; (0.04) 58.2M, 0.90-0.94; (0.03) 187.6M,
-# 1.06-1.18; (0.025) 380.4M, 1.32-1.46; below 22.6M it won on every mesh tried
-# (ROADMAP item 13).  The largest power of two below the least loss would be
-# 2^27; 2^25 keeps the disk at h = 0.04 on SuperLU.
+# Cuthill-McKee order) that _band_lu factors by LAPACK's banded LU; larger
+# systems go to SuperLU in its own COLAMD order.  gbsv's (gbtrf + gbtrs) time
+# per one-shot solve over SuperLU's, one thread, best of 15 in each of 3 runs,
+# by disk (h): m * bw^2, ratio: (0.05) 22.6M, 0.66-0.73; (0.04) 58.2M,
+# 0.90-0.94; (0.03) 187.6M, 1.06-1.18; (0.025) 380.4M, 1.32-1.46; below 22.6M
+# it won on every mesh tried (ROADMAP item 13).  The largest power of two
+# below the least loss would be 2^27; 2^25 keeps the disk at h = 0.04 on SuperLU.
 _BAND_WORK = 2**25
 
 
@@ -174,7 +174,7 @@ def cutoff_profile(s, n):
 
 def cutoff(u, n):
     """Apply the nodal truncation g_n to a field."""
-    if n <= 0:
+    if not n > 0:  # NaN included
         raise ConfigError("cutoff level n must be positive")
     return DiscreteField(u.mesh, cutoff_profile(u.values, n))
 
@@ -235,7 +235,7 @@ def _assemble(mesh, elem, free):
     """Sum per-cell (nv, nv) blocks elem over the sorted nodes free into the
     float data of the CSC matrix _csc(data, pattern), pattern = (indices,
     indptr, band): the COO -> CSR sum sliced to free and turned to CSC, bit
-    for bit, and _band_lu's solve; return (data, pattern).  One bincount
+    for bit, and _band_lu's factor; return (data, pattern).  One bincount
     fills the record cached on the mesh per node set: slot lists the free-free
     terms in the order COO -> CSR sums them (stable by row, then
     sort_indices' unstable sort of each row), target their entries."""
@@ -265,10 +265,12 @@ def _csc(data, pattern):
 
 
 def _band_lu(csc):
-    """The solve (data, b) -> x by LAPACK's banded LU (gbsv, partial pivoting)
-    of data on the symmetric pattern of the m x m CSC matrix csc, in reverse
-    Cuthill-McKee order; None when m = 0 or m * bw^2 exceeds _BAND_WORK.  A
-    zero pivot raises LinAlgError, an argument gbsv refuses ValueError."""
+    """The factor data -> (b -> x) of data on the symmetric pattern of the
+    m x m CSC matrix csc by LAPACK's banded LU in reverse Cuthill-McKee order:
+    gbtrf (partial pivoting) once, gbtrs per solve, so each solve is gbsv's bit
+    for bit.  None when m = 0 or m * bw^2 exceeds _BAND_WORK.  A zero pivot
+    raises LinAlgError, an argument gbtrf refuses ValueError; gbtrs gets the
+    arguments gbtrf took and m rows of b, so its info is 0."""
     m = csc.shape[0]
     if m == 0:  # reverse_cuthill_mckee has no order to give
         return None
@@ -281,34 +283,33 @@ def _band_lu(csc):
         return None
     # ab[2 bw + i - j, j] = A[i, j] below bw rows of fill, column-major
     flat = j * (3 * bw + 1) + 2 * bw + i - j
-    gbsv = get_lapack_funcs("gbsv", dtype=float)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=float)
 
-    def solve(data, b):
+    def factor(data):
         ab = np.zeros(m * (3 * bw + 1))
         ab[flat] = data
-        _, _, x, info = gbsv(bw, bw, ab.reshape(m, -1).T, b[order],
-                             overwrite_ab=True, overwrite_b=True)
+        lu, piv, info = gbtrf(ab.reshape(m, -1).T, bw, bw, overwrite_ab=True)
         if info > 0:
-            raise np.linalg.LinAlgError(f"gbsv: pivot {info} is exactly zero")
+            raise np.linalg.LinAlgError(f"gbtrf: pivot {info} is exactly zero")
         if info < 0:
-            raise ValueError(f"gbsv: illegal value in argument {-info}")
-        return x[pos]
+            raise ValueError(f"gbtrf: illegal value in argument {-info}")
+        return lambda b: gbtrs(lu, bw, bw, b[order], piv, overwrite_b=True)[0][pos]
 
-    return solve
+    return factor
+
+
+def _factor(system):
+    """The solve b -> x of _assemble's system = (data, pattern), the one rule
+    for every P1 system: the pattern's band LU if it has one, else SuperLU's."""
+    data, pattern = system
+    if pattern[2] is not None:
+        return pattern[2](data)
+    return splu(_csc(data, pattern)).solve
 
 
 def _solve(system, b):
-    """x with _csc(*system) x = b for _assemble's system = (data, pattern): by
-    the pattern's band LU if it has one, else by SuperLU in COLAMD order."""
-    data, pattern = system
-    if pattern[2] is not None:
-        return pattern[2](data, b)
-    return spsolve(_csc(data, pattern), b, use_umfpack=False)
-
-
-def _factor(mesh, elem, free):
-    """The solve b -> x of elem summed over free, by one SuperLU factor."""
-    return splu(_csc(*_assemble(mesh, elem, free))).solve
+    """x with _csc(*system) x = b, by _factor."""
+    return _factor(system)(b)
 
 
 def _cell_stiffness(mesh):
@@ -337,6 +338,6 @@ def l2_project(mesh, values_on_quadrature):
     vals = np.asarray(values_on_quadrature, dtype=float)
     if vals.shape != mesh.quadrature()[1].shape:
         raise ConfigError("expected quadrature-point samples of shape (nc, nq)")
-    solve = _factor(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
-                    np.arange(mesh.nnodes))
+    solve = _factor(_assemble(mesh, _cell_mass(mesh, mesh.quadrature()[1]),
+                              np.arange(mesh.nnodes)))
     return DiscreteField(mesh, solve(_load_vector(mesh, vals)))

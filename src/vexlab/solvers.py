@@ -326,8 +326,8 @@ def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
     """Minimize the strictly convex F_eps with linear load v."""
     cfg = cfg or SolveConfig()
     eps = cfg.epsilon if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not 0 < eps < np.inf:  # NaN included
+        raise ConfigError("epsilon must be positive and finite")
     mesh = v.mesh
     load_q = field_on_quadrature(v)
     prob = _EnergyProblem(mesh, p, q, eps, load_q=load_q)
@@ -490,7 +490,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
     u = _bump_profile(mesh) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.nnodes))
     u = project(u)
 
-    solve = _factor(mesh, _cell_stiffness(mesh), free)
+    solve = _factor(_assemble(mesh, _cell_stiffness(mesh), free))
     hist = [prob.energy(u)]
     step = 1.0
     iters1 = iters2 = 0

@@ -19,8 +19,12 @@ test), it collects
 - the raw values behind the pins of test_solvers.py (TRUNCATED_PINS,
   SOLVER_DIGESTS, ENERGY_PINS), test_modular.py (FIELDS_PINS) and
   test_pohozaev.py (BALANCE_PINS), built by the checkout's own case helpers;
-- two Newton steps on the disk at h = 0.04, whose system is too wide for
-  the band LU, so SuperLU's direction is covered as well as the band's.
+- each side of fem._factor's rule, for one-shot and fixed factors alike:
+  six Newton steps on the square at h = 0.1 (BAND_DIRECTION, the band LU)
+  and two on the disk at h = 0.04, whose system is too wide for the band
+  (SUPERLU_DIRECTION), and l2_project on that disk's 4,096 nodes
+  (SUPERLU_FACTOR); the Nehari descent's band factor and the projections
+  on the band are in the pins above.
 
 It prints, per output, the worst relative change of its floats,
 |new - old| / max(1, |old|), and every count, flag or string that differs,
@@ -147,18 +151,24 @@ def _pinned_test_inputs():
         "solve_energy_history": res.diagnostics["energy_history"],
         "nehari_energy_history": cand.diagnostics["energy_history"]}
 
-    # the disk at h = 0.04 (m bw^2 = 58.2M) takes SuperLU's Newton direction,
-    # which no pinned test hashes (test_large_pattern_keeps_the_superlu_...)
-    mesh = vx.build_mesh(vx.Domain.disk(), 0.04)
-    v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
-    res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
-                               vx.ConstantExponent(3.0),
-                               vx.SolveConfig(epsilon=1e-3, max_iters=2))
-    out["SUPERLU_DIRECTION"] = {
-        "energy": res.energy, "el_residual": res.el_residual,
-        "stop": res.diagnostics["stop"],
-        "fallbacks": res.diagnostics["newton_fallbacks"],
-        "energy_history": res.diagnostics["energy_history"]}
+    # pure Newton outputs on each side of the rule, which no pinned test
+    # hashes: the square at h = 0.1 on the band LU, the disk at h = 0.04
+    # (m bw^2 = 58.2M) on SuperLU (test_large_pattern_keeps_the_superlu_...)
+    disk = vx.build_mesh(vx.Domain.disk(), 0.04)
+    for key, mesh, steps in (("BAND_DIRECTION", vx.build_mesh(square, 0.1), 6),
+                             ("SUPERLU_DIRECTION", disk, 2)):
+        v = vx.DiscreteField(mesh, np.full(mesh.nnodes, 10.0), zero_trace=True)
+        res = vx.solve_regularized(v, vx.AffineExponent(1.5, [0.2, 0.0]),
+                                   vx.ConstantExponent(3.0),
+                                   vx.SolveConfig(epsilon=1e-3, max_iters=steps))
+        out[key] = {
+            "energy": res.energy, "el_residual": res.el_residual,
+            "stop": res.diagnostics["stop"], "field": res.field.values,
+            "fallbacks": res.diagnostics["newton_fallbacks"],
+            "energy_history": res.diagnostics["energy_history"]}
+    # a fixed factor above _BAND_WORK: the all-node mass matrix of that disk
+    vals = np.random.default_rng(9).standard_normal(disk.quadrature()[1].shape)
+    out["SUPERLU_FACTOR"] = vx.l2_project(disk, vals).values
 
     for kind in ("square", "disk"):  # test_energy_helpers_pinned
         z, v, source, p, q = test_solvers.energy_case(kind, square)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 from scipy.spatial import cKDTree
 
 import vexlab as vx
@@ -114,8 +114,9 @@ def test_cutoff_identity_below_level(interval_mesh):
                                      lambda x: np.sin(np.pi * x[:, 0]))
     v = vx.cutoff(u, 5.0)
     assert np.array_equal(v.values, u.values)
-    with pytest.raises(vx.ConfigError):
-        vx.cutoff(u, 0.0)
+    for n in (0.0, np.nan):  # NaN used to give an all-NaN field
+        with pytest.raises(vx.ConfigError):
+            vx.cutoff(u, n)
 
 
 def test_mollify_is_averaging(fine_interval_mesh, rng):
@@ -342,14 +343,27 @@ def test_mass_and_stiffness_are_the_coo_assembly_bit_for_bit(name, coo_assembly)
     assert list(mesh._patterns) == [every.tobytes()]
 
 
-@pytest.mark.parametrize("name", ASSEMBLY_MESHES)
-def test_l2_project_is_the_colamd_mass_solve_bit_for_bit(name):
-    # l2_project's factor is SuperLU's default (COLAMD) solve on the mass matrix
-    mesh = ASSEMBLY_MESHES[name]()
+# the disk at h = 0.04: 4,096 nodes, too wide a band for _BAND_WORK
+L2_MESHES = {**ASSEMBLY_MESHES,
+             "disk-0.04": lambda: vx.build_mesh(vx.Domain.disk(), 0.04)}
+
+
+@pytest.mark.parametrize("name", L2_MESHES)
+def test_l2_project_solves_by_the_factor_rule_bit_for_bit(name):
+    # fem._factor's rule: the all-node mass pattern's band LU where it has
+    # one, else one SuperLU factor; both agree with scipy's spsolve
+    mesh = L2_MESHES[name]()
     vals = np.random.default_rng(9).standard_normal(mesh.quadrature()[1].shape)
-    expected = spsolve(vx.mass_matrix(mesh), fem._load_vector(mesh, vals),
-                       use_umfpack=False)
-    assert np.array_equal(vx.l2_project(mesh, vals).values, expected)
+    b = fem._load_vector(mesh, vals)
+    data, pattern = fem._assemble(mesh, fem._cell_mass(mesh, mesh.quadrature()[1]),
+                                  np.arange(mesh.nnodes))
+    band, M = pattern[2], vx.mass_matrix(mesh)
+    assert (band is None) == (name == "disk-0.04")
+    expected = splu(M).solve(b) if band is None else band(data)(b)
+    got = vx.l2_project(mesh, vals).values
+    assert np.array_equal(got, expected)
+    ref = spsolve(M, b, use_umfpack=False)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_stiffness_matrix_dirichlet_energy(interval_mesh, square_mesh):

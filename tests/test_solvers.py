@@ -250,9 +250,12 @@ def test_solve_init_independence(fine_interval_mesh):
 
 
 def test_solve_rejects_bad_epsilon(interval_mesh):
+    # a NaN epsilon used to stop at once as "left_nehari", an infinite one
+    # to "converge" at energy inf
     v = vx.DiscreteField.zeros(interval_mesh)
-    with pytest.raises(vx.ConfigError):
-        vx.solve_regularized(v, P2, P2, epsilon=0.0)
+    for eps in (0.0, nan, inf):
+        with pytest.raises(vx.ConfigError):
+            vx.solve_regularized(v, P2, P2, epsilon=eps)
 
 
 def test_solve_reports_non_convergence(fine_interval_mesh, rng):
@@ -474,8 +477,8 @@ def random_hessians(mesh, seeds):
 
 @pytest.mark.parametrize("name", HESS_MESHES)
 def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
-    # the Newton step's SuperLU branch is scipy's default solve, which orders
-    # the natural-order columns by COLAMD itself
+    # the Newton step's SuperLU branch, one splu factor, is scipy's default
+    # solve, which orders the natural-order columns by COLAMD itself
     mesh = HESS_MESHES[name]()
     for seed, (data, pattern) in enumerate(random_hessians(mesh, range(3))):
         H = csc(data, pattern)
@@ -485,14 +488,40 @@ def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
         assert np.all(np.isfinite(x))
 
 
-@pytest.mark.parametrize("name", HESS_MESHES)
-def test_ordered_stiffness_factor_is_the_colamd_factor_bit_for_bit(name):
-    mesh = HESS_MESHES[name]()
-    free, elem = mesh.interior_nodes, fem._cell_stiffness(mesh)
-    data, pattern = fem._assemble(mesh, elem, free)
-    r = np.random.default_rng(3).standard_normal(len(free))
-    d = fem._factor(mesh, elem, free)(r)  # the descent's solve
-    assert np.array_equal(d, splu(csc(data, pattern)).solve(r))
+# the disk at h = 0.04: 3,844 interior nodes, too wide a band for _BAND_WORK
+DESCENT_MESHES = {**{k: v for k, v in HESS_MESHES.items() if k != "no-interior-node"},
+                  "disk-0.04": lambda: vx.build_mesh(vx.Domain.disk(), 0.04)}
+
+
+@pytest.mark.parametrize("name", DESCENT_MESHES)
+def test_descent_solves_by_the_factor_rule_bit_for_bit(name, monkeypatch):
+    # the Nehari descent's H^1_0 direction takes fem._factor's rule: the
+    # interior stiffness pattern's band LU where it has one, else one
+    # SuperLU factor; the two agree to roundoff
+    mesh = DESCENT_MESHES[name]()
+    data, pattern = fem._assemble(mesh, fem._cell_stiffness(mesh), mesh.interior_nodes)
+    band, K = pattern[2], csc(data, pattern)
+    assert (band is None) == (name == "disk-0.04")
+    reference = splu(K).solve if band is None else band(data)
+    directions = []
+
+    def spy(system):
+        assert system[1] is pattern and np.array_equal(system[0], data)
+        solve = factor(system)
+
+        def traced(r):
+            directions.append((r, solve(r)))
+            return directions[-1][1]
+        return traced
+
+    factor = solvers._factor
+    monkeypatch.setattr(solvers, "_factor", spy)
+    vx.nehari_candidate(P2, vx.ConstantExponent(4.0), mesh, vx.SolveConfig(max_iters=0))
+    assert directions
+    for r, d in directions:
+        assert np.array_equal(d, reference(r))
+        ref = spsolve(K, r, use_umfpack=False)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
@@ -626,8 +655,8 @@ def test_zero_band_column_falls_back_once(unit_square):
     data, pattern = prob.hess(z)
     indptr, band = pattern[1:]
     data[indptr[7]:indptr[8]] = 0.0  # column 7 of H
-    with pytest.raises(np.linalg.LinAlgError):
-        band(data, np.ones(len(free)))
+    with pytest.raises(np.linalg.LinAlgError):  # at the factor, before a solve
+        band(data)
 
     prob.hess = lambda z: (data, pattern)
     gf = prob.grad(z)[free]
@@ -638,17 +667,17 @@ def test_zero_band_column_falls_back_once(unit_square):
 
 
 def test_refused_band_argument_escapes_the_newton_step(unit_square, monkeypatch):
-    # gbsv's info < 0 (an argument it refuses) is a fault, not a singular
+    # gbtrf's info < 0 (an argument it refuses) is a fault, not a singular
     # Hessian: the ValueError must not turn into a -g step
     from scipy.linalg import get_lapack_funcs
 
-    def refusing(name, dtype):
-        gbsv = get_lapack_funcs(name, dtype=dtype)
+    def refusing(names, dtype):
+        gbtrf, gbtrs = get_lapack_funcs(names, dtype=dtype)
 
         def call(*args, **kwargs):
-            lu, piv, x, _ = gbsv(*args, **kwargs)
-            return lu, piv, x, -4
-        return call
+            lu, piv, _ = gbtrf(*args, **kwargs)
+            return lu, piv, -4
+        return call, gbtrs
 
     monkeypatch.setattr(fem, "get_lapack_funcs", refusing)
     mesh = vx.build_mesh(unit_square, 0.1)
@@ -678,7 +707,7 @@ def test_empty_node_set_assembles_and_factors():
     assert len(free) == len(data) == 0 and len(pattern) == 3
     assert mesh._patterns[free.tobytes()][2] is pattern and pattern[2] is None
     assert solvers.spsolve((data, pattern), np.zeros(0)).shape == (0,)
-    solve = fem._factor(mesh, fem._cell_stiffness(mesh), free)
+    solve = fem._factor(fem._assemble(mesh, fem._cell_stiffness(mesh), free))
     assert solve(np.zeros(0)).shape == (0,)
 
 
@@ -788,14 +817,15 @@ def test_solve_truncated_flags_active_truncation(interval_mesh):
 # solve_truncated(u, p, q, n), the one-level solve that cascade now runs
 # itself, taken before it was folded in; re-pinned when small Newton
 # systems moved to the banded LU, and again when the Newton step took the
-# Gram-form Hessian, a direct gbsv call and matmul gathers, each time after a
+# Gram-form Hessian, a direct gbsv call and matmul gathers, and once more
+# when l2_project (the doubled source) took the band LU, each time after a
 # key-by-key check against the parent (every float within 1e-12 relative,
 # every count equal; tests/repin_compare.py does it).
 TRUNCATED_PINS = {
-    1: (["-0x1.7c12c876106e1p+1", "-0x1.b621b760c574fp+1", "-0x1.d45e3ace9d9c1p+1"],
-        "34d1adee3a92e240fc91f57cdc10c0e020f31892b5d742bd50d9f83f8cd56122"),
-    8: (["-0x1.22560aef90552p+5", "-0x1.3236e1586708bp+5", "-0x1.3911d212c45b2p+5"],
-        "a09fb67ad95d3bb538c7a2f4988bcd17cde00bee551b11bf6a3ae250ce87de6b"),
+    1: (["-0x1.7c12c876106e1p+1", "-0x1.b621b760c5751p+1", "-0x1.d45e3ace9d9c2p+1"],
+        "89d4c5b6393728b888ff5c8a73d73fcac5fac47a923c098e28883471c8cf0b19"),
+    8: (["-0x1.22560aef90551p+5", "-0x1.3236e1586708ap+5", "-0x1.3911d212c45b2p+5"],
+        "75b9cbcb6dd0c281c4265c64b72625acccca5904884679eaf3c71223f578853f"),
 }
 
 
@@ -1226,15 +1256,16 @@ def sha256(values):
 # Which epsilon levels of a cascade stall at max_iters turns on the last bits
 # of the energy, gradient and Hessian, so a change that moves one bit of the
 # solver path must fail here, not silently change the solver benchmarks.
-# Re-pinned with TRUNCATED_PINS both times; nehari_energy_history, a descent
-# without Newton steps, moved only the second time, with the matmul gathers.
+# Re-pinned with TRUNCATED_PINS each time; nehari_energy_history, a descent
+# without Newton steps, moved the second time, with the matmul gathers, and
+# alone the third, when the descent took the band LU.
 SOLVER_DIGESTS = {
     "solve_values":
         "53e2822550c4229bd28655fe8a5a067202673340ff4c96cdce20b23bfe9148f5",
     "solve_energy_history":
         "042d1dc0541340716252f5df8f83e0c8dea4d5a0bee4cd3655bbc3eca11d0949",
     "nehari_energy_history":
-        "6200ae9eacd459684a14ddda050d1a89e0426733ffcf451cbb5c9a086a55d098",
+        "182bea634c2a1d26de2f49cb67f3d8e622fcca9574834397f7a4f6212f98d3d6",
 }
 
 
@@ -1257,12 +1288,13 @@ def test_solver_path_bytes_pinned(unit_square, interval):
 # two 2D cases with variable exponents.  Pinned before the energy layer was
 # restructured; a change here means a result moved by at least one ulp.
 # power_source was re-pinned when the load vector and the mass blocks moved
-# to matmul (tests/repin_compare.py: within 1.7e-15 relative).
+# to matmul (tests/repin_compare.py: within 1.7e-15 relative), and when
+# l2_project took the mass pattern's band LU (within 2.7e-15).
 ENERGY_PINS = {
     "square": {
         "source_energy": "0x1.16ae903219d0ap+7",
         "power_source":
-            "215e5793066328d167716899a62e57fbe90e8c37f2f7e3062dad803b720165ae",
+            "2ccb0a437d1e31d35963a43febc984f8c9af8c2597a6fe51694eae02d6474ebd",
         0.0: {
             "phi_energy": "0x1.163ca918e28fdp+7",
             "regularized_energy": "0x1.16e5fba1e7e9cp+7",
@@ -1285,7 +1317,7 @@ ENERGY_PINS = {
     "disk": {
         "source_energy": "0x1.ef978fe4f45efp+8",
         "power_source":
-            "f0f8949227d4b3c148816c21f08c801b09db7ba95e0e0463cc46bb30701477cd",
+            "31ff1d34cd749ac101d93eb9996dd11f6b7f15177258729958a78e4871500f6f",
         0.0: {
             "phi_energy": "0x1.ef4c7a639aa4ap+8",
             "regularized_energy": "0x1.f00ecb5a55bfep+8",
