@@ -489,7 +489,7 @@ def test_ordered_newton_solve_is_the_colamd_solve_bit_for_bit(name):
 
 
 # the disk at h = 0.04: 3,844 interior nodes, too wide a band for _BAND_WORK
-DESCENT_MESHES = {**{k: v for k, v in HESS_MESHES.items() if k != "no-interior-node"},
+DESCENT_MESHES = {**HESS_MESHES,
                   "disk-0.04": lambda: vx.build_mesh(vx.Domain.disk(), 0.04)}
 
 
@@ -497,11 +497,13 @@ DESCENT_MESHES = {**{k: v for k, v in HESS_MESHES.items() if k != "no-interior-n
 def test_descent_solves_by_the_factor_rule_bit_for_bit(name, monkeypatch):
     # the Nehari descent's H^1_0 direction takes fem._factor's rule: the
     # interior stiffness pattern's band LU where it has one, else one
-    # SuperLU factor; the two agree to roundoff
+    # SuperLU factor; the two agree to roundoff. The one-triangle mesh has
+    # no interior node: its candidate is degenerate before any factor is
+    # taken, and the rule factors its empty stiffness as SuperLU does
     mesh = DESCENT_MESHES[name]()
     data, pattern = fem._assemble(mesh, fem._cell_stiffness(mesh), mesh.interior_nodes)
     band, K = pattern[2], csc(data, pattern)
-    assert (band is None) == (name == "disk-0.04")
+    assert (band is None) == (name in ("disk-0.04", "no-interior-node"))
     reference = splu(K).solve if band is None else band(data)
     directions = []
 
@@ -516,7 +518,15 @@ def test_descent_solves_by_the_factor_rule_bit_for_bit(name, monkeypatch):
 
     factor = solvers._factor
     monkeypatch.setattr(solvers, "_factor", spy)
-    vx.nehari_candidate(P2, vx.ConstantExponent(4.0), mesh, vx.SolveConfig(max_iters=0))
+    cfg = vx.SolveConfig(max_iters=0)
+    if name == "no-interior-node":
+        with pytest.raises(vx.NoScalingRoot, match="zero gradient"):
+            vx.nehari_candidate(P2, vx.ConstantExponent(4.0), mesh, cfg)
+        assert not directions
+        r = np.zeros(0)
+        directions.append((r, fem._factor((data, pattern))(r)))
+    else:
+        vx.nehari_candidate(P2, vx.ConstantExponent(4.0), mesh, cfg)
     assert directions
     for r, d in directions:
         assert np.array_equal(d, reference(r))
