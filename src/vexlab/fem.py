@@ -191,8 +191,10 @@ def mollify(u, radius, kernels=None):
     against roundoff: sup norm never grows, nonnegativity and constants are
     kept.  Nodes within radius + h of the boundary stay zero (zero trace).
     The kept nodes go in slices of _MOLLIFY_PAIRS // nnodes, so at most
-    _MOLLIFY_PAIRS pairs are held at once.  A dict kernels (solvers.cascade
-    passes one) keeps each kernel of one slice by radius for reuse.
+    _MOLLIFY_PAIRS pairs are held at once; a slice whose nodes lie farther
+    than radius from all others pairs each with itself alone, searching no
+    tree.  A dict kernels (solvers.cascade passes one) keeps each kernel of
+    one slice by radius for reuse.
     """
     if not (radius > 0 and radius * radius > 0):
         raise ConfigError(f"mollifier radius {radius!r} is not positive or underflows")
@@ -217,9 +219,13 @@ def _mollifier_slices(mesh, radius, kernels=None):
     step = max(1, _MOLLIFY_PAIRS // mesh.nnodes)
     parts = np.split(keep, range(step, len(keep), step))
     for part in parts:
-        pairs = cKDTree(nodes[part]).sparse_distance_matrix(
-            mesh._node_tree, radius, output_type="ndarray")
-        row, col = pairs["i"], pairs["j"]
+        if np.all(mesh._node_gap[part] > radius):  # each node its only pair
+            row, col = np.arange(len(part)), part
+        else:
+            pairs = cKDTree(nodes[part]).sparse_distance_matrix(
+                mesh._node_tree, radius, output_type="ndarray")
+            row, col = (np.ascontiguousarray(pairs[k]) for k in "ij")
+            del pairs  # only the contiguous copies outlive the search
         d2 = sum((x[col] - x[part[row]]) ** 2 for x in nodes.T)
         wk = (1.0 - d2 / (radius * radius)) ** 3 * lumped[col]
         piece = (part, row, col, wk, np.bincount(row, wk, len(part)))

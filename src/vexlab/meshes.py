@@ -105,9 +105,9 @@ class Mesh:
     barycentric basis, shape (ncells, dim+1, dim)), boundary_facets with unit
     outward facet_normals / facet_measures / adjacent facet_cells, and
     interior_nodes / boundary_nodes index arrays.  Built on first use and
-    cached: quadrature, facet quadrature, boundary distance, the nodes' kd-tree,
-    the per-cell Gram matrices of basis_grads, fem._assemble's CSC pattern
-    per node set and live exponents' samples.
+    cached: quadrature, facet quadrature, boundary distance, the nodes' kd-tree
+    and each node's distance to its nearest other node, the per-cell Gram
+    matrices of basis_grads, fem._assemble's patterns, live exponents' samples.
     """
 
     def __init__(self, nodes, cells):
@@ -165,7 +165,7 @@ class Mesh:
         d, n, nc = self.dim, len(self.nodes), len(self.cells)
         cols = [np.roll(self.cells.T, -k, axis=0).ravel() for k in range(d)]
         keys = reduce(np.minimum, cols) * n + reduce(np.maximum, cols)
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        first, _, counts = _group(keys)
         if counts.max() > 2:
             k = int(np.argmax(counts > 2))
             face = tuple(sorted(int(c[first[k]]) for c in cols))
@@ -216,6 +216,10 @@ class Mesh:
     @cached_property
     def _node_tree(self):  # fem.mollify's pair search
         return cKDTree(self.nodes)
+
+    @cached_property
+    def _node_gap(self):  # each node's distance to its nearest other node
+        return self._node_tree.query(self.nodes, k=2)[0][:, 1]
 
     @cached_property
     def _gram(self):  # G G^T of each cell's G = basis_grads, (nc, nv, nv)
@@ -350,7 +354,7 @@ def _refine_red(nodes, tris):
     a, b, c = tris.T
     ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
     keys = ends.min(axis=1) * len(nodes) + ends.max(axis=1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse, _ = _group(keys)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     ab, bc, ca = (len(nodes) + rank[inverse]).reshape(-1, 3).T
@@ -358,6 +362,17 @@ def _refine_red(nodes, tris):
     nodes = np.vstack([nodes, (nodes[new[:, 0]] + nodes[new[:, 1]]) / 2.0])
     out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
     return nodes, out.reshape(-1, 3)
+
+
+def _group(keys):
+    """np.unique(keys)'s index, inverse and counts from one unstable sort: a
+    run of equal keys has one least index, whatever order its ties take."""
+    order = np.argsort(keys)
+    new = np.r_[True, np.diff(keys[order]) != 0]  # a wrapped difference is not 0
+    start = np.flatnonzero(new)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return np.minimum.reduceat(order, start), inverse, np.diff(np.r_[start, len(keys)])
 
 
 def _ear_clip(verts):
@@ -421,30 +436,31 @@ def write_mesh(mesh, path):
     """Write the text format: header "N nodes cells facets", then node lines
     "id x [y]", cell lines "id n0 n1 [n2]", facet lines "id n0 [n1] nx [ny]".
     """
-    lines = [
-        f"{mesh.dim} {mesh.nnodes} {mesh.ncells} {len(mesh.boundary_facets)}",
-        *_numbered(mesh.nodes),
-        *_numbered(mesh.cells),
-        *_numbered(mesh.boundary_facets, mesh.facet_normals),
-    ]
+    facets = mesh.boundary_facets
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mesh.dim} {mesh.nnodes} {mesh.ncells} {len(facets)}\n"
+                 + _numbered(mesh.nodes) + _numbered(mesh.cells)
+                 + _numbered(facets, mesh.facet_normals))
 
 
 def _numbered(*blocks):
-    """Lines "i v0 v1 ..." of the blocks' columns, formatted column by column."""
-    cols = [map(repr, col.tolist()) for block in blocks for col in block.T]
-    return map(" ".join, zip(map(str, range(len(blocks[0]))), *cols))
+    """Lines "i v0 v1 ...\n" of the blocks' rows, by one %-format of the whole
+    block: %d of an int is its str, %r of a float its repr."""
+    n = len(blocks[0])
+    fmt = " ".join(["%d"] + ["%d" if b.dtype.kind == "i" else "%r"
+                             for b in blocks for _ in b.T])
+    cols = [col for block in blocks for col in block.T.tolist()]
+    return (fmt + "\n") * n % tuple(chain.from_iterable(zip(range(n), *cols)))
 
 
 def read_mesh(path):
     """Read the text format written by write_mesh and rebuild the mesh.
 
     Facet lines are validated against the boundary derived from the cells;
-    a mismatch, or a malformed line, raises MeshFailure.
+    a mismatch, a malformed line or ids out of order raise MeshFailure.
     """
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = list(filter(str.strip, fh.read().splitlines()))
     if not lines:
         raise MeshFailure(f"empty mesh file {path}")
     try:
@@ -471,6 +487,10 @@ def read_mesh(path):
 
 
 def _columns(lines, ncols, dtype):
-    """The ncols values after the leading id of each line, as an array."""
-    return np.loadtxt(lines, dtype=dtype, usecols=range(1, 1 + ncols), ndmin=2,
-                      comments=None)
+    """The ncols values after the leading id of each line, as an array; the
+    ids must read 0, 1, ..., len(lines) - 1 in order."""
+    rows = np.loadtxt(lines, dtype=[("id", np.int64), ("v", dtype, (ncols,))],
+                      usecols=range(1 + ncols), ndmin=1, comments=None)
+    if not np.array_equal(rows["id"], np.arange(len(lines))):
+        raise ValueError(f"ids are not 0..{len(lines) - 1} in order")
+    return np.ascontiguousarray(rows["v"])

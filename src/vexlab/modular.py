@@ -128,9 +128,10 @@ def _balance_root(la, pa, lb, qb):
 
 def _luxemburg_from_samples(vals, pq, w):
     """The mu > 0 with sum w (vals / mu)^p = 1, as exp of a balance root."""
-    if not np.all(np.isfinite(vals)):
+    top = float(vals.max(initial=0.0))  # nan or inf if a sample (>= 0) is
+    if not np.isfinite(top):
         raise NonFiniteIntegrand("Luxemburg norm of a non-finite field")
-    if float(vals.max(initial=0.0)) == 0.0:
+    if top == 0.0:
         return 0.0
     with np.errstate(divide="ignore"):
         la = (np.log(w) + pq * np.log(vals)).ravel()
@@ -206,12 +207,12 @@ def holder_check(u, v, p):
     w = mesh.quadrature()[1]
     uq = field_on_quadrature(u)
     vq = field_on_quadrature(v)
-    lhs = abs(float(np.sum(w * uq * vq)))
-
     pq = p.eval_on_quadrature(mesh)
     pcq = conjugate(p).eval_on_quadrature(mesh)
+    # the norms first: they raise on a non-finite sample, before inf - inf
     norm_u = _luxemburg_from_samples(np.abs(uq), pq, w)
     norm_v = _luxemburg_from_samples(np.abs(vq), pcq, w)
+    lhs = abs(float(np.sum(w * uq * vq)))
 
     constant = 1.0 / float(pq.min()) + 1.0 / float(pcq.min())
     rhs = constant * norm_u * norm_v

@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 import vexlab as vx
 from vexlab import fem
 from vexlab.fem import sample, stiffness_matrix
+from vexlab.solvers import mollifier_radius
 
 EPS = np.finfo(float).eps
 
@@ -245,6 +246,46 @@ def test_mollify_kernel_cache_is_bit_for_bit(kind, nodes_per_slice, rng, monkeyp
     assert (set(kept) == set(radii)) == (nodes_per_slice is None)
     for got, ref in zip(cached, plain):
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("kind", ["interval", "square", "disk"])
+def test_mollify_self_only_kernel_is_the_tree_kernel(kind, unit_square, rng,
+                                                     monkeypatch):
+    # at the schedule's radii below the kept nodes' least gap to another node,
+    # mollify pairs each node with itself alone and builds no k-d tree
+    domain, h = {"interval": (vx.Domain.interval(0.0, 1.0), 0.02),
+                 "square": (unit_square, 0.15),
+                 "disk": (vx.Domain.disk((0.0, 0.0), 1.0), 0.05)}[kind]
+    mesh = vx.build_mesh(domain, h)
+    u = vx.DiscreteField(mesh, rng.standard_normal(mesh.nnodes))
+    radii = sorted(mollifier_radius(eps, mesh)
+                   for eps in vx.SolveConfig().eps_schedule())
+
+    def outputs():  # plain, then a kernel kept in a table and reused
+        kept = {}
+        return [vx.mollify(u, r, table).values
+                for r in radii for table in (None, kept, kept)]
+
+    fast = outputs()
+    with monkeypatch.context() as patch:  # zero gaps: the tree path throughout
+        patch.setitem(mesh.__dict__, "_node_gap", np.zeros(mesh.nnodes))
+        tree = outputs()
+    assert all(np.array_equal(a, b) for a, b in zip(fast, tree))
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("k-d tree built")
+
+    monkeypatch.setattr(fem, "cKDTree", no_tree)
+    bdist = mesh.boundary_distance()
+    gaps = [mesh._node_gap[bdist > r + mesh.h + 1e-12].min(initial=np.inf)
+            for r in radii]
+    below = [r for r, gap in zip(radii, gaps) if r < gap]
+    assert below == radii[:len(below)] and 0 < len(below) < len(radii)
+    for r in below:
+        vx.mollify(u, r)
+        vx.mollify(u, r, {})
+    with pytest.raises(AssertionError, match="k-d tree built"):
+        vx.mollify(u, radii[len(below)])
 
 
 @pytest.fixture(scope="module", params=["disk", "interval"])

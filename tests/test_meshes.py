@@ -5,6 +5,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexlab as vx
 from vexlab import meshes
@@ -150,6 +151,53 @@ def test_mesh_file_bytes_pinned(kind, tmp_path, unit_square):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MESH_FILE_DIGESTS[kind]
 
 
+# sha256 of the files for the disk at h = 0.02 (15,876 nodes: ids past five
+# digits) and the unit interval at h = 0.1 (facet lines mix ints and floats),
+# taken before write_mesh formatted a whole block with one %-format.
+WIDE_MESH_FILE_DIGESTS = {
+    "disk_h0.02":
+        "983c1c0cfd986f983294278b9d75f30267029c9dad482755af7495a6df5d8b56",
+    "interval_h0.1":
+        "6cad50978c7648136fa9c04ac303d042cd61e580080bc1edb99350f98b22221f",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_MESH_FILE_DIGESTS))
+def test_mesh_file_bytes_pinned_past_five_digit_ids(kind, tmp_path, interval):
+    domain, h = ((vx.Domain.disk(), 0.02) if kind == "disk_h0.02"
+                 else (interval, 0.1))
+    path = tmp_path / "m.txt"
+    vx.write_mesh(vx.build_mesh(domain, h), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_MESH_FILE_DIGESTS[kind]
+
+
+def _assert_groups_as_np_unique(keys):
+    first, inverse, counts = meshes._group(keys)
+    _, ref_first, ref_inverse, ref_counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    assert np.array_equal(first, ref_first)  # np.unique's sort is stable
+    assert np.array_equal(inverse, ref_inverse)
+    assert np.array_equal(counts, ref_counts)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_group_matches_np_unique(data):
+    # few distinct keys from the whole int64 range, so that most repeat
+    pool = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                              max_size=8, unique=True), label="pool")
+    keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=400),
+                     label="keys")
+    _assert_groups_as_np_unique(np.array(keys, dtype=np.int64))
+
+
+def test_group_matches_np_unique_on_long_runs(rng):
+    # long enough that the unstable sort leaves ties out of index order
+    keys = rng.integers(0, 1000, 100_000)
+    assert not np.array_equal(np.argsort(keys), np.argsort(keys, kind="stable"))
+    _assert_groups_as_np_unique(keys)
+
+
 def test_read_mesh_rejects_tampered_facets(tmp_path, interval_mesh):
     path = tmp_path / "m.txt"
     vx.write_mesh(interval_mesh, path)
@@ -211,6 +259,24 @@ def test_read_mesh_rejects_unknown_node_in_cell(tmp_path, square_mesh):
     _rewrite_line(path, 1 + square_mesh.nnodes, lambda ln: "0 0 1 999")
     with pytest.raises(vx.MeshFailure):
         vx.read_mesh(path)
+
+
+def test_read_mesh_rejects_node_ids_out_of_order(tmp_path, unit_square):
+    # two interior node lines swapped whole: without the id check this read
+    # back as another mesh, of volume 1.046875; an id of 999 read back too
+    mesh = vx.build_mesh(unit_square, 0.1)
+    path = tmp_path / "m.txt"
+    i, j = 1 + mesh.interior_nodes[:2]
+    for edit in ("swap", "999"):
+        vx.write_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        if edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = "999 " + lines[i].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(vx.MeshFailure, match="ids are not 0..288 in order"):
+            vx.read_mesh(path)
 
 
 def test_read_mesh_rejects_orphan_node(tmp_path, square_mesh):

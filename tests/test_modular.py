@@ -237,6 +237,10 @@ def test_luxemburg_rejects_non_finite(interval_mesh, rng):
             vx.gradient_luxemburg_norm(u, p)
         with pytest.raises(vx.NonFiniteIntegrand):
             vx.verify_modular_relations(u, p)
+        v = random_field(interval_mesh, rng)  # finite: u v has both signs of inf
+        for pair in ((u, v), (v, u)):
+            with pytest.raises(vx.NonFiniteIntegrand):
+                vx.holder_check(*pair, p)
 
 
 def test_log_sum_exp_matches_plain_formula():
