@@ -16,7 +16,7 @@ for h in hs:
     mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), h)
     v = vx.DiscreteField.interpolate(
         mesh, lambda x: (1 + np.pi**2) * np.sin(np.pi * x[:, 0]))
-    res = vx.solve_regularized(v, p, p, epsilon=1e-6)
+    res = vx.solve_regularized(v, p, p, vx.SolveConfig(epsilon=1e-6))
     exact = vx.DiscreteField.interpolate(
         mesh, lambda x: np.sin(np.pi * x[:, 0]), zero_trace=True)
     err = vx.mesh_l2(res.field - exact)
@@ -35,7 +35,7 @@ p_var = vx.AffineExponent(2.0, [1.0])
 ref_mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), 0.00125)
 v_ref = vx.DiscreteField.interpolate(
     ref_mesh, lambda x: 4.0 * np.sin(2 * np.pi * x[:, 0]))
-ref = vx.solve_regularized(v_ref, p_var, p, epsilon=1e-5)
+ref = vx.solve_regularized(v_ref, p_var, p, vx.SolveConfig(epsilon=1e-5))
 
 print()
 prev = None
@@ -43,7 +43,7 @@ for h in hs:
     mesh = vx.build_mesh(vx.Domain.interval(0.0, 1.0), h)
     v = vx.DiscreteField.interpolate(
         mesh, lambda x: 4.0 * np.sin(2 * np.pi * x[:, 0]))
-    res = vx.solve_regularized(v, p_var, p, epsilon=1e-5)
+    res = vx.solve_regularized(v, p_var, p, vx.SolveConfig(epsilon=1e-5))
     on_ref = vx.DiscreteField.interpolate(
         ref_mesh, lambda x: np.interp(x[:, 0], mesh.nodes[:, 0],
                                       res.field.values), zero_trace=True)

@@ -33,7 +33,6 @@ from .exponents import (
     embedding_gap,
     exponent_from_spec,
     log_holder_estimate,
-    sampled_bounds,
     sobolev_conjugate,
 )
 from .fem import (
@@ -64,7 +63,6 @@ from .pohozaev import (
     PohozaevReport,
     VerdictReport,
     boundary_term,
-    check_radial_identity,
     class_e_integral,
     nonexistence_verdict,
     pohozaev_terms,

@@ -2,8 +2,7 @@
 
 Four concrete kinds (constant, affine, radial, tabulated-on-a-mesh) plus
 derived fields (pointwise conjugate, Sobolev conjugate) built by smooth
-monotone transforms.  Bounds are closed-form wherever the geometry allows;
-sampled_bounds is a stand-alone grid estimate, monotone under refinement.
+monotone transforms.  Bounds are closed-form wherever the geometry allows.
 """
 
 from __future__ import annotations
@@ -252,13 +251,6 @@ def _checked_bounds(lo, hi):
 
 
 # -- derived fields --------------------------------------------------------
-
-
-def sampled_bounds(p, domain, resolution=64):
-    """Grid-sampled bounds; monotone under doubling of the resolution."""
-    pts = sample_points(domain, resolution)
-    vals = p.value_at(pts)
-    return float(vals.min()), float(vals.max())
 
 
 def _elliptic_validator(pv):

@@ -472,9 +472,9 @@ def read_mesh(path):
     if len(lines) != 1 + nn + nc + nf:
         raise MeshFailure(f"mesh file {path} has wrong line count")
     try:
-        nodes = _columns(lines[1 : 1 + nn], dim, float)
-        cells = _columns(lines[1 + nn : 1 + nn + nc], dim + 1, np.int64)
-        declared = _columns(lines[1 + nn + nc :], dim, np.int64)
+        nodes, = _columns(lines[1 : 1 + nn], (float, dim))
+        cells, = _columns(lines[1 + nn : 1 + nn + nc], (np.int64, dim + 1))
+        declared, _ = _columns(lines[1 + nn + nc :], (np.int64, dim), (float, dim))
     except ValueError as exc:
         raise MeshFailure(f"malformed line in {path}: {exc}") from exc
     mesh = Mesh(nodes, cells)
@@ -486,11 +486,12 @@ def read_mesh(path):
     return mesh
 
 
-def _columns(lines, ncols, dtype):
-    """The ncols values after the leading id of each line, as an array; the
-    ids must read 0, 1, ..., len(lines) - 1 in order."""
-    rows = np.loadtxt(lines, dtype=[("id", np.int64), ("v", dtype, (ncols,))],
-                      usecols=range(1 + ncols), ndmin=1, comments=None)
+def _columns(lines, *fields):
+    """One array per (dtype, ncols) field after each line's id.  ValueError
+    on any other token count, or unless the ids read 0, 1, ... in order."""
+    rows = np.loadtxt(lines, dtype=[("id", np.int64)] + [
+        (str(i), dtype, (ncols,)) for i, (dtype, ncols) in enumerate(fields)],
+        ndmin=1, comments=None)
     if not np.array_equal(rows["id"], np.arange(len(lines))):
         raise ValueError(f"ids are not 0..{len(lines) - 1} in order")
-    return np.ascontiguousarray(rows["v"])
+    return [np.ascontiguousarray(rows[str(i)]) for i in range(len(fields))]

@@ -329,16 +329,14 @@ def nonexistence_verdict(domain, p, q, N=None, origin=None, tol=1e-9):
 
 
 def verify_pucci_serrin(w, p, q, v, eps, a, origin):
-    """Both sides of the variational identity for the regularized energy
-    density F = (|grad w|^2 + eps)^(p/2)/p + |w|^q/q - v w, with the field
-    h = x - origin and a constant multiplier a on the equation term.
+    """Both sides of the variational identity at the DiscreteField w for the
+    energy density F = (|grad w|^2 + eps)^(p/2)/p + |w|^q/q - v w, with the
+    field h = x - origin and a constant multiplier a on the equation term.
 
     Returns (lhs, rhs, gap) with gap = |lhs - rhs| / (1 + |lhs|).  For a
     converged solve the gap is pure discretization error and contracts
     under mesh refinement.
     """
-    if hasattr(w, "field"):
-        w = w.field
     mesh = w.mesh
     eps = float(eps)
     a = float(a)
@@ -373,8 +371,8 @@ def radial_identity_sides(u, q, origin):
         int |u|^(q-2) u (h . grad u)
             = -N int |u|^q / q + int (h . grad q) |u|^q / q^2 (1 - log|u|^q)
 
-    The right-hand side is t1 - t4 of the balance.  NonFiniteIntegrand
-    when either side overflows.
+    The right-hand side is t1 - t4 of the balance; |lhs - rhs| is 0 for
+    u = 0 and O(h^2) for smooth fields.  NonFiniteIntegrand on overflow.
     """
     b = _Balance(u, None, q, origin)
     hdotgu = np.einsum("cqd,cqd->cq", b.h, b.gu)
@@ -384,9 +382,3 @@ def radial_identity_sides(u, q, origin):
     _check_finite("radial identity", lhs=lhs, rhs=rhs)
     return lhs, rhs
 
-
-def check_radial_identity(u, q, origin):
-    """Quadrature defect of the radial source-term identity (0 for u = 0,
-    O(h^2) for smooth fields under refinement)."""
-    lhs, rhs = radial_identity_sides(u, q, origin)
-    return abs(lhs - rhs)

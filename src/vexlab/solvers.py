@@ -322,20 +322,18 @@ def mollifier_radius(eps, mesh):
 # -- solvers ---------------------------------------------------------------
 
 
-def solve_regularized(v, p, q, cfg=None, epsilon=None, z0=None):
-    """Minimize the strictly convex F_eps with linear load v."""
+def solve_regularized(v, p, q, cfg=None, z0=None):
+    """Minimize the strictly convex F_eps, eps = cfg.epsilon, with linear
+    load v, from a copy of the field z0 (zero when None) with its boundary
+    values zeroed."""
     cfg = cfg or SolveConfig()
-    eps = cfg.epsilon if epsilon is None else float(epsilon)
+    eps = float(cfg.epsilon)
     if not 0 < eps < np.inf:  # NaN included
         raise ConfigError("epsilon must be positive and finite")
     mesh = v.mesh
     load_q = field_on_quadrature(v)
     prob = _EnergyProblem(mesh, p, q, eps, load_q=load_q)
-    if z0 is None:
-        z0 = np.zeros(mesh.nnodes)
-    elif isinstance(z0, DiscreteField):
-        z0 = z0.values
-    z0 = np.array(z0, dtype=float)
+    z0 = np.zeros(mesh.nnodes) if z0 is None else z0.values.copy()
     z0[mesh.boundary_nodes] = 0.0
     res = _minimize(prob, z0, mesh.interior_nodes, cfg)
     res.diagnostics["epsilon"] = eps
@@ -381,8 +379,8 @@ def cascade(u, p, q, cfg=None):
             n0, runs = None, []
             f_node = power_source(z, q)
             for eps in cfg.eps_schedule():
-                v_eps = mollify(f_node, mollifier_radius(eps, u.mesh), kernels)
-                runs.append(solve_regularized(v_eps, p, q, cfg, epsilon=eps, z0=z))
+                v = mollify(f_node, mollifier_radius(eps, u.mesh), kernels)
+                runs.append(solve_regularized(v, p, q, replace(cfg, epsilon=eps), z))
                 z = runs[-1].field
             solved[key] = (n, runs)
         for lv in runs:

@@ -218,11 +218,11 @@ def test_failed_inner_level_turns_report_red(tmp_path, monkeypatch, scenario,
     solve = vx.solvers.solve_regularized
     calls = []
 
-    def first_level_capped(v, p, q, cfg=None, epsilon=None, z0=None):
+    def first_level_capped(v, p, q, cfg=None, z0=None):
         if not calls:
             cfg = dataclasses.replace(cfg, max_iters=0)
-        calls.append(epsilon)
-        return solve(v, p, q, cfg, epsilon=epsilon, z0=z0)
+        calls.append(cfg.epsilon)
+        return solve(v, p, q, cfg, z0=z0)
 
     monkeypatch.setattr(vx.solvers, "solve_regularized", first_level_capped)
     payload = dict(CASCADE, candidate={"kind": "product_sin", "amplitude": amplitude})

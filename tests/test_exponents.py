@@ -235,14 +235,6 @@ def test_tabulated_one_cell_triangle():
     assert p.gradient_at(pts).tolist() == [[0.5, 1.0]] * 4
 
 
-def test_sampled_bounds_monotone_under_refinement(interval):
-    p = vx.AffineExponent(2.0, [1.0])
-    lows, highs = zip(*(vx.sampled_bounds(p, interval, resolution=r)
-                        for r in (8, 16, 32)))
-    assert lows[0] >= lows[1] >= lows[2]
-    assert highs[0] <= highs[1] <= highs[2]
-
-
 def test_log_holder_constant_exponent(interval):
     rep = vx.log_holder_estimate(vx.ConstantExponent(2.0), interval, pairs=500)
     assert rep.c_hat == 0.0

@@ -279,6 +279,25 @@ def test_read_mesh_rejects_node_ids_out_of_order(tmp_path, unit_square):
             vx.read_mesh(path)
 
 
+@pytest.mark.parametrize("section, edit", [
+    ("nodes", lambda ln: ln + " 7"),
+    ("cells", lambda ln: ln + " 5"),
+    ("facets", lambda ln: ln + " 0.0"),
+    ("facets", lambda ln: ln.rsplit(" ", 2)[0]),  # the normal dropped
+], ids=["node-extra", "cell-extra", "facet-extra", "facet-no-normal"])
+def test_read_mesh_rejects_wrong_token_count(tmp_path, unit_square, section, edit):
+    # each line holds exactly its id and its section's fields: a surplus
+    # token, as in "0 0.0 0.0 7" or "0 3 81 83 5", is not dropped unread
+    mesh = vx.build_mesh(unit_square, 0.1)
+    path = tmp_path / "m.txt"
+    vx.write_mesh(mesh, path)
+    first = {"nodes": 1, "cells": 1 + mesh.nnodes,
+             "facets": 1 + mesh.nnodes + mesh.ncells}[section]
+    _rewrite_line(path, first, edit)
+    with pytest.raises(vx.MeshFailure, match="malformed line"):
+        vx.read_mesh(path)
+
+
 def test_read_mesh_rejects_orphan_node(tmp_path, square_mesh):
     # a node that no cell uses would count as interior, and its row of every
     # stiffness matrix would be empty
@@ -560,6 +579,12 @@ def test_edge_shared_by_three_cells_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
     with pytest.raises(vx.MeshFailure, match="shared by 3 cells"):
         vx.Mesh(nodes, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
+def test_mesh_without_boundary_facet_rejected():
+    # two copies of one triangle share each of its edges
+    with pytest.raises(vx.MeshFailure, match="mesh has no boundary facets"):
+        vx.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2], [0, 1, 2]])
 
 
 # sha256 of the unit-square h = 0.1 mesh's arrays and boundary distance.  The

@@ -207,7 +207,7 @@ def test_operator_action_is_phi_derivative(interval_mesh, square_mesh, rng):
 def test_solve_zero_load(interval_mesh):
     v = vx.DiscreteField.zeros(interval_mesh)
     p = vx.AffineExponent(2.0, [1.0])
-    res = vx.solve_regularized(v, p, P2, epsilon=0.2)
+    res = vx.solve_regularized(v, p, P2, vx.SolveConfig(epsilon=0.2))
     assert res.converged
     assert np.all(res.field.values == 0.0)
     oracle = quad(lambda x: 0.2 ** ((2 + x) / 2) / (2 + x), 0.0, 1.0)[0]
@@ -218,7 +218,7 @@ def test_solve_linear_problem_manufactured(fine_interval_mesh):
     mesh = fine_interval_mesh
     v = vx.DiscreteField.interpolate(
         mesh, lambda x: (1 + np.pi**2) * np.sin(np.pi * x[:, 0]))
-    res = vx.solve_regularized(v, P2, P2, epsilon=1e-6)
+    res = vx.solve_regularized(v, P2, P2, vx.SolveConfig(epsilon=1e-6))
     assert res.converged and res.el_residual <= 1e-8
     exact = sin_field(mesh)
     assert vx.mesh_l2(res.field - exact) <= 2e-3
@@ -229,7 +229,7 @@ def test_solve_energy_history_monotone(fine_interval_mesh, rng):
     v = random_interior(mesh, rng, scale=5.0)
     p = vx.AffineExponent(2.0, [1.0])
     res = vx.solve_regularized(v, p, vx.AffineExponent(2.0, [0.5]),
-                               epsilon=1e-3)
+                               vx.SolveConfig(epsilon=1e-3))
     hist = np.asarray(res.diagnostics["energy_history"])
     assert res.converged
     assert np.all(np.diff(hist) <= 1e-12 * (1 + np.abs(hist[:-1])))
@@ -241,12 +241,31 @@ def test_solve_init_independence(fine_interval_mesh):
         mesh, lambda x: 4.0 * np.sin(2 * np.pi * x[:, 0]), zero_trace=True)
     p = vx.AffineExponent(2.0, [1.0])
     q = vx.AffineExponent(2.0, [0.5])
-    a = vx.solve_regularized(v, p, q, epsilon=1e-4)
+    cfg = vx.SolveConfig(epsilon=1e-4)
+    a = vx.solve_regularized(v, p, q, cfg)
     warm = vx.DiscreteField.interpolate(
         mesh, lambda x: np.sin(np.pi * x[:, 0]), zero_trace=True)
-    b = vx.solve_regularized(v, p, q, epsilon=1e-4, z0=warm)
+    b = vx.solve_regularized(v, p, q, cfg, z0=warm)
     assert a.converged and b.converged
     assert vx.mesh_l2(a.field - b.field) <= 1e-7
+
+
+def test_solve_leaves_its_warm_start_alone(fine_interval_mesh):
+    # the solve starts from a copy of z0 with its boundary zeroed; the
+    # caller's field keeps its boundary values
+    mesh = fine_interval_mesh
+    v = vx.DiscreteField.interpolate(mesh, lambda x: 4.0 * np.sin(np.pi * x[:, 0]))
+    warm = vx.DiscreteField.interpolate(mesh, lambda x: 1.0 + x[:, 0] ** 2)
+    before = warm.values.copy()
+    assert np.all(before[mesh.boundary_nodes] != 0.0)
+    cfg = vx.SolveConfig(epsilon=1e-3, max_iters=3)
+    res = vx.solve_regularized(v, P2, vx.ConstantExponent(3.0), cfg, z0=warm)
+    assert np.array_equal(warm.values, before)
+    trace_free = vx.DiscreteField(mesh, before, zero_trace=True)
+    ref = vx.solve_regularized(v, P2, vx.ConstantExponent(3.0), cfg, z0=trace_free)
+    assert np.array_equal(res.field.values, ref.field.values)
+    assert res.diagnostics["energy_history"] == ref.diagnostics["energy_history"]
+    assert res.iterations == ref.iterations == 3
 
 
 def test_solve_rejects_bad_epsilon(interval_mesh):
@@ -255,13 +274,13 @@ def test_solve_rejects_bad_epsilon(interval_mesh):
     v = vx.DiscreteField.zeros(interval_mesh)
     for eps in (0.0, nan, inf):
         with pytest.raises(vx.ConfigError):
-            vx.solve_regularized(v, P2, P2, epsilon=eps)
+            vx.solve_regularized(v, P2, P2, vx.SolveConfig(epsilon=eps))
 
 
 def test_solve_reports_non_convergence(fine_interval_mesh, rng):
     v = random_interior(fine_interval_mesh, rng, scale=5.0)
-    cfg = vx.SolveConfig(max_iters=1, grad_tol=1e-16)
-    res = vx.solve_regularized(v, P2, P2, cfg=cfg, epsilon=1e-3)
+    cfg = vx.SolveConfig(epsilon=1e-3, max_iters=1, grad_tol=1e-16)
+    res = vx.solve_regularized(v, P2, P2, cfg=cfg)
     assert not res.converged
     assert res.el_residual > cfg.grad_tol
     assert res.diagnostics["stop"] == "max_iters"
