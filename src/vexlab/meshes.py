@@ -165,7 +165,7 @@ class Mesh:
         d, n, nc = self.dim, len(self.nodes), len(self.cells)
         cols = [np.roll(self.cells.T, -k, axis=0).ravel() for k in range(d)]
         keys = reduce(np.minimum, cols) * n + reduce(np.maximum, cols)
-        first, _, counts = _group(keys)
+        first, counts = _group(keys)[:2]
         if counts.max() > 2:
             k = int(np.argmax(counts > 2))
             face = tuple(sorted(int(c[first[k]]) for c in cols))
@@ -354,7 +354,9 @@ def _refine_red(nodes, tris):
     a, b, c = tris.T
     ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
     keys = ends.min(axis=1) * len(nodes) + ends.max(axis=1)
-    first, inverse, _ = _group(keys)
+    first, _, order, new = _group(keys)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     ab, bc, ca = (len(nodes) + rank[inverse]).reshape(-1, 3).T
@@ -365,14 +367,13 @@ def _refine_red(nodes, tris):
 
 
 def _group(keys):
-    """np.unique(keys)'s index, inverse and counts from one unstable sort: a
-    run of equal keys has one least index, whatever order its ties take."""
+    """np.unique(keys)'s index and counts from one unstable sort (a run of equal
+    keys has one least index, whatever its ties' order), the order, run-start flags."""
     order = np.argsort(keys)
     new = np.r_[True, np.diff(keys[order]) != 0]  # a wrapped difference is not 0
     start = np.flatnonzero(new)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return np.minimum.reduceat(order, start), inverse, np.diff(np.r_[start, len(keys)])
+    return (np.minimum.reduceat(order, start), np.diff(np.r_[start, len(keys)]),
+            order, new)
 
 
 def _ear_clip(verts):

@@ -81,15 +81,17 @@ def gradient_modular(u, p):
 
 
 def _log_sum_exp(l, e, s):
-    """log sum exp(l + e s), its derivative in s (the exp-weighted mean of
-    e) and |max| + log(sum), the magnitude that sets its roundoff."""
-    x = e * s  # one array, worked in place: l + e s, then exp(x - max)
+    """log sum exp(l + e s), its first two derivatives in s (the weighted mean
+    and variance of e) and its roundoff scale |max| + log(sum); no BLAS dot."""
+    x = e * s  # one array, worked in place: l + e s, exp(x - max), times e
     x += l
     m = x.max()
     np.exp(np.subtract(x, m, out=x), out=x)
-    tot = x.sum()
-    r = np.log(tot)
-    return m + r, float(x @ e) / tot, abs(m) + r
+    tot = float(x.sum())
+    r = float(np.log(tot))
+    d1 = float(np.multiply(x, e, out=x).sum()) / tot
+    d2 = float(np.multiply(x, e, out=x).sum()) / tot - d1 * d1
+    return float(m) + r, d1, d2, abs(float(m)) + r
 
 
 def _balance_root(la, pa, lb, qb):
@@ -97,20 +99,26 @@ def _balance_root(la, pa, lb, qb):
 
     Requires max pa < min qb.  The difference g of the two sides then has
     slope at most -gap, gap = min qb - max pa, so it decreases strictly and
-    its root lies within |g(0)| / gap of 0.  Newton steps in s are kept
-    inside that bracket, padded to twice the bound, and a step leaving the
-    bracket bisects it instead.  The iteration stops once a Newton step is
-    below the roundoff of g.  For constant exponents g is linear, and the
-    first step lands on the root.
+    its root r lies within |g(0)| / gap of 0.  Halley steps (Newton's when
+    |g g''| > g'^2) are kept inside that bracket, padded to twice the bound;
+    a step leaving it bisects it.  As g'' and g''' are differences of the
+    weighted variances and third central moments of pa and qb, with ranges
+    da and db, |g''| <= m2 = max(da, db)^2 / 4 and |g'''| <= m3 = (da^3 +
+    db^3) / 4.  By Taylor's theorem Halley's step from s = r + e lands on r
+    + e^3 (g''^2/2 - g' g'''(t)/3 - e g'' g'''(t)/6) / (2 g'^2 - g g''), t
+    between s and r, and |e| <= |g| / max(gap, |g'| - m2 |g| / gap).  Once
+    that bound or the step is below g's roundoff over |g'|, s + step is the
+    root.  For constant exponents the first step is Newton's and exact.
     """
-    gap = float(qb.min() - pa.max())
-    s = 0.0
-    lo = hi = None
+    gap, da, db = float(qb.min() - pa.max()), float(np.ptp(pa)), float(np.ptp(qb))
+    m2, m3 = max(da, db) ** 2 / 4.0, (da**3 + db**3) / 4.0
+    s, lo, hi = 0.0, None, None
     for _ in range(100):
-        A, dA, rA = _log_sum_exp(la, pa, s)
-        B, dB, rB = _log_sum_exp(lb, qb, s)
+        A, dA, d2A, rA = _log_sum_exp(la, pa, s)
+        B, dB, d2B, rB = _log_sum_exp(lb, qb, s)
         g = A - B
         slope = min(dA - dB, -gap)
+        curv = min(max(d2A - d2B, -db * db / 4.0), da * da / 4.0)
         if lo is None:
             lo, hi = -2.0 * abs(g) / gap, 2.0 * abs(g) / gap
         if g > 0.0:
@@ -119,8 +127,14 @@ def _balance_root(la, pa, lb, qb):
             hi = s
         else:
             return s
-        step = -g / slope
-        if abs(step) <= 4.0 * _EPS * (rA + rB) / -slope:
+        halley = abs(g * curv) <= slope * slope
+        den = slope - g * curv / (2.0 * slope) if halley else slope
+        step = -g / den
+        e = abs(g) / max(gap, -slope - m2 * abs(g) / gap)
+        tail = e * e * e * (curv * curv / 2.0 - slope * m3 / 3.0
+                            + e * abs(curv) * m3 / 6.0) / (2.0 * slope * den)
+        tol = 4.0 * _EPS * (rA + rB) / -slope
+        if abs(step) <= tol or (halley and tail <= tol):
             return s + step
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
     return s

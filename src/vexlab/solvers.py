@@ -201,7 +201,7 @@ def _newton_step(problem, z, free, gf, gn, F0):
     if d is None or not np.all(np.isfinite(d)):
         problem.fallbacks += 1
         d = -gf
-    slope = float(d @ gf)
+    slope = float(np.sum(d * gf))
     floor = _EPS * (1.0 + abs(F0))
     s = 1.0
     for _ in range(_BACKTRACKS):
@@ -218,7 +218,7 @@ def _newton_step(problem, z, free, gf, gn, F0):
         ztry = z.copy()
         ztry[free] += s * d
         gt = problem.grad(ztry)[free]
-        if float(np.linalg.norm(gt)) < (1.0 - _ARMIJO_C1 * s) * gn:
+        if float(np.sqrt(np.sum(gt * gt))) < (1.0 - _ARMIJO_C1 * s) * gn:
             return ztry, problem.energy(ztry), gt
         s *= _ARMIJO_SHRINK
     return None
@@ -237,7 +237,7 @@ def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
     z = np.array(z0, dtype=float)
     hist = [problem.energy(z)]
     gf = problem.grad(z)[free]
-    gn = float(np.linalg.norm(gf))
+    gn = float(np.sqrt(np.sum(gf * gf)))
     iters = 0
     stop = "max_iters"
     while gn > cfg.grad_tol and iters < cfg.max_iters:
@@ -247,7 +247,7 @@ def _minimize(problem, z0, free, cfg, bounds=(-np.inf, np.inf)):
             break
         z, F, gf = step
         hist.append(F)
-        gn = float(np.linalg.norm(gf))
+        gn = float(np.sqrt(np.sum(gf * gf)))
         iters += 1
     if gn <= cfg.grad_tol:
         stop = "converged"
@@ -498,7 +498,7 @@ def nehari_candidate(p, q, mesh, cfg=None):
         while iters1 < _DESCENT_STEPS:
             r = prob.grad(u)[free]
             d = solve(r)
-            res = float(np.sqrt(abs(r @ d)))
+            res = float(np.sqrt(abs(np.sum(r * d))))
             res0 = res if res0 is None else res0
             if res <= max(fraction * res0, 50.0 * cfg.grad_tol):
                 descent_stop = "tolerance"

@@ -29,6 +29,13 @@ test), it collects
 It prints, per output, the worst relative change of its floats,
 |new - old| / max(1, |old|), and every count, flag or string that differs,
 and exits 1 when a float moved by more than 1e-12 or anything else differs.
+
+A re-pin must also hold at any BLAS thread count.  So in two more fresh
+interpreters, with THREAD_VARS set to 1 and then to 2, it collects from the
+changed checkout the fields_geometry fingerprint's SHA-256 (the digest
+test_perfbench_fingerprints.py pins) and the h = 0.05 disk candidate (p =
+1.5 + 0.2x, q = 3, seed 42): its energy's float.hex and its field's SHA-256.
+It exits 1 when any of these differs between the two thread counts.
 pytest does not collect this file: its name does not start with test_.
 """
 
@@ -206,14 +213,39 @@ def _pinned_test_inputs():
     return out
 
 
-def collect(checkout, dest):
-    """Write the outputs of checkout as JSON to dest."""
+def _thread_outputs(work):
+    """The outputs whose bits the thread check compares, as strings."""
+    import hashlib
+
+    import vexlab as vx
+    import workloads
+
+    result = workloads.WORKLOADS["fields_geometry"](workloads.Ops(), SEED, str(work))
+    fingerprint = json.dumps(workloads.fingerprint("fields_geometry", result),
+                             sort_keys=True)
+    cand = vx.nehari_candidate(vx.AffineExponent(1.5, [0.2, 0.0]),
+                               vx.ConstantExponent(3.0),
+                               vx.build_mesh(vx.Domain.disk(), 0.05),
+                               vx.SolveConfig(seed=SEED))
+    return {"fingerprint/fields_geometry":
+                hashlib.sha256(fingerprint.encode()).hexdigest(),
+            "disk_candidate/energy": float.hex(cand.energy),
+            "disk_candidate/field":
+                hashlib.sha256(cand.field.values.tobytes()).hexdigest()}
+
+
+def collect(checkout, dest, threads_only=False):
+    """Write the outputs of checkout (or only its thread outputs) as JSON to
+    dest."""
     checkout = Path(checkout).resolve()
     for sub in ("tests", "perfbench", "src"):  # src ends up first
         sys.path.insert(0, str(checkout / sub))
     with tempfile.TemporaryDirectory() as tmp:
-        out = {**_config_outputs(checkout, Path(tmp)), **_workload_outputs(Path(tmp)),
-               **_pinned_test_inputs()}
+        if threads_only:
+            out = _thread_outputs(Path(tmp))
+        else:
+            out = {**_config_outputs(checkout, Path(tmp)),
+                   **_workload_outputs(Path(tmp)), **_pinned_test_inputs()}
     Path(dest).write_text(json.dumps(_plain(out)))
 
 
@@ -256,9 +288,20 @@ def compare(old, new):
     return code
 
 
+def compare_threads(one, two):
+    """Print the thread check; return its exit code."""
+    code = 0
+    for key in sorted(one):
+        same = one[key] == two.get(key)
+        print(f"threads {key}: 1 thread {one[key]}, 2 threads {two.get(key)} "
+              f"[{'ok' if same else 'DIFFERS'}]")
+        code |= int(not same)
+    return code
+
+
 def main(argv):
-    if len(argv) == 3 and argv[0] == "--collect":
-        collect(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] in ("--collect", "--collect-threads"):
+        collect(argv[1], argv[2], threads_only=argv[0] == "--collect-threads")
         return 0
     if len(argv) != 2:
         print(__doc__)
@@ -266,16 +309,18 @@ def main(argv):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     from run import THREAD_VARS
 
+    runs = [("--collect", checkout, "1") for checkout in argv]
+    runs += [("--collect-threads", argv[1], threads) for threads in ("1", "2")]
     got = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, checkout in enumerate(argv):
+        for i, (mode, checkout, threads) in enumerate(runs):
             dest = os.path.join(tmp, f"{i}.json")
-            env = {**os.environ, **{var: "1" for var in THREAD_VARS},
+            env = {**os.environ, **{var: threads for var in THREAD_VARS},
                    "PYTHONPATH": str(Path(checkout).resolve() / "src")}
-            subprocess.run([sys.executable, os.path.abspath(__file__), "--collect",
+            subprocess.run([sys.executable, os.path.abspath(__file__), mode,
                             checkout, dest], check=True, cwd=tmp, env=env)
             got.append(json.loads(Path(dest).read_text()))
-    return compare(*got)
+    return compare(*got[:2]) | compare_threads(*got[2:])
 
 
 if __name__ == "__main__":

@@ -721,15 +721,15 @@ def test_shipped_configs_have_known_keys(path):
 CONFIG_DIGESTS = {
     "cascade_interval": {
         "cascade.json":
-            "f82ce84965700b1ffb03fec770922507f9534e3c0ea308be9eecfd346ced75b3",
+            "c5428b5aef150fc83510598c8975dbea544ece2cef0542f71559a4f5b49cdd8f",
         "cascade_series.csv":
-            "fd1935f487576f532db55a3b36ae45c5bf332de833344f29660e7679efd1cc4d",
+            "f6818cba43fafbc0ffc6f627e98582ac66cd107f8386fba9f60838e3bd709148",
     },
     "pohozaev_interval": {
         "pohozaev.csv":
-            "4b5bb40471de635ca0e53ab741eded21406b8238b7de214b84aa4859f6deb2aa",
+            "a46b61ad008d46f813285da4dcae55ba5684481fc313de3d466789243317bee2",
         "pohozaev.json":
-            "993c6257fe1331a584e19af07276649d81a194b1fa46b859576954ee5b7a9bd1",
+            "491e1f27d1f61de6f532af39db469624e6739dd871dd193883a440f482ef9240",
     },
     "solve_interval": {
         "mesh.txt":
@@ -741,7 +741,7 @@ CONFIG_DIGESTS = {
     },
     "spaces_check_interval": {
         "spaces_check.json":
-            "24b3c88ad42fa4a5d1f1ba2a2ba4c008f193bd396146639aee5216095bb21caa",
+            "cdbbed1264869b3c3904793dcc10bad8fac8cb6e80f6c06e270f2b23051642ff",
     },
     "sweep_ball": {
         "sweep.csv":

@@ -172,7 +172,9 @@ def test_mesh_file_bytes_pinned_past_five_digit_ids(kind, tmp_path, interval):
 
 
 def _assert_groups_as_np_unique(keys):
-    first, inverse, counts = meshes._group(keys)
+    first, counts, order, new = meshes._group(keys)
+    inverse = np.empty(len(keys), dtype=np.int64)  # as _refine_red builds it
+    inverse[order] = np.cumsum(new) - 1
     _, ref_first, ref_inverse, ref_counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True)
     assert np.array_equal(first, ref_first)  # np.unique's sort is stable

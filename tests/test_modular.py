@@ -1,12 +1,16 @@
 """Modulars, Luxemburg norms, and the norm-modular consistency checks."""
 
 import hashlib
+import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 import vexlab as vx
 from vexlab.modular import _log_sum_exp
+
+modular = importlib.import_module("vexlab.modular")
 
 
 def affine_p():
@@ -244,10 +248,11 @@ def test_luxemburg_rejects_non_finite(interval_mesh, rng):
 
 
 def test_log_sum_exp_matches_plain_formula():
-    # _log_sum_exp works in one array in place; the formula it replaced,
-    # with its temporaries, must give the same bits
+    # _log_sum_exp works in one array in place; the plain formula, with its
+    # temporaries and numpy's pairwise sums, must give the same bits.  20,000
+    # samples is past the length at which a BLAS dot splits over threads.
     rng = np.random.default_rng(11)
-    for n in (1, 7, 1000):
+    for n in (1, 7, 1000, 20_000):
         l = rng.standard_normal(n) * 30.0
         e = rng.uniform(-4.0, 4.0, n)
         for s in (0.0, 0.37, -0.37, 5.0):
@@ -256,9 +261,124 @@ def test_log_sum_exp_matches_plain_formula():
             wts = np.exp(x - m)
             tot = wts.sum()
             r = np.log(tot)
-            want = (m + r, float(wts @ e) / tot, abs(m) + r)
+            mean = (wts * e).sum() / tot
+            want = (m + r, mean, (wts * e * e).sum() / tot - mean * mean, abs(m) + r)
             got = _log_sum_exp(l, e, s)
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def longdouble_root(la, pa, lb, qb, s):
+    """The balance root by Newton steps in 80-bit long double from s."""
+    la, pa, lb, qb = (np.asarray(a, dtype=np.longdouble) for a in (la, pa, lb, qb))
+    s = np.longdouble(s)
+    for _ in range(6):
+        sides = []
+        for l, e in ((la, pa), (lb, qb)):
+            wts = np.exp(l + e * s - (l + e * s).max())
+            sides.append(((l + e * s).max() + np.log(wts.sum()),
+                          (wts * e).sum() / wts.sum()))
+        (A, dA), (B, dB) = sides
+        s = s - (A - B) / (dA - dB)
+    return s
+
+
+def counted_passes(monkeypatch):
+    """The s of every _log_sum_exp over more than one sample, with its
+    value and first two derivatives."""
+    calls = []
+
+    def counted(l, e, s):
+        out = _log_sum_exp(l, e, s)
+        if len(l) > 1:
+            calls.append((s, *out[:3]))
+        return out
+
+    monkeypatch.setattr(modular, "_log_sum_exp", counted)
+    return calls
+
+
+def luxemburg_form(u, p):
+    vals, pq, w = quadrature_samples(u, p)
+    la = (np.log(w) + pq * np.log(vals)).ravel()
+    return la, -pq.ravel(), np.zeros(1), np.zeros(1)
+
+
+def test_balance_root_matches_long_double(square_mesh, rng, monkeypatch):
+    assert np.finfo(np.longdouble).eps < 1e-18  # 80-bit or wider
+    calls = counted_passes(monkeypatch)
+    exponents = (vx.ConstantExponent(1.7), vx.AffineExponent(1.2, [0.8, 0.8]),
+                 vx.RadialExponent(1.4, 0.8, [0.5, 0.5]))
+    for p in exponents:
+        for scale in (1.0, 1e-3, 1e4):
+            form = luxemburg_form(random_field(square_mesh, rng, scale), p)
+            calls.clear()
+            s = modular._balance_root(*form)
+            want = float(longdouble_root(*form, s))
+            assert abs(s - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
+            if isinstance(p, vx.ConstantExponent):  # exact after one step
+                assert len(calls) == 1
+    # the Nehari form: p's samples against larger q's, both sides full size
+    n = 5000
+    for pa, qb in ((rng.uniform(1.2, 2.0, n), rng.uniform(3.0, 4.0, n)),
+                   (np.full(n, 1.5), np.full(n, 3.0))):
+        la, lb = rng.standard_normal(n) * 5.0, rng.standard_normal(n) * 5.0 - 3.0
+        calls.clear()
+        s = modular._balance_root(la, pa, lb, qb)
+        want = float(longdouble_root(la, pa, lb, qb, s))
+        assert abs(s - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
+        if np.ptp(pa) == 0.0:
+            assert len(calls) == 2  # one evaluation of each side
+
+
+def test_luxemburg_passes_on_the_l_shape(monkeypatch):
+    # Halley's cubic stop: two full-size passes for radial p and its
+    # conjugate, one for constant p (Newton took 4 and 2)
+    shape = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
+    mesh = vx.build_mesh(vx.Domain.polygon(shape), 0.1)
+    radial = vx.RadialExponent(1.6, 0.1, [0.5, 0.5])
+    calls = counted_passes(monkeypatch)
+    for p, most in ((radial, 2), (vx.conjugate(radial), 2),
+                    (vx.ConstantExponent(1.7), 1)):
+        for seed in range(3):
+            u = random_field(mesh, np.random.default_rng(seed))
+            calls.clear()
+            vx.luxemburg_norm(u, p)
+            assert 1 <= len(calls) <= most
+
+
+def test_luxemburg_far_start_keeps_its_bracket(square_mesh, rng, monkeypatch):
+    # fields far from norm 1: the root lies up to |g(0)| / gap from the
+    # start; every s stays inside the bracket and no step warns
+    p = vx.AffineExponent(1.2, [0.8, 0.8])
+    u = random_field(square_mesh, rng)
+    base = vx.luxemburg_norm(u, p)
+    calls = counted_passes(monkeypatch)
+    for scale in (1e4, 1e-3):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vx.luxemburg_norm(scale * u, p)
+        assert got == pytest.approx(scale * base, rel=1e-13)
+        gap = float(p.eval_on_quadrature(square_mesh).min())
+        g0 = calls[0][1]
+        lo, hi = -2.0 * abs(g0) / gap, 2.0 * abs(g0) / gap
+        for s, g, _, _ in calls:
+            assert lo <= s <= hi
+            lo, hi = (s, hi) if g > 0 else (lo, s)
+
+
+def test_balance_root_guards_halleys_denominator(monkeypatch):
+    # g(0) = log 2 + 20 with g'' = 1/4 and g' = -3/2: |g g''| > g'^2, so the
+    # first step is Newton's, and the root still matches long double
+    calls = counted_passes(monkeypatch)
+    form = np.zeros(2), np.array([1.0, 2.0]), np.full(2, -20.0), np.full(2, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = modular._balance_root(*form)
+    (_, A, dA, d2A), (_, B, dB, d2B) = calls[:2]
+    assert abs((A - B) * (d2A - d2B)) > (dA - dB) ** 2
+    assert calls[2][0] == -(A - B) / (dA - dB)
+    assert abs(s - float(longdouble_root(*form, s))) <= 4 * np.finfo(float).eps * abs(s)
 
 
 # float.hex of the modular and Holder reports on the L-shape at h = 0.1 with
@@ -271,10 +391,10 @@ FIELDS_PINS = {
     "samples":
         "b9c58b30bbe194ef891c2e270f623a9b8950fffa6b7ced86861d23266e356baa",
     "relations": {
-        "norm": "0x1.4a15e7a50eafbp+0", "modular_value": "0x1.88d5602de6dabp+0",
-        "lower_slack": "0x1.0bbc7ed835e40p-5",
-        "upper_slack": "0x1.0a3d39962de20p-4",
-        "unit_gap": "0x1.0000000000000p-52",
+        "norm": "0x1.4a15e7a50eafap+0", "modular_value": "0x1.88d5602de6dabp+0",
+        "lower_slack": "0x1.0bbc7ed835e80p-5",
+        "upper_slack": "0x1.0a3d39962de00p-4",
+        "unit_gap": "0x1.0000000000000p-51",
     },
     "holder": {
         "lhs": "0x1.6eb2930c35cccp-5", "rhs": "0x1.a68893a9b5afep+0",

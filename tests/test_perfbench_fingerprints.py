@@ -3,7 +3,7 @@
 A change made for speed must leave every result bit for bit as it was,
 unless a key-by-key check against its parent (tests/repin_compare.py) finds
 every float within 1e-12 * max(1, |old|) and every iteration count, fallback
-count and stop reason equal.  Three changes were re-pinned that way:
+count and stop reason equal.  Four changes were re-pinned that way:
 - the banded LU for small Newton systems (fem._band_lu) moved the solver
   workloads' energies by roundoff; fields_geometry, which runs no Newton
   step, kept its digest;
@@ -13,7 +13,12 @@ count and stop reason equal.  Three changes were re-pinned that way:
   mollified sums), with every count and stop reason equal;
 - the Nehari descent's and l2_project's move to the pattern's band LU
   (fem._factor) moved all three by at most 1.13e-15 relative
-  (interval_ground_state's energy), every count and stop reason equal.
+  (interval_ground_state's energy), every count and stop reason equal;
+- Halley's step on the Luxemburg and Nehari balance roots
+  (modular._balance_root), with numpy's pairwise sums in place of every
+  long BLAS dot, moved all three by at most 9.0e-16 relative
+  (interval_ground_state's level energies), every count and stop reason
+  equal.
 fields_geometry was re-pinned once more with no code change, when this test
 moved into a child interpreter with one BLAS thread (below).
 perfbench/workloads.py's fingerprint holds a workload's exact energies and
@@ -23,9 +28,9 @@ runs each workload at seed 42 the way perfbench/run.py does, without timing
 it: in one fresh interpreter with run.child_env()'s environment, whose
 thread variables pin BLAS to one thread (numpy is loaded in this process
 before any test runs, too late to pin it here).  It pins a SHA-256 of each
-fingerprint.  With the host's default threads fields_geometry's norms and
-Holder slacks can differ in their last bits, a digest perfbench never
-computes.  A changed digest means a changed result: find the key that moved
+fingerprint.  No long reduction goes through BLAS any more, and
+tests/repin_compare.py checks that fields_geometry's digest is the same
+with two BLAS threads.  A changed digest means a changed result: find the key that moved
 before re-pinning.
 """
 
@@ -44,11 +49,11 @@ import run  # noqa: E402
 
 FINGERPRINT_DIGESTS = {
     "interval_ground_state":
-        "2fc065f8aaa047ead0e91812f50d167e1eafcdc43bd17a82ab32d611f0cd853b",
+        "129b2bdd395fd1c41cb3599423d674e31eeff69efb7ffbfb98ef89f16dca06fc",
     "square_cascade":
-        "c3df028495d6ee9cf43b8d34119b041959680543b7cd8525b5bdec227c4d7ec7",
+        "224f55e176eae2d708974f483869d7bc0628d0fd8449b69a274f96b9ed6f8aab",
     "fields_geometry":
-        "4acbc5e73c0bf419fd484d443e827d9202a71a129ffd3b1fc254e00d5c7ceebe",
+        "315e4739c08af6288d8c12d6bbf7aed6d7444cf64c14dea682723ba7f3f55416",
 }
 
 # Runs the workloads named in argv at seed 42 and prints, as one JSON line,

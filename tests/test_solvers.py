@@ -3,6 +3,9 @@ scaling-manifold candidate generator."""
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from math import inf, nan
 
@@ -1294,7 +1297,7 @@ SOLVER_DIGESTS = {
     "solve_energy_history":
         "042d1dc0541340716252f5df8f83e0c8dea4d5a0bee4cd3655bbc3eca11d0949",
     "nehari_energy_history":
-        "182bea634c2a1d26de2f49cb67f3d8e622fcca9574834397f7a4f6212f98d3d6",
+        "2706d086e9f78a4d5f8702f3290e154778e3664f8e3e44fcf023bba3ba81752a",
 }
 
 
@@ -1405,3 +1408,28 @@ def test_energy_helpers_pinned(kind, unit_square):
             "operator_action_zero": sha256(vx.operator_action(zero, p, eps).values),
         }
         assert got == pins[eps], eps
+
+
+# The h = 0.05 disk candidate (p = 1.5 + 0.2x, q = 3, seed 42): 15,000
+# quadrature samples in each Nehari scale root, past the length at which a
+# BLAS dot splits over threads.  Prints its energy's float.hex and its
+# field's SHA-256.
+THREAD_CHILD = """
+import hashlib
+import vexlab as vx
+res = vx.nehari_candidate(vx.AffineExponent(1.5, [0.2, 0.0]), vx.ConstantExponent(3.0),
+                          vx.build_mesh(vx.Domain.disk(), 0.05), vx.SolveConfig(seed=42))
+print(float.hex(res.energy), hashlib.sha256(res.field.values.tobytes()).hexdigest())
+"""
+
+
+def test_disk_candidate_independent_of_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    got = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        got.append(proc.stdout.split())
+    assert got[0] == got[1]
