@@ -41,7 +41,6 @@ from .fem import (
     cutoff_profile,
     field_on_quadrature,
     gradient,
-    integrate,
     l2_project,
     mass_matrix,
     mesh_l2,

@@ -352,12 +352,11 @@ def _run_sweep(cfg, base_dir, out, seed):
     tol = _number(cfg, "tol", 1e-9)
 
     results = []
-    for k, val in enumerate(values):
+    for val in values:
         p = ConstantExponent(val) if param == "p" else base_p
         q = ConstantExponent(val) if param == "q" else base_q
         d = asdict(nonexistence_verdict(domain, p, q, N=N, tol=tol))
         d["value"] = val
-        d["seed"] = seed + k + 1
         results.append(d)
 
     cols = "value case applies q_minus p_plus p_plus_star coefficient".split()

@@ -156,7 +156,7 @@ class Domain:
     def contains(self, points):
         """Boolean mask: which points lie in the closed domain, or within
         _CONTAINS_TOL times the bounding box's longest side of it."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = checked_points(points, self.dim)
         tol = self._scaled(_CONTAINS_TOL)
         if self.kind == "interval":
             x, (a, b) = pts[:, 0], self.vertices[:, 0].tolist()
@@ -169,7 +169,7 @@ class Domain:
 
     def range_of_linear(self, b):
         """(min, max) of x . b over the closed domain."""
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        b = checked_points(b, self.dim, "direction b", one=True)
         if self.kind in _ROUND:
             mid = float(self.center @ b)
             spread = float(np.linalg.norm(b)) * self.radius
@@ -179,7 +179,7 @@ class Domain:
 
     def range_of_radius(self, center):
         """(min, max) of |x - center| over the closed domain."""
-        c = np.atleast_1d(np.asarray(center, dtype=float))
+        c = checked_points(center, self.dim, "center", one=True)
         if self.kind in _ROUND:
             d = float(np.linalg.norm(c - self.center))
             return max(0.0, d - self.radius), d + self.radius
@@ -188,19 +188,19 @@ class Domain:
         rmax = float(np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=1).max(), e))
         if bool(self.contains(c[None, :])[0]):
             return 0.0, rmax
-        return self.boundary_distance(c), rmax
+        return float(self.boundary_distance(c[None, :])[0]), rmax
 
-    def boundary_distance(self, point):
-        """Distance to the boundary: from a polytope's nearest facet for any
-        point, and for a disk or ball, radius - |x - center|, from a point
-        of the closed domain."""
-        x = np.atleast_1d(np.asarray(point, dtype=float))
+    def boundary_distance(self, points):
+        """Distance to the boundary, one per point: from a polytope's nearest
+        facet for any point, and for a disk or ball, radius - |x - center|,
+        from a point of the closed domain."""
+        pts = checked_points(points, self.dim)
         if self.kind == "interval":
-            return float(np.abs(self.vertices - x).min())
+            return np.abs(pts - self.vertices[:, 0]).min(axis=1)
         if self.kind == "polygon":
-            return min(_point_segment_distance(x, a, b)
-                       for a, b in _polygon_edges(self.vertices))
-        return self.radius - float(np.linalg.norm(x - self.center))
+            return np.min([_point_segment_distance_many(pts, a, b)
+                           for a, b in _polygon_edges(self.vertices)], axis=0)
+        return self.radius - np.linalg.norm(pts - self.center, axis=1)
 
     # -- star shape --------------------------------------------------------
 
@@ -221,9 +221,7 @@ class Domain:
 def star_shape_report(domain, origin):
     """Check whether the domain is star-shaped with respect to origin; every
     kind admits an exact evaluation (per facet for polygons)."""
-    o = np.atleast_1d(np.asarray(origin, dtype=float))
-    if len(o) != domain.dim:
-        raise ConfigError(f"origin has dim {len(o)}, domain has dim {domain.dim}")
+    o = checked_points(origin, domain.dim, "origin", one=True)
     m = domain._min_xdotnu(o)
     return StarShapeReport(
         origin=o,
@@ -291,6 +289,21 @@ def sample_points(domain, resolution=64):
     return pts[domain.contains(pts)]
 
 
+def checked_points(x, dim, what="points", one=False):
+    """x as a float (n, dim) array of points or, with one set, one point as
+    a float (dim,) array; dim None takes points of any dim.  ConfigError
+    for any other shape, a scalar or a ragged list included."""
+    try:
+        pts = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or pts.ndim != 2 - one or dim not in (None, pts.shape[-1]):
+        want = f"({dim},)" if one else f"(n, {dim or 'dim'})"
+        got = "a ragged sequence" if pts is None else f"shape {pts.shape}"
+        raise ConfigError(f"{what} must have shape {want}, got {got}")
+    return pts
+
+
 # -- polygon helpers -------------------------------------------------------
 
 
@@ -348,10 +361,6 @@ def _points_in_polygon(pts, verts, tol):
     for a, b in _polygon_edges(verts):
         inside |= _point_segment_distance_many(pts, a, b) <= tol
     return inside
-
-
-def _point_segment_distance(p, a, b):
-    return float(_point_segment_distance_many(p[None, :], a, b)[0])
 
 
 def _point_segment_distance_many(pts, a, b):

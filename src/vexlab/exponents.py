@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domains import sample_points
+from .domains import checked_points, sample_points
 from .errors import (ConfigError, ExponentTooLarge, NonElliptic, check_keys,
                      config_number, read_nodal_file)
 from .fem import DiscreteField, field_on_quadrature, gradient
@@ -40,9 +40,10 @@ class LogHolderReport:
 class ExponentField:
     """Base class: a scalar field x -> p(x) with a gradient.
 
-    A subclass defines value_at(x), the values (n,) at the points x (see
-    _as_points), gradient_at(x), the gradients (n, dim) there, and
-    bounds(domain=None), the (min, max) of p over the domain.
+    A subclass defines value_at(x), the values (n,) at the (n, dim) points
+    x, gradient_at(x), the gradients (n, dim) there, and bounds(domain=None),
+    the (min, max) of p over the domain.  ConfigError for points of any
+    other shape (see domains.checked_points); dim None takes any dim.
     """
 
     dim = None
@@ -64,29 +65,16 @@ class ExponentField:
         nc, nq, dim = pts.shape
         return self.gradient_at(pts.reshape(-1, dim)).reshape(nc, nq, dim)
 
-    def _as_points(self, x):
-        """x as an (n, dim) array: a scalar or 1-D x is one point when dim > 1
-        and 1D points otherwise; ConfigError for points of another dim."""
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim < 2:
-            pts = pts.reshape(-1, 1) if self.dim in (None, 1) else pts.reshape(1, -1)
-        if pts.ndim != 2 or self.dim not in (None, pts.shape[1]):
-            raise ConfigError(f"points of shape {np.shape(x)} for a "
-                              f"{self.dim}-dimensional exponent")
-        return pts
-
 
 class ConstantExponent(ExponentField):
     def __init__(self, value):
         self.value = config_number(value, "constant exponent value")
 
     def value_at(self, x):
-        pts = self._as_points(x)
-        return np.full(len(pts), self.value)
+        return np.full(len(checked_points(x, self.dim)), self.value)
 
     def gradient_at(self, x):
-        pts = self._as_points(x)
-        return np.zeros_like(pts)
+        return np.zeros_like(checked_points(x, self.dim))
 
     def bounds(self, domain=None):
         return _checked_bounds(self.value, self.value)
@@ -101,12 +89,10 @@ class AffineExponent(ExponentField):
         self.dim = len(self.b)
 
     def value_at(self, x):
-        pts = self._as_points(x)
-        return self.a + pts @ self.b
+        return self.a + checked_points(x, self.dim) @ self.b
 
     def gradient_at(self, x):
-        pts = self._as_points(x)
-        return np.broadcast_to(self.b, pts.shape).copy()
+        return np.broadcast_to(self.b, checked_points(x, self.dim).shape).copy()
 
     def bounds(self, domain=None):
         if domain is None:
@@ -125,13 +111,12 @@ class RadialExponent(ExponentField):
         self.dim = len(self.center)
 
     def value_at(self, x):
-        pts = self._as_points(x)
+        pts = checked_points(x, self.dim)
         r2 = sum((col - c) ** 2 for col, c in zip(pts.T, self.center))
         return self.base + self.amp * r2
 
     def gradient_at(self, x):
-        pts = self._as_points(x)
-        return 2.0 * self.amp * (pts - self.center)
+        return 2.0 * self.amp * (checked_points(x, self.dim) - self.center)
 
     def bounds(self, domain=None):
         if domain is None:
@@ -187,13 +172,13 @@ class TabulatedExponent(ExponentField):
         return cells, lam
 
     def value_at(self, x):
-        cells, lam = self._locate(self._as_points(x))
+        cells, lam = self._locate(checked_points(x, self.dim))
         lam = np.clip(lam, 0.0, 1.0)
         lam /= lam.sum(axis=1, keepdims=True)
         return np.einsum("pv,pv->p", lam, self.values[self.mesh.cells[cells]])
 
     def gradient_at(self, x):
-        return self.cell_grads[self._locate(self._as_points(x))[0]]
+        return self.cell_grads[self._locate(checked_points(x, self.dim))[0]]
 
     def bounds(self, domain=None):
         return _checked_bounds(float(self.values.min()), float(self.values.max()))
@@ -348,32 +333,28 @@ def log_holder_estimate(p, domain, pairs=2000, seed=0):
 
 
 def _ball_form_max(p, domain, rng, nballs):
-    """Max of |B|^(pB- - pB+) over nballs interior balls, 24 points each."""
+    """Max of |B|^(pB- - pB+) over nballs interior balls, 24 points each.
+    The centers are drawn in rounds, 100 * nballs of them at most."""
     lo, hi = domain.bounding_box()
-    span = hi - lo
     N = domain.dim
-    unit_vol = math.pi ** (N / 2) / math.gamma(N / 2 + 1)
-    best = 0.0
-    made = 0
-    guard = 0
-    while made < nballs and guard < 100 * nballs:
-        guard += 1
-        c = lo + span * rng.random(N)
-        if not domain.contains(c[None, :])[0]:
-            continue
-        dist = domain.boundary_distance(c)
-        if dist <= 1e-12:
-            continue
-        rad = dist * rng.uniform(0.1, 0.95)
-        direction = rng.standard_normal((24, N))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = rad * rng.random(24) ** (1.0 / N)
-        pts = c + radii[:, None] * direction
-        pv = p.value_at(pts)
-        vol = unit_vol * rad**N
-        best = max(best, float(vol ** (pv.min() - pv.max())))
-        made += 1
-    return best
+    centers, dist = np.empty((0, N)), np.empty(0)
+    drawn = 0
+    while len(dist) < nballs and drawn < 100 * nballs:
+        n = min(nballs - len(dist), 100 * nballs - drawn)
+        drawn += n
+        c = lo + (hi - lo) * rng.random((n, N))
+        c = c[domain.contains(c)]
+        d = domain.boundary_distance(c)
+        centers = np.vstack([centers, c[d > 1e-12]])
+        dist = np.append(dist, d[d > 1e-12])
+    rad = dist * rng.uniform(0.1, 0.95, len(dist))
+    direction = rng.standard_normal((len(rad), 24, N))
+    direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+    radii = rad[:, None] * rng.random((len(rad), 24)) ** (1.0 / N)
+    pts = centers[:, None, :] + radii[:, :, None] * direction
+    pv = p.value_at(pts.reshape(-1, N)).reshape(len(rad), 24)
+    vol = math.pi ** (N / 2) / math.gamma(N / 2 + 1) * rad**N
+    return float(np.max(vol ** (pv.min(axis=1) - pv.max(axis=1)), initial=0.0))
 
 
 # -- config parsing --------------------------------------------------------

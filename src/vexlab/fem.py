@@ -10,7 +10,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, NonFiniteIntegrand
+from .errors import ConfigError
 
 # Most kernel pairs one mollify slice holds at once (about 70 bytes each,
 # temporaries included), which bounds its memory at any radius.
@@ -134,30 +134,6 @@ def mesh_l2(u):
     _, w, _ = u.mesh.quadrature()
     vals = field_on_quadrature(u)
     return float(np.sqrt(np.sum(w * vals**2)))
-
-
-def integrate(mesh, integrand, u=None):
-    """Quadrature integral of integrand(x, u(x), grad u(x)) over the mesh.
-
-    integrand receives x (npts, dim) and, when u is given, the interpolated
-    values (npts,) and per-cell gradients (npts, dim); otherwise None for
-    both.  Raises NonFiniteIntegrand at the first bad point.
-    """
-    pts, w, _ = mesh.quadrature()
-    nc, nq, dim = pts.shape
-    x = pts.reshape(-1, dim)
-    if u is not None:
-        g, uq = sample(mesh, u.values)
-        uq, gq = uq.reshape(-1), np.repeat(g, nq, axis=0)
-    else:
-        uq = gq = None
-    vals = np.asarray(integrand(x, uq, gq), dtype=float)
-    if vals.shape != (nc * nq,):
-        raise ConfigError("integrand must return one value per quadrature point")
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][0]
-        raise NonFiniteIntegrand(f"non-finite integrand at x = {bad}")
-    return float(np.sum(vals.reshape(nc, nq) * w))
 
 
 # -- truncation ------------------------------------------------------------

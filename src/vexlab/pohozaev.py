@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domains import find_star_center, star_shape_report
+from .domains import checked_points, find_star_center, star_shape_report
 from .errors import (ConfigError, ExponentTooLarge, InsufficientRuns,
                      NonFiniteIntegrand, NotStarShaped)
 from .exponents import conjugate
@@ -64,10 +64,6 @@ class PohozaevReport:
         return replace(self, r_proxy=float(r_proxy), total=base + float(r_proxy))
 
 
-def _origin(origin):
-    return np.atleast_1d(np.asarray(origin, dtype=float))
-
-
 def _p_dagger(pq):
     """p-dagger = min(2, p-) over the exponent samples pq."""
     return min(2.0, float(pq.min()))
@@ -75,7 +71,8 @@ def _p_dagger(pq):
 
 class _Balance:
     """Everything the balance terms read at the cell quadrature points,
-    from one gather of u's nodal values: weights w, h = x - origin, u, grad u
+    from one gather of u's nodal values: weights w, the origin (ConfigError
+    unless one point of the mesh's dim), h = x - origin, u, grad u
     (one row per cell, broadcast over the points), g2 = |grad u|^2,
     A = g2 + eps, A^(p/2), |u|^q, p, q, h . grad p and h . grad q.
     p=None skips the p samples.  Overflow is not reported here: every
@@ -85,10 +82,11 @@ class _Balance:
     def __init__(self, u, p, q, origin, eps=0.0):
         mesh = u.mesh
         self.dim = mesh.dim
+        self.origin = checked_points(origin, mesh.dim, "origin", one=True)
         pts, self.w, _ = mesh.quadrature()
         grad, self.u = sample(mesh, u.values)
         self.gu = grad[:, None, :]
-        self.h = pts - _origin(origin)
+        self.h = pts - self.origin
         self.q, self.hdotgq = self._exponent(q, mesh)
         with np.errstate(over="ignore"):
             self.g2 = np.sum(grad * grad, axis=1)[:, None]
@@ -127,11 +125,11 @@ def _boundary_moment(u, origin, density):
     """int over the boundary of density(g2, x) (x - origin) . nu, where g2 is
     |grad u|^2 taken one-sidedly from each facet's cell."""
     mesh = u.mesh
+    o = checked_points(origin, mesh.dim, "origin", one=True)
     gb = gradient(u)[mesh.facet_cells]
     nq = mesh.facet_quadrature()[1].shape[1]
     with np.errstate(over="ignore"):
         g2 = np.broadcast_to(np.sum(gb * gb, axis=1)[:, None], (len(gb), nq)).ravel()
-    o = _origin(origin)
 
     def integrand(x, nu):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -173,7 +171,7 @@ def pohozaev_terms(u, p, q, origin):
         class_p=class_p,
         identity_gap=float(identity_gap),
         p_dagger=_p_dagger(b.p),
-        origin=tuple(_origin(origin).tolist()),
+        origin=tuple(b.origin.tolist()),
     )
 
 

@@ -12,8 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 import vexlab as vx
-from vexlab.domains import (_point_segment_distance, _point_segment_distance_many,
-                            _shoelace)
+from vexlab.domains import _point_segment_distance_many, _shoelace
 
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
 # A "C" with the channel cut in from the right; its kernel is empty because
@@ -129,15 +128,17 @@ def test_range_of_radius():
 
     # Domain.boundary_distance, which the polytope arm above relies on,
     # against the minimum over the boundary's facets
-    assert sq.boundary_distance([2.0, 0.5]) == rmin
+    assert sq.boundary_distance([[2.0, 0.5]]).tolist() == [rmin]
     interval = vx.Domain.interval(-1.0, 3.0)
-    for x in (-3.5, -1.0, 0.25, 2.5, 3.0, 4.25):
-        assert interval.boundary_distance([x]) == min(abs(x + 1.0), abs(3.0 - x))
+    xs = [-3.5, -1.0, 0.25, 2.5, 3.0, 4.25]
+    assert interval.boundary_distance(np.array(xs)[:, None]).tolist() == [
+        min(abs(x + 1.0), abs(3.0 - x)) for x in xs]
     shape = vx.Domain.polygon(L_SHAPE)
     edges = list(zip(shape.vertices, np.roll(shape.vertices, -1, axis=0)))
     for x in vx.sample_points(shape, 8):
-        per_edge = [_point_segment_distance(x, a, b) for a, b in edges]
-        assert shape.boundary_distance(x) == min(per_edge)
+        per_edge = [_point_segment_distance_many(x[None, :], a, b)[0]
+                    for a, b in edges]
+        assert shape.boundary_distance([x]).tolist() == [min(per_edge)]
     # the disk against an inscribed 1024-gon, which lies within
     # 1 - cos(pi / 1024) < 5e-6 of the circle
     disk = vx.Domain.disk((0.5, -0.25), 1.0)
@@ -146,8 +147,7 @@ def test_range_of_radius():
     pts = vx.sample_points(disk, 8)
     per_edge = np.min([_point_segment_distance_many(pts, a, b)
                        for a, b in zip(ring, np.roll(ring, -1, axis=0))], axis=0)
-    got = [disk.boundary_distance(x) for x in pts]
-    assert np.allclose(got, per_edge, rtol=0.0, atol=5e-6)
+    assert np.allclose(disk.boundary_distance(pts), per_edge, rtol=0.0, atol=5e-6)
 
 
 def test_interval_is_the_one_dimensional_polytope():
@@ -156,7 +156,7 @@ def test_interval_is_the_one_dimensional_polytope():
     assert unit.normals.tolist() == [[-1.0], [1.0]]
     # the distance to the nearer end from any point, as a polygon's distance
     # to its nearest edge
-    assert [unit.boundary_distance([x]) for x in (2.0, -0.5, 0.25)] == [1.0, 0.5, 0.25]
+    assert unit.boundary_distance([[2.0], [-0.5], [0.25]]).tolist() == [1.0, 0.5, 0.25]
     # a center within the contains band outside counts as inside, for an
     # interval as for a polygon
     assert unit.range_of_radius([1.0 + 1e-13]) == (0.0, 1.0 + 1e-13)
@@ -502,10 +502,81 @@ def test_non_finite_geometry_rejected(spec):
 
 
 def test_wrong_dimension_and_resolution_refused():
-    with pytest.raises(vx.ConfigError, match="origin has dim 2, domain has dim 1"):
+    with pytest.raises(vx.ConfigError,
+                       match=r"origin must have shape \(1,\), got shape \(2,\)"):
         vx.star_shape_report(vx.Domain.interval(0.0, 1.0), [0.5, 0.5])
     with pytest.raises(vx.ConfigError, match="resolution must be >= 1"):
         vx.sample_points(vx.Domain.polygon(L_SHAPE), 0)
+
+
+def point_entry(name, square_mesh):
+    """The entry name as a function of its point argument alone: a Domain
+    query on the unit interval, a pohozaev function on square_mesh, or an
+    exponent field's value_at or gradient_at."""
+    interval = vx.Domain.interval(0.0, 1.0)
+    u = vx.DiscreteField.interpolate(
+        square_mesh, lambda x: np.prod(np.sin(np.pi * x), axis=1), zero_trace=True)
+    p, q = vx.AffineExponent(1.8, [0.2, 0.1]), vx.ConstantExponent(3.0)
+    fields = {"constant": q, "affine": p,
+              "radial": vx.RadialExponent(2.0, 0.5, [0.5, 0.5]),
+              "tabulated": vx.TabulatedExponent(square_mesh,
+                                                p.value_at(square_mesh.nodes)),
+              "conjugate": vx.conjugate(p)}
+    entries = {
+        "contains": interval.contains,
+        "boundary_distance": interval.boundary_distance,
+        "range_of_radius": interval.range_of_radius,
+        "star_shape_report": lambda o: vx.star_shape_report(interval, o),
+        "pohozaev_terms": lambda o: vx.pohozaev_terms(u, p, q, o),
+        "boundary_term": lambda o: vx.boundary_term(u, p, 0.0, o),
+        "radial_identity_sides": lambda o: vx.radial_identity_sides(u, q, o),
+        "verify_pucci_serrin": lambda o: vx.verify_pucci_serrin(
+            u, p, q, u, eps=0.01, a=0.0, origin=o),
+    }
+    kind, _, method = name.partition(".")
+    return getattr(fields[kind], method) if method else entries[name]
+
+
+RAGGED = [[0.2], [0.3, 0.4]]
+
+
+@pytest.mark.parametrize("name, bad", [
+    # a flat list of two numbers is neither two 1D points nor a stack
+    ("contains", [0.2, 5.0]), ("contains", 0.5), ("contains", [[[0.5]]]),
+    ("contains", RAGGED),
+    ("boundary_distance", [0.2, 0.5]), ("boundary_distance", 0.5),
+    ("boundary_distance", [[0.2, 0.5]]), ("boundary_distance", RAGGED),
+    ("range_of_radius", 0.5), ("range_of_radius", [[0.5]]),
+    ("star_shape_report", 0.5), ("star_shape_report", [[0.5]]),
+    # an origin of the wrong dim for the 2D mesh, or not one point
+    *[(name, origin) for name in ("pohozaev_terms", "boundary_term",
+                                  "radial_identity_sides", "verify_pucci_serrin")
+      for origin in ([0.5], [0.5, 0.5, 0.5], 0.5, [[0.5, 0.5]], RAGGED)],
+    # a scalar or one flat list is not an (n, dim) stack, whatever dim is
+    *[(f"{kind}.{method}", x)
+      for kind in ("constant", "affine", "radial", "tabulated", "conjugate")
+      for method in ("value_at", "gradient_at")
+      for x in (0.3, [0.3, 0.7], [[[0.3, 0.7]]], RAGGED)],
+    ("affine.value_at", [[0.3, 0.7, 0.1]]), ("conjugate.gradient_at", [[0.3]]),
+], ids=str)
+def test_point_arguments_refuse_every_other_shape(name, bad, square_mesh):
+    with pytest.raises(vx.ConfigError, match="must have shape"):
+        point_entry(name, square_mesh)(bad)
+
+
+def test_boundary_distance_of_a_stack_is_one_per_point():
+    # bit for bit on intervals, disks and balls; a polygon's per-edge matvec
+    # rounds a row of a stack as it likes, to 1e-12 relative
+    for dom in pinned_domains():
+        pts = np.vstack([vx.sample_points(dom, 8),
+                         probe_grid(dom, [-0.25, 0.0, 0.3, 0.5, 0.7, 1.0, 1.25])])
+        stacked = dom.boundary_distance(pts)
+        assert stacked.shape == (len(pts),)
+        single = np.concatenate([dom.boundary_distance([x]) for x in pts])
+        if dom.kind == "polygon":
+            assert np.allclose(stacked, single, rtol=1e-12, atol=0.0)
+        else:
+            assert np.array_equal(stacked, single)
 
 
 def test_degenerate_polygon_rejected():
@@ -546,7 +617,8 @@ def probe_grid(dom, fractions):
 def query_values(dom):
     """Each pinned query's values on dom, as float arrays.  The radius
     centers keep clear of the boundary; boundary_distance is asked only at
-    points of the closed domain."""
+    points of the closed domain, one at a time (a stack's rows may round
+    otherwise)."""
     probes = probe_grid(dom, [-0.25, 0.0, 0.3, 0.5, 0.7, 1.0, 1.25])
     centers = probe_grid(dom, [-0.25, 0.3, 0.5, 0.7, 1.25])
     directions = {1: [[1.0], [-2.5], [0.3]],
@@ -562,7 +634,7 @@ def query_values(dom):
         "contains": dom.contains(probes),
         "range_of_linear": [dom.range_of_linear(b) for b in directions],
         "range_of_radius": [dom.range_of_radius(c) for c in centers],
-        "boundary_distance": [dom.boundary_distance(x)
+        "boundary_distance": [dom.boundary_distance([x])
                               for x in vx.sample_points(dom, 8)],
         "min_xdotnu": [vx.star_shape_report(dom, o).min_xdotnu for o in probes],
         "find_star_center": center,
@@ -586,7 +658,7 @@ DOMAIN_QUERY_DIGESTS = {
     "range_of_radius":
         "fd452d207cb1fc67cb67dd9b15a32e1d3ce711da2ba3619779ffad9173e95bde",
     "boundary_distance":
-        "460805599aa4a8f40fb98721f2e0ecc978d7ba555553f77c6ebe248ec00eff2e",
+        "a6af236bed3783d3d56aa481842108d1095930cf50a756fb588ae738be18a8c1",
     "min_xdotnu":
         "e050d2319edc7e6e69e850826672dadb9a1e07ad57b3462084b04c0e9f853de4",
     "find_star_center":

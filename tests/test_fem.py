@@ -62,27 +62,6 @@ def test_mesh_l2(interval_mesh):
     assert vx.mesh_l2(u) == pytest.approx(np.sqrt(0.5), rel=1e-3)
 
 
-def test_integrate_with_and_without_field(interval_mesh):
-    val = vx.integrate(interval_mesh, lambda x, u, gu: x[:, 0] ** 2)
-    assert val == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-    w = vx.DiscreteField.interpolate(interval_mesh, lambda x: x[:, 0])
-    val = vx.integrate(interval_mesh, lambda x, u, gu: u * gu[:, 0], u=w)
-    assert val == pytest.approx(0.5, abs=1e-13)
-
-
-def test_integrate_rejects_non_finite(interval_mesh):
-    def poisoned(x, u, gu):
-        vals = np.ones(len(x))
-        vals[len(x) // 2] = np.nan
-        return vals
-
-    with pytest.raises(vx.NonFiniteIntegrand):
-        vx.integrate(interval_mesh, poisoned)
-    with pytest.raises(vx.ConfigError):
-        vx.integrate(interval_mesh, lambda x, u, gu: np.ones(3))
-
-
 def test_cutoff_profile_values():
     n = 2.0
     s = np.array([0.0, 1.5, 2.0, 12.0])
